@@ -22,8 +22,8 @@ from .display import DisplayModel, viewing_geometry
 from .errors import (
     FormatError,
     LesionClippingWarning,
-    NumericalError,
     PlanError,
+    PointError,
     TrainingError,
 )
 
@@ -39,8 +39,8 @@ __all__ = [
     "viewing_geometry",
     "FormatError",
     "LesionClippingWarning",
-    "NumericalError",
     "PlanError",
+    "PointError",
     "TrainingError",
     "__version__",
 ]

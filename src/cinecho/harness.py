@@ -15,6 +15,7 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -23,8 +24,15 @@ import numpy as np
 
 from .config import config_hash, pipeline_from
 from .display import DisplayModel
-from .errors import FormatError
-from .trial import PipelineConfig, TrialPlan, run_trial, split_dataset
+from .errors import FormatError, PointError
+from .trial import (
+    PipelineConfig,
+    TrialPlan,
+    perceive_responses,
+    plan_stacks,
+    run_trial,
+    split_dataset,
+)
 
 __all__ = [
     "SWEEP_AXES",
@@ -106,20 +114,17 @@ def apply_axis(config: PipelineConfig, axis: str, value: float) -> PipelineConfi
     raise ValueError(f"axis must be one of {SWEEP_AXES}")
 
 
-def _sweep_point(args):
-    dataset, plan, config = args
-    result = run_trial(dataset, plan, config)
-    return result.mean_auc, result.variance
-
-
 def run_sweep(dataset, spec: SweepSpec, config: dict,
               plan: TrialPlan | None = None):
     """Run the trial once per axis value and return the result rows.
 
     config is the full flat config dict (the plan seed, reader count, and
     row fingerprint come from it); plan may be passed to reuse a split.
-    config['sweep.workers'] > 1 computes points in a process pool, with
-    output identical to the sequential order.
+    The channel responses of every stack at every point are computed in
+    one pass over the stacks (see perceive_responses); each point then
+    trains and scores its readers.  config['sweep.workers'] > 1 shards
+    the stacks of that pass over a process pool, with output identical to
+    the sequential pass.
     """
     if plan is None:
         plan = split_dataset(dataset.pairing, config["trial.n_readers"],
@@ -135,20 +140,31 @@ def run_sweep(dataset, spec: SweepSpec, config: dict,
             raise RuntimeError(
                 f"sweep aborted at {spec.axis} = {value}: {exc}") from exc
 
-    points = [(dataset, plan,
-               named(value, lambda: apply_axis(base, spec.axis, value)))
+    points = [named(value, lambda: apply_axis(base, spec.axis, value))
               for value in spec.values]
-    workers = int(config.get("sweep.workers", 1))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_sweep_point, points))
-    else:
-        outcomes = [named(value, lambda: _sweep_point(point))
-                    for value, point in zip(spec.values, points)]
+    stacks, slice_range = plan_stacks(dataset, plan, base)
+    workers = min(int(config.get("sweep.workers", 1)), len(stacks))
+    try:
+        if workers > 1:
+            bounds = [len(stacks) * k // workers for k in range(workers + 1)]
+            shards = [stacks[a:b] for a, b in zip(bounds, bounds[1:])]
+            with ProcessPoolExecutor(
+                    max_workers=workers,
+                    mp_context=multiprocessing.get_context("spawn")) as pool:
+                responses = np.concatenate(list(pool.map(
+                    perceive_responses, shards, [points] * workers,
+                    [slice_range] * workers)))
+        else:
+            responses = perceive_responses(stacks, points, slice_range)
+    except PointError as exc:
+        raise RuntimeError(f"sweep aborted at {spec.axis} = "
+                           f"{spec.values[exc.index]}: {exc}") from exc.cause
     rows = []
-    for value, (mean_auc, variance) in zip(spec.values, outcomes):
-        rows.append(ResultRow(axis_value=value, mean_auc=mean_auc,
-                              auc_stddev=math.sqrt(variance),
+    for i, (value, point) in enumerate(zip(spec.values, points)):
+        result = named(value, lambda: run_trial(
+            dataset, plan, point, responses=responses[:, i]))
+        rows.append(ResultRow(axis_value=value, mean_auc=result.mean_auc,
+                              auc_stddev=math.sqrt(result.variance),
                               n_readers=plan.n_readers, seed=plan.seed,
                               config_hash=fingerprint))
     return rows

@@ -11,6 +11,13 @@
 # amplitude measured in just-noticeable differences.  The filter is real and
 # even in every frequency axis, hence zero-phase: features do not move.
 #
+# Because of that evenness the transform works on the half spectrum of the
+# real stack (rfft2 over the plane, FFT over the slices), evaluates the gain
+# once per (|u1|, u2, |w|), inverts only the slices asked for and returns
+# real planes through irfft2.  Contrast, L and the forward transform do not
+# depend on the browsing speed or the sampling rate, so one forward
+# transform serves every (ssr, slice_rate) point of a sweep.
+#
 # Margins are tapered to zero over a five-pixel band before the transform to
 # suppress wrap-around edge artifacts; time is left untouched (the browsing
 # loop is treated as periodic).  Optionally a foveal weighting models the
@@ -25,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csf import CsfConstants, DEFAULT_CONSTANTS, ViewingConditions, derive_optics, stcsf
-from .errors import NumericalError
 
 __all__ = [
     "FOVEAL_MODES",
@@ -116,9 +122,10 @@ class FrequencyTriple:
 
 @dataclass(frozen=True, eq=False)
 class PerceivedStack:
-    """A real W x H x K array of perceived amplitudes in JND units, with
-    the effective viewing conditions (luminance = the measured stack mean)
-    and the foveal mode it was produced under."""
+    """A real W x H x K array of perceived amplitudes in JND units (or
+    only the slices asked for), with the effective viewing conditions
+    (luminance = the measured stack mean) and the foveal mode it was
+    produced under."""
 
     data: np.ndarray
     vc: ViewingConditions
@@ -222,48 +229,76 @@ def foveal_weight(alpha, mode: str, fp: FovealParams = DEFAULT_FOVEAL):
     raise ValueError(f"foveal mode must be one of {FOVEAL_MODES}")
 
 
-def _gain_grid(shape, vc: ViewingConditions, constants: CsfConstants):
-    """Transfer gain evaluated on the full transform index grid."""
+def _half_gain(shape, vc: ViewingConditions, constants: CsfConstants):
+    """Transfer gain on the half transform grid of a W x H x K stack: every
+    k1, k2 in [0, H//2], every k3.
+
+    The gain is even in u1 and w separately (exactly, see transfer_gain),
+    so it is evaluated once per (|u1|, u2, |w|) triple and gathered:
+    index k and n - k share one value.
+    """
     w_px, h_px, n_sl = shape
-    u1 = frequency_of_index(np.arange(w_px), w_px, vc.ssr)
-    u2 = frequency_of_index(np.arange(h_px), h_px, vc.ssr)
-    w = frequency_of_index(np.arange(n_sl), n_sl, vc.slice_rate)
+    u1 = np.abs(frequency_of_index(np.arange(w_px // 2 + 1), w_px, vc.ssr))
+    u2 = np.abs(frequency_of_index(np.arange(h_px // 2 + 1), h_px, vc.ssr))
+    w = np.abs(frequency_of_index(np.arange(n_sl // 2 + 1), n_sl,
+                                  vc.slice_rate))
     optics = derive_optics(vc, constants)
-    return transfer_gain(u1[:, None, None], u2[None, :, None],
-                         w[None, None, :], vc, constants, optics=optics)
+    folded = transfer_gain(u1[:, None, None], u2[None, :, None],
+                           w[None, None, :], vc, constants, optics=optics)
+    k1 = np.arange(w_px)
+    k3 = np.arange(n_sl)
+    return folded[np.minimum(k1, w_px - k1)][:, :, np.minimum(k3, n_sl - k3)]
 
 
-def filter_contrast(contrast_stack, vc: ViewingConditions,
-                    constants: CsfConstants = DEFAULT_CONSTANTS):
-    """Linear core of the percept pipeline: 3D-transform a contrast stack,
-    scale each coefficient by the transfer gain at its frequency triple,
-    transform back and normalize by the stack size.
+def filter_contrast(contrast_stack, vc, constants: CsfConstants = DEFAULT_CONSTANTS,
+                    *, slices=None):
+    """Linear core of the percept pipeline: scale every 3D frequency
+    component of a contrast stack by the transfer gain at its frequency
+    triple and transform back.
+
+    The stack is transformed once, as a half spectrum (rfft2 over the
+    plane, then an FFT over the slices).  Per viewing condition the gain
+    is applied on that half grid, the inverse temporal DFT is evaluated at
+    the requested slices only (all of them by default, in order) and
+    irfft2 returns the real planes.  The gain is real and even, so the
+    output is real by construction.
 
     vc supplies the luminance L and the two sampling rates; the caller is
-    responsible for contrast having (near-)zero mean.  Returns a real
-    array; raises NumericalError if the imaginary residue of the inverse
-    transform exceeds 1e-9 of the output RMS.
+    responsible for contrast having (near-)zero mean.  vc may also be a
+    sequence of viewing conditions, which then share the forward
+    transform; the result is a list with one W x H x len(slices) array
+    per entry instead of one array.
     """
     arr = np.asarray(contrast_stack, dtype=np.float64)
     if arr.ndim != 3:
         raise ValueError("expected a W x H x K stack")
-    gain = _gain_grid(arr.shape, vc, constants)
-    spectrum = np.fft.fftn(arr)
-    back = np.fft.ifftn(spectrum * gain, norm="forward") / arr.size
-    out = back.real
-    rms = float(np.sqrt(np.mean(out * out)))
-    residue = float(np.abs(back.imag).max()) if back.size else 0.0
-    if residue > 1e-9 * rms:
-        raise NumericalError(
-            f"imaginary residue {residue:.3e} exceeds 1e-9 x RMS ({rms:.3e})")
-    return out
+    w_px, h_px, n_sl = arr.shape
+    slices = np.arange(n_sl) if slices is None else np.asarray(slices, dtype=int)
+    if np.any((slices < 0) | (slices >= n_sl)):
+        raise ValueError(f"slices must be indices into {n_sl} slices")
+    spectrum = np.fft.fft(np.fft.rfft2(arr, axes=(0, 1)), axis=2)
+    spectrum = spectrum.reshape(-1, n_sl)
+    # inverse temporal DFT restricted to the requested slices; the phase
+    # index is reduced mod K in integers so it stays exact
+    phase = np.exp(2j * np.pi * (np.outer(slices, np.arange(n_sl)) % n_sl)
+                   / n_sl) / n_sl
+    outs = []
+    for point in _as_list(vc):
+        gain = _half_gain(arr.shape, point, constants).reshape(-1, n_sl)
+        planes = (phase @ (spectrum * gain).T).reshape(slices.size, w_px, -1)
+        out = np.fft.irfft2(planes, s=(w_px, h_px))
+        outs.append(out.transpose(1, 2, 0))
+    return outs if isinstance(vc, (list, tuple)) else outs[0]
 
 
-def apply_stcsf(lum_stack, vc: ViewingConditions,
-                constants: CsfConstants = DEFAULT_CONSTANTS, *,
+def _as_list(vc) -> list:
+    return list(vc) if isinstance(vc, (list, tuple)) else [vc]
+
+
+def apply_stcsf(lum_stack, vc, constants: CsfConstants = DEFAULT_CONSTANTS, *,
                 foveal_mode: str = "none",
                 foveal_params: FovealParams = DEFAULT_FOVEAL,
-                taper: bool = True) -> PerceivedStack:
+                taper: bool = True, slices=None):
     """Produce the perceived stack, in JND units, of a luminance stack.
 
     Steps: measure the space-time mean L; subtract it to get contrast;
@@ -272,6 +307,12 @@ def apply_stcsf(lum_stack, vc: ViewingConditions,
     by foveal acuity last.  vc carries the geometry (x0 must equal
     width/ssr) and the sampling rates; its luminance field is a nominal
     value that is replaced by the measured mean.
+
+    vc may also be a sequence of viewing conditions (browsing points of
+    the same stack): contrast, taper and the forward transform do not
+    depend on them and are computed once, and a list of PerceivedStack is
+    returned, one per entry.  slices, when given, selects the output
+    slices: data then holds only those, in that order.
     """
     arr = np.asarray(lum_stack, dtype=np.float64)
     if arr.ndim != 3:
@@ -279,10 +320,12 @@ def apply_stcsf(lum_stack, vc: ViewingConditions,
     if foveal_mode not in FOVEAL_MODES:
         raise ValueError(f"foveal mode must be one of {FOVEAL_MODES}")
     w_px, h_px, _ = arr.shape
-    expected_x0 = w_px / vc.ssr
-    if not np.isclose(vc.x0, expected_x0, rtol=1e-9, atol=0.0):
-        raise ValueError(
-            f"geometry mismatch: vc.x0 = {vc.x0!r} but width/ssr = {expected_x0!r}")
+    points = _as_list(vc)
+    for point in points:
+        expected_x0 = w_px / point.ssr
+        if not np.isclose(point.x0, expected_x0, rtol=1e-9, atol=0.0):
+            raise ValueError(f"geometry mismatch: vc.x0 = {point.x0!r} but "
+                             f"width/ssr = {expected_x0!r}")
 
     lum = mean_luminance(arr)
     contrast = arr - lum
@@ -291,15 +334,20 @@ def apply_stcsf(lum_stack, vc: ViewingConditions,
         # the taper window breaks the exact zero mean of the contrast;
         # restore it so the DC component carries nothing into the filter
         contrast = contrast - contrast.mean()
-    vc_eff = ViewingConditions(luminance=lum, x0=vc.x0, ssr=vc.ssr,
-                               slice_rate=vc.slice_rate)
-    out = filter_contrast(contrast, vc_eff, constants)
+    effective = [ViewingConditions(luminance=lum, x0=p.x0, ssr=p.ssr,
+                                   slice_rate=p.slice_rate) for p in points]
+    filtered = filter_contrast(contrast, effective, constants, slices=slices)
 
-    if foveal_mode != "none":
-        center = np.array([w_px // 2, h_px // 2], dtype=np.float64)
-        rows, cols = np.meshgrid(np.arange(w_px), np.arange(h_px), indexing="ij")
-        coords = np.stack([rows, cols], axis=-1).astype(np.float64)
-        alpha = pixel_eccentricity(coords, center, vc.ssr)
-        out = out * foveal_weight(alpha, foveal_mode, foveal_params)[:, :, None]
-
-    return PerceivedStack(data=out, vc=vc_eff, foveal_mode=foveal_mode)
+    perceived = []
+    for vc_eff, out in zip(effective, filtered):
+        if foveal_mode != "none":
+            center = np.array([w_px // 2, h_px // 2], dtype=np.float64)
+            rows, cols = np.meshgrid(np.arange(w_px), np.arange(h_px),
+                                     indexing="ij")
+            coords = np.stack([rows, cols], axis=-1).astype(np.float64)
+            alpha = pixel_eccentricity(coords, center, vc_eff.ssr)
+            out = out * foveal_weight(alpha, foveal_mode,
+                                      foveal_params)[:, :, None]
+        perceived.append(PerceivedStack(data=out, vc=vc_eff,
+                                        foveal_mode=foveal_mode))
+    return perceived if isinstance(vc, (list, tuple)) else perceived[0]

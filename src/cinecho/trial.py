@@ -37,7 +37,7 @@ from scipy.stats import rankdata
 
 from .csf import CsfConstants, DEFAULT_CONSTANTS, ViewingConditions
 from .display import DisplayModel
-from .errors import PlanError
+from .errors import PlanError, PointError
 from .observer import (
     COMBINERS,
     channelize_slices,
@@ -54,6 +54,8 @@ __all__ = [
     "split_dataset",
     "auc_wilcoxon",
     "one_shot_mrmc",
+    "plan_stacks",
+    "perceive_responses",
     "run_trial",
 ]
 
@@ -263,49 +265,128 @@ def _auto_slice_range(stacks_by_id: dict, plan: TrialPlan) -> tuple:
     return srange
 
 
-def run_trial(dataset, plan: TrialPlan,
-              config: PipelineConfig = PipelineConfig()) -> TrialResult:
-    """Run one virtual trial.
+def plan_stacks(dataset, plan: TrialPlan,
+                config: PipelineConfig = PipelineConfig()) -> tuple:
+    """The plan's stacks in id order and the slice range the observer
+    reads, checked up front.
 
-    dataset provides .stacks (ImageStack objects with integer codes);
-    every stack id in the plan must be present.  Each stack is mapped to
-    luminance through the display, filtered to a perceived stack, and
-    reduced to channel responses once; readers then train and score in
-    channel-response space, which is arithmetic-identical to scoring whole
-    stacks.
+    Raises PlanError when the plan names a stack the dataset lacks, when
+    a stack's (W, H, K) or bit depth differs from the first plan stack's,
+    or when the slice range leaves the stack or misses the central slice.
     """
     stacks_by_id = {s.stack_id: s for s in dataset.stacks}
     missing = [sid for sid in plan.subset_assignment if sid not in stacks_by_id]
     if missing:
         raise PlanError(f"plan references unknown stack ids, e.g. {missing[0]!r}")
+    stacks = [stacks_by_id[sid] for sid in sorted(plan.subset_assignment)]
+    first = stacks[0]
+    for stack in stacks[1:]:
+        if (stack.data.shape, stack.bit_depth) \
+                != (first.data.shape, first.bit_depth):
+            raise PlanError(
+                f"stack {stack.stack_id!r} is {stack.data.shape} at "
+                f"{stack.bit_depth} bits, but {first.stack_id!r} is "
+                f"{first.data.shape} at {first.bit_depth} bits")
 
     slice_range = config.slice_range
     if slice_range is None:
         slice_range = _auto_slice_range(stacks_by_id, plan)
     slice_range = tuple(int(s) for s in slice_range)
-
-    sample = stacks_by_id[next(iter(plan.subset_assignment))]
-    width, height, depth = sample.data.shape
-    central = depth // 2
-    if central not in slice_range:
+    depth = first.data.shape[2]
+    if depth // 2 not in slice_range:
         raise PlanError(f"slice range {slice_range} misses the central "
-                        f"slice {central}")
-    central_pos = slice_range.index(central)
+                        f"slice {depth // 2}")
+    if min(slice_range) < 0 or max(slice_range) >= depth:
+        raise PlanError(f"slice range {slice_range} leaves the {depth} "
+                        f"slices of the stacks")
+    return stacks, slice_range
 
+
+def perceive_responses(stacks, configs, slice_range) -> np.ndarray:
+    """Channel responses of every stack under every pipeline config, in
+    one pass over the stacks.
+
+    Returns an (n_stacks, n_configs, len(slice_range), n_channels) array.
+    The configs may differ in display, ssr and slice_rate (the sweep
+    axes) and must share the channel bank.  Each stack is mapped to
+    luminance, tapered and forward-transformed once per distinct display;
+    each config then costs only its own gain, inverse and projection.
+    The stacks must share one shape (see plan_stacks).  Raises PointError
+    naming the position of the config whose work failed.
+    """
+    configs = list(configs)
+    if len({(c.n_channels, c.spread) for c in configs}) != 1:
+        raise ValueError("configs must share the channel bank")
+    groups = {}
+    for i, config in enumerate(configs):
+        key = (config.display, config.taper, config.csf_constants,
+               config.foveal_mode, config.foveal_params)
+        groups.setdefault(key, []).append(i)
+    width, height, _ = stacks[0].data.shape
+    bank = lg_channel_bank(width, height, configs[0].n_channels,
+                           configs[0].spread)
+    vcs = []
+    for i, config in enumerate(configs):
+        # the luminance is a placeholder: apply_stcsf uses each stack's mean
+        nominal = config.display.code_to_luminance(config.display.max_code // 2)
+        try:
+            vcs.append(ViewingConditions.for_stack(
+                width, config.ssr, config.slice_rate, float(nominal)))
+        except ValueError as exc:
+            raise PointError(i, exc) from exc
+    positions = range(len(slice_range))
+    out = np.empty((len(stacks), len(configs), len(slice_range),
+                    bank.n_channels))
+    for row, stack in enumerate(stacks):
+        for members in groups.values():
+            config = configs[members[0]]
+            try:
+                perceived = apply_stcsf(
+                    config.display.code_to_luminance(stack.data),
+                    [vcs[i] for i in members], config.csf_constants,
+                    foveal_mode=config.foveal_mode,
+                    foveal_params=config.foveal_params, taper=config.taper,
+                    slices=slice_range)
+                for i, p in zip(members, perceived):
+                    out[row, i] = channelize_slices(p.data, bank, positions)
+            except Exception as exc:
+                # the steps that can raise here are shared by the whole
+                # group (its display and the stack): name its first config
+                raise PointError(members[0], exc) from exc
+    return out
+
+
+def run_trial(dataset, plan: TrialPlan,
+              config: PipelineConfig = PipelineConfig(), *,
+              responses=None) -> TrialResult:
+    """Run one virtual trial.
+
+    dataset provides .stacks (ImageStack objects with integer codes);
+    every stack id in the plan must be present.  Each stack is mapped to
+    luminance through the display, filtered to its perceived slices and
+    reduced to channel responses once (the one-point case of
+    perceive_responses); readers then train and score in channel-response
+    space, which is arithmetic-identical to scoring whole stacks.
+
+    responses, when given, are this config's (n_stacks, m, n_channels)
+    channel responses of the plan's stacks in id order, as
+    perceive_responses computes them; a sweep passes them to skip the
+    perception stage.
+    """
+    stacks, slice_range = plan_stacks(dataset, plan, config)
+    central_pos = slice_range.index(stacks[0].data.shape[2] // 2)
+    if responses is None:
+        try:
+            responses = perceive_responses(stacks, [config], slice_range)[:, 0]
+        except PointError as exc:
+            raise exc.cause from None
+    if np.shape(responses) != (len(stacks), len(slice_range),
+                               config.n_channels):
+        raise ValueError("responses do not match the plan and config")
+    width, height, _ = stacks[0].data.shape
     bank = lg_channel_bank(width, height, config.n_channels, config.spread)
-    nominal = float(config.display.code_to_luminance(config.display.max_code // 2))
-    vc = ViewingConditions.for_stack(width, config.ssr, config.slice_rate,
-                                     luminance=nominal)
-
-    responses = {}
-    for sid in sorted(plan.subset_assignment):
-        stack = stacks_by_id[sid]
-        lum = config.display.code_to_luminance(stack.data)
-        perceived = apply_stcsf(lum, vc, config.csf_constants,
-                                foveal_mode=config.foveal_mode,
-                                foveal_params=config.foveal_params,
-                                taper=config.taper)
-        responses[sid] = channelize_slices(perceived.data, bank, slice_range)
+    stacks_by_id = {stack.stack_id: stack for stack in stacks}
+    responses = dict(zip(sorted(plan.subset_assignment), responses))
 
     labels_by_id = {sid: stacks_by_id[sid].label == "lesion"
                     for sid in plan.subset_assignment}

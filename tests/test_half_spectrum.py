@@ -1,0 +1,143 @@
+"""Oracle tests of the half-spectrum percept kernel.
+
+The reference below is the full complex path the kernel replaced: the
+gain on the whole fftn index grid, a complex fftn/ifftn pair and the real
+part of the result.  The kernel must match it to 1e-12 relative, both on
+whole perceived stacks and on the channel responses of a slice range,
+whether one viewing condition is filtered or several share one forward
+transform.
+"""
+
+import numpy as np
+import pytest
+
+from cinecho.csf import DEFAULT_CONSTANTS, ViewingConditions
+from cinecho.display import DisplayModel
+from cinecho.observer import channelize_slices, lg_channel_bank
+from cinecho.percept import (
+    apply_stcsf,
+    filter_contrast,
+    foveal_weight,
+    frequency_of_index,
+    mean_luminance,
+    pixel_eccentricity,
+    taper_margins,
+    transfer_gain,
+)
+from cinecho.stacks import LesionSpec, StackGeometry, generate_dataset
+from cinecho.trial import (
+    PipelineConfig,
+    perceive_responses,
+    plan_stacks,
+    split_dataset,
+)
+
+pytestmark = pytest.mark.oracle
+
+RTOL = 1e-12
+
+
+def reference_filter(contrast, vc, constants=DEFAULT_CONSTANTS):
+    """Full-grid gain, complex fftn/ifftn, real part."""
+    w_px, h_px, n_sl = contrast.shape
+    u1 = frequency_of_index(np.arange(w_px), w_px, vc.ssr)
+    u2 = frequency_of_index(np.arange(h_px), h_px, vc.ssr)
+    w = frequency_of_index(np.arange(n_sl), n_sl, vc.slice_rate)
+    gain = transfer_gain(u1[:, None, None], u2[None, :, None],
+                         w[None, None, :], vc, constants)
+    back = np.fft.ifftn(np.fft.fftn(contrast) * gain, norm="forward")
+    return (back / contrast.size).real
+
+
+def reference_perceive(lum, vc, *, taper, foveal_mode):
+    lum_mean = mean_luminance(lum)
+    contrast = lum - lum_mean
+    if taper:
+        contrast = taper_margins(contrast)
+        contrast = contrast - contrast.mean()
+    vc_eff = ViewingConditions(luminance=lum_mean, x0=vc.x0, ssr=vc.ssr,
+                               slice_rate=vc.slice_rate)
+    out = reference_filter(contrast, vc_eff)
+    w_px, h_px, _ = lum.shape
+    rows, cols = np.meshgrid(np.arange(w_px), np.arange(h_px), indexing="ij")
+    coords = np.stack([rows, cols], axis=-1).astype(np.float64)
+    alpha = pixel_eccentricity(coords, np.array([w_px // 2, h_px // 2]),
+                               vc.ssr)
+    return out * foveal_weight(alpha, foveal_mode)[:, :, None]
+
+
+def relative_error(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+# even and odd planes and depths, including the two criterion-05 shapes
+SHAPES = [(15, 15, 9), (24, 20, 12), (16, 16, 8), (17, 12, 7), (13, 18, 10)]
+# two browsing points served by one forward transform
+POINTS = [(7.0, 25.0), (3.5, 40.0)]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_filter_contrast_matches_full_complex_path(shape):
+    rng = np.random.default_rng(sum(shape))
+    contrast = rng.normal(size=shape)
+    contrast -= contrast.mean()
+    vcs = [ViewingConditions(luminance=40.0, x0=shape[0] / ssr, ssr=ssr,
+                             slice_rate=rate) for ssr, rate in POINTS]
+    for vc, got in zip(vcs, filter_contrast(contrast, vcs)):
+        assert relative_error(got, reference_filter(contrast, vc)) <= RTOL
+    assert relative_error(filter_contrast(contrast, vcs[0]),
+                          reference_filter(contrast, vcs[0])) <= RTOL
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("taper", [True, False])
+@pytest.mark.parametrize("foveal_mode", ["none", "hard", "soft"])
+def test_apply_stcsf_matches_full_complex_path(shape, taper, foveal_mode):
+    rng = np.random.default_rng(3 * sum(shape))
+    lum = rng.uniform(20.0, 80.0, size=shape)
+    vcs = [ViewingConditions.for_stack(shape[0], ssr, rate, luminance=50.0)
+           for ssr, rate in POINTS]
+    centre = shape[2] // 2
+    slices = (centre - 2, centre - 1, centre, centre + 1, centre + 2)
+    bank = lg_channel_bank(shape[0], shape[1], n_channels=5, spread=4.0)
+
+    whole = apply_stcsf(lum, vcs, taper=taper, foveal_mode=foveal_mode)
+    ranged = apply_stcsf(lum, vcs, taper=taper, foveal_mode=foveal_mode,
+                         slices=slices)
+    for vc, full, part in zip(vcs, whole, ranged):
+        want = reference_perceive(lum, vc, taper=taper,
+                                  foveal_mode=foveal_mode)
+        assert full.data.shape == shape
+        assert relative_error(full.data, want) <= RTOL
+        assert part.data.shape == shape[:2] + (len(slices),)
+        assert relative_error(
+            channelize_slices(part.data, bank, range(len(slices))),
+            channelize_slices(want, bank, slices)) <= RTOL
+
+
+def test_trial_responses_match_full_complex_path():
+    geometry = StackGeometry(16, 16, 9, 10, 1.0)
+    dataset = generate_dataset(geometry, 8,
+                               LesionSpec("microcalc", 180.0, diameter_px=4.0),
+                               seed=404)
+    plan = split_dataset(dataset.pairing, 1, 0, 1)
+    base = PipelineConfig(n_channels=5, spread=4.0)
+    dim = DisplayModel(l_min=0.5, l_max=300.0)
+    configs = [base, PipelineConfig(n_channels=5, spread=4.0, ssr=3.5,
+                                    slice_rate=40.0),
+               PipelineConfig(display=dim, n_channels=5, spread=4.0)]
+    stacks, slice_range = plan_stacks(dataset, plan, base)
+    got = perceive_responses(stacks, configs, slice_range)
+    assert got.shape == (len(stacks), 3, len(slice_range), 5)
+    bank = lg_channel_bank(16, 16, n_channels=5, spread=4.0)
+    for row, stack in enumerate(stacks):
+        for col, config in enumerate(configs):
+            lum = config.display.code_to_luminance(stack.data)
+            vc = ViewingConditions.for_stack(16, config.ssr,
+                                             config.slice_rate, 1.0)
+            want = reference_perceive(lum, vc, taper=True,
+                                      foveal_mode="none")
+            assert relative_error(
+                got[row, col],
+                channelize_slices(want, bank, slice_range)) <= RTOL
+

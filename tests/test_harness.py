@@ -1,5 +1,6 @@
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,6 +39,12 @@ def _small_config(**overrides):
 @pytest.fixture(scope="module")
 def small_dataset():
     return generate_dataset(GEOM, 24, LESION, seed=404)
+
+
+@pytest.fixture(scope="module")
+def faint_dataset():
+    return generate_dataset(GEOM, 24, replace(LESION, amplitude=60.0),
+                            seed=404)
 
 
 class TestSweepSpec:
@@ -253,14 +260,31 @@ class TestRunSweep:
             run_sweep(small_dataset, SweepSpec("contrast_ratio", (0.5,)),
                       config)
 
-    def test_parallel_matches_sequential(self, small_dataset):
-        spec = SweepSpec("slice_rate", (5.0, 25.0))
-        sequential = run_sweep(small_dataset, spec, _small_config())
-        parallel = run_sweep(small_dataset, spec,
+    @pytest.mark.parametrize("axis, values", [
+        ("slice_rate", (5.0, 25.0)), ("ssr", (4.0, 8.0)),
+        ("l_max", (500.0, 1000.0)), ("contrast_ratio", (100.0, 1000.0))])
+    def test_parallel_matches_sequential(self, faint_dataset, axis, values):
+        # a faint lesion keeps the AUCs off 1, so differing scores show
+        spec = SweepSpec(axis, values)
+        sequential = run_sweep(faint_dataset, spec, _small_config())
+        parallel = run_sweep(faint_dataset, spec,
                              _small_config(**{"sweep.workers": 2}))
-        for a, b in zip(sequential, parallel):
-            assert a.mean_auc == b.mean_auc
-            assert a.auc_stddev == b.auc_stddev
+        assert all(0.5 < row.mean_auc < 1.0 for row in sequential)
+        # rows differ only in the fingerprint, which covers sweep.workers
+        assert [replace(row, config_hash="") for row in parallel] \
+            == [replace(row, config_hash="") for row in sequential]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failure_in_the_pass_names_axis_and_value(self, small_dataset,
+                                                      workers):
+        # codes mapped onto a 1e308 cd/m2 display overflow the stack mean
+        config = _small_config(**{"sweep.workers": workers})
+        with pytest.raises(RuntimeError,
+                           match=r"sweep aborted at l_max = 1e\+308: "
+                                 r"ViewingConditions\.luminance"):
+            run_sweep(small_dataset, SweepSpec("l_max", (500.0, 1e308)),
+                      config)
 
     def test_explicit_plan_reused(self, small_dataset):
         config = _small_config()

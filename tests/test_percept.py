@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cinecho.csf import ViewingConditions
 from cinecho.percept import (
@@ -137,6 +139,16 @@ class TestTransferGain:
         c = transfer_gain(u1, -u2, w, VC64)
         assert np.array_equal(a, b)
         assert np.array_equal(a, c)
+
+    @settings(max_examples=300, deadline=None)
+    @given(u1=st.floats(0.0, 200.0), u2=st.floats(0.0, 200.0),
+           w=st.floats(0.0, 200.0))
+    def test_bitwise_even_in_each_axis(self, u1, u2, w):
+        # the half-grid gain and the real inverse transform rely on this
+        bits = transfer_gain(u1, u2, w, VC64).tobytes()
+        assert transfer_gain(-u1, u2, w, VC64).tobytes() == bits
+        assert transfer_gain(u1, -u2, w, VC64).tobytes() == bits
+        assert transfer_gain(u1, u2, -w, VC64).tobytes() == bits
 
 
 class TestFovealWeight:

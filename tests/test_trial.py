@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -335,6 +337,25 @@ class TestRunTrial:
                                 slice_range=(0, 1))
         with pytest.raises(PlanError, match="central"):
             run_trial(strong_dataset, strong_plan, config)
+
+    def test_slice_range_must_stay_in_the_stack(self, strong_dataset,
+                                                strong_plan):
+        config = PipelineConfig(n_channels=5, spread=4.0,
+                                slice_range=(4, 9))
+        with pytest.raises(PlanError, match="leaves the 9 slices"):
+            run_trial(strong_dataset, strong_plan, config)
+
+    @pytest.mark.parametrize("changes", [
+        dict(n_slices=8, data=np.zeros((16, 16, 8), dtype=np.uint16)),
+        dict(bit_depth=12)])
+    def test_stacks_must_share_shape_and_bit_depth(self, strong_dataset,
+                                                   strong_plan, changes):
+        ids = sorted(strong_plan.subset_assignment)
+        odd = ids[5]
+        stacks = tuple(replace(s, **changes) if s.stack_id == odd else s
+                       for s in strong_dataset.stacks)
+        with pytest.raises(PlanError, match=f"stack '{odd}' is "):
+            run_trial(Dataset(stacks=stacks), strong_plan, CONFIG)
 
     def test_disagreeing_lesion_slices(self):
         h0 = generate_background(GEOM, 1, stack_id="h0")
