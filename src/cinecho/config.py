@@ -112,8 +112,10 @@ def _coerce(key: str, text: str):
 
 
 def parse_config(text: str, source: str = "<config>") -> dict:
-    """Parse config text over the defaults; unknown keys are errors."""
+    """Parse config text over the defaults; unknown and repeated keys are
+    errors."""
     config = dict(DEFAULTS)
+    seen = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -124,6 +126,10 @@ def parse_config(text: str, source: str = "<config>") -> dict:
         key = key.strip()
         if key not in DEFAULTS:
             raise FormatError(f"{source}:{lineno}: unknown key {key!r}")
+        if key in seen:
+            raise FormatError(f"{source}:{lineno}: key {key!r} repeats the "
+                              f"one on line {seen[key]}")
+        seen[key] = lineno
         config[key] = _coerce(key, value.strip())
     return config
 

@@ -12,11 +12,25 @@
 # even in every frequency axis, hence zero-phase: features do not move.
 #
 # Because of that evenness the transform works on the half spectrum of the
-# real stack (rfft2 over the plane, FFT over the slices), evaluates the gain
-# once per (|u1|, u2, |w|), inverts only the slices asked for and returns
-# real planes through irfft2.  Contrast, L and the forward transform do not
-# depend on the browsing speed or the sampling rate, so one forward
-# transform serves every (ssr, slice_rate) point of a sweep.
+# real stack (a real FFT over the plane, a complex one over the slices) and
+# inverts only the slices asked for.  The work falls into three layers:
+#
+#   per pass   a SpectralPlan (spectral_plan) holds what no stack changes:
+#              the distinct effective radii of the quarter grid and the
+#              index that gathers them onto the half plane, the inverse
+#              temporal phases of the slices, the foveal weights and the
+#              channel templates as half-spectrum weights
+#   per stack  mean, contrast, taper and one forward transform; per
+#              (L, x0, ssr) one derive_optics and one gain evaluation for
+#              every browsing point at once
+#   per point  gather the gain, weigh the spectrum, contract the phases,
+#              then irfft2 to real planes or, with a channel bank, one GEMM
+#              straight onto the channels (Parseval): the planes are never
+#              formed
+#
+# Contrast, L and the forward transform do not depend on the browsing speed
+# or the sampling rate, so one forward transform serves every
+# (ssr, slice_rate) point of a sweep.
 #
 # Margins are tapered to zero over a five-pixel band before the transform to
 # suppress wrap-around edge artifacts; time is left untouched (the browsing
@@ -30,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft as sfft
 
 from .csf import CsfConstants, DEFAULT_CONSTANTS, ViewingConditions, derive_optics, stcsf
 
@@ -45,6 +60,8 @@ __all__ = [
     "transfer_gain",
     "pixel_eccentricity",
     "foveal_weight",
+    "SpectralPlan",
+    "spectral_plan",
     "filter_contrast",
     "apply_stcsf",
 ]
@@ -174,6 +191,12 @@ def frequency_of_index(k, n: int, fs: float):
     return np.where(k < n / 2, (kf / n) * fs, (kf / n - 1.0) * fs)
 
 
+def _effective_frequency(u1, u2, x0: float):
+    """Radial spatial frequency hypot(u1, u2), clamped from below to the
+    minimum valid frequency u_min = 1/(2*x0) set by the image extent."""
+    return np.maximum(np.hypot(u1, u2), 1.0 / (2.0 * x0))
+
+
 def transfer_gain(u1, u2, w, vc: ViewingConditions,
                   constants: CsfConstants = DEFAULT_CONSTANTS, optics=None):
     """Amplitude gain S(u_eff, w)/L turning contrast amplitude into JNDs.
@@ -186,8 +209,7 @@ def transfer_gain(u1, u2, w, vc: ViewingConditions,
     """
     u1 = np.asarray(u1, dtype=np.float64)
     u2 = np.asarray(u2, dtype=np.float64)
-    u_min = 1.0 / (2.0 * vc.x0)
-    u_eff = np.maximum(np.hypot(u1, u2), u_min)
+    u_eff = _effective_frequency(u1, u2, vc.x0)
     return stcsf(u_eff, w, vc, constants, optics=optics) / vc.luminance
 
 
@@ -229,65 +251,228 @@ def foveal_weight(alpha, mode: str, fp: FovealParams = DEFAULT_FOVEAL):
     raise ValueError(f"foveal mode must be one of {FOVEAL_MODES}")
 
 
-def _half_gain(shape, vc: ViewingConditions, constants: CsfConstants):
-    """Transfer gain on the half transform grid of a W x H x K stack: every
-    k1, k2 in [0, H//2], every k3.
+@dataclass(frozen=True, eq=False)
+class _Geometry:
+    """What one (x0, ssr) adds to a spectral plan: the distinct effective
+    radial frequencies of the (|u1|, u2) quarter grid, the index that
+    gathers them onto the (k1, k2) half plane, the foveal weight (None in
+    mode none) and the channel weights (None without a bank)."""
 
-    The gain is even in u1 and w separately (exactly, see transfer_gain),
-    so it is evaluated once per (|u1|, u2, |w|) triple and gathered:
-    index k and n - k share one value.
+    radii: np.ndarray
+    gather: np.ndarray
+    foveal: np.ndarray | None
+    channels: np.ndarray | None
+
+
+@dataclass(frozen=True, eq=False)
+class SpectralPlan:
+    """The stack-independent part of filtering W x H x K stacks: the
+    inverse temporal phases of the output slices and, per (x0, ssr), the
+    gain grid, the foveal weight and the channel weights.  spectral_plan
+    builds one; a caller that filters many stacks alike builds it once and
+    hands it to every stack.
+
+    A stack's half spectrum is held as a (K, W * (H//2 + 1)) array: one
+    row per temporal frequency index k3, each row a flattened (k1, k2)
+    half plane.
     """
-    w_px, h_px, n_sl = shape
-    u1 = np.abs(frequency_of_index(np.arange(w_px // 2 + 1), w_px, vc.ssr))
-    u2 = np.abs(frequency_of_index(np.arange(h_px // 2 + 1), h_px, vc.ssr))
-    w = np.abs(frequency_of_index(np.arange(n_sl // 2 + 1), n_sl,
-                                  vc.slice_rate))
-    optics = derive_optics(vc, constants)
-    folded = transfer_gain(u1[:, None, None], u2[None, :, None],
-                           w[None, None, :], vc, constants, optics=optics)
+
+    shape: tuple
+    slices: np.ndarray
+    phase: np.ndarray
+    geometries: dict
+    foveal_mode: str
+    foveal_params: FovealParams
+    bank: object
+
+    def fits(self, shape, vcs, slices) -> bool:
+        """Whether the plan serves stacks of this shape at these viewing
+        conditions, output at these slices (None: all, in order)."""
+        slices = np.arange(shape[2]) if slices is None else slices
+        return (tuple(shape) == self.shape
+                and np.array_equal(np.asarray(slices), self.slices)
+                and all((vc.x0, vc.ssr) in self.geometries for vc in vcs))
+
+    def half_gains(self, vcs, constants: CsfConstants = DEFAULT_CONSTANTS):
+        """Transfer gain of each of vcs on the half grid folded in k3, a
+        (K//2 + 1, W * (H//2 + 1)) array per point, one at a time; see
+        weigh for the unfolding.
+
+        The points must share luminance, x0 and ssr: one derive_optics and
+        one transfer_gain call then serve them all, evaluated only at the
+        distinct effective radii times each point's |w|, and each point's
+        gain is gathered onto the (k1, k2) half plane in one take.
+        """
+        first = vcs[0]
+        geometry = self.geometries[first.x0, first.ssr]
+        n_sl = self.shape[2]
+        rates = np.array([vc.slice_rate for vc in vcs], dtype=np.float64)
+        w = np.abs(frequency_of_index(np.arange(n_sl // 2 + 1), n_sl,
+                                      rates[:, None]))
+        optics = derive_optics(first, constants)
+        # the radii are clamped already, and hypot(u, 0) is u exactly
+        folded = transfer_gain(geometry.radii[None, None, :], 0.0,
+                               w[:, :, None], first, constants, optics=optics)
+        for gain in folded:
+            yield gain.take(geometry.gather, axis=1)
+
+    def weigh(self, spectrum, gain):
+        """A (K, W * (H//2 + 1)) half spectrum times one point's folded
+        gain.  The gain is even in w (exactly, see transfer_gain), so row
+        k3 > K//2 takes the gain of row K - k3."""
+        n_w = gain.shape[0]
+        out = np.empty_like(spectrum)
+        np.multiply(spectrum[:n_w], gain, out=out[:n_w])
+        np.multiply(spectrum[n_w:], gain[self.shape[2] - n_w:0:-1],
+                    out=out[n_w:])
+        return out
+
+    def output(self, half, vc):
+        """The output step for one point's (slices, W * (H//2 + 1)) half
+        planes: their channel responses (slices, n_channels) when the plan
+        has a bank, one GEMM on the real view of the complex planes;
+        otherwise the real W x H x slices planes through irfft2, foveally
+        weighted."""
+        geometry = self.geometries[vc.x0, vc.ssr]
+        if geometry.channels is not None:
+            return half.view(np.float64) @ geometry.channels
+        w_px, h_px, _ = self.shape
+        out = sfft.irfft2(half.reshape(half.shape[0], w_px, -1),
+                          s=(w_px, h_px)).transpose(1, 2, 0)
+        if geometry.foveal is None:
+            return out
+        return out * geometry.foveal[:, :, None]
+
+
+def _foveal_map(w_px: int, h_px: int, ssr: float, mode: str,
+                fp: FovealParams):
+    """Foveal weight of every pixel of a W x H plane viewed at ssr, with
+    the viewing axis through the centre pixel (W//2, H//2)."""
+    center = np.array([w_px // 2, h_px // 2], dtype=np.float64)
+    rows, cols = np.meshgrid(np.arange(w_px), np.arange(h_px), indexing="ij")
+    coords = np.stack([rows, cols], axis=-1).astype(np.float64)
+    return foveal_weight(pixel_eccentricity(coords, center, ssr), mode, fp)
+
+
+def _channel_weights(bank, foveal):
+    """The (foveally weighted) channel templates as weights on the real
+    view of flattened half planes.
+
+    For real planes x = irfft2(X, s=(W, H)) and a real template b,
+    sum(x * b) = Re(sum(X * conj(rfft2(b)) * c)) / (W * H), with c = 1 on
+    the columns irfft2 does not mirror (k2 = 0 and, for even H, k2 = H/2)
+    and 2 on the others: exactly the weights irfft2 applies.  Re(X * B)
+    is Re(X) Re(B) - Im(X) Im(B), so the rows interleave Re(B), -Im(B)
+    like the real and imaginary parts of X in memory.
+    """
+    w_px, h_px = bank.width, bank.height
+    templates = bank.matrix.reshape(w_px, h_px, bank.n_channels)
+    if foveal is not None:
+        templates = templates * foveal[:, :, None]
+    mirror = np.full(h_px // 2 + 1, 2.0)
+    mirror[0] = 1.0
+    if h_px % 2 == 0:
+        mirror[-1] = 1.0
+    weights = np.conj(sfft.rfft2(templates, axes=(0, 1))) \
+        * (mirror[:, None] / (w_px * h_px))
+    weights = weights.reshape(-1, bank.n_channels)
+    return np.stack([weights.real, -weights.imag], axis=1).reshape(
+        -1, bank.n_channels)
+
+
+def spectral_plan(shape, vc, slices=None, *, foveal_mode: str = "none",
+                  foveal_params: FovealParams = DEFAULT_FOVEAL,
+                  bank=None) -> SpectralPlan:
+    """Plan the filtering of W x H x K stacks at the viewing conditions vc
+    (one or a sequence), output at the given slices (all, in order, by
+    default).
+
+    Everything here is independent of the stack: the inverse temporal
+    phases of the slices and, per distinct (x0, ssr), the distinct
+    effective radial frequencies of the (|u1|, u2) quarter grid with one
+    index that folds |u1| and equal radii onto the (k1, k2) half plane,
+    the foveal weight and, given a channel bank (observer.ChannelBank of
+    the same W x H), the channel templates as half-spectrum weights.  A
+    plan with a bank makes the filter return channel responses instead
+    of planes.
+    """
+    w_px, h_px, n_sl = (int(n) for n in shape)
+    slices = np.arange(n_sl) if slices is None else np.asarray(slices, dtype=int)
+    if np.any((slices < 0) | (slices >= n_sl)):
+        raise ValueError(f"slices must be indices into {n_sl} slices")
+    if foveal_mode not in FOVEAL_MODES:
+        raise ValueError(f"foveal mode must be one of {FOVEAL_MODES}")
+    if bank is not None and (bank.width, bank.height) != (w_px, h_px):
+        raise ValueError(f"channel bank is {bank.width}x{bank.height}, "
+                         f"stacks are {w_px}x{h_px}")
+    # inverse temporal DFT restricted to the requested slices; the phase
+    # index is reduced mod K in integers so it stays exact
+    phase = np.exp(2j * np.pi * (np.outer(slices, np.arange(n_sl)) % n_sl)
+                   / n_sl) / n_sl
     k1 = np.arange(w_px)
-    k3 = np.arange(n_sl)
-    return folded[np.minimum(k1, w_px - k1)][:, :, np.minimum(k3, n_sl - k3)]
+    fold1 = np.minimum(k1, w_px - k1)
+    geometries = {}
+    for point in _as_list(vc):
+        if (point.x0, point.ssr) in geometries:
+            continue
+        u1 = np.abs(frequency_of_index(np.arange(w_px // 2 + 1), w_px,
+                                       point.ssr))
+        u2 = np.abs(frequency_of_index(np.arange(h_px // 2 + 1), h_px,
+                                       point.ssr))
+        u_eff = _effective_frequency(u1[:, None], u2[None, :], point.x0)
+        radii, inverse = np.unique(u_eff.ravel(), return_inverse=True)
+        gather = inverse.reshape(u_eff.shape)[fold1].ravel()
+        foveal = None if foveal_mode == "none" else _foveal_map(
+            w_px, h_px, point.ssr, foveal_mode, foveal_params)
+        channels = None if bank is None else _channel_weights(bank, foveal)
+        geometries[point.x0, point.ssr] = _Geometry(
+            radii=radii, gather=gather, foveal=foveal, channels=channels)
+    return SpectralPlan(shape=(w_px, h_px, n_sl), slices=slices, phase=phase,
+                        geometries=geometries, foveal_mode=foveal_mode,
+                        foveal_params=foveal_params, bank=bank)
 
 
 def filter_contrast(contrast_stack, vc, constants: CsfConstants = DEFAULT_CONSTANTS,
-                    *, slices=None):
+                    *, slices=None, plan: SpectralPlan | None = None):
     """Linear core of the percept pipeline: scale every 3D frequency
     component of a contrast stack by the transfer gain at its frequency
     triple and transform back.
 
-    The stack is transformed once, as a half spectrum (rfft2 over the
-    plane, then an FFT over the slices).  Per viewing condition the gain
-    is applied on that half grid, the inverse temporal DFT is evaluated at
-    the requested slices only (all of them by default, in order) and
-    irfft2 returns the real planes.  The gain is real and even, so the
+    The stack is transformed once, as a half spectrum (a real FFT over
+    the plane, a complex one over the slices).  Per viewing condition the
+    gain is applied on that half grid and the inverse temporal DFT is
+    evaluated at the requested slices only (all of them by default, in
+    order).  The plan's output step then returns the real planes through
+    irfft2 or, when the plan has a channel bank, projects the half planes
+    straight onto the channels.  The gain is real and even, so either
     output is real by construction.
 
     vc supplies the luminance L and the two sampling rates; the caller is
     responsible for contrast having (near-)zero mean.  vc may also be a
     sequence of viewing conditions, which then share the forward
-    transform; the result is a list with one W x H x len(slices) array
-    per entry instead of one array.
+    transform; the result is a list with one output per entry instead of
+    one output.  plan, by default built here for planes, is the
+    spectral_plan of this shape, these conditions and these slices.
     """
     arr = np.asarray(contrast_stack, dtype=np.float64)
     if arr.ndim != 3:
         raise ValueError("expected a W x H x K stack")
-    w_px, h_px, n_sl = arr.shape
-    slices = np.arange(n_sl) if slices is None else np.asarray(slices, dtype=int)
-    if np.any((slices < 0) | (slices >= n_sl)):
-        raise ValueError(f"slices must be indices into {n_sl} slices")
-    spectrum = np.fft.fft(np.fft.rfft2(arr, axes=(0, 1)), axis=2)
-    spectrum = spectrum.reshape(-1, n_sl)
-    # inverse temporal DFT restricted to the requested slices; the phase
-    # index is reduced mod K in integers so it stays exact
-    phase = np.exp(2j * np.pi * (np.outer(slices, np.arange(n_sl)) % n_sl)
-                   / n_sl) / n_sl
-    outs = []
-    for point in _as_list(vc):
-        gain = _half_gain(arr.shape, point, constants).reshape(-1, n_sl)
-        planes = (phase @ (spectrum * gain).T).reshape(slices.size, w_px, -1)
-        out = np.fft.irfft2(planes, s=(w_px, h_px))
-        outs.append(out.transpose(1, 2, 0))
+    points = _as_list(vc)
+    if plan is None:
+        plan = spectral_plan(arr.shape, points, slices)
+    elif not plan.fits(arr.shape, points, slices):
+        raise ValueError("plan was built for another stack shape, other "
+                         "slices or other viewing conditions")
+    spectrum = sfft.rfftn(arr.transpose(2, 0, 1)).reshape(arr.shape[2], -1)
+    groups = {}
+    for i, point in enumerate(points):
+        groups.setdefault((point.luminance, point.x0, point.ssr), []).append(i)
+    outs = [None] * len(points)
+    for members in groups.values():
+        gains = plan.half_gains([points[i] for i in members], constants)
+        for i, gain in zip(members, gains):
+            half = plan.phase @ plan.weigh(spectrum, gain)
+            outs[i] = plan.output(half, points[i])
     return outs if isinstance(vc, (list, tuple)) else outs[0]
 
 
@@ -298,7 +483,8 @@ def _as_list(vc) -> list:
 def apply_stcsf(lum_stack, vc, constants: CsfConstants = DEFAULT_CONSTANTS, *,
                 foveal_mode: str = "none",
                 foveal_params: FovealParams = DEFAULT_FOVEAL,
-                taper: bool = True, slices=None):
+                taper: bool = True, slices=None, bank=None,
+                plan: SpectralPlan | None = None):
     """Produce the perceived stack, in JND units, of a luminance stack.
 
     Steps: measure the space-time mean L; subtract it to get contrast;
@@ -312,20 +498,31 @@ def apply_stcsf(lum_stack, vc, constants: CsfConstants = DEFAULT_CONSTANTS, *,
     the same stack): contrast, taper and the forward transform do not
     depend on them and are computed once, and a list of PerceivedStack is
     returned, one per entry.  slices, when given, selects the output
-    slices: data then holds only those, in that order.
+    slices: data then holds only those, in that order.  With a channel
+    bank the perceived planes are never formed: each entry is instead the
+    (slices, n_channels) array of channel responses of the foveally
+    weighted planes.  plan, when given, is the spectral_plan of these
+    arguments, built once by a caller that filters many stacks alike.
     """
     arr = np.asarray(lum_stack, dtype=np.float64)
     if arr.ndim != 3:
         raise ValueError("expected a W x H x K stack")
-    if foveal_mode not in FOVEAL_MODES:
-        raise ValueError(f"foveal mode must be one of {FOVEAL_MODES}")
-    w_px, h_px, _ = arr.shape
+    w_px = arr.shape[0]
     points = _as_list(vc)
     for point in points:
+        # np.isclose(x0, width/ssr, rtol=1e-9, atol=0), without its cost
         expected_x0 = w_px / point.ssr
-        if not np.isclose(point.x0, expected_x0, rtol=1e-9, atol=0.0):
+        if not abs(point.x0 - expected_x0) <= 1e-9 * abs(expected_x0):
             raise ValueError(f"geometry mismatch: vc.x0 = {point.x0!r} but "
                              f"width/ssr = {expected_x0!r}")
+    if plan is None:
+        plan = spectral_plan(arr.shape, points, slices,
+                             foveal_mode=foveal_mode,
+                             foveal_params=foveal_params, bank=bank)
+    elif (plan.foveal_mode, plan.foveal_params, plan.bank) \
+            != (foveal_mode, foveal_params, bank):
+        raise ValueError("plan was built for another foveal weighting or "
+                         "channel bank")
 
     lum = mean_luminance(arr)
     contrast = arr - lum
@@ -336,18 +533,9 @@ def apply_stcsf(lum_stack, vc, constants: CsfConstants = DEFAULT_CONSTANTS, *,
         contrast = contrast - contrast.mean()
     effective = [ViewingConditions(luminance=lum, x0=p.x0, ssr=p.ssr,
                                    slice_rate=p.slice_rate) for p in points]
-    filtered = filter_contrast(contrast, effective, constants, slices=slices)
-
-    perceived = []
-    for vc_eff, out in zip(effective, filtered):
-        if foveal_mode != "none":
-            center = np.array([w_px // 2, h_px // 2], dtype=np.float64)
-            rows, cols = np.meshgrid(np.arange(w_px), np.arange(h_px),
-                                     indexing="ij")
-            coords = np.stack([rows, cols], axis=-1).astype(np.float64)
-            alpha = pixel_eccentricity(coords, center, vc_eff.ssr)
-            out = out * foveal_weight(alpha, foveal_mode,
-                                      foveal_params)[:, :, None]
-        perceived.append(PerceivedStack(data=out, vc=vc_eff,
-                                        foveal_mode=foveal_mode))
-    return perceived if isinstance(vc, (list, tuple)) else perceived[0]
+    outs = filter_contrast(contrast, effective, constants, slices=slices,
+                           plan=plan)
+    if bank is None:
+        outs = [PerceivedStack(data=out, vc=vc_eff, foveal_mode=foveal_mode)
+                for vc_eff, out in zip(effective, outs)]
+    return outs if isinstance(vc, (list, tuple)) else outs[0]

@@ -45,7 +45,17 @@ from .observer import (
     score_responses,
     train_mscho_from_responses,
 )
-from .percept import DEFAULT_FOVEAL, FOVEAL_MODES, FovealParams, apply_stcsf
+from .percept import (
+    DEFAULT_FOVEAL,
+    FOVEAL_MODES,
+    FovealParams,
+    apply_stcsf,
+    spectral_plan,
+)
+
+# channelize_slices is not called here (perceive_responses projects onto the
+# channels in the frequency domain); it stays imported because
+# perfbench/spans.py patches the observer layer where this module looks it up.
 
 __all__ = [
     "TrialPlan",
@@ -308,10 +318,12 @@ def perceive_responses(stacks, configs, slice_range) -> np.ndarray:
 
     Returns an (n_stacks, n_configs, len(slice_range), n_channels) array.
     The configs may differ in display, ssr and slice_rate (the sweep
-    axes) and must share the channel bank.  Each stack is mapped to
-    luminance, tapered and forward-transformed once per distinct display;
-    each config then costs only its own gain, inverse and projection.
-    The stacks must share one shape (see plan_stacks).  Raises PointError
+    axes) and must share the channel bank.  One spectral plan per display
+    group is built up front; each stack is then mapped to luminance,
+    tapered and forward-transformed once per distinct display, and each
+    config costs only its share of the gain, the inverse temporal DFT and
+    the projection onto the channels, taken in the frequency domain.  The
+    stacks must share one shape (see plan_stacks).  Raises PointError
     naming the position of the config whose work failed.
     """
     configs = list(configs)
@@ -322,8 +334,8 @@ def perceive_responses(stacks, configs, slice_range) -> np.ndarray:
         key = (config.display, config.taper, config.csf_constants,
                config.foveal_mode, config.foveal_params)
         groups.setdefault(key, []).append(i)
-    width, height, _ = stacks[0].data.shape
-    bank = lg_channel_bank(width, height, configs[0].n_channels,
+    shape = stacks[0].data.shape
+    bank = lg_channel_bank(shape[0], shape[1], configs[0].n_channels,
                            configs[0].spread)
     vcs = []
     for i, config in enumerate(configs):
@@ -331,24 +343,31 @@ def perceive_responses(stacks, configs, slice_range) -> np.ndarray:
         nominal = config.display.code_to_luminance(config.display.max_code // 2)
         try:
             vcs.append(ViewingConditions.for_stack(
-                width, config.ssr, config.slice_rate, float(nominal)))
+                shape[0], config.ssr, config.slice_rate, float(nominal)))
         except ValueError as exc:
             raise PointError(i, exc) from exc
-    positions = range(len(slice_range))
+    plans = []
+    for members in groups.values():
+        config = configs[members[0]]
+        try:
+            plans.append(spectral_plan(
+                shape, [vcs[i] for i in members], slice_range,
+                foveal_mode=config.foveal_mode,
+                foveal_params=config.foveal_params, bank=bank))
+        except ValueError as exc:
+            raise PointError(members[0], exc) from exc
     out = np.empty((len(stacks), len(configs), len(slice_range),
                     bank.n_channels))
     for row, stack in enumerate(stacks):
-        for members in groups.values():
+        for members, plan in zip(groups.values(), plans):
             config = configs[members[0]]
             try:
-                perceived = apply_stcsf(
+                out[row, members] = apply_stcsf(
                     config.display.code_to_luminance(stack.data),
                     [vcs[i] for i in members], config.csf_constants,
                     foveal_mode=config.foveal_mode,
                     foveal_params=config.foveal_params, taper=config.taper,
-                    slices=slice_range)
-                for i, p in zip(members, perceived):
-                    out[row, i] = channelize_slices(p.data, bank, positions)
+                    slices=slice_range, bank=bank, plan=plan)
             except Exception as exc:
                 # the steps that can raise here are shared by the whole
                 # group (its display and the stack): name its first config

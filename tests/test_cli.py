@@ -153,6 +153,15 @@ class TestErrors:
         assert "error:" in err
         assert "unknown key" in err
 
+    def test_repeated_config_key(self, tmp_path, capsys):
+        bad = tmp_path / "twice.txt"
+        bad.write_text("trial.seed = 1\ntrial.seed = 2\n", encoding="utf-8")
+        assert main(["run-trial", "--config", str(bad),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "twice.txt:2: key 'trial.seed' repeats the one on line 1" in err
+
     def test_missing_results_file(self, tmp_path, capsys):
         assert main(["plot", str(tmp_path / "absent.csv"),
                      "--out", str(tmp_path)]) == 2

@@ -34,6 +34,12 @@ class TestParse:
             parse_config("percept.ssr = 7\n\npercept.ssrr = 7\n",
                          source="run.txt")
 
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(FormatError, match=r"run\.txt:4: key 'percept\.ssr' "
+                           r"repeats the one on line 2"):
+            parse_config("# sampling\npercept.ssr = 7\ntrial.seed = 3\n"
+                         "percept.ssr = 14\n", source="run.txt")
+
     def test_missing_equals_sign(self):
         with pytest.raises(FormatError, match=r"<config>:1: expected"):
             parse_config("percept.ssr 7\n")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cinecho.csf import ViewingConditions
+from cinecho.observer import lg_channel_bank
 from cinecho.percept import (
     DEFAULT_FOVEAL,
     FovealParams,
@@ -18,6 +19,7 @@ from cinecho.percept import (
     frequency_of_index,
     mean_luminance,
     pixel_eccentricity,
+    spectral_plan,
     taper_margins,
     transfer_gain,
 )
@@ -349,3 +351,25 @@ class TestApplyStcsf:
         alpha = pixel_eccentricity(coords, np.array([w_px // 2, h_px // 2]), 2.0)
         weights = foveal_weight(alpha, "soft")
         assert np.array_equal(soft.data, none.data * weights[:, :, None])
+
+    def test_plan_must_match_its_arguments(self):
+        vc = ViewingConditions(luminance=20.0, x0=8.0, ssr=2.0, slice_rate=10.0)
+        lum = np.random.default_rng(6).uniform(15.0, 25.0, size=(16, 16, 4))
+        bank = lg_channel_bank(16, 16, n_channels=3, spread=4.0)
+        plan = spectral_plan(lum.shape, vc, (1, 2), bank=bank)
+        got = apply_stcsf(lum, vc, slices=(1, 2), bank=bank, plan=plan)
+        assert np.array_equal(
+            got, apply_stcsf(lum, vc, slices=(1, 2), bank=bank))
+        with pytest.raises(ValueError, match="foveal weighting or channel"):
+            apply_stcsf(lum, vc, slices=(1, 2), plan=plan)
+        with pytest.raises(ValueError, match="other slices"):
+            apply_stcsf(lum, vc, slices=(1, 3), bank=bank, plan=plan)
+        other = ViewingConditions(luminance=20.0, x0=4.0, ssr=4.0,
+                                  slice_rate=10.0)
+        with pytest.raises(ValueError, match="other viewing conditions"):
+            apply_stcsf(lum, other, slices=(1, 2), bank=bank, plan=plan)
+        with pytest.raises(ValueError, match="another stack shape"):
+            apply_stcsf(lum[:, :, :3], vc, slices=(1, 2), bank=bank,
+                        plan=plan)
+        with pytest.raises(ValueError, match="channel bank is 16x16"):
+            spectral_plan((16, 12, 4), vc, bank=bank)

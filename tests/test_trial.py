@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cinecho.errors import PlanError
 from cinecho.stacks import Dataset, LesionSpec, StackGeometry, \
@@ -227,6 +229,70 @@ class TestOneShotMrmc:
         assert ref < -1e-3
         with pytest.raises(ValueError, match="negative"):
             one_shot_mrmc(scores, labels)
+
+
+def _pair_count_auc(healthy, lesion) -> float:
+    wins = sum(1.0 if b > a else (0.5 if b == a else 0.0)
+               for a in healthy for b in lesion)
+    return wins / (len(healthy) * len(lesion))
+
+
+@st.composite
+def _reader_studies(draw):
+    """A small score matrix with many ties, its labels, a reader order
+    and a case order (each case keeping its label)."""
+    n_readers = draw(st.integers(2, 4))
+    n_healthy = draw(st.integers(2, 6))
+    n_lesion = draw(st.integers(2, 6))
+    n_cases = n_healthy + n_lesion
+    values = draw(st.lists(st.integers(0, 6), min_size=n_readers * n_cases,
+                           max_size=n_readers * n_cases))
+    scores = np.array(values, dtype=np.float64).reshape(n_readers, n_cases)
+    labels = np.array([False] * n_healthy + [True] * n_lesion)
+    readers = draw(st.permutations(range(n_readers)))
+    cases = draw(st.permutations(range(n_cases)))
+    return scores, labels, list(readers), list(cases)
+
+
+def _mrmc_or_none(scores, labels):
+    """one_shot_mrmc, or None where it refuses a negative estimate."""
+    try:
+        return one_shot_mrmc(scores, labels)
+    except ValueError as exc:
+        assert "negative" in str(exc)
+        return None
+
+
+class TestTrialProperties:
+    @settings(deadline=None)
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=15),
+           st.lists(st.integers(0, 5), min_size=1, max_size=15))
+    def test_auc_equals_pair_counting_with_ties(self, healthy, lesion):
+        assert auc_wilcoxon(np.array(healthy, dtype=np.float64),
+                            np.array(lesion, dtype=np.float64)) \
+            == _pair_count_auc(healthy, lesion)
+
+    @settings(deadline=None)
+    @given(_reader_studies())
+    def test_mrmc_invariant_under_reader_and_case_order(self, study):
+        scores, labels, readers, cases = study
+        got = _mrmc_or_none(scores, labels)
+        for permuted in (_mrmc_or_none(scores[readers], labels),
+                         _mrmc_or_none(scores[:, cases], labels[cases])):
+            assert (permuted is None) == (got is None)
+            if got is not None:
+                # relative 1e-12; estimates at zero get an absolute floor
+                assert permuted[0] == pytest.approx(got[0], rel=1e-12)
+                assert permuted[1] == pytest.approx(got[1], rel=1e-12,
+                                                    abs=1e-15)
+
+    @settings(deadline=None)
+    @given(_reader_studies())
+    def test_returned_variance_is_nonnegative(self, study):
+        scores, labels, _, _ = study
+        got = _mrmc_or_none(scores, labels)
+        if got is not None:
+            assert got[1] >= 0.0
 
 
 @pytest.mark.oracle
