@@ -39,9 +39,10 @@ display = DisplayModel()
 
 
 def perceive(stack):
+    """The perceived W x H x K array of one stack."""
     lum = display.code_to_luminance(stack.data)
     vc = ViewingConditions.for_stack(stack.width, SSR, RATE, lum.mean())
-    return apply_stcsf(lum, vc)
+    return apply_stcsf(lum, vc).data
 
 
 train_pairs, test_pairs = pairs[:N_TRAIN], pairs[N_TRAIN:]

@@ -18,7 +18,7 @@ from .csf import (
     spatial_csf,
     stcsf,
 )
-from .display import DisplayModel, viewing_geometry
+from .display import DisplayModel
 from .errors import (
     FormatError,
     LesionClippingWarning,
@@ -36,7 +36,6 @@ __all__ = [
     "spatial_csf",
     "stcsf",
     "DisplayModel",
-    "viewing_geometry",
     "FormatError",
     "LesionClippingWarning",
     "PlanError",

@@ -32,6 +32,7 @@ from .config import (
 )
 from .csf import ViewingConditions, spatial_csf, stcsf
 from .harness import (
+    SWEEP_AXES,
     ResultRow,
     SweepSpec,
     emit_csv,
@@ -195,8 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sweep one parameter across a trial")
     common(p)
-    p.add_argument("--axis", choices=("slice_rate", "ssr", "l_max",
-                                      "contrast_ratio"))
+    p.add_argument("--axis", choices=SWEEP_AXES)
     p.add_argument("--values", metavar="V1,V2,...",
                    help="comma-separated axis values, increasing")
     p.set_defaults(func=_cmd_sweep)

@@ -154,7 +154,16 @@ def _render(value) -> str:
 
 def format_config(config: dict) -> str:
     """Canonical text form: sorted keys, one per line; parses back to
-    the same dict."""
+    the same dict.
+
+    Raises FormatError naming the key of a string value that would not
+    read back: one with '#', a line break or edge whitespace.
+    """
+    for key, value in config.items():
+        if isinstance(value, str) and ("#" in value or value != value.strip()
+                                       or len(value.splitlines()) > 1):
+            raise FormatError(f"{key}: value {value!r} cannot be written "
+                              f"back ('#', line break or edge whitespace)")
     return "".join(f"{key} = {_render(config[key])}\n"
                    for key in sorted(config))
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DisplayModel", "MAPPINGS", "viewing_geometry"]
+__all__ = ["DisplayModel", "MAPPINGS"]
 
 MAPPINGS = ("linear_luminance", "log_luminance")
 
@@ -69,28 +69,3 @@ class DisplayModel:
         else:
             lum = self.l_min ** (1.0 - t) * self.l_max ** t
         return lum
-
-    def contrast_per_step(self) -> float:
-        """Relative luminance step per code increment at mid-scale.
-
-        Useful as a quick summary of display quantization: for the log
-        mapping this is constant over the scale, for the linear mapping it
-        is evaluated at the mid code.
-        """
-        if self.mapping == "log_luminance":
-            return float((self.l_max / self.l_min) ** (1.0 / self.max_code) - 1.0)
-        mid = self.max_code // 2
-        lum = self.code_to_luminance(np.array([mid, mid + 1]))
-        return float((lum[1] - lum[0]) / lum[0])
-
-
-def viewing_geometry(width_px: int, ssr: float) -> float:
-    """Apparent image width in degrees for a given spatial sampling rate.
-
-    ssr is in pixel/deg, so x0 = width_px / ssr.
-    """
-    if not width_px > 0:
-        raise ValueError("width_px must be positive")
-    if not ssr > 0:
-        raise ValueError("ssr must be positive")
-    return width_px / ssr

@@ -33,11 +33,9 @@ __all__ = [
     "ChoModel",
     "MsChoModel",
     "lg_channel_bank",
-    "channelize",
     "channelize_slices",
     "hotelling_template",
-    "train_cho",
-    "score_slice",
+    "central_position",
     "train_mscho_b",
     "train_mscho_from_responses",
     "score_responses",
@@ -119,21 +117,11 @@ def lg_channel_bank(width: int, height: int, n_channels: int = 15,
                        spread=spread, matrix=matrix)
 
 
-def channelize(image, bank: ChannelBank) -> np.ndarray:
-    """Channel response vector of one W x H image: matrix' * flatten(image)."""
-    arr = np.asarray(image, dtype=np.float64)
-    if arr.shape != (bank.width, bank.height):
-        raise ValueError(
-            f"image shape {arr.shape} does not match bank "
-            f"({bank.width}, {bank.height})")
-    return bank.matrix.T @ arr.ravel()
-
-
 def channelize_slices(stack_data, bank: ChannelBank, slice_indices) -> np.ndarray:
     """Channel responses of selected slices of a W x H x K stack.
 
     Returns an (n_slices, n_channels) array; row i is the response of the
-    slice at slice_indices[i].  Same arithmetic as channelize per slice.
+    slice at slice_indices[i], the projection matrix' * flatten(slice).
     """
     arr = np.asarray(stack_data, dtype=np.float64)
     if arr.ndim != 3 or arr.shape[:2] != (bank.width, bank.height):
@@ -150,8 +138,6 @@ def channelize_slices(stack_data, bank: ChannelBank, slice_indices) -> np.ndarra
 def _condition_number(sym: np.ndarray) -> float:
     eigs = np.linalg.eigvalsh(sym)
     lo, hi = float(eigs[0]), float(eigs[-1])
-    if hi <= 0.0:
-        return np.inf
     if lo <= 0.0:
         return np.inf
     return hi / lo
@@ -198,26 +184,28 @@ def hotelling_template(healthy_responses, lesion_responses,
     return template, mean_diff, cov, ridge
 
 
-def train_cho(healthy_slices, lesion_slices, bank: ChannelBank,
-              ridge_ladder=RIDGE_LADDER) -> ChoModel:
-    """Train the 2D stage on labeled slices (lists of W x H images)."""
-    resp_h = np.array([channelize(s, bank) for s in healthy_slices])
-    resp_l = np.array([channelize(s, bank) for s in lesion_slices])
-    if resp_h.ndim != 2 or resp_l.ndim != 2:
-        raise TrainingError("empty training class")
-    template, mean_diff, cov, ridge = hotelling_template(
-        resp_h, resp_l, ridge_ladder)
-    return ChoModel(bank=bank, template=template, mean_diff=mean_diff,
-                    cov=cov, ridge=ridge)
+def central_position(slice_range, depth: int) -> int:
+    """Position of the central slice depth//2 in the tuple slice_range.
+
+    Stage 1 of the multi-slice observer trains on the central slice, so a
+    slice range must contain it and stay within the depth of the stacks;
+    raises ValueError otherwise.
+    """
+    central = depth // 2
+    if central not in slice_range:
+        raise ValueError(f"slice range {slice_range} misses the central "
+                         f"slice {central}")
+    if min(slice_range) < 0 or max(slice_range) >= depth:
+        raise ValueError(f"slice range {slice_range} leaves the {depth} "
+                         f"slices of the stacks")
+    return slice_range.index(central)
 
 
-def score_slice(image, model: ChoModel) -> float:
-    """Stage-1 score of one slice: template' * channelize(slice)."""
-    return float(model.template @ channelize(image, model.bank))
-
-
-def _stack_data(stack):
-    return stack.data if hasattr(stack, "data") else np.asarray(stack)
+def _as_stack(stack) -> np.ndarray:
+    if not (isinstance(stack, np.ndarray) and stack.ndim == 3):
+        raise ValueError(f"expected a W x H x K array, got "
+                         f"{type(stack).__name__} {np.shape(stack)}")
+    return stack
 
 
 def train_mscho_from_responses(resp_h, resp_l, central_pos: int,
@@ -265,32 +253,23 @@ def train_mscho_from_responses(resp_h, resp_l, central_pos: int,
 def train_mscho_b(healthy_stacks, lesion_stacks, bank: ChannelBank,
                   slice_range, combiner: str = "hotelling",
                   ridge_ladder=RIDGE_LADDER) -> MsChoModel:
-    """Train the multi-slice observer on labeled W x H x K stacks.
+    """Train the multi-slice observer on labeled W x H x K arrays: their
+    channel responses over slice_range, then train_mscho_from_responses.
 
     slice_range must contain the central slice K//2 (stage 1 trains on it)
-    and stay within the stack depth.
+    and stay within the stack depth (see central_position).
     """
-    slice_range = tuple(int(s) for s in slice_range)
-    if not slice_range:
-        raise ValueError("slice_range is empty")
-    stacks_h = [_stack_data(s) for s in healthy_stacks]
-    stacks_l = [_stack_data(s) for s in lesion_stacks]
+    stacks_h = [_as_stack(s) for s in healthy_stacks]
+    stacks_l = [_as_stack(s) for s in lesion_stacks]
     if not stacks_h or not stacks_l:
         raise TrainingError("empty training class")
-    depth = stacks_h[0].shape[2]
-    central = depth // 2
-    if central not in slice_range:
-        raise ValueError(
-            f"slice_range {slice_range} must include the central slice {central}")
-    if min(slice_range) < 0 or max(slice_range) >= depth:
-        raise ValueError("slice_range outside stack depth")
-    central_pos = slice_range.index(central)
+    slice_range = tuple(int(s) for s in slice_range)
+    central_pos = central_position(slice_range, stacks_h[0].shape[2])
     resp_h = np.array([channelize_slices(s, bank, slice_range) for s in stacks_h])
     resp_l = np.array([channelize_slices(s, bank, slice_range) for s in stacks_l])
-    model = train_mscho_from_responses(resp_h, resp_l, central_pos, slice_range,
-                                       combiner, bank=bank,
-                                       ridge_ladder=ridge_ladder)
-    return model
+    return train_mscho_from_responses(resp_h, resp_l, central_pos, slice_range,
+                                      combiner, bank=bank,
+                                      ridge_ladder=ridge_ladder)
 
 
 def score_responses(responses, model: MsChoModel) -> float:
@@ -306,12 +285,8 @@ def score_responses(responses, model: MsChoModel) -> float:
     return float(slice_scores.mean())
 
 
-def score_stack(perceived, model: MsChoModel) -> float:
-    """One scalar score for a perceived stack (PerceivedStack or array)."""
-    data = _stack_data(perceived)
-    if data.ndim != 3:
-        raise ValueError("expected a W x H x K stack")
-    if max(model.slice_range) >= data.shape[2] or min(model.slice_range) < 0:
-        raise ValueError("stack depth does not cover the model's slice range")
-    resp = channelize_slices(data, model.stage1.bank, model.slice_range)
+def score_stack(stack, model: MsChoModel) -> float:
+    """One scalar score for a W x H x K array of perceived amplitudes."""
+    resp = channelize_slices(_as_stack(stack), model.stage1.bank,
+                             model.slice_range)
     return score_responses(resp, model)

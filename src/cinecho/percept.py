@@ -41,7 +41,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
@@ -52,7 +52,6 @@ __all__ = [
     "FOVEAL_MODES",
     "FovealParams",
     "DEFAULT_FOVEAL",
-    "FrequencyTriple",
     "PerceivedStack",
     "mean_luminance",
     "taper_margins",
@@ -111,30 +110,6 @@ class FovealParams:
 
 
 DEFAULT_FOVEAL = FovealParams()
-
-
-@dataclass(frozen=True)
-class FrequencyTriple:
-    """One 3D frequency-domain coordinate: two spatial components in
-    cyc/deg, one temporal in cyc/s, plus the derived radial spatial
-    frequency.  Grid builders keep |u1|, |u2| within ssr/2 and |w| within
-    slice_rate/2 (the Nyquist ranges)."""
-
-    u1: float
-    u2: float
-    w: float
-    u_radial: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "u_radial", float(np.hypot(self.u1, self.u2)))
-
-    @classmethod
-    def from_indices(cls, k1: int, k2: int, k3: int, shape, ssr: float,
-                     slice_rate: float) -> "FrequencyTriple":
-        w_px, h_px, n_sl = shape
-        return cls(u1=frequency_of_index(k1, w_px, ssr),
-                   u2=frequency_of_index(k2, h_px, ssr),
-                   w=frequency_of_index(k3, n_sl, slice_rate))
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,6 +40,7 @@ from .display import DisplayModel
 from .errors import PlanError, PointError
 from .observer import (
     COMBINERS,
+    central_position,
     channelize_slices,
     lg_channel_bank,
     score_responses,
@@ -302,13 +303,10 @@ def plan_stacks(dataset, plan: TrialPlan,
     if slice_range is None:
         slice_range = _auto_slice_range(stacks_by_id, plan)
     slice_range = tuple(int(s) for s in slice_range)
-    depth = first.data.shape[2]
-    if depth // 2 not in slice_range:
-        raise PlanError(f"slice range {slice_range} misses the central "
-                        f"slice {depth // 2}")
-    if min(slice_range) < 0 or max(slice_range) >= depth:
-        raise PlanError(f"slice range {slice_range} leaves the {depth} "
-                        f"slices of the stacks")
+    try:
+        central_position(slice_range, first.data.shape[2])
+    except ValueError as exc:
+        raise PlanError(str(exc)) from None
     return stacks, slice_range
 
 
@@ -393,7 +391,7 @@ def run_trial(dataset, plan: TrialPlan,
     perception stage.
     """
     stacks, slice_range = plan_stacks(dataset, plan, config)
-    central_pos = slice_range.index(stacks[0].data.shape[2] // 2)
+    central_pos = central_position(slice_range, stacks[0].data.shape[2])
     if responses is None:
         try:
             responses = perceive_responses(stacks, [config], slice_range)[:, 0]
@@ -402,13 +400,9 @@ def run_trial(dataset, plan: TrialPlan,
     if np.shape(responses) != (len(stacks), len(slice_range),
                                config.n_channels):
         raise ValueError("responses do not match the plan and config")
-    width, height, _ = stacks[0].data.shape
-    bank = lg_channel_bank(width, height, config.n_channels, config.spread)
-    stacks_by_id = {stack.stack_id: stack for stack in stacks}
     responses = dict(zip(sorted(plan.subset_assignment), responses))
 
-    labels_by_id = {sid: stacks_by_id[sid].label == "lesion"
-                    for sid in plan.subset_assignment}
+    labels_by_id = {stack.stack_id: stack.label == "lesion" for stack in stacks}
 
     test_ids = plan.subset_ids(plan.n_readers)
     test_labels = np.array([labels_by_id[sid] for sid in test_ids])
@@ -427,8 +421,7 @@ def run_trial(dataset, plan: TrialPlan,
         if resp_h.ndim != 3 or resp_l.ndim != 3:
             raise PlanError(f"reader {reader} training subset lacks a class")
         model = train_mscho_from_responses(resp_h, resp_l, central_pos,
-                                           slice_range, config.combiner,
-                                           bank=bank)
+                                           slice_range, config.combiner)
         scores[reader] = [score_responses(resp, model) for resp in test_resp]
         per_reader_auc[reader] = auc_wilcoxon(scores[reader][~test_labels],
                                               scores[reader][test_labels])

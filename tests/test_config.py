@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cinecho.config import (
     DEFAULTS,
@@ -104,6 +106,61 @@ class TestCanonicalForm:
         config["percept.slice_rate"] = 0.1 + 0.2  # not representable as 0.3
         again = parse_config(format_config(config))
         assert again["percept.slice_rate"] == config["percept.slice_rate"]
+
+
+def _writable(text: str) -> bool:
+    return "#" not in text and text == text.strip() \
+        and len(text.splitlines()) <= 1
+
+
+def _value_like(default):
+    """Values of the type of a DEFAULTS entry, strings only writable ones."""
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.integers(-2 ** 63, 2 ** 63)
+    if isinstance(default, float):
+        return st.floats(allow_nan=False)
+    if isinstance(default, tuple):
+        return st.lists(st.floats(allow_nan=False), max_size=6).map(tuple)
+    return st.text().filter(_writable)
+
+
+_CONFIGS = st.fixed_dictionaries(
+    {key: _value_like(default) for key, default in DEFAULTS.items()})
+_STRING_KEYS = sorted(key for key, default in DEFAULTS.items()
+                      if isinstance(default, str))
+# a comment sign or a line break anywhere, or whitespace at either edge
+_UNWRITABLE = st.one_of(
+    st.tuples(st.text(), st.sampled_from("#\n\r\x0b\x0c\x1c\x85\u2028"),
+              st.text()).map("".join),
+    st.tuples(st.sampled_from(" \t\xa0"), st.text()).map("".join),
+    st.tuples(st.text(), st.sampled_from(" \t\xa0")).map("".join))
+
+
+class TestRoundTrip:
+    @settings(deadline=None)
+    @given(_CONFIGS)
+    def test_parse_reads_back_what_format_writes(self, config):
+        assert parse_config(format_config(config)) == config
+
+    @settings(deadline=None)
+    @given(st.sampled_from(_STRING_KEYS), _UNWRITABLE)
+    def test_unwritable_strings_raise_naming_the_key(self, key, text):
+        config = dict(DEFAULTS)
+        config[key] = text
+        with pytest.raises(FormatError, match=key):
+            format_config(config)
+
+    @pytest.mark.parametrize("text", ["runs/#3/manifest.csv", "a\nb",
+                                      " runs/x", "runs/x\t", "a\u2028b"])
+    def test_examples_of_unwritable_strings(self, text):
+        config = dict(DEFAULTS)
+        config["trial.dataset"] = text
+        with pytest.raises(FormatError, match="trial.dataset"):
+            format_config(config)
+        with pytest.raises(FormatError, match="trial.dataset"):
+            config_hash(config)
 
 
 class TestHash:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cinecho.display import DisplayModel, viewing_geometry
+from cinecho.display import DisplayModel
 
 
 class TestLinearMapping:
@@ -43,13 +43,6 @@ class TestLogMapping:
         ratios = lum[1:] / lum[:-1]
         assert np.allclose(ratios, ratios[0], rtol=1e-12)
 
-    def test_contrast_per_step_matches(self):
-        disp = DisplayModel(l_min=1.0, l_max=100.0, bit_depth=8,
-                            mapping="log_luminance")
-        lum = disp.code_to_luminance(np.array([100, 101]))
-        assert disp.contrast_per_step() == pytest.approx(
-            float(lum[1] / lum[0] - 1.0), rel=1e-12)
-
 
 class TestValidation:
     def test_code_range_checked(self):
@@ -79,12 +72,3 @@ class TestValidation:
         disp = DisplayModel()
         out = disp.code_to_luminance(np.arange(8, dtype=np.uint16))
         assert out.dtype == np.float64
-
-
-def test_viewing_geometry():
-    assert viewing_geometry(64, 8.0) == 8.0
-    assert viewing_geometry(64, 7.0) == pytest.approx(64.0 / 7.0, rel=1e-15)
-    with pytest.raises(ValueError):
-        viewing_geometry(0, 7.0)
-    with pytest.raises(ValueError):
-        viewing_geometry(64, 0.0)

@@ -4,21 +4,21 @@ import numpy as np
 import pytest
 from scipy.stats import norm, rankdata
 
+from cinecho.csf import ViewingConditions
 from cinecho.errors import TrainingError
 from cinecho.observer import (
     COND_LIMIT,
     ChannelBank,
-    channelize,
+    central_position,
     channelize_slices,
     hotelling_template,
     lg_channel_bank,
     score_responses,
-    score_slice,
     score_stack,
-    train_cho,
     train_mscho_b,
     train_mscho_from_responses,
 )
+from cinecho.percept import PerceivedStack
 
 
 def _mw_auc(healthy, lesion):
@@ -68,15 +68,20 @@ class TestChannelBank:
             lg_channel_bank(32, 32, spread=0.0)
 
 
+def _channelize(plane, bank):
+    # the response of one W x H plane, as a one-slice stack
+    return channelize_slices(plane[:, :, None], bank, [0])[0]
+
+
 class TestChannelize:
     def test_zero_slice(self):
         bank = lg_channel_bank(16, 16, n_channels=5)
-        assert np.array_equal(channelize(np.zeros((16, 16)), bank), np.zeros(5))
+        assert np.array_equal(_channelize(np.zeros((16, 16)), bank), np.zeros(5))
 
     def test_channel_zero_projects_onto_itself(self):
         bank = lg_channel_bank(64, 64, n_channels=15, spread=10.0)
         c0 = bank.matrix[:, 0].reshape(64, 64)
-        v = channelize(c0, bank)
+        v = _channelize(c0, bank)
         norms = np.linalg.norm(bank.matrix, axis=0)
         assert v[0] == pytest.approx(norms[0] ** 2, rel=1e-12)
         crosstalk = np.abs(v[1:]) / (norms[0] * norms[1:])
@@ -88,22 +93,25 @@ class TestChannelize:
         a = rng.normal(size=(16, 16))
         b = rng.normal(size=(16, 16))
         # doubling is exact in floating point
-        assert np.array_equal(channelize(a + a, bank), 2.0 * channelize(a, bank))
-        lhs = channelize(a + b, bank)
-        rhs = channelize(a, bank) + channelize(b, bank)
+        assert np.array_equal(_channelize(a + a, bank), 2.0 * _channelize(a, bank))
+        lhs = _channelize(a + b, bank)
+        rhs = _channelize(a, bank) + _channelize(b, bank)
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     def test_dim_mismatch(self):
         bank = lg_channel_bank(16, 16, n_channels=4)
         with pytest.raises(ValueError):
-            channelize(np.zeros((16, 17)), bank)
+            _channelize(np.zeros((16, 17)), bank)
+        with pytest.raises(ValueError):
+            channelize_slices(np.zeros((16, 16)), bank, [0])
 
     def test_channelize_slices_matches_per_slice(self):
         rng = np.random.default_rng(1)
         bank = lg_channel_bank(12, 12, n_channels=4)
         stack = rng.normal(size=(12, 12, 6))
         got = channelize_slices(stack, bank, [1, 3, 4])
-        want = np.array([channelize(stack[:, :, k], bank) for k in (1, 3, 4)])
+        want = np.array([bank.matrix.T @ stack[:, :, k].ravel()
+                         for k in (1, 3, 4)])
         assert np.allclose(got, want, rtol=1e-13, atol=0)
         with pytest.raises(ValueError):
             channelize_slices(stack, bank, [6])
@@ -185,30 +193,53 @@ class TestHotellingTemplate:
         assert np.linalg.norm(template - ideal) <= 0.05 * np.linalg.norm(ideal)
 
 
+def _stage1_score(plane, model):
+    # the stage-1 score of one W x H plane: template' * its channel response
+    return float(model.stage1.template @ _channelize(plane, model.stage1.bank))
+
+
 class TestScoreSlice:
     def _model(self):
+        # one-slice stacks: stage 1 alone, trained on slice 0
         rng = np.random.default_rng(6)
         bank = lg_channel_bank(16, 16, n_channels=4)
-        healthy = [rng.normal(size=(16, 16)) for _ in range(12)]
-        lesion = [rng.normal(size=(16, 16)) + 0.1 for _ in range(12)]
-        return train_cho(healthy, lesion, bank)
+        healthy = [rng.normal(size=(16, 16, 1)) for _ in range(12)]
+        lesion = [rng.normal(size=(16, 16, 1)) + 0.1 for _ in range(12)]
+        return train_mscho_b(healthy, lesion, bank, (0,))
 
     def test_zero_slice_scores_zero(self):
         model = self._model()
-        assert score_slice(np.zeros((16, 16)), model) == 0.0
+        assert _stage1_score(np.zeros((16, 16)), model) == 0.0
 
     def test_affine_shift_is_uniform(self):
         rng = np.random.default_rng(7)
         model = self._model()
         slices = [rng.normal(size=(16, 16)) for _ in range(5)]
-        shifts = [score_slice(s + 5.0, model) - score_slice(s, model)
+        shifts = [_stage1_score(s + 5.0, model) - _stage1_score(s, model)
                   for s in slices]
         assert np.allclose(shifts, shifts[0], rtol=1e-9)
 
     def test_class_mean_separation_nonnegative(self):
-        model = self._model()
+        model = self._model().stage1
         separation = float(model.template @ model.mean_diff)
         assert separation >= 0.0
+
+
+class TestCentralPosition:
+    def test_position_of_the_central_slice(self):
+        assert central_position((2, 3, 4), 7) == 1
+        assert central_position((3,), 7) == 0
+        assert central_position((5, 3, 4), 6) == 1
+
+    def test_range_must_hold_the_central_slice_inside_the_depth(self):
+        with pytest.raises(ValueError, match="misses the central slice 3"):
+            central_position((0, 1), 7)
+        with pytest.raises(ValueError, match="misses the central slice 3"):
+            central_position((), 7)
+        with pytest.raises(ValueError, match="leaves the 7 slices"):
+            central_position((3, 7), 7)
+        with pytest.raises(ValueError, match="leaves the 7 slices"):
+            central_position((-1, 3), 7)
 
 
 def _toy_stacks(rng, n_per_class, shape=(16, 16, 7), signal=0.6):
@@ -232,7 +263,7 @@ class TestMsCho:
         for combiner in ("hotelling", "max", "mean"):
             model = train_mscho_b(healthy, lesion, bank, (central,), combiner)
             probe = rng.normal(size=(16, 16, 7))
-            want = score_slice(probe[:, :, central], model.stage1)
+            want = _stage1_score(probe[:, :, central], model)
             assert score_stack(probe, model) == pytest.approx(want, rel=1e-12)
 
     def test_mean_combiner_on_identical_slices(self):
@@ -242,7 +273,7 @@ class TestMsCho:
         model = train_mscho_b(healthy, lesion, bank, (2, 3, 4), "mean")
         plane = rng.normal(size=(16, 16))
         probe = np.repeat(plane[:, :, None], 7, axis=2)
-        want = score_slice(plane, model.stage1)
+        want = _stage1_score(plane, model)
         assert score_stack(probe, model) == pytest.approx(want, rel=1e-12)
 
     def test_stage1_uses_central_slices_only(self):
@@ -266,6 +297,20 @@ class TestMsCho:
         healthy, lesion = _toy_stacks(rng, 10)
         with pytest.raises(ValueError):
             train_mscho_b(healthy, lesion, bank, (0, 1), "hotelling")
+
+    def test_stacks_must_be_arrays(self):
+        rng = np.random.default_rng(16)
+        bank = lg_channel_bank(16, 16, n_channels=4)
+        healthy, lesion = _toy_stacks(rng, 10)
+        vc = ViewingConditions.for_stack(16, 7.0, 25.0, 20.0)
+        wrapped = PerceivedStack(data=healthy[0], vc=vc, foveal_mode="none")
+        with pytest.raises(ValueError, match="W x H x K array"):
+            train_mscho_b([wrapped] + healthy[1:], lesion, bank, (2, 3, 4))
+        with pytest.raises(ValueError, match="W x H x K array"):
+            train_mscho_b([s[:, :, 3] for s in healthy], lesion, bank, (3,))
+        model = train_mscho_b(healthy, lesion, bank, (2, 3, 4))
+        with pytest.raises(ValueError, match="W x H x K array"):
+            score_stack(wrapped, model)
 
     def test_all_zero_stack_scores_zero(self):
         rng = np.random.default_rng(12)

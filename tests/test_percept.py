@@ -12,7 +12,6 @@ from cinecho.observer import lg_channel_bank
 from cinecho.percept import (
     DEFAULT_FOVEAL,
     FovealParams,
-    FrequencyTriple,
     apply_stcsf,
     filter_contrast,
     foveal_weight,
@@ -98,19 +97,6 @@ class TestFrequencyOfIndex:
             frequency_of_index(8, 8, 8.0)
         with pytest.raises(ValueError):
             frequency_of_index(-1, 8, 8.0)
-
-
-class TestFrequencyTriple:
-    def test_radial_three_four_five(self):
-        ft = FrequencyTriple(u1=3.0, u2=4.0, w=1.0)
-        assert ft.u_radial == 5.0
-
-    def test_from_indices(self):
-        ft = FrequencyTriple.from_indices(1, 0, 5, (64, 64, 8), ssr=7.0,
-                                          slice_rate=8.0)
-        assert ft.u1 == pytest.approx(7.0 / 64.0, rel=1e-15)
-        assert ft.u2 == 0.0
-        assert ft.w == -3.0
 
 
 VC64 = ViewingConditions(luminance=20.0, x0=64.0 / 7.0, ssr=7.0, slice_rate=25.0)

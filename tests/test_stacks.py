@@ -1,8 +1,12 @@
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cinecho.errors import FormatError, LesionClippingWarning
 from cinecho.stacks import (
@@ -274,7 +278,46 @@ class TestInsertLesion:
             insert_lesion(healthy, LesionSpec("microcalc", 60.0))
 
 
+# ids stay on one header line without edge whitespace; provenance is
+# free-form and written with its whitespace collapsed
+_IDS = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")),
+               min_size=1, max_size=12).filter(lambda s: s == s.strip())
+
+
+@st.composite
+def _stacks(draw):
+    width, height, n_slices = (draw(st.integers(1, 6)) for _ in range(3))
+    bit_depth = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    data = rng.integers(0, 1 << bit_depth, size=(width, height, n_slices),
+                        dtype=np.uint16)
+    lesion = draw(st.booleans())
+    lesion_slices = draw(st.lists(st.integers(0, n_slices - 1), max_size=4)) \
+        if lesion else []
+    return ImageStack(
+        width=width, height=height, n_slices=n_slices, bit_depth=bit_depth,
+        slice_sep_mm=draw(st.floats(0.0, 1e6, exclude_min=True)), data=data,
+        stack_id=draw(_IDS), label="lesion" if lesion else "healthy",
+        lesion_slices=tuple(lesion_slices),
+        source_id=draw(_IDS) if lesion else "", provenance=draw(st.text()))
+
+
 class TestStackIO:
+    @settings(deadline=None, max_examples=60)
+    @given(_stacks())
+    def test_round_trip_property(self, stack):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.u16"
+            write_stack(stack, path)
+            back = read_stack(path)
+        assert np.array_equal(back.data, stack.data)
+        assert back.data.dtype == np.uint16
+        assert back.geometry == stack.geometry
+        assert back.lesion_slices == stack.lesion_slices
+        assert (back.label, back.stack_id, back.source_id) \
+            == (stack.label, stack.stack_id, stack.source_id)
+        assert back.provenance == " ".join(stack.provenance.split())
+
     def test_round_trip(self, tmp_path):
         stack = generate_background(SMALL, 31, stack_id="rt")
         lesion = insert_lesion(stack, LesionSpec("microcalc", 40.0,
