@@ -23,7 +23,6 @@ from .errors import (
     FormatError,
     LesionClippingWarning,
     PlanError,
-    PointError,
     TrainingError,
 )
 
@@ -39,7 +38,6 @@ __all__ = [
     "FormatError",
     "LesionClippingWarning",
     "PlanError",
-    "PointError",
     "TrainingError",
     "__version__",
 ]

@@ -17,7 +17,8 @@ from pathlib import Path
 from .csf import DEFAULT_CONSTANTS
 from .display import DisplayModel
 from .errors import FormatError
-from .stacks import GEOMETRY_PRESETS, LesionSpec, StackGeometry
+from .stacks import GEOMETRY_PRESETS, LesionSpec, StackGeometry, \
+    check_writable
 from .trial import PipelineConfig
 
 __all__ = [
@@ -160,10 +161,8 @@ def format_config(config: dict) -> str:
     read back: one with '#', a line break or edge whitespace.
     """
     for key, value in config.items():
-        if isinstance(value, str) and ("#" in value or value != value.strip()
-                                       or len(value.splitlines()) > 1):
-            raise FormatError(f"{key}: value {value!r} cannot be written "
-                              f"back ('#', line break or edge whitespace)")
+        if isinstance(value, str):
+            check_writable(key, value, forbidden="#")
     return "".join(f"{key} = {_render(config[key])}\n"
                    for key in sorted(config))
 

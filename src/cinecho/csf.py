@@ -105,6 +105,8 @@ class ViewingConditions:
     def for_stack(cls, width_px: int, ssr: float, slice_rate: float,
                   luminance: float) -> "ViewingConditions":
         """Derive the apparent size from image width and sampling rate."""
+        if not (np.isfinite(ssr) and ssr > 0):
+            raise ValueError("ViewingConditions.ssr must be finite and > 0")
         return cls(luminance=luminance, x0=width_px / ssr, ssr=ssr,
                    slice_rate=slice_rate)
 

@@ -15,16 +15,15 @@
 from __future__ import annotations
 
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import config_hash, pipeline_from
-from .display import DisplayModel
-from .errors import FormatError, PointError
+from .errors import FormatError
 from .trial import (
     PipelineConfig,
     TrialPlan,
@@ -102,15 +101,11 @@ def apply_axis(config: PipelineConfig, axis: str, value: float) -> PipelineConfi
     display = config.display
     if axis == "l_max":
         ratio = display.l_max / display.l_min
-        new = DisplayModel(l_min=value / ratio, l_max=value,
-                           bit_depth=display.bit_depth,
-                           mapping=display.mapping)
-        return replace(config, display=new)
+        return replace(config, display=replace(display, l_min=value / ratio,
+                                               l_max=value))
     if axis == "contrast_ratio":
-        new = DisplayModel(l_min=display.l_max / value, l_max=display.l_max,
-                           bit_depth=display.bit_depth,
-                           mapping=display.mapping)
-        return replace(config, display=new)
+        return replace(config, display=replace(display,
+                                               l_min=display.l_max / value))
     raise ValueError(f"axis must be one of {SWEEP_AXES}")
 
 
@@ -120,11 +115,12 @@ def run_sweep(dataset, spec: SweepSpec, config: dict,
 
     config is the full flat config dict (the plan seed, reader count, and
     row fingerprint come from it); plan may be passed to reuse a split.
-    The channel responses of every stack at every point are computed in
-    one pass over the stacks (see perceive_responses); each point then
-    trains and scores its readers.  config['sweep.workers'] > 1 shards
-    the stacks of that pass over a process pool, with output identical to
-    the sequential pass.
+    The channel responses are computed in one pass over the stacks per
+    display (see perceive_responses): one for a slice_rate or ssr sweep,
+    one per value for l_max and contrast_ratio; each point then trains
+    and scores its readers.  config['sweep.workers'] > 1 shards the
+    stacks of each pass over a thread pool, with output identical to the
+    sequential pass.
     """
     if plan is None:
         plan = split_dataset(dataset.pairing, config["trial.n_readers"],
@@ -144,21 +140,25 @@ def run_sweep(dataset, spec: SweepSpec, config: dict,
               for value in spec.values]
     stacks, slice_range = plan_stacks(dataset, plan, base)
     workers = min(int(config.get("sweep.workers", 1)), len(stacks))
-    try:
-        if workers > 1:
-            bounds = [len(stacks) * k // workers for k in range(workers + 1)]
-            shards = [stacks[a:b] for a, b in zip(bounds, bounds[1:])]
-            with ProcessPoolExecutor(
-                    max_workers=workers,
-                    mp_context=multiprocessing.get_context("spawn")) as pool:
-                responses = np.concatenate(list(pool.map(
-                    perceive_responses, shards, [points] * workers,
-                    [slice_range] * workers)))
-        else:
-            responses = perceive_responses(stacks, points, slice_range)
-    except PointError as exc:
-        raise RuntimeError(f"sweep aborted at {spec.axis} = "
-                           f"{spec.values[exc.index]}: {exc}") from exc.cause
+    bounds = [len(stacks) * k // workers for k in range(workers + 1)]
+    groups = {}
+    for i, point in enumerate(points):
+        groups.setdefault(point.display, []).append(i)
+    responses = np.empty((len(stacks), len(points), len(slice_range),
+                          base.n_channels))
+
+    def perceive(members, start, stop):
+        responses[start:stop, members] = perceive_responses(
+            stacks[start:stop], [points[i] for i in members], slice_range)
+
+    # one worker stays on the calling thread: a fresh pool thread runs the
+    # pass slower while it grows a malloc arena of its own
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        run = pool.map if pool else map
+        for members in groups.values():
+            # list() reads every shard's result, so a failure raises here
+            named(spec.values[members[0]], lambda: list(run(
+                perceive, [members] * workers, bounds[:-1], bounds[1:])))
     rows = []
     for i, (value, point) in enumerate(zip(spec.values, points)):
         result = named(value, lambda: run_trial(
@@ -233,45 +233,44 @@ def emit_csv(rows, path) -> Path:
     return path
 
 
-def read_rows_csv(path):
+def _read_csv(path, header: str, parse) -> list:
+    """parse(fields) of every non-blank line after the header line.
+    Raises FormatError, naming path:line for a wrong field count or for
+    fields parse rejects with ValueError (a non-numeric one, say)."""
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise FormatError(f"{path}: expected header {CSV_HEADER!r}")
-    rows = []
+    if not lines or lines[0] != header:
+        raise FormatError(f"{path}: expected header {header!r}")
+    n_fields = header.count(",") + 1
+    records = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != 6:
-            raise FormatError(f"{path}:{lineno}: expected 6 fields")
-        rows.append(ResultRow(axis_value=float(parts[0]),
-                              mean_auc=float(parts[1]),
-                              auc_stddev=float(parts[2]),
-                              n_readers=int(parts[3]), seed=int(parts[4]),
-                              config_hash=parts[5]))
-    return rows
+        if len(parts) != n_fields:
+            raise FormatError(f"{path}:{lineno}: expected {n_fields} fields")
+        try:
+            records.append(parse(parts))
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from None
+    return records
+
+
+def read_rows_csv(path):
+    """Result rows from a CSV file emit_csv wrote."""
+    return _read_csv(path, CSV_HEADER, lambda parts: ResultRow(
+        axis_value=float(parts[0]), mean_auc=float(parts[1]),
+        auc_stddev=float(parts[2]), n_readers=int(parts[3]),
+        seed=int(parts[4]), config_hash=parts[5]))
 
 
 def read_overlay_csv(path):
     """External series as CSV 'axis,value,tolerance'."""
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "axis,value,tolerance":
-        raise FormatError(f"{path}: expected header 'axis,value,tolerance'")
-    axis, values, tols = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise FormatError(f"{path}:{lineno}: expected 3 fields")
-        axis.append(float(parts[0]))
-        values.append(float(parts[1]))
-        tols.append(float(parts[2]))
-    if not axis:
+    records = _read_csv(path, "axis,value,tolerance",
+                        lambda parts: [float(p) for p in parts])
+    if not records:
         raise FormatError(f"{path}: no data rows")
-    return np.array(axis), np.array(values), np.array(tols)
+    return tuple(np.array(records).T)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ __all__ = [
     "lesion_profile",
     "insert_lesion",
     "generate_dataset",
+    "check_writable",
     "write_stack",
     "read_stack",
     "write_dataset",
@@ -108,14 +109,15 @@ class ImageStack:
     def __post_init__(self) -> None:
         if self.label not in LABELS:
             raise ValueError(f"label must be one of {LABELS}")
+        geometry = self.geometry  # checks dimensions, bit depth, separation
         data = np.asarray(self.data)
-        if data.shape != (self.width, self.height, self.n_slices):
+        if data.shape != geometry.shape:
             raise ValueError(
                 f"data shape {data.shape} does not match declared "
-                f"{(self.width, self.height, self.n_slices)}")
+                f"{geometry.shape}")
         if data.dtype != np.uint16:
             raise ValueError("codes must be uint16")
-        if data.size and int(data.max()) > self.max_code:
+        if data.size and int(data.max()) > geometry.max_code:
             raise ValueError(
                 f"code {int(data.max())} exceeds {self.bit_depth}-bit range")
         if self.label == "healthy" and self.lesion_slices:
@@ -124,10 +126,6 @@ class ImageStack:
             raise ValueError("lesion stacks must name their healthy source")
         object.__setattr__(self, "lesion_slices",
                            tuple(int(s) for s in self.lesion_slices))
-
-    @property
-    def max_code(self) -> int:
-        return (1 << self.bit_depth) - 1
 
     @property
     def geometry(self) -> StackGeometry:
@@ -275,13 +273,14 @@ def insert_lesion(healthy: ImageStack, spec: LesionSpec,
     """
     if healthy.label != "healthy":
         raise ValueError("can only insert into a healthy stack")
-    inplane, depth = lesion_profile(spec, healthy.geometry)
+    geometry = healthy.geometry
+    inplane, depth = lesion_profile(spec, geometry)
     profile = spec.amplitude * inplane[:, :, None] * depth[None, None, :]
     ideal = healthy.data.astype(np.float64) + profile
-    codes = np.clip(np.rint(ideal), 0, healthy.max_code)
+    codes = np.clip(np.rint(ideal), 0, geometry.max_code)
 
     energy = float(profile.sum())
-    lost = float(np.maximum(ideal - healthy.max_code, 0.0).sum()
+    lost = float(np.maximum(ideal - geometry.max_code, 0.0).sum()
                  + np.maximum(-ideal, 0.0).sum())
     if energy > 0 and lost > 0.01 * energy:
         warnings.warn(
@@ -333,8 +332,22 @@ _HEADER_KEYS = ("width", "height", "n_slices", "bit_depth", "slice_sep_mm",
                 "label", "lesion_slices", "stack_id", "source_id", "provenance")
 
 
+def check_writable(key: str, value: str, forbidden: str = "") -> None:
+    """Raise FormatError naming key when value would not read back from
+    a 'key = value' line: it holds a line break (as str.splitlines counts
+    them), edge whitespace or one of the forbidden characters."""
+    if value != value.strip() or len(value.splitlines()) > 1 \
+            or any(c in value for c in forbidden):
+        listed = "".join(f"{c!r}, " for c in forbidden)
+        raise FormatError(f"{key}: value {value!r} cannot be written back "
+                          f"({listed}line break or edge whitespace)")
+
+
 def write_stack(stack: ImageStack, path) -> None:
-    """Write the payload to path and the header to path + '.hdr'."""
+    """Write the payload to path and the header to path + '.hdr';
+    raises FormatError naming an id that check_writable refuses."""
+    check_writable("stack_id", stack.stack_id)
+    check_writable("source_id", stack.source_id)
     path = Path(path)
     payload = np.ascontiguousarray(
         stack.data.transpose(2, 0, 1)).astype("<u2").tobytes()
@@ -374,27 +387,30 @@ def _parse_header(text: str, header_path: str) -> dict:
 def read_stack(path) -> ImageStack:
     """Read a stack written by write_stack, verifying the format.
 
-    Raises FormatError naming the byte offset for truncated payloads and
-    out-of-range codes.
+    Raises FormatError naming the header for geometry StackGeometry
+    rejects, before the payload is read, and naming the byte offset for
+    truncated payloads and out-of-range codes.
     """
     path = Path(path)
     header_path = str(path) + ".hdr"
     fields = _parse_header(Path(header_path).read_text(encoding="utf-8"),
                            header_path)
     try:
-        width = int(fields["width"])
-        height = int(fields["height"])
-        n_slices = int(fields["n_slices"])
-        bit_depth = int(fields["bit_depth"])
-        slice_sep = float(fields["slice_sep_mm"])
+        numbers = [int(fields[key]) for key in _HEADER_KEYS[:4]]
+        numbers.append(float(fields["slice_sep_mm"]))
     except ValueError as exc:
         raise FormatError(f"{header_path}: non-numeric geometry field: {exc}")
+    try:
+        geometry = StackGeometry(*numbers)
+    except ValueError as exc:
+        raise FormatError(f"{header_path}: {exc}") from None
     label = fields["label"]
     if label not in LABELS:
         raise FormatError(f"{header_path}: unknown label {label!r}")
     lesion_slices = tuple(int(tok) for tok in fields["lesion_slices"].split(",")
                           if tok.strip() != "")
 
+    width, height, n_slices = geometry.shape
     payload = path.read_bytes()
     expected = width * height * n_slices * 2
     if len(payload) != expected:
@@ -402,19 +418,16 @@ def read_stack(path) -> ImageStack:
             f"{path}: payload is {len(payload)} bytes, expected {expected} "
             f"(truncated at byte {min(len(payload), expected)})")
     codes = np.frombuffer(payload, dtype="<u2").reshape(n_slices, width, height)
-    limit = 1 << bit_depth
     flat = codes.reshape(-1)
-    bad = np.nonzero(flat >= limit)[0]
+    bad = np.nonzero(flat > geometry.max_code)[0]
     if bad.size:
         offset = int(bad[0]) * 2
         raise FormatError(
             f"{path}: code {int(flat[bad[0]])} at byte offset {offset} "
-            f"exceeds the {bit_depth}-bit range")
+            f"exceeds the {geometry.bit_depth}-bit range")
     data = np.ascontiguousarray(codes.transpose(1, 2, 0)).astype(np.uint16)
-    return ImageStack(width=width, height=height, n_slices=n_slices,
-                      bit_depth=bit_depth, slice_sep_mm=slice_sep, data=data,
-                      stack_id=fields["stack_id"], label=label,
-                      lesion_slices=lesion_slices,
+    return ImageStack(*numbers, data=data, stack_id=fields["stack_id"],
+                      label=label, lesion_slices=lesion_slices,
                       source_id=fields.get("source_id", ""),
                       provenance=fields.get("provenance", ""))
 

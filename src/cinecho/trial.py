@@ -30,14 +30,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.stats import rankdata
 
 from .csf import CsfConstants, DEFAULT_CONSTANTS, ViewingConditions
 from .display import DisplayModel
-from .errors import PlanError, PointError
+from .errors import PlanError
 from .observer import (
     COMBINERS,
     central_position,
@@ -117,8 +117,8 @@ class PipelineConfig:
             raise ValueError(f"foveal_mode must be one of {FOVEAL_MODES}")
         if self.combiner not in COMBINERS:
             raise ValueError(f"combiner must be one of {COMBINERS}")
-        if not (self.ssr > 0 and self.slice_rate > 0):
-            raise ValueError("ssr and slice_rate must be positive")
+        if not (0 < self.ssr < np.inf and 0 < self.slice_rate < np.inf):
+            raise ValueError("ssr and slice_rate must be finite and positive")
         if self.n_channels < 1 or not self.spread > 0:
             raise ValueError("bad observer hyperparameters")
 
@@ -315,62 +315,34 @@ def perceive_responses(stacks, configs, slice_range) -> np.ndarray:
     one pass over the stacks.
 
     Returns an (n_stacks, n_configs, len(slice_range), n_channels) array.
-    The configs may differ in display, ssr and slice_rate (the sweep
-    axes) and must share the channel bank.  One spectral plan per display
-    group is built up front; each stack is then mapped to luminance,
-    tapered and forward-transformed once per distinct display, and each
-    config costs only its share of the gain, the inverse temporal DFT and
-    the projection onto the channels, taken in the frequency domain.  The
-    stacks must share one shape (see plan_stacks).  Raises PointError
-    naming the position of the config whose work failed.
+    The configs may differ only in ssr and slice_rate (the browsing
+    axes); any other difference raises ValueError.  One channel bank and
+    one spectral plan are built up front; each stack is then mapped to
+    luminance, tapered and forward-transformed once, and each config
+    costs only its share of the gain, the inverse temporal DFT and the
+    projection onto the channels, taken in the frequency domain.  The
+    stacks must share one shape (see plan_stacks).
     """
-    configs = list(configs)
-    if len({(c.n_channels, c.spread) for c in configs}) != 1:
-        raise ValueError("configs must share the channel bank")
-    groups = {}
-    for i, config in enumerate(configs):
-        key = (config.display, config.taper, config.csf_constants,
-               config.foveal_mode, config.foveal_params)
-        groups.setdefault(key, []).append(i)
+    config = configs[0]
+    if any(replace(c, ssr=config.ssr, slice_rate=config.slice_rate) != config
+           for c in configs):
+        raise ValueError("configs may differ only in ssr and slice_rate")
     shape = stacks[0].data.shape
-    bank = lg_channel_bank(shape[0], shape[1], configs[0].n_channels,
-                           configs[0].spread)
-    vcs = []
-    for i, config in enumerate(configs):
-        # the luminance is a placeholder: apply_stcsf uses each stack's mean
-        nominal = config.display.code_to_luminance(config.display.max_code // 2)
-        try:
-            vcs.append(ViewingConditions.for_stack(
-                shape[0], config.ssr, config.slice_rate, float(nominal)))
-        except ValueError as exc:
-            raise PointError(i, exc) from exc
-    plans = []
-    for members in groups.values():
-        config = configs[members[0]]
-        try:
-            plans.append(spectral_plan(
-                shape, [vcs[i] for i in members], slice_range,
-                foveal_mode=config.foveal_mode,
-                foveal_params=config.foveal_params, bank=bank))
-        except ValueError as exc:
-            raise PointError(members[0], exc) from exc
-    out = np.empty((len(stacks), len(configs), len(slice_range),
-                    bank.n_channels))
-    for row, stack in enumerate(stacks):
-        for members, plan in zip(groups.values(), plans):
-            config = configs[members[0]]
-            try:
-                out[row, members] = apply_stcsf(
-                    config.display.code_to_luminance(stack.data),
-                    [vcs[i] for i in members], config.csf_constants,
-                    foveal_mode=config.foveal_mode,
-                    foveal_params=config.foveal_params, taper=config.taper,
-                    slices=slice_range, bank=bank, plan=plan)
-            except Exception as exc:
-                # the steps that can raise here are shared by the whole
-                # group (its display and the stack): name its first config
-                raise PointError(members[0], exc) from exc
-    return out
+    bank = lg_channel_bank(shape[0], shape[1], config.n_channels,
+                           config.spread)
+    display = config.display
+    # the luminance is a placeholder: apply_stcsf uses each stack's mean
+    nominal = float(display.code_to_luminance(display.max_code // 2))
+    vcs = [ViewingConditions.for_stack(shape[0], c.ssr, c.slice_rate, nominal)
+           for c in configs]
+    plan = spectral_plan(shape, vcs, slice_range,
+                         foveal_mode=config.foveal_mode,
+                         foveal_params=config.foveal_params, bank=bank)
+    return np.array([apply_stcsf(
+        display.code_to_luminance(stack.data), vcs, config.csf_constants,
+        foveal_mode=config.foveal_mode, foveal_params=config.foveal_params,
+        taper=config.taper, slices=slice_range, bank=bank, plan=plan)
+        for stack in stacks])
 
 
 def run_trial(dataset, plan: TrialPlan,
@@ -393,10 +365,7 @@ def run_trial(dataset, plan: TrialPlan,
     stacks, slice_range = plan_stacks(dataset, plan, config)
     central_pos = central_position(slice_range, stacks[0].data.shape[2])
     if responses is None:
-        try:
-            responses = perceive_responses(stacks, [config], slice_range)[:, 0]
-        except PointError as exc:
-            raise exc.cause from None
+        responses = perceive_responses(stacks, [config], slice_range)[:, 0]
     if np.shape(responses) != (len(stacks), len(slice_range),
                                config.n_channels):
         raise ValueError("responses do not match the plan and config")

@@ -167,6 +167,15 @@ class TestErrors:
                      "--out", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_numeric_results_field(self, tmp_path, capsys):
+        results = tmp_path / "rows.csv"
+        results.write_text("axis,mean_auc,auc_stddev,n_readers,seed,"
+                           "config_hash\n1,0.5,0.1,2,9,abc\n5,half,0.1,2,9,"
+                           "abc\n", encoding="utf-8")
+        assert main(["plot", str(results), "--out", str(tmp_path)]) == 2
+        assert "rows.csv:3: could not convert string to float" \
+            in capsys.readouterr().err
+
     def test_missing_out_flag_exits(self):
         with pytest.raises(SystemExit):
             main(["run-trial"])

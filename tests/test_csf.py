@@ -194,6 +194,11 @@ class TestValidation:
         vc = ViewingConditions.for_stack(64, ssr=8.0, slice_rate=25.0, luminance=20.0)
         assert vc.x0 == 8.0
 
+    @pytest.mark.parametrize("ssr", [0.0, -8.0, float("nan"), float("inf")])
+    def test_for_stack_rejects_bad_ssr_before_dividing(self, ssr):
+        with pytest.raises(ValueError, match=r"ViewingConditions\.ssr"):
+            ViewingConditions.for_stack(64, ssr, 25.0, 20.0)
+
 
 @pytest.mark.oracle
 class TestAgainstArbitraryPrecision:

@@ -209,21 +209,23 @@ def test_trial_responses_match_full_complex_path():
     plan = split_dataset(dataset.pairing, 1, 0, 1)
     base = PipelineConfig(n_channels=5, spread=4.0)
     dim = DisplayModel(l_min=0.5, l_max=300.0)
-    configs = [base, PipelineConfig(n_channels=5, spread=4.0, ssr=3.5,
-                                    slice_rate=40.0),
-               PipelineConfig(display=dim, n_channels=5, spread=4.0)]
+    # one pass per display, as a sweep makes them
+    passes = [[base, PipelineConfig(n_channels=5, spread=4.0, ssr=3.5,
+                                    slice_rate=40.0)],
+              [PipelineConfig(display=dim, n_channels=5, spread=4.0)]]
     stacks, slice_range = plan_stacks(dataset, plan, base)
-    got = perceive_responses(stacks, configs, slice_range)
-    assert got.shape == (len(stacks), 3, len(slice_range), 5)
     bank = lg_channel_bank(16, 16, n_channels=5, spread=4.0)
-    for row, stack in enumerate(stacks):
-        for col, config in enumerate(configs):
-            lum = config.display.code_to_luminance(stack.data)
-            vc = ViewingConditions.for_stack(16, config.ssr,
-                                             config.slice_rate, 1.0)
-            want = reference_perceive(lum, vc, taper=True,
-                                      foveal_mode="none")
-            assert relative_error(
-                got[row, col],
-                channelize_slices(want, bank, slice_range)) <= RTOL
+    for configs in passes:
+        got = perceive_responses(stacks, configs, slice_range)
+        assert got.shape == (len(stacks), len(configs), len(slice_range), 5)
+        for row, stack in enumerate(stacks):
+            for col, config in enumerate(configs):
+                lum = config.display.code_to_luminance(stack.data)
+                vc = ViewingConditions.for_stack(16, config.ssr,
+                                                 config.slice_rate, 1.0)
+                want = reference_perceive(lum, vc, taper=True,
+                                          foveal_mode="none")
+                assert relative_error(
+                    got[row, col],
+                    channelize_slices(want, bank, slice_range)) <= RTOL
 

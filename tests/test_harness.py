@@ -1,6 +1,11 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +26,7 @@ from cinecho.harness import (
 from cinecho.stacks import LesionSpec, StackGeometry, generate_dataset
 from cinecho.trial import PipelineConfig, run_trial, split_dataset
 
+ROOT = Path(__file__).resolve().parents[1]
 GEOM = StackGeometry(16, 16, 9, 10, 1.0)
 LESION = LesionSpec("microcalc", 180.0, diameter_px=4.0)
 
@@ -174,6 +180,14 @@ class TestCsvRoundTrip:
         with pytest.raises(FormatError, match="bad.csv:2"):
             read_rows_csv(path)
 
+    def test_non_numeric_field(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("axis,mean_auc,auc_stddev,n_readers,seed,config_hash"
+                        "\n1,0.5,0.1,2,9,abc\n1,0.5,0.1,two,9,abc\n",
+                        encoding="utf-8")
+        with pytest.raises(FormatError, match="bad.csv:3: invalid literal"):
+            read_rows_csv(path)
+
 
 class TestOverlayCsv:
     def test_read(self, tmp_path):
@@ -189,6 +203,12 @@ class TestOverlayCsv:
         path = tmp_path / "ext.csv"
         path.write_text("x,y,z\n1,2,3\n", encoding="utf-8")
         with pytest.raises(FormatError, match="axis,value,tolerance"):
+            read_overlay_csv(path)
+
+    def test_non_numeric_field(self, tmp_path):
+        path = tmp_path / "ext.csv"
+        path.write_text("axis,value,tolerance\n1,x,0.01\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="ext.csv:2: could not convert"):
             read_overlay_csv(path)
 
     def test_no_data_rows(self, tmp_path):
@@ -274,6 +294,21 @@ class TestRunSweep:
         assert [replace(row, config_hash="") for row in parallel] \
             == [replace(row, config_hash="") for row in sequential]
 
+    def test_more_workers_than_cores_match_sequential(self, faint_dataset):
+        # seven uneven shards per pass, switching threads often: no shard
+        # may write over another's rows
+        spec = SweepSpec("l_max", (500.0, 1000.0))
+        sequential = run_sweep(faint_dataset, spec, _small_config())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel = run_sweep(faint_dataset, spec,
+                                 _small_config(**{"sweep.workers": 7}))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [replace(row, config_hash="") for row in parallel] \
+            == [replace(row, config_hash="") for row in sequential]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failure_in_the_pass_names_axis_and_value(self, small_dataset,
@@ -285,6 +320,34 @@ class TestRunSweep:
                                  r"ViewingConditions\.luminance"):
             run_sweep(small_dataset, SweepSpec("l_max", (500.0, 1e308)),
                       config)
+
+    def test_parallel_sweep_needs_no_main_guard(self, tmp_path):
+        # a sweep with workers is callable from a plain script's top level
+        script = tmp_path / "sweep_script.py"
+        script.write_text(textwrap.dedent("""
+            from cinecho.config import DEFAULTS
+            from cinecho.harness import SweepSpec, run_sweep
+            from cinecho.stacks import LesionSpec, StackGeometry, \\
+                generate_dataset
+
+            dataset = generate_dataset(StackGeometry(16, 16, 9, 10, 1.0), 24,
+                                       LesionSpec("microcalc", 180.0,
+                                                  diameter_px=4.0), seed=404)
+            config = dict(DEFAULTS, **{
+                "observer.n_channels": 5, "observer.spread": 4.0,
+                "trial.n_readers": 2, "trial.min_per_class": 6,
+                "sweep.workers": 2})
+            rows = run_sweep(dataset, SweepSpec("slice_rate", (5.0, 25.0)),
+                             config)
+            print(len(rows), "rows")
+        """), encoding="utf-8")
+        paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout == "2 rows\n"
 
     def test_explicit_plan_reused(self, small_dataset):
         config = _small_config()

@@ -1,6 +1,7 @@
 import math
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -280,8 +281,13 @@ class TestInsertLesion:
 
 # ids stay on one header line without edge whitespace; provenance is
 # free-form and written with its whitespace collapsed
-_IDS = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")),
-               min_size=1, max_size=12).filter(lambda s: s == s.strip())
+# ids with line breaks or edge whitespace included: write_stack refuses them
+_IDS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1,
+               max_size=12)
+
+
+def _reads_back(text: str) -> bool:
+    return text == text.strip() and len(text.splitlines()) <= 1
 
 
 @st.composite
@@ -306,8 +312,15 @@ class TestStackIO:
     @settings(deadline=None, max_examples=60)
     @given(_stacks())
     def test_round_trip_property(self, stack):
+        unwritable = [key for key in ("stack_id", "source_id")
+                      if not _reads_back(getattr(stack, key))]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "s.u16"
+            if unwritable:
+                with pytest.raises(FormatError, match=f"^{unwritable[0]}: "):
+                    write_stack(stack, path)
+                assert not path.exists()
+                return
             write_stack(stack, path)
             back = read_stack(path)
         assert np.array_equal(back.data, stack.data)
@@ -395,6 +408,30 @@ class TestStackIO:
         hdr.write_text(hdr.read_text().replace("width = 16", "width = wide"))
         with pytest.raises(FormatError, match="numeric"):
             read_stack(path)
+
+    @pytest.mark.parametrize("edit", [
+        ("bit_depth = 10", "bit_depth = 0"), ("bit_depth = 10", "bit_depth = 20"),
+        ("bit_depth = 10", "bit_depth = -1"),
+        ("slice_sep_mm = 1.0", "slice_sep_mm = -1.0"),
+        ("slice_sep_mm = 1.0", "slice_sep_mm = nan"),
+        ("n_slices = 9", "n_slices = -2")])
+    def test_geometry_rejected_before_the_payload(self, tmp_path, edit):
+        stack = generate_background(SMALL, 39)
+        path = tmp_path / "geom.u16"
+        write_stack(stack, path)
+        hdr = path.with_name(path.name + ".hdr")
+        hdr.write_text(hdr.read_text().replace(*edit))
+        path.unlink()  # the header alone must be refused
+        with pytest.raises(FormatError, match=r"geom\.u16\.hdr: .*(bit_depth"
+                                              r"|separation|dimensions)"):
+            read_stack(path)
+
+    @pytest.mark.parametrize("changes", [dict(bit_depth=0), dict(bit_depth=17),
+                                         dict(slice_sep_mm=float("nan"))])
+    def test_stack_geometry_checked_like_stack_geometry(self, changes):
+        stack = generate_background(SMALL, 39)
+        with pytest.raises(ValueError, match="bit_depth|separation"):
+            replace(stack, **changes)
 
     def test_malformed_header_line(self, tmp_path):
         stack = generate_background(SMALL, 38)

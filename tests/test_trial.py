@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cinecho.display import DisplayModel
 from cinecho.errors import PlanError
 from cinecho.stacks import Dataset, LesionSpec, StackGeometry, \
     generate_background, generate_dataset, insert_lesion
@@ -12,6 +13,7 @@ from cinecho.trial import (
     PipelineConfig,
     auc_wilcoxon,
     one_shot_mrmc,
+    perceive_responses,
     run_trial,
     split_dataset,
 )
@@ -437,6 +439,18 @@ class TestRunTrial:
             run_trial(ds, plan, CONFIG)
 
 
+class TestPerceiveResponses:
+    @pytest.mark.parametrize("other", [
+        dict(display=DisplayModel(l_min=0.5, l_max=300.0)), dict(taper=False),
+        dict(n_channels=4), dict(spread=5.0)])
+    def test_configs_differ_only_in_ssr_and_slice_rate(self, strong_dataset,
+                                                       other):
+        # one pass shares the display, the taper and the channel bank
+        configs = [CONFIG, replace(CONFIG, ssr=3.5, slice_rate=40.0, **other)]
+        with pytest.raises(ValueError, match="only in ssr and slice_rate"):
+            perceive_responses(strong_dataset.stacks[:2], configs, (3, 4, 5))
+
+
 class TestPipelineConfig:
     def test_defaults(self):
         config = PipelineConfig()
@@ -447,7 +461,8 @@ class TestPipelineConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(foveal_mode="blurred"), dict(combiner="median"),
         dict(ssr=0.0), dict(slice_rate=-1.0), dict(n_channels=0),
-        dict(spread=0.0),
+        dict(spread=0.0), dict(ssr=float("inf")), dict(ssr=float("nan")),
+        dict(slice_rate=float("inf")), dict(slice_rate=float("nan")),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
