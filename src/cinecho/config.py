@@ -93,16 +93,12 @@ def _coerce(key: str, text: str):
         if lowered in ("false", "no", "0", "off"):
             return False
         raise FormatError(f"{key}: expected a boolean, got {text!r}")
-    if isinstance(default, int):
+    if isinstance(default, (int, float)):
+        kind = "an integer" if isinstance(default, int) else "a number"
         try:
-            return int(text)
+            return type(default)(text)
         except ValueError:
-            raise FormatError(f"{key}: expected an integer, got {text!r}")
-    if isinstance(default, float):
-        try:
-            return float(text)
-        except ValueError:
-            raise FormatError(f"{key}: expected a number, got {text!r}")
+            raise FormatError(f"{key}: expected {kind}, got {text!r}")
     if isinstance(default, tuple):
         try:
             return tuple(float(tok) for tok in text.split(",") if tok.strip())

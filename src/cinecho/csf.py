@@ -95,11 +95,17 @@ class ViewingConditions:
     ssr: float
     slice_rate: float
 
+    _X0_RANGE = (np.sqrt(np.finfo(float).tiny), np.sqrt(np.finfo(float).max))
+
     def __post_init__(self) -> None:
         for name in ("luminance", "x0", "ssr", "slice_rate"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
                 raise ValueError(f"ViewingConditions.{name} must be finite and > 0")
+        # the sensitivity divides by x0**2, which must be a normal float
+        if not self._X0_RANGE[0] <= self.x0 <= self._X0_RANGE[1]:
+            raise ValueError(f"ViewingConditions.x0 = {self.x0!r} deg is too "
+                             "extreme to square in double precision")
 
     @classmethod
     def for_stack(cls, width_px: int, ssr: float, slice_rate: float,
@@ -117,8 +123,6 @@ class DerivedOptics:
 
     pupil_mm: float        # pupil diameter d
     retinal_troland: float  # retinal illuminance E
-    sigma_deg: float       # line-spread std, in degrees
-    field_deg: float       # equivalent field diameter D = 2*x0/sqrt(pi)
     tau1: float            # adapted time constant of the first temporal filter
     tau2: float            # adapted time constant of the second temporal filter
 
@@ -201,11 +205,9 @@ def derive_optics(vc: ViewingConditions,
     """Chain the luminance-dependent sub-models for the given conditions."""
     d = pupil_diameter(vc.luminance, vc.x0)
     e = retinal_illuminance(vc.luminance, d)
-    field = 2.0 * vc.x0 / np.sqrt(np.pi)
+    field = 2.0 * vc.x0 / np.sqrt(np.pi)  # equivalent field diameter D
     tau1, tau2 = temporal_time_constants(e, field, constants)
-    sigma = np.sqrt(constants.sigma0 ** 2 + (constants.c_ab * d) ** 2) / 60.0
-    return DerivedOptics(pupil_mm=d, retinal_troland=e, sigma_deg=float(sigma),
-                         field_deg=float(field), tau1=tau1, tau2=tau2)
+    return DerivedOptics(pupil_mm=d, retinal_troland=e, tau1=tau1, tau2=tau2)
 
 
 def _sensitivity(u, h1, h2, vc: ViewingConditions, constants: CsfConstants,

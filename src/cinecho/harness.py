@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import config_hash, pipeline_from
+from .csf import ViewingConditions
 from .errors import FormatError
 from .trial import (
     PipelineConfig,
@@ -139,7 +140,11 @@ def run_sweep(dataset, spec: SweepSpec, config: dict,
     points = [named(value, lambda: apply_axis(base, spec.axis, value))
               for value in spec.values]
     stacks, slice_range = plan_stacks(dataset, plan, base)
-    workers = min(int(config.get("sweep.workers", 1)), len(stacks))
+    # name a point whose geometry would fail its pass (any luminance will do)
+    for value, point in zip(spec.values, points):
+        named(value, lambda: ViewingConditions.for_stack(
+            stacks[0].data.shape[0], point.ssr, point.slice_rate, 1.0))
+    workers = max(1, min(int(config.get("sweep.workers", 1)), len(stacks)))
     bounds = [len(stacks) * k // workers for k in range(workers + 1)]
     groups = {}
     for i, point in enumerate(points):
@@ -151,7 +156,7 @@ def run_sweep(dataset, spec: SweepSpec, config: dict,
         responses[start:stop, members] = perceive_responses(
             stacks[start:stop], [points[i] for i in members], slice_range)
 
-    # one worker stays on the calling thread: a fresh pool thread runs the
+    # sweep.workers <= 1 stays on the calling thread: a pool thread runs the
     # pass slower while it grows a malloc arena of its own
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         run = pool.map if pool else map
@@ -194,8 +199,6 @@ def overlay_rescale(ext_axis, ext_values, ext_tolerances, row_axis,
             shared_ours.append(row_means[hits[0]])
     if len(shared_ext) < 2:
         raise ValueError("need at least two shared axis points to rescale")
-    shared_ext = np.array(shared_ext)
-    shared_ours = np.array(shared_ours)
 
     std_ext = float(np.std(shared_ext))
     std_ours = float(np.std(shared_ours))
@@ -270,7 +273,8 @@ def read_overlay_csv(path):
                         lambda parts: [float(p) for p in parts])
     if not records:
         raise FormatError(f"{path}: no data rows")
-    return tuple(np.array(records).T)
+    axis, values, tolerances = np.array(records).T
+    return axis, values, tolerances
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -169,8 +169,6 @@ class Dataset:
     """Generated stacks plus the healthy-to-lesion pairing."""
 
     stacks: tuple
-    seed: int | None = None
-    lesion: LesionSpec | None = None
 
     @property
     def pairing(self) -> tuple:
@@ -288,16 +286,13 @@ def insert_lesion(healthy: ImageStack, spec: LesionSpec,
             f"(amplitude {spec.amplitude} too high for the code headroom)",
             LesionClippingWarning)
 
-    return ImageStack(width=healthy.width, height=healthy.height,
-                      n_slices=healthy.n_slices, bit_depth=healthy.bit_depth,
-                      slice_sep_mm=healthy.slice_sep_mm,
-                      data=codes.astype(np.uint16),
-                      stack_id=stack_id or f"{healthy.stack_id}-lesion",
-                      label="lesion",
-                      lesion_slices=affected_slices(depth),
-                      source_id=healthy.stack_id,
-                      provenance=healthy.provenance
-                      + f" lesion={spec.kind} amp={spec.amplitude!r}")
+    return replace(healthy, data=codes.astype(np.uint16),
+                   stack_id=stack_id or f"{healthy.stack_id}-lesion",
+                   label="lesion",
+                   lesion_slices=affected_slices(depth),
+                   source_id=healthy.stack_id,
+                   provenance=healthy.provenance
+                   + f" lesion={spec.kind} amp={spec.amplitude!r}")
 
 
 def generate_dataset(geometry, n_pairs: int, lesion: LesionSpec, seed: int,
@@ -321,7 +316,7 @@ def generate_dataset(geometry, n_pairs: int, lesion: LesionSpec, seed: int,
         stacks.append(healthy)
         stacks.append(insert_lesion(healthy, lesion,
                                     stack_id=f"l{i:0{width}d}"))
-    return Dataset(stacks=tuple(stacks), seed=int(seed), lesion=lesion)
+    return Dataset(stacks=tuple(stacks))
 
 
 # ---------------------------------------------------------------------------
@@ -396,12 +391,16 @@ def read_stack(path) -> ImageStack:
     fields = _parse_header(Path(header_path).read_text(encoding="utf-8"),
                            header_path)
     try:
-        numbers = [int(fields[key]) for key in _HEADER_KEYS[:4]]
-        numbers.append(float(fields["slice_sep_mm"]))
+        width = int(fields["width"])
+        height = int(fields["height"])
+        n_slices = int(fields["n_slices"])
+        bit_depth = int(fields["bit_depth"])
+        slice_sep = float(fields["slice_sep_mm"])
     except ValueError as exc:
         raise FormatError(f"{header_path}: non-numeric geometry field: {exc}")
     try:
-        geometry = StackGeometry(*numbers)
+        geometry = StackGeometry(width=width, height=height, n_slices=n_slices,
+                                 bit_depth=bit_depth, slice_sep_mm=slice_sep)
     except ValueError as exc:
         raise FormatError(f"{header_path}: {exc}") from None
     label = fields["label"]
@@ -410,7 +409,6 @@ def read_stack(path) -> ImageStack:
     lesion_slices = tuple(int(tok) for tok in fields["lesion_slices"].split(",")
                           if tok.strip() != "")
 
-    width, height, n_slices = geometry.shape
     payload = path.read_bytes()
     expected = width * height * n_slices * 2
     if len(payload) != expected:
@@ -426,8 +424,10 @@ def read_stack(path) -> ImageStack:
             f"{path}: code {int(flat[bad[0]])} at byte offset {offset} "
             f"exceeds the {geometry.bit_depth}-bit range")
     data = np.ascontiguousarray(codes.transpose(1, 2, 0)).astype(np.uint16)
-    return ImageStack(*numbers, data=data, stack_id=fields["stack_id"],
-                      label=label, lesion_slices=lesion_slices,
+    return ImageStack(width=width, height=height, n_slices=n_slices,
+                      bit_depth=bit_depth, slice_sep_mm=slice_sep, data=data,
+                      stack_id=fields["stack_id"], label=label,
+                      lesion_slices=lesion_slices,
                       source_id=fields.get("source_id", ""),
                       provenance=fields.get("provenance", ""))
 

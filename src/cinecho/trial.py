@@ -149,11 +149,10 @@ def split_dataset(pairing, n_readers: int, seed: int,
     members of either class.
     """
     pairs = [(h, l) for h, l in pairing]
-    if len(set(h for h, _ in pairs)) != len(pairs) \
-            or len(set(l for _, l in pairs)) != len(pairs):
-        raise PlanError("pairing contains duplicate stack ids")
     ids_h = {h for h, _ in pairs}
     ids_l = {l for _, l in pairs}
+    if len(ids_h) != len(pairs) or len(ids_l) != len(pairs):
+        raise PlanError("pairing contains duplicate stack ids")
     if ids_h & ids_l:
         raise PlanError("a stack id appears on both sides of the pairing")
     if n_readers < 1:

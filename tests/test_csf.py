@@ -199,6 +199,12 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"ViewingConditions\.ssr"):
             ViewingConditions.for_stack(64, ssr, 25.0, 20.0)
 
+    @pytest.mark.parametrize("x0", [1e-200, 1e200])
+    def test_conditions_reject_x0_the_sensitivity_cannot_square(self, x0):
+        # 1 / x0**2 would divide by zero or overflow inside stcsf
+        with pytest.raises(ValueError, match=r"ViewingConditions\.x0 = "):
+            ViewingConditions(luminance=20.0, x0=x0, ssr=7.0, slice_rate=25.0)
+
 
 @pytest.mark.oracle
 class TestAgainstArbitraryPrecision:

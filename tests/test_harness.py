@@ -287,39 +287,51 @@ class TestRunSweep:
         # a faint lesion keeps the AUCs off 1, so differing scores show
         spec = SweepSpec(axis, values)
         sequential = run_sweep(faint_dataset, spec, _small_config())
-        parallel = run_sweep(faint_dataset, spec,
-                             _small_config(**{"sweep.workers": 2}))
         assert all(0.5 < row.mean_auc < 1.0 for row in sequential)
-        # rows differ only in the fingerprint, which covers sweep.workers
-        assert [replace(row, config_hash="") for row in parallel] \
-            == [replace(row, config_hash="") for row in sequential]
-
-    def test_more_workers_than_cores_match_sequential(self, faint_dataset):
-        # seven uneven shards per pass, switching threads often: no shard
-        # may write over another's rows
-        spec = SweepSpec("l_max", (500.0, 1000.0))
-        sequential = run_sweep(faint_dataset, spec, _small_config())
+        # seven workers cut uneven shards; switching threads often tests
+        # that no shard writes over another's rows
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            parallel = run_sweep(faint_dataset, spec,
-                                 _small_config(**{"sweep.workers": 7}))
+            for workers in (2, 7):
+                parallel = run_sweep(
+                    faint_dataset, spec,
+                    _small_config(**{"sweep.workers": workers}))
+                # rows differ only in the fingerprint, which covers
+                # sweep.workers
+                assert [replace(row, config_hash="") for row in parallel] \
+                    == [replace(row, config_hash="") for row in sequential]
         finally:
             sys.setswitchinterval(interval)
-        assert [replace(row, config_hash="") for row in parallel] \
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_run_sequentially(self, faint_dataset,
+                                                workers):
+        # run first, so no freed buffer of a good sweep can stand in for
+        # responses that were never computed
+        spec = SweepSpec("slice_rate", (5.0, 25.0))
+        rows = run_sweep(faint_dataset, spec,
+                         _small_config(**{"sweep.workers": workers}))
+        sequential = run_sweep(faint_dataset, spec, _small_config())
+        assert [replace(row, config_hash="") for row in rows] \
             == [replace(row, config_hash="") for row in sequential]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failure_in_the_pass_names_axis_and_value(self, small_dataset,
                                                       workers):
-        # codes mapped onto a 1e308 cd/m2 display overflow the stack mean
+        # codes mapped onto a 1e308 cd/m2 display overflow the stack mean;
+        # at ssr 1e200 a 16-pixel image spans 1.6e-199 deg, whose square
+        # the sensitivity cannot divide by, while ssr 4 shares its pass
         config = _small_config(**{"sweep.workers": workers})
-        with pytest.raises(RuntimeError,
-                           match=r"sweep aborted at l_max = 1e\+308: "
-                                 r"ViewingConditions\.luminance"):
-            run_sweep(small_dataset, SweepSpec("l_max", (500.0, 1e308)),
-                      config)
+        for spec, match in [
+                (SweepSpec("l_max", (500.0, 1e308)),
+                 r"sweep aborted at l_max = 1e\+308: "
+                 r"ViewingConditions\.luminance"),
+                (SweepSpec("ssr", (4.0, 1e200)),
+                 r"sweep aborted at ssr = 1e\+200: ViewingConditions\.x0 = ")]:
+            with pytest.raises(RuntimeError, match=match):
+                run_sweep(small_dataset, spec, config)
 
     def test_parallel_sweep_needs_no_main_guard(self, tmp_path):
         # a sweep with workers is callable from a plain script's top level
