@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-from .csf import DEFAULT_CONSTANTS
 from .display import DisplayModel
 from .errors import FormatError
 from .stacks import GEOMETRY_PRESETS, LesionSpec, StackGeometry, \
@@ -180,7 +179,6 @@ def pipeline_from(config: dict) -> PipelineConfig:
     return PipelineConfig(display=display_from(config),
                           ssr=config["percept.ssr"],
                           slice_rate=config["percept.slice_rate"],
-                          csf_constants=DEFAULT_CONSTANTS,
                           foveal_mode=config["percept.foveal_mode"],
                           taper=config["percept.taper"],
                           n_channels=config["observer.n_channels"],

@@ -95,17 +95,19 @@ class ViewingConditions:
     ssr: float
     slice_rate: float
 
-    _X0_RANGE = (np.sqrt(np.finfo(float).tiny), np.sqrt(np.finfo(float).max))
+    # 1/x0**2 must be a normal float, and tau2's (1 + D/3.2)**5 finite for
+    # the field diameter D = 2 x0/sqrt(pi): x0 <= 3.2 (max**(1/5) - 1)
+    # sqrt(pi)/2 = 1.2695155680e62 deg, rounded down here to stay below it
+    _X0_RANGE = (np.sqrt(np.finfo(float).tiny), 1.2695e62)
 
     def __post_init__(self) -> None:
         for name in ("luminance", "x0", "ssr", "slice_rate"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
                 raise ValueError(f"ViewingConditions.{name} must be finite and > 0")
-        # the sensitivity divides by x0**2, which must be a normal float
         if not self._X0_RANGE[0] <= self.x0 <= self._X0_RANGE[1]:
             raise ValueError(f"ViewingConditions.x0 = {self.x0!r} deg is too "
-                             "extreme to square in double precision")
+                             "extreme for double precision")
 
     @classmethod
     def for_stack(cls, width_px: int, ssr: float, slice_rate: float,

@@ -36,10 +36,8 @@ __all__ = [
     "channelize_slices",
     "hotelling_template",
     "central_position",
-    "train_mscho_b",
     "train_mscho_from_responses",
     "score_responses",
-    "score_stack",
 ]
 
 COMBINERS = ("hotelling", "max", "mean")
@@ -75,7 +73,6 @@ class ChoModel:
     lesion-minus-healthy mean channel response.
     """
 
-    bank: ChannelBank
     template: np.ndarray
     mean_diff: np.ndarray
     cov: np.ndarray
@@ -143,8 +140,7 @@ def _condition_number(sym: np.ndarray) -> float:
     return hi / lo
 
 
-def hotelling_template(healthy_responses, lesion_responses,
-                       ridge_ladder=RIDGE_LADDER):
+def hotelling_template(healthy_responses, lesion_responses):
     """Hotelling discriminant from per-class response matrices.
 
     Inputs are (N, d) arrays, one sample per row.  Returns
@@ -172,7 +168,7 @@ def hotelling_template(healthy_responses, lesion_responses,
         raise TrainingError("zero covariance: all samples identical per class")
     ridge = 0.0
     if _condition_number(cov) > COND_LIMIT:
-        for fraction in ridge_ladder:
+        for fraction in RIDGE_LADDER:
             candidate = fraction * trace / d
             if _condition_number(cov + candidate * np.eye(d)) <= COND_LIMIT:
                 ridge = candidate
@@ -201,17 +197,9 @@ def central_position(slice_range, depth: int) -> int:
     return slice_range.index(central)
 
 
-def _as_stack(stack) -> np.ndarray:
-    if not (isinstance(stack, np.ndarray) and stack.ndim == 3):
-        raise ValueError(f"expected a W x H x K array, got "
-                         f"{type(stack).__name__} {np.shape(stack)}")
-    return stack
-
-
 def train_mscho_from_responses(resp_h, resp_l, central_pos: int,
-                               slice_range, combiner: str = "hotelling",
-                               bank: ChannelBank | None = None,
-                               ridge_ladder=RIDGE_LADDER) -> MsChoModel:
+                               slice_range,
+                               combiner: str = "hotelling") -> MsChoModel:
     """Train from precomputed channel responses.
 
     resp_h and resp_l are (N, m, n_channels) arrays over the m slices of
@@ -230,9 +218,9 @@ def train_mscho_from_responses(resp_h, resp_l, central_pos: int,
     if not 0 <= central_pos < m:
         raise ValueError("central_pos outside the slice range")
     template, mean_diff, cov, ridge = hotelling_template(
-        resp_h[:, central_pos, :], resp_l[:, central_pos, :], ridge_ladder)
-    stage1 = ChoModel(bank=bank, template=template, mean_diff=mean_diff,
-                      cov=cov, ridge=ridge)
+        resp_h[:, central_pos, :], resp_l[:, central_pos, :])
+    stage1 = ChoModel(template=template, mean_diff=mean_diff, cov=cov,
+                      ridge=ridge)
 
     stage2_weights = None
     stage2_ridge = None
@@ -244,32 +232,10 @@ def train_mscho_from_responses(resp_h, resp_l, central_pos: int,
             scores_h = resp_h @ template
             scores_l = resp_l @ template
             stage2_weights, _, _, stage2_ridge = hotelling_template(
-                scores_h, scores_l, ridge_ladder)
+                scores_h, scores_l)
     return MsChoModel(stage1=stage1, slice_range=tuple(int(s) for s in slice_range),
                       combiner=combiner, stage2_weights=stage2_weights,
                       stage2_ridge=stage2_ridge)
-
-
-def train_mscho_b(healthy_stacks, lesion_stacks, bank: ChannelBank,
-                  slice_range, combiner: str = "hotelling",
-                  ridge_ladder=RIDGE_LADDER) -> MsChoModel:
-    """Train the multi-slice observer on labeled W x H x K arrays: their
-    channel responses over slice_range, then train_mscho_from_responses.
-
-    slice_range must contain the central slice K//2 (stage 1 trains on it)
-    and stay within the stack depth (see central_position).
-    """
-    stacks_h = [_as_stack(s) for s in healthy_stacks]
-    stacks_l = [_as_stack(s) for s in lesion_stacks]
-    if not stacks_h or not stacks_l:
-        raise TrainingError("empty training class")
-    slice_range = tuple(int(s) for s in slice_range)
-    central_pos = central_position(slice_range, stacks_h[0].shape[2])
-    resp_h = np.array([channelize_slices(s, bank, slice_range) for s in stacks_h])
-    resp_l = np.array([channelize_slices(s, bank, slice_range) for s in stacks_l])
-    return train_mscho_from_responses(resp_h, resp_l, central_pos, slice_range,
-                                      combiner, bank=bank,
-                                      ridge_ladder=ridge_ladder)
 
 
 def score_responses(responses, model: MsChoModel) -> float:
@@ -284,9 +250,3 @@ def score_responses(responses, model: MsChoModel) -> float:
         return float(slice_scores.max())
     return float(slice_scores.mean())
 
-
-def score_stack(stack, model: MsChoModel) -> float:
-    """One scalar score for a W x H x K array of perceived amplitudes."""
-    resp = channelize_slices(_as_stack(stack), model.stage1.bank,
-                             model.slice_range)
-    return score_responses(resp, model)

@@ -257,7 +257,6 @@ class SpectralPlan:
     phase: np.ndarray
     geometries: dict
     foveal_mode: str
-    foveal_params: FovealParams
     bank: object
 
     def fits(self, shape, vcs, slices) -> bool:
@@ -268,7 +267,7 @@ class SpectralPlan:
                 and np.array_equal(np.asarray(slices), self.slices)
                 and all((vc.x0, vc.ssr) in self.geometries for vc in vcs))
 
-    def half_gains(self, vcs, constants: CsfConstants = DEFAULT_CONSTANTS):
+    def half_gains(self, vcs):
         """Transfer gain of each of vcs on the half grid folded in k3, a
         (K//2 + 1, W * (H//2 + 1)) array per point, one at a time; see
         weigh for the unfolding.
@@ -284,10 +283,10 @@ class SpectralPlan:
         rates = np.array([vc.slice_rate for vc in vcs], dtype=np.float64)
         w = np.abs(frequency_of_index(np.arange(n_sl // 2 + 1), n_sl,
                                       rates[:, None]))
-        optics = derive_optics(first, constants)
+        optics = derive_optics(first)
         # the radii are clamped already, and hypot(u, 0) is u exactly
         folded = transfer_gain(geometry.radii[None, None, :], 0.0,
-                               w[:, :, None], first, constants, optics=optics)
+                               w[:, :, None], first, optics=optics)
         for gain in folded:
             yield gain.take(geometry.gather, axis=1)
 
@@ -319,14 +318,13 @@ class SpectralPlan:
         return out * geometry.foveal[:, :, None]
 
 
-def _foveal_map(w_px: int, h_px: int, ssr: float, mode: str,
-                fp: FovealParams):
+def _foveal_map(w_px: int, h_px: int, ssr: float, mode: str):
     """Foveal weight of every pixel of a W x H plane viewed at ssr, with
     the viewing axis through the centre pixel (W//2, H//2)."""
     center = np.array([w_px // 2, h_px // 2], dtype=np.float64)
     rows, cols = np.meshgrid(np.arange(w_px), np.arange(h_px), indexing="ij")
     coords = np.stack([rows, cols], axis=-1).astype(np.float64)
-    return foveal_weight(pixel_eccentricity(coords, center, ssr), mode, fp)
+    return foveal_weight(pixel_eccentricity(coords, center, ssr), mode)
 
 
 def _channel_weights(bank, foveal):
@@ -356,7 +354,6 @@ def _channel_weights(bank, foveal):
 
 
 def spectral_plan(shape, vc, slices=None, *, foveal_mode: str = "none",
-                  foveal_params: FovealParams = DEFAULT_FOVEAL,
                   bank=None) -> SpectralPlan:
     """Plan the filtering of W x H x K stacks at the viewing conditions vc
     (one or a sequence), output at the given slices (all, in order, by
@@ -398,17 +395,17 @@ def spectral_plan(shape, vc, slices=None, *, foveal_mode: str = "none",
         radii, inverse = np.unique(u_eff.ravel(), return_inverse=True)
         gather = inverse.reshape(u_eff.shape)[fold1].ravel()
         foveal = None if foveal_mode == "none" else _foveal_map(
-            w_px, h_px, point.ssr, foveal_mode, foveal_params)
+            w_px, h_px, point.ssr, foveal_mode)
         channels = None if bank is None else _channel_weights(bank, foveal)
         geometries[point.x0, point.ssr] = _Geometry(
             radii=radii, gather=gather, foveal=foveal, channels=channels)
     return SpectralPlan(shape=(w_px, h_px, n_sl), slices=slices, phase=phase,
                         geometries=geometries, foveal_mode=foveal_mode,
-                        foveal_params=foveal_params, bank=bank)
+                        bank=bank)
 
 
-def filter_contrast(contrast_stack, vc, constants: CsfConstants = DEFAULT_CONSTANTS,
-                    *, slices=None, plan: SpectralPlan | None = None):
+def filter_contrast(contrast_stack, vc, *, slices=None,
+                    plan: SpectralPlan | None = None):
     """Linear core of the percept pipeline: scale every 3D frequency
     component of a contrast stack by the transfer gain at its frequency
     triple and transform back.
@@ -444,7 +441,7 @@ def filter_contrast(contrast_stack, vc, constants: CsfConstants = DEFAULT_CONSTA
         groups.setdefault((point.luminance, point.x0, point.ssr), []).append(i)
     outs = [None] * len(points)
     for members in groups.values():
-        gains = plan.half_gains([points[i] for i in members], constants)
+        gains = plan.half_gains([points[i] for i in members])
         for i, gain in zip(members, gains):
             half = plan.phase @ plan.weigh(spectrum, gain)
             outs[i] = plan.output(half, points[i])
@@ -455,9 +452,7 @@ def _as_list(vc) -> list:
     return list(vc) if isinstance(vc, (list, tuple)) else [vc]
 
 
-def apply_stcsf(lum_stack, vc, constants: CsfConstants = DEFAULT_CONSTANTS, *,
-                foveal_mode: str = "none",
-                foveal_params: FovealParams = DEFAULT_FOVEAL,
+def apply_stcsf(lum_stack, vc, *, foveal_mode: str = "none",
                 taper: bool = True, slices=None, bank=None,
                 plan: SpectralPlan | None = None):
     """Produce the perceived stack, in JND units, of a luminance stack.
@@ -492,10 +487,8 @@ def apply_stcsf(lum_stack, vc, constants: CsfConstants = DEFAULT_CONSTANTS, *,
                              f"width/ssr = {expected_x0!r}")
     if plan is None:
         plan = spectral_plan(arr.shape, points, slices,
-                             foveal_mode=foveal_mode,
-                             foveal_params=foveal_params, bank=bank)
-    elif (plan.foveal_mode, plan.foveal_params, plan.bank) \
-            != (foveal_mode, foveal_params, bank):
+                             foveal_mode=foveal_mode, bank=bank)
+    elif (plan.foveal_mode, plan.bank) != (foveal_mode, bank):
         raise ValueError("plan was built for another foveal weighting or "
                          "channel bank")
 
@@ -508,8 +501,7 @@ def apply_stcsf(lum_stack, vc, constants: CsfConstants = DEFAULT_CONSTANTS, *,
         contrast = contrast - contrast.mean()
     effective = [ViewingConditions(luminance=lum, x0=p.x0, ssr=p.ssr,
                                    slice_rate=p.slice_rate) for p in points]
-    outs = filter_contrast(contrast, effective, constants, slices=slices,
-                           plan=plan)
+    outs = filter_contrast(contrast, effective, slices=slices, plan=plan)
     if bank is None:
         outs = [PerceivedStack(data=out, vc=vc_eff, foveal_mode=foveal_mode)
                 for vc_eff, out in zip(effective, outs)]

@@ -67,8 +67,8 @@ class StackGeometry:
             raise ValueError("dimensions must be positive")
         if not (isinstance(self.bit_depth, int) and 1 <= self.bit_depth <= 16):
             raise ValueError("bit_depth must be an integer in 1..16")
-        if not self.slice_sep_mm > 0:
-            raise ValueError("slice separation must be positive")
+        if not 0 < self.slice_sep_mm < np.inf:
+            raise ValueError("slice separation must be positive and finite")
 
     @property
     def max_code(self) -> int:
@@ -120,12 +120,15 @@ class ImageStack:
         if data.size and int(data.max()) > geometry.max_code:
             raise ValueError(
                 f"code {int(data.max())} exceeds {self.bit_depth}-bit range")
-        if self.label == "healthy" and self.lesion_slices:
-            raise ValueError("healthy stacks cannot have affected slices")
-        if self.label == "lesion" and not self.source_id:
-            raise ValueError("lesion stacks must name their healthy source")
         object.__setattr__(self, "lesion_slices",
                            tuple(int(s) for s in self.lesion_slices))
+        if self.label == "healthy" and self.lesion_slices:
+            raise ValueError("healthy stacks cannot have affected slices")
+        if any(not 0 <= s < self.n_slices for s in self.lesion_slices):
+            raise ValueError(f"affected slices {self.lesion_slices} leave "
+                             f"the {self.n_slices} slices of the stack")
+        if self.label == "lesion" and not self.source_id:
+            raise ValueError("lesion stacks must name their healthy source")
 
     @property
     def geometry(self) -> StackGeometry:
@@ -366,13 +369,21 @@ def write_stack(stack: ImageStack, path) -> None:
 
 def _parse_header(text: str, header_path: str) -> dict:
     fields = {}
+    seen = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         if "=" not in line:
             raise FormatError(f"{header_path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in _HEADER_KEYS:
+            raise FormatError(f"{header_path}:{lineno}: unknown key {key!r}")
+        if key in seen:
+            raise FormatError(f"{header_path}:{lineno}: key {key!r} repeats "
+                              f"the one on line {seen[key]}")
+        seen[key] = lineno
+        fields[key] = value.strip()
     missing = [k for k in _HEADER_KEYS[:8] if k not in fields]
     if missing:
         raise FormatError(f"{header_path}: missing header keys {missing}")
@@ -382,9 +393,10 @@ def _parse_header(text: str, header_path: str) -> dict:
 def read_stack(path) -> ImageStack:
     """Read a stack written by write_stack, verifying the format.
 
-    Raises FormatError naming the header for geometry StackGeometry
-    rejects, before the payload is read, and naming the byte offset for
-    truncated payloads and out-of-range codes.
+    Raises FormatError naming the header for a malformed line, an unknown,
+    repeated or missing key, a non-numeric field, geometry StackGeometry
+    rejects (before the payload is read) and the rules of ImageStack, and
+    naming the byte offset for truncated payloads and out-of-range codes.
     """
     path = Path(path)
     header_path = str(path) + ".hdr"
@@ -403,11 +415,9 @@ def read_stack(path) -> ImageStack:
                                  bit_depth=bit_depth, slice_sep_mm=slice_sep)
     except ValueError as exc:
         raise FormatError(f"{header_path}: {exc}") from None
-    label = fields["label"]
-    if label not in LABELS:
-        raise FormatError(f"{header_path}: unknown label {label!r}")
-    lesion_slices = tuple(int(tok) for tok in fields["lesion_slices"].split(",")
-                          if tok.strip() != "")
+    # ImageStack reads the tokens as integers and checks them
+    lesion_slices = [tok for tok in fields["lesion_slices"].split(",")
+                     if tok.strip() != ""]
 
     payload = path.read_bytes()
     expected = width * height * n_slices * 2
@@ -424,12 +434,15 @@ def read_stack(path) -> ImageStack:
             f"{path}: code {int(flat[bad[0]])} at byte offset {offset} "
             f"exceeds the {geometry.bit_depth}-bit range")
     data = np.ascontiguousarray(codes.transpose(1, 2, 0)).astype(np.uint16)
-    return ImageStack(width=width, height=height, n_slices=n_slices,
-                      bit_depth=bit_depth, slice_sep_mm=slice_sep, data=data,
-                      stack_id=fields["stack_id"], label=label,
-                      lesion_slices=lesion_slices,
-                      source_id=fields.get("source_id", ""),
-                      provenance=fields.get("provenance", ""))
+    try:
+        return ImageStack(width=width, height=height, n_slices=n_slices,
+                          bit_depth=bit_depth, slice_sep_mm=slice_sep,
+                          data=data, stack_id=fields["stack_id"],
+                          label=fields["label"], lesion_slices=lesion_slices,
+                          source_id=fields.get("source_id", ""),
+                          provenance=fields.get("provenance", ""))
+    except ValueError as exc:
+        raise FormatError(f"{header_path}: {exc}") from None
 
 
 def write_dataset(dataset: Dataset, directory) -> Path:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.stats import rankdata
 
-from .csf import CsfConstants, DEFAULT_CONSTANTS, ViewingConditions
+from .csf import ViewingConditions
 from .display import DisplayModel
 from .errors import PlanError
 from .observer import (
@@ -46,13 +46,7 @@ from .observer import (
     score_responses,
     train_mscho_from_responses,
 )
-from .percept import (
-    DEFAULT_FOVEAL,
-    FOVEAL_MODES,
-    FovealParams,
-    apply_stcsf,
-    spectral_plan,
-)
+from .percept import FOVEAL_MODES, apply_stcsf, spectral_plan
 
 # channelize_slices is not called here (perceive_responses projects onto the
 # channels in the frequency domain); it stays imported because
@@ -103,9 +97,7 @@ class PipelineConfig:
     display: DisplayModel = DisplayModel()
     ssr: float = 7.0
     slice_rate: float = 25.0
-    csf_constants: CsfConstants = DEFAULT_CONSTANTS
     foveal_mode: str = "none"
-    foveal_params: FovealParams = DEFAULT_FOVEAL
     taper: bool = True
     n_channels: int = 15
     spread: float = 10.0
@@ -335,12 +327,11 @@ def perceive_responses(stacks, configs, slice_range) -> np.ndarray:
     vcs = [ViewingConditions.for_stack(shape[0], c.ssr, c.slice_rate, nominal)
            for c in configs]
     plan = spectral_plan(shape, vcs, slice_range,
-                         foveal_mode=config.foveal_mode,
-                         foveal_params=config.foveal_params, bank=bank)
+                         foveal_mode=config.foveal_mode, bank=bank)
     return np.array([apply_stcsf(
-        display.code_to_luminance(stack.data), vcs, config.csf_constants,
-        foveal_mode=config.foveal_mode, foveal_params=config.foveal_params,
-        taper=config.taper, slices=slice_range, bank=bank, plan=plan)
+        display.code_to_luminance(stack.data), vcs,
+        foveal_mode=config.foveal_mode, taper=config.taper,
+        slices=slice_range, bank=bank, plan=plan)
         for stack in stacks])
 
 

@@ -199,11 +199,21 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"ViewingConditions\.ssr"):
             ViewingConditions.for_stack(64, ssr, 25.0, 20.0)
 
-    @pytest.mark.parametrize("x0", [1e-200, 1e200])
+    @pytest.mark.parametrize("x0", [1e-200, 1e100, 1e200])
     def test_conditions_reject_x0_the_sensitivity_cannot_square(self, x0):
-        # 1 / x0**2 would divide by zero or overflow inside stcsf
+        # 1 / x0**2 would divide by zero or overflow inside stcsf, and from
+        # about 1.27e62 deg the (1 + D/3.2)**5 of tau2 overflows
         with pytest.raises(ValueError, match=r"ViewingConditions\.x0 = "):
             ViewingConditions(luminance=20.0, x0=x0, ssr=7.0, slice_rate=25.0)
+
+    def test_largest_x0_keeps_the_tau2_power_finite(self):
+        x0 = ViewingConditions._X0_RANGE[1]
+        ViewingConditions(luminance=20.0, x0=x0, ssr=7.0, slice_rate=25.0)
+        with np.errstate(over="raise"):
+            assert np.isfinite((1.0 + 2.0 * x0 / np.sqrt(np.pi) / 3.2) ** 5)
+        with pytest.raises(ValueError, match=r"ViewingConditions\.x0 = "):
+            ViewingConditions(luminance=20.0, x0=np.nextafter(x0, np.inf),
+                              ssr=7.0, slice_rate=25.0)
 
 
 @pytest.mark.oracle

@@ -322,14 +322,18 @@ class TestRunSweep:
                                                       workers):
         # codes mapped onto a 1e308 cd/m2 display overflow the stack mean;
         # at ssr 1e200 a 16-pixel image spans 1.6e-199 deg, whose square
-        # the sensitivity cannot divide by, while ssr 4 shares its pass
+        # the sensitivity cannot divide by, and at ssr 1e-61 it spans 1.6e62
+        # deg, past where tau2's power of the field size overflows; ssr 4
+        # shares their pass
         config = _small_config(**{"sweep.workers": workers})
         for spec, match in [
                 (SweepSpec("l_max", (500.0, 1e308)),
                  r"sweep aborted at l_max = 1e\+308: "
                  r"ViewingConditions\.luminance"),
                 (SweepSpec("ssr", (4.0, 1e200)),
-                 r"sweep aborted at ssr = 1e\+200: ViewingConditions\.x0 = ")]:
+                 r"sweep aborted at ssr = 1e\+200: ViewingConditions\.x0 = "),
+                (SweepSpec("ssr", (1e-61, 4.0)),
+                 r"sweep aborted at ssr = 1e-61: ViewingConditions\.x0 = ")]:
             with pytest.raises(RuntimeError, match=match):
                 run_sweep(small_dataset, spec, config)
 

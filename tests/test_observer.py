@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.stats import norm, rankdata
 
-from cinecho.csf import ViewingConditions
 from cinecho.errors import TrainingError
 from cinecho.observer import (
     COND_LIMIT,
@@ -14,11 +13,8 @@ from cinecho.observer import (
     hotelling_template,
     lg_channel_bank,
     score_responses,
-    score_stack,
-    train_mscho_b,
     train_mscho_from_responses,
 )
-from cinecho.percept import PerceivedStack
 
 
 def _mw_auc(healthy, lesion):
@@ -193,30 +189,47 @@ class TestHotellingTemplate:
         assert np.linalg.norm(template - ideal) <= 0.05 * np.linalg.norm(ideal)
 
 
-def _stage1_score(plane, model):
+def _train(healthy, lesion, bank, slice_range, combiner="hotelling"):
+    # the observer on W x H x K arrays: the channel responses of the slice
+    # range, then training in response space
+    central = central_position(slice_range, healthy[0].shape[2])
+    resp_h = np.array([channelize_slices(s, bank, slice_range) for s in healthy])
+    resp_l = np.array([channelize_slices(s, bank, slice_range) for s in lesion])
+    return train_mscho_from_responses(resp_h, resp_l, central, slice_range,
+                                      combiner)
+
+
+def _score(stack, bank, model):
+    # one scalar score for a W x H x K array
+    return score_responses(
+        channelize_slices(stack, bank, model.slice_range), model)
+
+
+def _stage1_score(plane, bank, model):
     # the stage-1 score of one W x H plane: template' * its channel response
-    return float(model.stage1.template @ _channelize(plane, model.stage1.bank))
+    return float(model.stage1.template @ _channelize(plane, bank))
 
 
 class TestScoreSlice:
+    BANK = lg_channel_bank(16, 16, n_channels=4)
+
     def _model(self):
         # one-slice stacks: stage 1 alone, trained on slice 0
         rng = np.random.default_rng(6)
-        bank = lg_channel_bank(16, 16, n_channels=4)
         healthy = [rng.normal(size=(16, 16, 1)) for _ in range(12)]
         lesion = [rng.normal(size=(16, 16, 1)) + 0.1 for _ in range(12)]
-        return train_mscho_b(healthy, lesion, bank, (0,))
+        return _train(healthy, lesion, self.BANK, (0,))
 
     def test_zero_slice_scores_zero(self):
         model = self._model()
-        assert _stage1_score(np.zeros((16, 16)), model) == 0.0
+        assert _stage1_score(np.zeros((16, 16)), self.BANK, model) == 0.0
 
     def test_affine_shift_is_uniform(self):
         rng = np.random.default_rng(7)
         model = self._model()
         slices = [rng.normal(size=(16, 16)) for _ in range(5)]
-        shifts = [_stage1_score(s + 5.0, model) - _stage1_score(s, model)
-                  for s in slices]
+        shifts = [_stage1_score(s + 5.0, self.BANK, model)
+                  - _stage1_score(s, self.BANK, model) for s in slices]
         assert np.allclose(shifts, shifts[0], rtol=1e-9)
 
     def test_class_mean_separation_nonnegative(self):
@@ -261,87 +274,51 @@ class TestMsCho:
         healthy, lesion = _toy_stacks(rng, 10)
         central = 7 // 2
         for combiner in ("hotelling", "max", "mean"):
-            model = train_mscho_b(healthy, lesion, bank, (central,), combiner)
+            model = _train(healthy, lesion, bank, (central,), combiner)
             probe = rng.normal(size=(16, 16, 7))
-            want = _stage1_score(probe[:, :, central], model)
-            assert score_stack(probe, model) == pytest.approx(want, rel=1e-12)
+            want = _stage1_score(probe[:, :, central], bank, model)
+            assert _score(probe, bank, model) == pytest.approx(want,
+                                                               rel=1e-12)
 
     def test_mean_combiner_on_identical_slices(self):
         rng = np.random.default_rng(9)
         bank = lg_channel_bank(16, 16, n_channels=4)
         healthy, lesion = _toy_stacks(rng, 10)
-        model = train_mscho_b(healthy, lesion, bank, (2, 3, 4), "mean")
+        model = _train(healthy, lesion, bank, (2, 3, 4), "mean")
         plane = rng.normal(size=(16, 16))
         probe = np.repeat(plane[:, :, None], 7, axis=2)
-        want = _stage1_score(plane, model)
-        assert score_stack(probe, model) == pytest.approx(want, rel=1e-12)
+        want = _stage1_score(plane, bank, model)
+        assert _score(probe, bank, model) == pytest.approx(want, rel=1e-12)
 
     def test_stage1_uses_central_slices_only(self):
         rng = np.random.default_rng(10)
         bank = lg_channel_bank(16, 16, n_channels=4)
         healthy, lesion = _toy_stacks(rng, 10)
-        base = train_mscho_b(healthy, lesion, bank, (2, 3, 4), "hotelling")
+        base = _train(healthy, lesion, bank, (2, 3, 4), "hotelling")
         central = 3
         corrupted_h = [s.copy() for s in healthy]
         corrupted_l = [s.copy() for s in lesion]
         for s in corrupted_h + corrupted_l:
             s[:, :, [k for k in range(7) if k != central]] += rng.normal(
                 size=(16, 16, 6))
-        redone = train_mscho_b(corrupted_h, corrupted_l, bank, (2, 3, 4),
-                               "hotelling")
+        redone = _train(corrupted_h, corrupted_l, bank, (2, 3, 4),
+                        "hotelling")
         assert np.array_equal(base.stage1.template, redone.stage1.template)
 
     def test_slice_range_must_include_central(self):
         rng = np.random.default_rng(11)
         bank = lg_channel_bank(16, 16, n_channels=4)
         healthy, lesion = _toy_stacks(rng, 10)
-        with pytest.raises(ValueError):
-            train_mscho_b(healthy, lesion, bank, (0, 1), "hotelling")
-
-    def test_stacks_must_be_arrays(self):
-        rng = np.random.default_rng(16)
-        bank = lg_channel_bank(16, 16, n_channels=4)
-        healthy, lesion = _toy_stacks(rng, 10)
-        vc = ViewingConditions.for_stack(16, 7.0, 25.0, 20.0)
-        wrapped = PerceivedStack(data=healthy[0], vc=vc, foveal_mode="none")
-        with pytest.raises(ValueError, match="W x H x K array"):
-            train_mscho_b([wrapped] + healthy[1:], lesion, bank, (2, 3, 4))
-        with pytest.raises(ValueError, match="W x H x K array"):
-            train_mscho_b([s[:, :, 3] for s in healthy], lesion, bank, (3,))
-        model = train_mscho_b(healthy, lesion, bank, (2, 3, 4))
-        with pytest.raises(ValueError, match="W x H x K array"):
-            score_stack(wrapped, model)
+        with pytest.raises(ValueError, match="misses the central slice 3"):
+            _train(healthy, lesion, bank, (0, 1), "hotelling")
 
     def test_all_zero_stack_scores_zero(self):
         rng = np.random.default_rng(12)
         bank = lg_channel_bank(16, 16, n_channels=4)
         healthy, lesion = _toy_stacks(rng, 10)
         for combiner in ("hotelling", "mean"):
-            model = train_mscho_b(healthy, lesion, bank, (2, 3, 4), combiner)
-            assert score_stack(np.zeros((16, 16, 7)), model) == 0.0
-
-    def test_score_stack_matches_response_path(self):
-        rng = np.random.default_rng(13)
-        bank = lg_channel_bank(16, 16, n_channels=4)
-        healthy, lesion = _toy_stacks(rng, 10)
-        model = train_mscho_b(healthy, lesion, bank, (2, 3, 4), "hotelling")
-        probe = rng.normal(size=(16, 16, 7))
-        resp = channelize_slices(probe, bank, model.slice_range)
-        assert score_stack(probe, model) == score_responses(resp, model)
-
-    def test_from_responses_equals_stack_training(self):
-        rng = np.random.default_rng(14)
-        bank = lg_channel_bank(16, 16, n_channels=4)
-        healthy, lesion = _toy_stacks(rng, 10)
-        srange = (2, 3, 4)
-        via_stacks = train_mscho_b(healthy, lesion, bank, srange, "hotelling")
-        resp_h = np.array([channelize_slices(s, bank, srange) for s in healthy])
-        resp_l = np.array([channelize_slices(s, bank, srange) for s in lesion])
-        via_resp = train_mscho_from_responses(resp_h, resp_l, 1, srange,
-                                              "hotelling", bank=bank)
-        assert np.array_equal(via_stacks.stage1.template,
-                              via_resp.stage1.template)
-        assert np.array_equal(via_stacks.stage2_weights, via_resp.stage2_weights)
+            model = _train(healthy, lesion, bank, (2, 3, 4), combiner)
+            assert _score(np.zeros((16, 16, 7)), bank, model) == 0.0
 
     @pytest.mark.oracle
     def test_gaussian_auc_matches_closed_form(self):

@@ -442,6 +442,66 @@ class TestStackIO:
         with pytest.raises(FormatError, match="key = value"):
             read_stack(path)
 
+    @pytest.mark.parametrize("label, edit, match", [
+        ("lesion", ("lesion_slices = 2,3,4,5,6", "lesion_slices = x"),
+         "invalid literal"),
+        ("lesion", ("lesion_slices = 2,3,4,5,6", "lesion_slices = 2,99"),
+         "affected slices"),
+        ("lesion", ("lesion_slices = 2,3,4,5,6", "lesion_slices = -1"),
+         "affected slices"),
+        ("lesion", ("source_id = h\n", ""), "source"),
+        ("healthy", ("lesion_slices = ", "lesion_slices = 2"), "affected"),
+        ("healthy", ("slice_sep_mm = 1.0", "slice_sep_mm = inf"),
+         "separation"),
+        ("healthy", ("provenance", "colour = red\nprovenance"),
+         "unknown key 'colour'"),
+        ("healthy", ("provenance", "width = 8\nprovenance"),
+         ":10: key 'width' repeats the one on line 1")])
+    def test_header_fault_names_the_header(self, tmp_path, label, edit,
+                                           match):
+        stack = generate_background(SMALL, 40, stack_id="h")
+        if label == "lesion":
+            stack = insert_lesion(stack, LesionSpec("microcalc", 40.0,
+                                                    diameter_px=4.0))
+        path = tmp_path / "fault.u16"
+        write_stack(stack, path)
+        hdr = path.with_name(path.name + ".hdr")
+        assert edit[0] in hdr.read_text()
+        hdr.write_text(hdr.read_text().replace(*edit))
+        with pytest.raises(FormatError, match=r"fault\.u16\.hdr\b.*" + match):
+            read_stack(path)
+
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data())
+    def test_any_one_line_edit_reads_back_or_raises_format_error(self, data):
+        stack = generate_background(SMALL, 41, stack_id="h")
+        if data.draw(st.booleans(), label="lesion"):
+            stack = insert_lesion(stack, LesionSpec("microcalc", 40.0,
+                                                    diameter_px=4.0))
+        text = st.text(st.characters(blacklist_categories=("Cs",)),
+                       max_size=20)
+        value = st.one_of(
+            text, st.integers(-20, 70000).map(str), st.floats().map(repr),
+            st.lists(st.integers(-3, 12), max_size=4).map(
+                lambda ints: ",".join(map(str, ints))))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.u16"
+            write_stack(stack, path)
+            hdr = path.with_name(path.name + ".hdr")
+            lines = hdr.read_text().splitlines()
+            keys = [ln.partition(" = ")[0] for ln in lines]
+            line = st.one_of(text, st.builds("{} = {}".format,
+                                             st.sampled_from(keys), value))
+            at = data.draw(st.integers(0, len(lines)), label="at")
+            replace_line = at < len(lines) and data.draw(st.booleans(),
+                                                         label="replace")
+            lines[at:at + replace_line] = [data.draw(line, label="line")]
+            hdr.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            try:
+                read_stack(path)
+            except FormatError:
+                pass
+
 
 class TestDataset:
     def _dataset(self, n_pairs=2, seed=99):
