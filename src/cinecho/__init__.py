@@ -10,8 +10,6 @@ estimate per trial.
 __version__ = "0.1.0"
 
 from .csf import (
-    CsfConstants,
-    DEFAULT_CONSTANTS,
     DerivedOptics,
     ViewingConditions,
     derive_optics,
@@ -27,8 +25,6 @@ from .errors import (
 )
 
 __all__ = [
-    "CsfConstants",
-    "DEFAULT_CONSTANTS",
     "DerivedOptics",
     "ViewingConditions",
     "derive_optics",

@@ -12,12 +12,11 @@
 from __future__ import annotations
 
 import hashlib
-from pathlib import Path
 
 from .display import DisplayModel
 from .errors import FormatError
 from .stacks import GEOMETRY_PRESETS, LesionSpec, StackGeometry, \
-    check_writable
+    check_writable, read_utf8
 from .trial import PipelineConfig
 
 __all__ = [
@@ -134,8 +133,7 @@ def load_config(path=None) -> dict:
     """Defaults overlaid with the file at path (None for pure defaults)."""
     if path is None:
         return dict(DEFAULTS)
-    path = Path(path)
-    return parse_config(path.read_text(encoding="utf-8"), source=str(path))
+    return parse_config(read_utf8(path), source=str(path))
 
 
 def _render(value) -> str:

@@ -13,6 +13,10 @@
 # temporal filters forced to unity the expression reduces exactly to the
 # spatial-only CSF.
 #
+# The model constants (k = K, eta = ETA, ...) are fixed module values, the
+# standard photopic set of Barten, "Contrast Sensitivity of the Human Eye"
+# (SPIE Press, 1999): a run varies the viewing conditions, never the model.
+#
 # Everything here is a pure function of immutable inputs and may be called
 # from any number of threads.  All evaluation is in double precision.
 # -----------------------------------------------------------------------------
@@ -24,10 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "CsfConstants",
     "ViewingConditions",
     "DerivedOptics",
-    "DEFAULT_CONSTANTS",
     "pupil_diameter",
     "retinal_illuminance",
     "optical_mtf",
@@ -40,44 +42,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CsfConstants:
-    """Model constants of the sensitivity formula.
-
-    Defaults are the standard photopic parameter set; constructing with
-    defaults is bit-reproducible.  k is the detection SNR threshold, eta the
-    quantum efficiency, phi0 the neural noise spectral density, x_max the
-    maximum integration angle (deg), n_max the maximum number of cycles,
-    t_int the integration time (s), p the photon conversion factor, sigma0
-    the neural line-spread standard deviation (arcmin), c_ab the chromatic
-    aberration coefficient (arcmin/mm), u0_lat the lateral-inhibition corner
-    frequency (cyc/deg), n1/n2 the temporal filter orders and tau10/tau20
-    their base time constants (s).
-    """
-
-    k: float = 3.0
-    eta: float = 0.03
-    phi0: float = 3e-8
-    x_max: float = 12.0
-    n_max: float = 15.0
-    t_int: float = 0.1
-    p: float = 1.285e6
-    sigma0: float = 0.5
-    c_ab: float = 0.08
-    u0_lat: float = 7.0
-    n1: int = 7
-    n2: int = 4
-    tau10: float = 32e-3
-    tau20: float = 18e-3
-
-    def __post_init__(self) -> None:
-        for name in ("k", "eta", "phi0", "x_max", "n_max", "t_int", "p",
-                     "sigma0", "c_ab", "u0_lat", "n1", "n2", "tau10", "tau20"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"CsfConstants.{name} must be strictly positive")
-
-
-DEFAULT_CONSTANTS = CsfConstants()
+# Model constants: the standard photopic parameter set
+K = 3.0          # detection SNR threshold
+ETA = 0.03       # quantum efficiency
+PHI0 = 3e-8      # neural noise spectral density (s deg^2)
+X_MAX = 12.0     # maximum integration angle (deg)
+N_MAX = 15.0     # maximum number of cycles
+T_INT = 0.1      # integration time (s)
+P = 1.285e6      # photon conversion factor (photons / (s deg^2 Td))
+SIGMA0 = 0.5     # neural line-spread standard deviation (arcmin)
+C_AB = 0.08      # chromatic aberration coefficient (arcmin/mm)
+U0_LAT = 7.0     # lateral-inhibition corner frequency (cyc/deg)
+N1 = 7           # order of the first temporal filter
+N2 = 4           # order of the second temporal filter
+TAU10 = 32e-3    # base time constant of the first temporal filter (s)
+TAU20 = 18e-3    # base time constant of the second temporal filter (s)
 
 
 @dataclass(frozen=True)
@@ -154,42 +133,49 @@ def retinal_illuminance(luminance: float, pupil_mm: float) -> float:
     return (np.pi * d * d * luminance / 4.0) * (1.0 - (d / 9.7) ** 2 + (d / 12.4) ** 4)
 
 
-def optical_mtf(u, pupil_mm: float, constants: CsfConstants = DEFAULT_CONSTANTS):
+def optical_mtf(u, pupil_mm: float):
     """Optical modulation transfer of the eye, a Gaussian in u:
 
     sigma = (1/60) * sqrt(sigma0^2 + (c_ab*d)^2)   [arcmin -> deg]
     M_opt(u) = exp(-2*(pi*sigma*u)^2)
     """
     u = np.asarray(u, dtype=float)
-    sigma = np.sqrt(constants.sigma0 ** 2 + (constants.c_ab * pupil_mm) ** 2) / 60.0
+    sigma = np.sqrt(SIGMA0 ** 2 + (C_AB * pupil_mm) ** 2) / 60.0
     return np.exp(-2.0 * (np.pi * sigma * u) ** 2)
 
 
-def lateral_inhibition(u, constants: CsfConstants = DEFAULT_CONSTANTS):
+def lateral_inhibition(u):
     """Low-frequency attenuation F(u) = 1 - sqrt(1 - exp(-(u/u0)^2)).
 
     F(0) = 1 exactly and F decreases to 0 with u.
     """
     u = np.asarray(u, dtype=float)
-    return 1.0 - np.sqrt(1.0 - np.exp(-((u / constants.u0_lat) ** 2)))
+    return 1.0 - np.sqrt(1.0 - np.exp(-((u / U0_LAT) ** 2)))
 
 
-def temporal_time_constants(retinal_troland: float, field_deg: float,
-                            constants: CsfConstants = DEFAULT_CONSTANTS) -> tuple[float, float]:
+def temporal_time_constants(retinal_troland: float,
+                            field_deg: float) -> tuple[float, float]:
     """Adapted time constants of the two temporal filters:
 
     tau1 = tau10 / (1 + 0.55*ln(1 + (1 + D)^0.6 * E/3.5))
     tau2 = tau20 / (1 + 0.37*ln(1 + (1 + D/3.2)^5 * E/120))
 
     Both shrink from their base values as retinal illuminance E grows.
+    Raises ValueError when (1 + D/3.2)^5 * E overflows, which would
+    otherwise collapse tau2 to 0.
     """
     if not retinal_troland > 0:
         raise ValueError("retinal illuminance must be positive")
     if not field_deg > 0:
         raise ValueError("field diameter must be positive")
     e, d = retinal_troland, field_deg
-    tau1 = constants.tau10 / (1.0 + 0.55 * np.log1p((1.0 + d) ** 0.6 * e / 3.5))
-    tau2 = constants.tau20 / (1.0 + 0.37 * np.log1p((1.0 + d / 3.2) ** 5 * e / 120.0))
+    tau1 = TAU10 / (1.0 + 0.55 * np.log1p((1.0 + d) ** 0.6 * e / 3.5))
+    with np.errstate(over="ignore"):
+        drive2 = (1.0 + np.float64(d) / 3.2) ** 5 * e
+    if not np.isfinite(drive2):
+        raise ValueError(f"(1 + D/3.2)^5 * E overflows at field diameter D = "
+                         f"{d:.6g} deg, retinal illuminance E = {e:.6g} Td")
+    tau2 = TAU20 / (1.0 + 0.37 * np.log1p(drive2 / 120.0))
     return float(tau1), float(tau2)
 
 
@@ -202,34 +188,29 @@ def temporal_filter(w, tau: float, order: int):
     return np.sqrt((1.0 + (2.0 * np.pi * tau * w) ** 2) ** (-float(order)))
 
 
-def derive_optics(vc: ViewingConditions,
-                  constants: CsfConstants = DEFAULT_CONSTANTS) -> DerivedOptics:
+def derive_optics(vc: ViewingConditions) -> DerivedOptics:
     """Chain the luminance-dependent sub-models for the given conditions."""
     d = pupil_diameter(vc.luminance, vc.x0)
     e = retinal_illuminance(vc.luminance, d)
     field = 2.0 * vc.x0 / np.sqrt(np.pi)  # equivalent field diameter D
-    tau1, tau2 = temporal_time_constants(e, field, constants)
+    tau1, tau2 = temporal_time_constants(e, field)
     return DerivedOptics(pupil_mm=d, retinal_troland=e, tau1=tau1, tau2=tau2)
 
 
-def _sensitivity(u, h1, h2, vc: ViewingConditions, constants: CsfConstants,
-                 optics: DerivedOptics):
-    c = constants
+def _sensitivity(u, h1, h2, vc: ViewingConditions, optics: DerivedOptics):
     u = np.asarray(u, dtype=float)
-    m_opt = optical_mtf(u, optics.pupil_mm, c)
-    f = lateral_inhibition(u, c)
-    spatial = 1.0 / vc.x0 ** 2 + 1.0 / c.x_max ** 2 + (u / c.n_max) ** 2
+    m_opt = optical_mtf(u, optics.pupil_mm)
+    f = lateral_inhibition(u)
+    spatial = 1.0 / vc.x0 ** 2 + 1.0 / X_MAX ** 2 + (u / N_MAX) ** 2
     # at u=0, w=0 lateral inhibition cancels the signal entirely: the noise
     # term diverges and the sensitivity limit is exactly 0
     with np.errstate(divide="ignore"):
-        noise = 1.0 / (c.eta * c.p * optics.retinal_troland) \
-            + c.phi0 / (h1 * (1.0 - h2 * f)) ** 2
-        return m_opt / (c.k * np.sqrt((2.0 / c.t_int) * spatial * noise))
+        noise = 1.0 / (ETA * P * optics.retinal_troland) \
+            + PHI0 / (h1 * (1.0 - h2 * f)) ** 2
+        return m_opt / (K * np.sqrt((2.0 / T_INT) * spatial * noise))
 
 
-def stcsf(u, w, vc: ViewingConditions,
-          constants: CsfConstants = DEFAULT_CONSTANTS,
-          optics: DerivedOptics | None = None,
+def stcsf(u, w, vc: ViewingConditions, optics: DerivedOptics | None = None,
           temporal_filters: bool = True):
     """Contrast sensitivity at spatial frequency u (cyc/deg) and temporal
     frequency w (cyc/s) under the given viewing conditions.
@@ -240,19 +221,17 @@ def stcsf(u, w, vc: ViewingConditions,
     ``optics`` may be passed to reuse a precomputed derivation.
     """
     if optics is None:
-        optics = derive_optics(vc, constants)
+        optics = derive_optics(vc)
     if temporal_filters:
         w = np.asarray(w, dtype=float)
-        h1 = temporal_filter(w, optics.tau1, constants.n1)
-        h2 = temporal_filter(w, optics.tau2, constants.n2)
+        h1 = temporal_filter(w, optics.tau1, N1)
+        h2 = temporal_filter(w, optics.tau2, N2)
     else:
         h1 = 1.0
         h2 = 1.0
-    return _sensitivity(u, h1, h2, vc, constants, optics)
+    return _sensitivity(u, h1, h2, vc, optics)
 
 
-def spatial_csf(u, vc: ViewingConditions,
-                constants: CsfConstants = DEFAULT_CONSTANTS,
-                optics: DerivedOptics | None = None):
+def spatial_csf(u, vc: ViewingConditions, optics: DerivedOptics | None = None):
     """Spatial-only sensitivity: stcsf with both temporal filters at unity."""
-    return stcsf(u, 0.0, vc, constants, optics, temporal_filters=False)
+    return stcsf(u, 0.0, vc, optics, temporal_filters=False)

@@ -25,6 +25,7 @@ import numpy as np
 from .config import config_hash, pipeline_from
 from .csf import ViewingConditions
 from .errors import FormatError
+from .stacks import read_utf8
 from .trial import (
     PipelineConfig,
     TrialPlan,
@@ -241,7 +242,7 @@ def _read_csv(path, header: str, parse) -> list:
     Raises FormatError, naming path:line for a wrong field count or for
     fields parse rejects with ValueError (a non-numeric one, say)."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(path).splitlines()
     if not lines or lines[0] != header:
         raise FormatError(f"{path}: expected header {header!r}")
     n_fields = header.count(",") + 1

@@ -24,6 +24,7 @@ import numpy as np
 from scipy.special import eval_laguerre
 
 from .errors import TrainingError
+from .stacks import centre_offsets
 
 __all__ = [
     "COMBINERS",
@@ -102,8 +103,7 @@ def lg_channel_bank(width: int, height: int, n_channels: int = 15,
         raise ValueError("need at least one channel")
     if not spread > 0:
         raise ValueError("spread must be positive")
-    rows = np.arange(width, dtype=np.float64) - width // 2
-    cols = np.arange(height, dtype=np.float64) - height // 2
+    rows, cols = centre_offsets(width, height)
     r2 = rows[:, None] ** 2 + cols[None, :] ** 2
     x = 2.0 * np.pi * r2 / (spread * spread)
     envelope = np.exp(-0.5 * x)

@@ -46,7 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
-from .csf import CsfConstants, DEFAULT_CONSTANTS, ViewingConditions, derive_optics, stcsf
+from .csf import ViewingConditions, derive_optics, stcsf
+from .stacks import centre_offsets
 
 __all__ = [
     "FOVEAL_MODES",
@@ -57,7 +58,6 @@ __all__ = [
     "taper_margins",
     "frequency_of_index",
     "transfer_gain",
-    "pixel_eccentricity",
     "foveal_weight",
     "SpectralPlan",
     "spectral_plan",
@@ -77,8 +77,8 @@ class FovealParams:
     -sum(b[i] * q**i) in q = -1/(alpha + 0.1); beyond it the curve is flat
     at ``floor``.  ``hard_cutoff_deg`` is the radius used by the hard mode,
     which zeroes everything at or beyond it.  The defaults are a tight fit
-    to the standard relative acuity curve; the two pieces must agree at the
-    threshold to within 1e-3.
+    to the standard relative acuity curve; the two pieces agree at the
+    threshold to within 1e-3.  DEFAULT_FOVEAL is the one instance.
     """
 
     threshold_deg: float = 63.5780
@@ -87,18 +87,6 @@ class FovealParams:
                 55.8322547230034, 58.6385398078192, 19.7119376682204,
                 1.43849397325222)
     hard_cutoff_deg: float = 7.0
-
-    def __post_init__(self) -> None:
-        if not (self.threshold_deg > 0 and self.floor > 0
-                and self.hard_cutoff_deg > 0):
-            raise ValueError("FovealParams scalars must be positive")
-        if len(self.b) != 7:
-            raise ValueError("expected 7 polynomial coefficients")
-        at_threshold = self._poly(np.float64(self.threshold_deg))
-        if abs(at_threshold - self.floor) > 1e-3:
-            raise ValueError(
-                f"polynomial value {at_threshold:.6g} at the threshold does not "
-                f"meet the floor {self.floor} within 1e-3")
 
     def _poly(self, alpha):
         q = -1.0 / (alpha + 0.1)
@@ -172,8 +160,7 @@ def _effective_frequency(u1, u2, x0: float):
     return np.maximum(np.hypot(u1, u2), 1.0 / (2.0 * x0))
 
 
-def transfer_gain(u1, u2, w, vc: ViewingConditions,
-                  constants: CsfConstants = DEFAULT_CONSTANTS, optics=None):
+def transfer_gain(u1, u2, w, vc: ViewingConditions, optics=None):
     """Amplitude gain S(u_eff, w)/L turning contrast amplitude into JNDs.
 
     u_eff is the radial spatial frequency hypot(u1, u2), clamped from
@@ -185,24 +172,10 @@ def transfer_gain(u1, u2, w, vc: ViewingConditions,
     u1 = np.asarray(u1, dtype=np.float64)
     u2 = np.asarray(u2, dtype=np.float64)
     u_eff = _effective_frequency(u1, u2, vc.x0)
-    return stcsf(u_eff, w, vc, constants, optics=optics) / vc.luminance
+    return stcsf(u_eff, w, vc, optics=optics) / vc.luminance
 
 
-def pixel_eccentricity(px, center, ssr: float):
-    """Eccentricity in degrees of a pixel from the viewing axis.
-
-    Flat-field small-angle approximation: euclidean pixel distance divided
-    by the sampling rate ssr (pixel/deg).  px and center are (row, col)
-    coordinates; arrays broadcast over leading axes.
-    """
-    if not ssr > 0:
-        raise ValueError("ssr must be positive")
-    px = np.asarray(px, dtype=np.float64)
-    center = np.asarray(center, dtype=np.float64)
-    return np.hypot(px[..., 0] - center[..., 0], px[..., 1] - center[..., 1]) / ssr
-
-
-def foveal_weight(alpha, mode: str, fp: FovealParams = DEFAULT_FOVEAL):
+def foveal_weight(alpha, mode: str):
     """Acuity weight for eccentricity alpha (deg) under the given mode.
 
     none: 1 everywhere.  hard: 1 inside the cutoff radius, 0 at and
@@ -220,9 +193,10 @@ def foveal_weight(alpha, mode: str, fp: FovealParams = DEFAULT_FOVEAL):
     if mode == "none":
         return np.ones_like(alpha)
     if mode == "hard":
-        return np.where(alpha >= fp.hard_cutoff_deg, 0.0, 1.0)
+        return np.where(alpha >= DEFAULT_FOVEAL.hard_cutoff_deg, 0.0, 1.0)
     if mode == "soft":
-        return np.where(alpha > fp.threshold_deg, fp.floor, fp._poly(alpha))
+        return np.where(alpha > DEFAULT_FOVEAL.threshold_deg,
+                        DEFAULT_FOVEAL.floor, DEFAULT_FOVEAL._poly(alpha))
     raise ValueError(f"foveal mode must be one of {FOVEAL_MODES}")
 
 
@@ -318,15 +292,6 @@ class SpectralPlan:
         return out * geometry.foveal[:, :, None]
 
 
-def _foveal_map(w_px: int, h_px: int, ssr: float, mode: str):
-    """Foveal weight of every pixel of a W x H plane viewed at ssr, with
-    the viewing axis through the centre pixel (W//2, H//2)."""
-    center = np.array([w_px // 2, h_px // 2], dtype=np.float64)
-    rows, cols = np.meshgrid(np.arange(w_px), np.arange(h_px), indexing="ij")
-    coords = np.stack([rows, cols], axis=-1).astype(np.float64)
-    return foveal_weight(pixel_eccentricity(coords, center, ssr), mode)
-
-
 def _channel_weights(bank, foveal):
     """The (foveally weighted) channel templates as weights on the real
     view of flattened half planes.
@@ -383,6 +348,10 @@ def spectral_plan(shape, vc, slices=None, *, foveal_mode: str = "none",
                    / n_sl) / n_sl
     k1 = np.arange(w_px)
     fold1 = np.minimum(k1, w_px - k1)
+    # pixel distance from the viewing axis through the centre pixel; over
+    # ssr (pixel/deg) it is the flat-field small-angle eccentricity
+    rows, cols = centre_offsets(w_px, h_px)
+    distance = np.hypot(rows[:, None], cols[None, :])
     geometries = {}
     for point in _as_list(vc):
         if (point.x0, point.ssr) in geometries:
@@ -394,8 +363,8 @@ def spectral_plan(shape, vc, slices=None, *, foveal_mode: str = "none",
         u_eff = _effective_frequency(u1[:, None], u2[None, :], point.x0)
         radii, inverse = np.unique(u_eff.ravel(), return_inverse=True)
         gather = inverse.reshape(u_eff.shape)[fold1].ravel()
-        foveal = None if foveal_mode == "none" else _foveal_map(
-            w_px, h_px, point.ssr, foveal_mode)
+        foveal = None if foveal_mode == "none" else foveal_weight(
+            distance / point.ssr, foveal_mode)
         channels = None if bank is None else _channel_weights(bank, foveal)
         geometries[point.x0, point.ssr] = _Geometry(
             radii=radii, gather=gather, foveal=foveal, channels=channels)

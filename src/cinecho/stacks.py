@@ -19,6 +19,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -34,6 +35,7 @@ __all__ = [
     "ImageStack",
     "LesionSpec",
     "Dataset",
+    "centre_offsets",
     "generate_background",
     "lesion_profile",
     "insert_lesion",
@@ -234,6 +236,14 @@ def generate_background(geometry: StackGeometry, seed,
                       stack_id=stack_id, label="healthy", provenance=provenance)
 
 
+def centre_offsets(width: int, height: int):
+    """Row and column offsets, in pixels, of a width x height grid from its
+    centre pixel (width//2, height//2): the point where lesions are
+    inserted, channels are centred and the viewing axis passes."""
+    return (np.arange(width, dtype=np.float64) - width // 2,
+            np.arange(height, dtype=np.float64) - height // 2)
+
+
 def lesion_profile(spec: LesionSpec, geometry: StackGeometry):
     """The separable lesion shape on the given grid.
 
@@ -244,8 +254,7 @@ def lesion_profile(spec: LesionSpec, geometry: StackGeometry):
     """
     if spec.diameter_px > min(geometry.width, geometry.height):
         raise ValueError("lesion diameter exceeds the image")
-    rows = np.arange(geometry.width, dtype=np.float64) - geometry.width // 2
-    cols = np.arange(geometry.height, dtype=np.float64) - geometry.height // 2
+    rows, cols = centre_offsets(geometry.width, geometry.height)
     r = np.hypot(rows[:, None], cols[None, :])
     disc = (r <= spec.diameter_px / 2.0).astype(np.float64)
     inplane = gaussian_filter(disc, sigma=spec.diameter_px / 8.0,
@@ -367,6 +376,16 @@ def write_stack(stack: ImageStack, path) -> None:
                                         encoding="utf-8")
 
 
+def read_utf8(path) -> str:
+    """The text of the file at path, newlines untouched.  Raises
+    FormatError naming the file if its bytes are not UTF-8."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc.reason} at byte "
+                          f"{exc.start}") from None
+
+
 def _parse_header(text: str, header_path: str) -> dict:
     fields = {}
     seen = {}
@@ -400,8 +419,7 @@ def read_stack(path) -> ImageStack:
     """
     path = Path(path)
     header_path = str(path) + ".hdr"
-    fields = _parse_header(Path(header_path).read_text(encoding="utf-8"),
-                           header_path)
+    fields = _parse_header(read_utf8(header_path), header_path)
     try:
         width = int(fields["width"])
         height = int(fields["height"])
@@ -467,13 +485,12 @@ def read_dataset(manifest_path) -> Dataset:
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.csv"
-    with open(manifest_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["stack_id", "path", "label", "source_id"]:
-            raise FormatError(f"{manifest_path}: unexpected manifest header "
-                              f"{header}")
-        rows = list(reader)
+    reader = csv.reader(io.StringIO(read_utf8(manifest_path), newline=""))
+    header = next(reader, None)
+    if header != ["stack_id", "path", "label", "source_id"]:
+        raise FormatError(f"{manifest_path}: unexpected manifest header "
+                          f"{header}")
+    rows = list(reader)
     stacks = []
     for row in rows:
         if len(row) != 4:

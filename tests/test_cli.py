@@ -1,9 +1,11 @@
 import pytest
 
 from cinecho.cli import main
+from cinecho.config import load_config
 from cinecho.csf import ViewingConditions, stcsf
-from cinecho.harness import read_rows_csv
-from cinecho.stacks import read_dataset
+from cinecho.errors import FormatError
+from cinecho.harness import read_overlay_csv, read_rows_csv
+from cinecho.stacks import read_dataset, read_stack
 
 # small but complete run: 18 pairs of dataset_b stacks, 2 readers,
 # a 3-channel observer, and a strong lesion so AUC is away from chance;
@@ -176,6 +178,13 @@ class TestErrors:
         assert "rows.csv:3: could not convert string to float" \
             in capsys.readouterr().err
 
+    def test_non_utf8_results_file_is_named(self, tmp_path, capsys):
+        results = tmp_path / "latin1.csv"
+        results.write_bytes(b"axis,mean_auc,auc_stddev,n_readers,seed,"
+                            b"config_hash\n1,0.5,0.1,2,9,caf\xe9\n")
+        assert main(["plot", str(results), "--out", str(tmp_path)]) == 2
+        assert f"error: {results}: not UTF-8 text" in capsys.readouterr().err
+
     def test_missing_out_flag_exits(self):
         with pytest.raises(SystemExit):
             main(["run-trial"])
@@ -183,3 +192,26 @@ class TestErrors:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate", "--out", "x"])
+
+
+# each reader of a text file, with the file it reads: (reader, name,
+# argument given the written file's path)
+TEXT_READERS = [
+    (read_stack, "stack.u16.hdr", lambda p: p.with_suffix("")),
+    (read_dataset, "manifest.csv", lambda p: p),
+    (load_config, "config.txt", lambda p: p),
+    (read_rows_csv, "rows.csv", lambda p: p),
+    (read_overlay_csv, "overlay.csv", lambda p: p),
+]
+
+
+@pytest.mark.parametrize("reader, name, argument", TEXT_READERS,
+                         ids=[r[0].__name__ for r in TEXT_READERS])
+def test_non_utf8_text_raises_format_error_naming_the_file(
+        reader, name, argument, tmp_path):
+    path = tmp_path / name
+    path.write_bytes(b"label = caf\xe9\n")
+    with pytest.raises(FormatError) as caught:
+        reader(argument(path))
+    assert str(caught.value) == (f"{path}: not UTF-8 text: invalid "
+                                 f"continuation byte at byte 11")

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from cinecho.csf import (
-    CsfConstants,
-    DEFAULT_CONSTANTS,
+    TAU10,
+    TAU20,
     ViewingConditions,
     derive_optics,
     lateral_inhibition,
@@ -103,8 +103,8 @@ class TestTemporalFilters:
         d = 2.0 * 2.5 / np.sqrt(np.pi)
         t1_lo, t2_lo = temporal_time_constants(10.0, d)
         t1_hi, t2_hi = temporal_time_constants(1000.0, d)
-        assert t1_hi < t1_lo < DEFAULT_CONSTANTS.tau10
-        assert t2_hi < t2_lo < DEFAULT_CONSTANTS.tau20
+        assert t1_hi < t1_lo < TAU10
+        assert t2_hi < t2_lo < TAU20
 
     def test_filter_dc_and_decay(self):
         assert float(temporal_filter(0.0, 0.01, 7)) == 1.0
@@ -178,12 +178,6 @@ class TestSensitivity:
 
 
 class TestValidation:
-    def test_constants_reject_nonpositive(self):
-        with pytest.raises(ValueError):
-            CsfConstants(k=0.0)
-        with pytest.raises(ValueError):
-            CsfConstants(eta=-0.03)
-
     def test_conditions_reject_nonpositive(self):
         with pytest.raises(ValueError):
             ViewingConditions(luminance=0.0, x0=2.5, ssr=7.0, slice_rate=25.0)
@@ -215,6 +209,19 @@ class TestValidation:
             ViewingConditions(luminance=20.0, x0=np.nextafter(x0, np.inf),
                               ssr=7.0, slice_rate=25.0)
 
+    @pytest.mark.parametrize("lum, x0", [(20.0, 6e61), (1e4, 3e61)])
+    def test_tau2_overflow_names_d_and_e(self, lum, x0):
+        # x0 is accepted, but (1 + D/3.2)**5 times E leaves double range;
+        # tau2 must not silently become 0
+        vc = ViewingConditions(luminance=lum, x0=x0, ssr=7.0, slice_rate=25.0)
+        with pytest.raises(ValueError, match=r"overflows at field diameter "
+                           r"D = \S+ deg, retinal illuminance E = \S+ Td"):
+            derive_optics(vc)
+
+    def test_tau2_below_the_overflow_is_unchanged(self):
+        vc = ViewingConditions(luminance=20.0, x0=5e61, ssr=7.0, slice_rate=25.0)
+        assert derive_optics(vc).tau2 == 6.879666420023998e-05
+
 
 @pytest.mark.oracle
 class TestAgainstArbitraryPrecision:
@@ -224,7 +231,13 @@ class TestAgainstArbitraryPrecision:
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 50
 
-        c = DEFAULT_CONSTANTS
+        # the standard photopic constants, spelled out here rather than read
+        # from cinecho.csf so the oracle shares nothing with the code
+        k, eta, phi0 = mp.mpf(3), mp.mpf("0.03"), mp.mpf("3e-8")
+        x_max, n_max, t_int = mp.mpf(12), mp.mpf(15), mp.mpf("0.1")
+        p, sigma0, c_ab = mp.mpf("1.285e6"), mp.mpf("0.5"), mp.mpf("0.08")
+        u0_lat, n1, n2 = mp.mpf(7), 7, 4
+        tau10, tau20 = mp.mpf("0.032"), mp.mpf("0.018")
 
         def s_ref(u, w, lum, x0):
             u, w, lum, x0 = map(mp.mpf, (u, w, lum, x0))
@@ -232,19 +245,18 @@ class TestAgainstArbitraryPrecision:
             e = (mp.pi * d ** 2 * lum / 4) * (1 - (d / mp.mpf("9.7")) ** 2
                                               + (d / mp.mpf("12.4")) ** 4)
             dd = 2 * x0 / mp.sqrt(mp.pi)
-            tau1 = mp.mpf(c.tau10) / (1 + mp.mpf("0.55")
+            tau1 = tau10 / (1 + mp.mpf("0.55")
                                       * mp.log(1 + (1 + dd) ** mp.mpf("0.6") * e / mp.mpf("3.5")))
-            tau2 = mp.mpf(c.tau20) / (1 + mp.mpf("0.37")
+            tau2 = tau20 / (1 + mp.mpf("0.37")
                                       * mp.log(1 + (1 + dd / mp.mpf("3.2")) ** 5 * e / 120))
-            h1 = mp.sqrt((1 + (2 * mp.pi * tau1 * w) ** 2) ** (-c.n1))
-            h2 = mp.sqrt((1 + (2 * mp.pi * tau2 * w) ** 2) ** (-c.n2))
-            sigma = mp.sqrt(mp.mpf(c.sigma0) ** 2 + (mp.mpf(c.c_ab) * d) ** 2) / 60
+            h1 = mp.sqrt((1 + (2 * mp.pi * tau1 * w) ** 2) ** (-n1))
+            h2 = mp.sqrt((1 + (2 * mp.pi * tau2 * w) ** 2) ** (-n2))
+            sigma = mp.sqrt(sigma0 ** 2 + (c_ab * d) ** 2) / 60
             m_opt = mp.e ** (-2 * (mp.pi * sigma * u) ** 2)
-            f = 1 - mp.sqrt(1 - mp.e ** (-((u / c.u0_lat) ** 2)))
-            spatial = 1 / x0 ** 2 + 1 / mp.mpf(c.x_max) ** 2 + (u / c.n_max) ** 2
-            noise = 1 / (mp.mpf(c.eta) * mp.mpf(c.p) * e) \
-                + mp.mpf(c.phi0) / (h1 * (1 - h2 * f)) ** 2
-            return m_opt / (c.k * mp.sqrt((2 / mp.mpf(c.t_int)) * spatial * noise))
+            f = 1 - mp.sqrt(1 - mp.e ** (-((u / u0_lat) ** 2)))
+            spatial = 1 / x0 ** 2 + 1 / x_max ** 2 + (u / n_max) ** 2
+            noise = 1 / (eta * p * e) + phi0 / (h1 * (1 - h2 * f)) ** 2
+            return m_opt / (k * mp.sqrt((2 / t_int) * spatial * noise))
 
         rng = np.random.default_rng(20260819)
         for _ in range(25):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cinecho.csf import DEFAULT_CONSTANTS, ViewingConditions
+from cinecho.csf import ViewingConditions
 from cinecho.display import DisplayModel
 from cinecho.observer import channelize_slices, lg_channel_bank
 from cinecho.percept import (
@@ -24,7 +24,6 @@ from cinecho.percept import (
     foveal_weight,
     frequency_of_index,
     mean_luminance,
-    pixel_eccentricity,
     spectral_plan,
     taper_margins,
     transfer_gain,
@@ -43,14 +42,14 @@ pytestmark = pytest.mark.oracle
 RTOL = 1e-12
 
 
-def reference_filter(contrast, vc, constants=DEFAULT_CONSTANTS):
+def reference_filter(contrast, vc):
     """Full-grid gain, complex fftn/ifftn, real part."""
     w_px, h_px, n_sl = contrast.shape
     u1 = frequency_of_index(np.arange(w_px), w_px, vc.ssr)
     u2 = frequency_of_index(np.arange(h_px), h_px, vc.ssr)
     w = frequency_of_index(np.arange(n_sl), n_sl, vc.slice_rate)
     gain = transfer_gain(u1[:, None, None], u2[None, :, None],
-                         w[None, None, :], vc, constants)
+                         w[None, None, :], vc)
     back = np.fft.ifftn(np.fft.fftn(contrast) * gain, norm="forward")
     return (back / contrast.size).real
 
@@ -66,9 +65,7 @@ def reference_perceive(lum, vc, *, taper, foveal_mode):
     out = reference_filter(contrast, vc_eff)
     w_px, h_px, _ = lum.shape
     rows, cols = np.meshgrid(np.arange(w_px), np.arange(h_px), indexing="ij")
-    coords = np.stack([rows, cols], axis=-1).astype(np.float64)
-    alpha = pixel_eccentricity(coords, np.array([w_px // 2, h_px // 2]),
-                               vc.ssr)
+    alpha = np.hypot(rows - w_px // 2, cols - h_px // 2) / vc.ssr
     return out * foveal_weight(alpha, foveal_mode)[:, :, None]
 
 

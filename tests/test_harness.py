@@ -23,7 +23,8 @@ from cinecho.harness import (
     read_rows_csv,
     run_sweep,
 )
-from cinecho.stacks import LesionSpec, StackGeometry, generate_dataset
+from cinecho.stacks import GEOMETRY_PRESETS, LesionSpec, StackGeometry, \
+    generate_dataset
 from cinecho.trial import PipelineConfig, run_trial, split_dataset
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -336,6 +337,20 @@ class TestRunSweep:
                  r"sweep aborted at ssr = 1e-61: ViewingConditions\.x0 = ")]:
             with pytest.raises(RuntimeError, match=match):
                 run_sweep(small_dataset, spec, config)
+
+    def test_tau2_overflow_aborts_with_its_own_message(self):
+        # a 64-pixel image at 1.1e-60 px/deg spans 5.8e61 deg, inside the
+        # x0 range, but (1 + D/3.2)**5 * E of tau2 overflows at the
+        # display's luminance; tau2 used to fall to 0 with a warning and
+        # training then failed on a zero covariance
+        dataset = generate_dataset(GEOMETRY_PRESETS["dataset_b"], 64,
+                                   LESION, seed=4)
+        with pytest.raises(RuntimeError,
+                           match=r"sweep aborted at ssr = 1\.1e-60: "
+                                 r"\(1 \+ D/3\.2\)\^5 \* E overflows at "
+                                 r"field diameter D = "):
+            run_sweep(dataset, SweepSpec("ssr", (1.1e-60, 4.0)),
+                      dict(DEFAULTS))
 
     def test_parallel_sweep_needs_no_main_guard(self, tmp_path):
         # a sweep with workers is callable from a plain script's top level

@@ -11,16 +11,20 @@ from cinecho.csf import ViewingConditions
 from cinecho.observer import lg_channel_bank
 from cinecho.percept import (
     DEFAULT_FOVEAL,
-    FovealParams,
     apply_stcsf,
     filter_contrast,
     foveal_weight,
     frequency_of_index,
     mean_luminance,
-    pixel_eccentricity,
     spectral_plan,
     taper_margins,
     transfer_gain,
+)
+from cinecho.stacks import (
+    LesionSpec,
+    StackGeometry,
+    centre_offsets,
+    lesion_profile,
 )
 
 
@@ -201,26 +205,51 @@ class TestFovealWeight:
         with pytest.raises(ValueError):
             foveal_weight(1.0, "blur")
 
-    def test_params_continuity_enforced(self):
-        bad = list(DEFAULT_FOVEAL.b)
-        bad[0] += 0.1
-        with pytest.raises(ValueError):
-            FovealParams(b=tuple(bad))
+    def test_fit_meets_the_floor_at_the_threshold(self):
+        fp = DEFAULT_FOVEAL
+        at_threshold = fp._poly(np.float64(fp.threshold_deg))
+        assert abs(at_threshold - fp.floor) <= 1e-3
 
 
-class TestPixelEccentricity:
-    def test_center_is_zero(self):
-        assert float(pixel_eccentricity([32, 32], [32, 32], 7.0)) == 0.0
-
-    def test_seven_degrees(self):
-        assert float(pixel_eccentricity([32 + 49, 32], [32, 32], 7.0)) == 7.0
+class TestCentrePixel:
+    def test_centre_offset_is_zero(self):
+        rows, cols = centre_offsets(64, 65)
+        assert rows[32] == 0.0 and cols[32] == 0.0
 
     def test_three_four_five(self):
-        assert float(pixel_eccentricity([3, 4], [0, 0], 1.0)) == 5.0
+        rows, cols = centre_offsets(7, 9)
+        assert np.hypot(rows[3 + 3], cols[4 + 4]) == 5.0
 
-    def test_rejects_bad_ssr(self):
-        with pytest.raises(ValueError):
-            pixel_eccentricity([0, 0], [0, 0], 0.0)
+    def test_seven_degrees_in_the_plan(self):
+        # 49 px from the centre at 7 px/deg is exactly the 7 deg cutoff
+        vc = ViewingConditions(luminance=20.0, x0=100 / 7.0, ssr=7.0,
+                               slice_rate=10.0)
+        plan = spectral_plan((100, 3, 2), vc, foveal_mode="hard")
+        foveal = plan.geometries[vc.x0, vc.ssr].foveal
+        assert foveal[50 + 49, 1] == 0.0
+        assert foveal[50 + 48, 1] == 1.0
+        assert foveal[50 - 49, 1] == 0.0
+
+    @pytest.mark.parametrize("w_px, h_px", [(16, 16), (17, 17), (16, 17),
+                                            (17, 16)])
+    def test_lesion_channels_and_fovea_share_it(self, w_px, h_px):
+        centre = (w_px // 2, h_px // 2)
+
+        def only_peak(plane):
+            peaks = np.argwhere(plane == plane.max())
+            assert len(peaks) == 1
+            return tuple(int(i) for i in peaks[0])
+
+        bank = lg_channel_bank(w_px, h_px, n_channels=1, spread=4.0)
+        assert only_peak(bank.matrix[:, 0].reshape(w_px, h_px)) == centre
+        inplane, _ = lesion_profile(LesionSpec("microcalc", 1.0, diameter_px=2.0),
+                                    StackGeometry(w_px, h_px, 3, 10, 1.0))
+        assert only_peak(inplane) == centre
+        # at 0.1 px/deg only the centre pixel lies inside the 7 deg cutoff
+        vc = ViewingConditions(luminance=20.0, x0=w_px / 0.1, ssr=0.1,
+                               slice_rate=10.0)
+        plan = spectral_plan((w_px, h_px, 2), vc, foveal_mode="hard")
+        assert only_peak(plan.geometries[vc.x0, vc.ssr].foveal) == centre
 
 
 class TestApplyStcsf:
@@ -332,9 +361,9 @@ class TestApplyStcsf:
         lum = rng.uniform(15.0, 25.0, size=(w_px, h_px, 4))
         soft = apply_stcsf(lum, vc, taper=False, foveal_mode="soft")
         none = apply_stcsf(lum, vc, taper=False, foveal_mode="none")
-        rows, cols = np.meshgrid(np.arange(w_px), np.arange(h_px), indexing="ij")
-        coords = np.stack([rows, cols], axis=-1)
-        alpha = pixel_eccentricity(coords, np.array([w_px // 2, h_px // 2]), 2.0)
+        rows = np.arange(w_px) - w_px // 2
+        cols = np.arange(h_px) - h_px // 2
+        alpha = np.hypot(rows[:, None], cols[None, :]) / 2.0
         weights = foveal_weight(alpha, "soft")
         assert np.array_equal(soft.data, none.data * weights[:, :, None])
 
