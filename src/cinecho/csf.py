@@ -126,11 +126,18 @@ def retinal_illuminance(luminance: float, pupil_mm: float) -> float:
     """Retinal illuminance in Troland, with Stiles-Crawford correction:
 
     E = (pi d^2 L / 4) * (1 - (d/9.7)^2 + (d/12.4)^4)
+
+    Raises ValueError naming the luminance when E overflows.
     """
     if not pupil_mm > 0:
         raise ValueError("pupil diameter must be positive")
     d = pupil_mm
-    return (np.pi * d * d * luminance / 4.0) * (1.0 - (d / 9.7) ** 2 + (d / 12.4) ** 4)
+    with np.errstate(over="ignore"):
+        e = (np.pi * d * d * luminance / 4.0) * (1.0 - (d / 9.7) ** 2 + (d / 12.4) ** 4)
+    if not np.isfinite(e):
+        raise ValueError(f"retinal illuminance overflows at luminance "
+                         f"{luminance:.6g} cd/m^2")
+    return e
 
 
 def optical_mtf(u, pupil_mm: float):

@@ -6,31 +6,23 @@
 # and aggregate to a mean AUC with a one-shot multi-reader multi-case
 # (MRMC) variance estimate.
 #
-# The variance estimator decomposes the second moment of the reader-and-
-# case-averaged success indicator
+# With psi_r(i, j) = 1 if reader r scores lesion case j above healthy case
+# i, 1/2 on ties, 0 otherwise, the one-shot variance (Gallas 2006) is
 #
-#   psi_r(i, j) = 1 if reader r scores lesion case j above healthy case i,
-#                 1/2 on ties, 0 otherwise
+#   Var(Abar) = Abar^2 - M8
 #
-# over the eight (reader, healthy, lesion) coincidence patterns.  Each of
-# the eight moments gets an unbiased plug-in estimate from the observed
-# success matrix, and
-#
-#   Var(Abar) = (1/(R N0 N1)) [M1 + (N0-1) M2 + (N1-1) M3
-#                              + (N0-1)(N1-1) M4]
-#             + ((R-1)/(R N0 N1)) [M5 + (N0-1) M6 + (N1-1) M7
-#                              + (N0-1)(N1-1) M8]
-#             - M8
-#
-# where M8 (distinct readers, distinct cases on both sides) estimates the
-# squared mean.  Pair sums with "not equal" constraints are computed by
-# inclusion-exclusion on row/column/total sums, so everything is a single
-# pass over the R x N0 x N1 success array.
+# where Abar is the mean of psi and M8 the mean of psi_r(i, j) psi_r'(i', j')
+# over distinct readers and distinct cases on both sides: Gallas's
+# weighted sum of the eight (reader, healthy, lesion) coincidence moments
+# M1..M8 equals Abar^2 exactly, so only M8 is estimated.  It comes from one
+# pass over the R x N0 x N1 success array by inclusion-exclusion on the
+# cell, row, column and total sums.  The variance is NaN when either class
+# has fewer than two cases, or when the estimate falls below -1e-12.
 # -----------------------------------------------------------------------------
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.stats import rankdata
@@ -91,8 +83,7 @@ class TrialPlan:
 class PipelineConfig:
     """Everything the trial runner needs besides the data: the display
     model, the viewing/sampling parameters, the perceptual options, and the
-    observer hyperparameters.  slice_range None means "use the lesion-
-    affected slices recorded by the generator"."""
+    observer hyperparameters."""
 
     display: DisplayModel = DisplayModel()
     ssr: float = 7.0
@@ -102,7 +93,6 @@ class PipelineConfig:
     n_channels: int = 15
     spread: float = 10.0
     combiner: str = "hotelling"
-    slice_range: tuple | None = None
 
     def __post_init__(self) -> None:
         if self.foveal_mode not in FOVEAL_MODES:
@@ -125,7 +115,6 @@ class TrialResult:
     scores: np.ndarray       # n_readers x n_test_cases
     test_ids: tuple
     test_labels: np.ndarray  # True where the test case is a lesion stack
-    metadata: dict = field(default_factory=dict)
 
 
 def split_dataset(pairing, n_readers: int, seed: int,
@@ -194,8 +183,12 @@ def one_shot_mrmc(score_matrix, labels) -> tuple[float, float]:
 
     score_matrix is (n_readers, n_cases); labels marks lesion cases.  All
     readers must have scored the same shared cases.  Returns
-    (mean_auc, variance); the variance is NaN when either class has fewer
-    than two cases (the case-pair moments are then inestimable).
+    (mean_auc, variance) with variance = mean_auc^2 - M8, M8 the mean
+    success product over distinct readers and distinct cases of both
+    classes.  The variance is NaN, meaning inestimable, when either class
+    has fewer than two cases, or when the unbiased estimate falls below
+    -1e-12 (small, weakly correlated studies can land there); estimates
+    between -1e-12 and 0 are rounding and return 0.
     """
     scores = np.asarray(score_matrix, dtype=np.float64)
     labels = np.asarray(labels, dtype=bool)
@@ -214,67 +207,33 @@ def one_shot_mrmc(score_matrix, labels) -> tuple[float, float]:
     if n0 < 2 or n1 < 2:
         return mean_auc, float("nan")
 
-    r = float(n_readers)
-    sq = psi * psi
-    row = psi.sum(axis=2)          # (R, N0): per-healthy sums
-    col = psi.sum(axis=1)          # (R, N1): per-lesion sums
-    tot = psi.sum(axis=(1, 2))     # (R,)
-    sum_sq = sq.sum()
-    sum_row2 = (row * row).sum()
-    sum_col2 = (col * col).sum()
-    sum_tot2 = (tot * tot).sum()
+    def cross(a):
+        """Sum of a[r] * a[r'] over readers r != r' and a's other axes."""
+        s = a.sum(axis=0)
+        return float((s * s).sum() - (a * a).sum())
 
-    # cross-reader aggregates: sums over readers first
-    psi_r = psi.sum(axis=0)        # (N0, N1)
-    row_r = row.sum(axis=0)        # (N0,)
-    col_r = col.sum(axis=0)        # (N1,)
-    tot_r = float(tot.sum())
-    cross_cell = (psi_r * psi_r).sum() - sum_sq            # pairs r != r', same (i, j)
-    cross_row = (row_r * row_r).sum() - sum_row2           # r != r', same i, any j pair
-    cross_col = (col_r * col_r).sum() - sum_col2
-    cross_tot = tot_r * tot_r - sum_tot2
-
-    m1 = sum_sq / (r * n0 * n1)
-    m2 = (sum_col2 - sum_sq) / (r * n0 * (n0 - 1) * n1)
-    m3 = (sum_row2 - sum_sq) / (r * n0 * n1 * (n1 - 1))
-    m4 = (sum_tot2 - sum_row2 - sum_col2 + sum_sq) \
-        / (r * n0 * (n0 - 1) * n1 * (n1 - 1))
-    rr = r * (r - 1)
-    m5 = cross_cell / (rr * n0 * n1)
-    m6 = (cross_col - cross_cell) / (rr * n0 * (n0 - 1) * n1)
-    m7 = (cross_row - cross_cell) / (rr * n0 * n1 * (n1 - 1))
-    m8 = (cross_tot - cross_row - cross_col + cross_cell) \
-        / (rr * n0 * (n0 - 1) * n1 * (n1 - 1))
-
-    variance = (m1 + (n0 - 1) * m2 + (n1 - 1) * m3
-                + (n0 - 1) * (n1 - 1) * m4) / (r * n0 * n1) \
-        + (r - 1) / (r * n0 * n1) * (m5 + (n0 - 1) * m6 + (n1 - 1) * m7
-                                     + (n0 - 1) * (n1 - 1) * m8) \
-        - m8
+    # r != r' pairs with i != i' and j != j', by inclusion-exclusion
+    distinct = cross(psi.sum(axis=(1, 2))) - cross(psi.sum(axis=2)) \
+        - cross(psi.sum(axis=1)) + cross(psi)
+    m8 = distinct / (n_readers * (n_readers - 1) * n0 * (n0 - 1)
+                     * n1 * (n1 - 1))
+    variance = mean_auc * mean_auc - m8
     if variance < -1e-12:
-        raise ValueError(f"variance estimate {variance} is negative beyond "
-                         "numerical tolerance")
+        return mean_auc, float("nan")
     return mean_auc, max(variance, 0.0)
-
-
-def _auto_slice_range(stacks_by_id: dict, plan: TrialPlan) -> tuple:
-    ranges = {tuple(stacks_by_id[l].lesion_slices) for _, l in plan.pairing}
-    if len(ranges) != 1:
-        raise PlanError("lesion stacks disagree on the affected slice range")
-    srange = ranges.pop()
-    if not srange:
-        raise PlanError("lesion stacks record no affected slices")
-    return srange
 
 
 def plan_stacks(dataset, plan: TrialPlan,
                 config: PipelineConfig = PipelineConfig()) -> tuple:
     """The plan's stacks in id order and the slice range the observer
-    reads, checked up front.
+    reads, the lesion-affected slices the lesion stacks record, checked
+    up front.
 
     Raises PlanError when the plan names a stack the dataset lacks, when
     a stack's (W, H, K) or bit depth differs from the first plan stack's,
-    or when the slice range leaves the stack or misses the central slice.
+    when the stacks' bit depth differs from the display's, or when the
+    lesion stacks disagree on the slice range, record none, or miss the
+    central slice.
     """
     stacks_by_id = {s.stack_id: s for s in dataset.stacks}
     missing = [sid for sid in plan.subset_assignment if sid not in stacks_by_id]
@@ -289,11 +248,17 @@ def plan_stacks(dataset, plan: TrialPlan,
                 f"stack {stack.stack_id!r} is {stack.data.shape} at "
                 f"{stack.bit_depth} bits, but {first.stack_id!r} is "
                 f"{first.data.shape} at {first.bit_depth} bits")
+    if first.bit_depth != config.display.bit_depth:
+        raise PlanError(
+            f"the stacks are {first.bit_depth}-bit, but the display is "
+            f"{config.display.bit_depth}-bit")
 
-    slice_range = config.slice_range
-    if slice_range is None:
-        slice_range = _auto_slice_range(stacks_by_id, plan)
-    slice_range = tuple(int(s) for s in slice_range)
+    ranges = {stacks_by_id[l].lesion_slices for _, l in plan.pairing}
+    if len(ranges) != 1:
+        raise PlanError("lesion stacks disagree on the affected slice range")
+    slice_range = ranges.pop()
+    if not slice_range:
+        raise PlanError("lesion stacks record no affected slices")
     try:
         central_position(slice_range, first.data.shape[2])
     except ValueError as exc:
@@ -387,16 +352,6 @@ def run_trial(dataset, plan: TrialPlan,
 
     _, variance = one_shot_mrmc(scores, test_labels)
     mean_auc = float(np.mean(per_reader_auc))
-    metadata = {
-        "n_readers": plan.n_readers,
-        "plan_seed": plan.seed,
-        "slice_range": slice_range,
-        "ssr": config.ssr,
-        "slice_rate": config.slice_rate,
-        "combiner": config.combiner,
-        "foveal_mode": config.foveal_mode,
-    }
     return TrialResult(per_reader_auc=per_reader_auc, mean_auc=mean_auc,
                        variance=variance, scores=scores,
-                       test_ids=tuple(test_ids), test_labels=test_labels,
-                       metadata=metadata)
+                       test_ids=tuple(test_ids), test_labels=test_labels)

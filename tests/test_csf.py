@@ -218,6 +218,15 @@ class TestValidation:
                            r"D = \S+ deg, retinal illuminance E = \S+ Td"):
             derive_optics(vc)
 
+    def test_illuminance_overflow_names_the_luminance(self):
+        # E itself overflows, so the error is the luminance's, not the
+        # field size's
+        vc = ViewingConditions(luminance=5e307, x0=2.5, ssr=7.0, slice_rate=25.0)
+        with pytest.raises(ValueError, match=r"luminance 5e\+307 cd/m\^2") \
+                as info:
+            derive_optics(vc)
+        assert "(1 + D/3.2)" not in str(info.value)
+
     def test_tau2_below_the_overflow_is_unchanged(self):
         vc = ViewingConditions(luminance=20.0, x0=5e61, ssr=7.0, slice_rate=25.0)
         assert derive_optics(vc).tau2 == 6.879666420023998e-05

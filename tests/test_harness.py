@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cinecho.config import DEFAULTS
+from cinecho.config import DEFAULTS, lesion_from
 from cinecho.errors import FormatError
 from cinecho.harness import (
     ResultRow,
@@ -352,11 +352,30 @@ class TestRunSweep:
             run_sweep(dataset, SweepSpec("ssr", (1.1e-60, 4.0)),
                       dict(DEFAULTS))
 
+    def test_small_study_finishes_without_error_bars(self, tmp_path):
+        # 100 pairs at seed 0: readers trained on 25 cases per class agree
+        # so little that the one-shot estimate falls below zero (-4.05e-4
+        # at 25 slice/s); the sweep finishes with NaN, "inestimable"
+        dataset = generate_dataset(GEOMETRY_PRESETS["dataset_b"], 100,
+                                   lesion_from(DEFAULTS), seed=0)
+        rows = run_sweep(dataset, SweepSpec("slice_rate", (25.0, 40.0)),
+                         dict(DEFAULTS, **{"trial.seed": 0}))
+        assert [math.isnan(r.auc_stddev) for r in rows] == [True, True]
+        csv = emit_csv(rows, tmp_path / "sweep.csv")
+        assert csv.read_text(encoding="utf-8").count(",nan,") == 2
+        back = read_rows_csv(csv)
+        assert [r.mean_auc for r in back] == [r.mean_auc for r in rows]
+        assert all(math.isnan(r.auc_stddev) for r in back)
+        svg = emit_svg_plot(back, [], tmp_path / "sweep.svg")
+        lines = ET.parse(svg).getroot().findall(
+            ".//{http://www.w3.org/2000/svg}line")
+        assert lines and all(line.get("stroke") == "#444" for line in lines)
+
     def test_parallel_sweep_needs_no_main_guard(self, tmp_path):
         # a sweep with workers is callable from a plain script's top level
         script = tmp_path / "sweep_script.py"
         script.write_text(textwrap.dedent("""
-            from cinecho.config import DEFAULTS
+            from cinecho.config import DEFAULTS, lesion_from
             from cinecho.harness import SweepSpec, run_sweep
             from cinecho.stacks import LesionSpec, StackGeometry, \\
                 generate_dataset
