@@ -35,9 +35,9 @@ dataset = generate_dataset("dataset_b", N_TRAIN + N_TEST,
                            LesionSpec("microcalc", amplitude=60.0), seed=11)
 by_id = {s.stack_id: s for s in dataset.stacks}
 pairs = dataset.pairing
+geometry = dataset.stacks[0].geometry
 print(f"{len(pairs)} pairs, stacks of "
-      f"{dataset.stacks[0].width}x{dataset.stacks[0].height}"
-      f"x{dataset.stacks[0].n_slices}")
+      f"{geometry.width}x{geometry.height}x{geometry.n_slices}")
 
 # step 1: channel bank and the slice range the observer reads; the
 # generator records which slices the lesion touched
@@ -55,7 +55,7 @@ display = DisplayModel()
 def perceive(stack):
     """The (slices, channels) responses of one perceived stack."""
     lum = display.code_to_luminance(stack.data)
-    vc = ViewingConditions.for_stack(stack.width, SSR, RATE, lum.mean())
+    vc = ViewingConditions.for_stack(geometry.width, SSR, RATE, lum.mean())
     return apply_stcsf(lum, vc, slices=slice_range, bank=bank)
 
 
@@ -65,7 +65,7 @@ print(f"perceived {2 * N_TRAIN} training stacks")
 
 # step 3: stage 1 learns a channel template on the central slice, stage 2
 # learns how to pool the per-slice scores
-central = central_position(slice_range, dataset.stacks[0].n_slices)
+central = central_position(slice_range, geometry.n_slices)
 model = train_mscho_from_responses(train_h, train_l, central, slice_range)
 print(f"stage-1 ridge {model.stage1.ridge:g}, "
       f"stage-2 weights {np.array2string(model.stage2_weights, precision=3)}")

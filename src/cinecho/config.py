@@ -4,9 +4,9 @@
 #
 #   key.subkey = value        # comment
 #
-# overlaid on documented defaults.  Every run-determining choice lives here
-# so that (config, seeds) pins every emitted byte; config_hash gives the
-# short fingerprint stamped into result rows.
+# overlaid on documented defaults; stack headers share the grammar (without
+# inline comments) and its reader, stacks.parse_fields.  (config, seeds) pins
+# every emitted byte; config_hash gives the short fingerprint in result rows.
 # -----------------------------------------------------------------------------
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import hashlib
 from .display import DisplayModel
 from .errors import FormatError
 from .stacks import GEOMETRY_PRESETS, LesionSpec, StackGeometry, \
-    check_writable, read_utf8
+    check_writable, parse_fields, read_utf8
 from .trial import PipelineConfig
 
 __all__ = [
@@ -107,26 +107,13 @@ def _coerce(key: str, text: str):
 
 
 def parse_config(text: str, source: str = "<config>") -> dict:
-    """Parse config text over the defaults; unknown and repeated keys are
-    errors."""
-    config = dict(DEFAULTS)
-    seen = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise FormatError(f"{source}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in DEFAULTS:
-            raise FormatError(f"{source}:{lineno}: unknown key {key!r}")
-        if key in seen:
-            raise FormatError(f"{source}:{lineno}: key {key!r} repeats the "
-                              f"one on line {seen[key]}")
-        seen[key] = lineno
-        config[key] = _coerce(key, value.strip())
-    return config
+    """Parse config text over the defaults; '#' starts a comment.  Line
+    faults (parse_fields) raise before values of the wrong type."""
+    uncommented = "\n".join(line.split("#", 1)[0]
+                            for line in text.splitlines())
+    fields = parse_fields(uncommented, source, DEFAULTS)
+    return {**DEFAULTS, **{key: _coerce(key, value)
+                           for key, value in fields.items()}}
 
 
 def load_config(path=None) -> dict:

@@ -31,7 +31,7 @@ class DisplayModel:
     """Monotone mapping from code values to screen luminance.
 
     l_min and l_max are the black and white levels in cd/m^2,
-    0 < l_min < l_max.  bit_depth is the code width in bits (1..16).
+    0 < l_min < l_max < inf.  bit_depth is the code width in bits (1..16).
     """
 
     l_min: float = 1.05
@@ -40,6 +40,8 @@ class DisplayModel:
     mapping: str = "linear_luminance"
 
     def __post_init__(self) -> None:
+        if not self.l_max < np.inf:
+            raise ValueError(f"l_max must be finite, got {self.l_max!r}")
         if not (0.0 < self.l_min < self.l_max):
             raise ValueError("require 0 < l_min < l_max")
         if not (isinstance(self.bit_depth, int) and 1 <= self.bit_depth <= 16):

@@ -66,7 +66,8 @@ class SweepSpec:
         if not self.values:
             raise ValueError("values must be non-empty")
         values = tuple(float(v) for v in self.values)
-        if any(b <= a for a, b in zip(values, values[1:])):
+        # "not a < b" also refuses nan, which compares false either way
+        if any(not a < b for a, b in zip(values, values[1:])):
             raise ValueError("values must be strictly increasing")
         object.__setattr__(self, "values", values)
 
@@ -83,10 +84,14 @@ class ResultRow:
     config_hash: str
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.axis_value):
+            raise ValueError(f"axis value {self.axis_value} is not finite")
         if not 0.0 <= self.mean_auc <= 1.0:
             raise ValueError("mean_auc must lie in [0, 1]")
-        if self.auc_stddev < 0:
-            raise ValueError("auc_stddev must be nonnegative")
+        # nan is legal: it means inestimable (see trial.one_shot_mrmc)
+        if self.auc_stddev < 0 or math.isinf(self.auc_stddev):
+            raise ValueError("auc_stddev must be nonnegative and finite, "
+                             "or nan")
 
 
 def apply_axis(config: PipelineConfig, axis: str, value: float) -> PipelineConfig:
@@ -268,10 +273,16 @@ def read_rows_csv(path):
         seed=int(parts[4]), config_hash=parts[5]))
 
 
+def _finite(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"value {text!r} is not finite")
+    return value
+
+
 def read_overlay_csv(path):
-    """External series as CSV 'axis,value,tolerance'."""
+    """External series as CSV 'axis,value,tolerance', all finite."""
     records = _read_csv(path, "axis,value,tolerance",
-                        lambda parts: [float(p) for p in parts])
+                        lambda parts: [_finite(p) for p in parts])
     if not records:
         raise FormatError(f"{path}: no data rows")
     axis, values, tolerances = np.array(records).T

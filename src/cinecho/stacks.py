@@ -10,10 +10,11 @@
 # sigma = diameter/8, peak-normalized) with a Gaussian through-slice depth
 # profile, inserted at the spatio-temporal stack center.
 #
-# On disk a stack is a raw little-endian unsigned 16-bit payload (row-major
-# within slice, slices consecutive) plus a "<name>.hdr" sidecar of
-# key = value lines; a dataset is a directory of those plus a manifest CSV
-# listing id, path, label and the healthy source of every lesion stack.
+# A stack is its codes plus one StackGeometry.  On disk it is a raw
+# little-endian u16 payload (row-major within slice, slices consecutive) plus
+# a "<name>.hdr" sidecar of key = value lines, read by parse_fields as config
+# files are; a dataset is a directory of those plus a manifest CSV listing
+# id, path, label and the healthy source of every lesion stack.
 # -----------------------------------------------------------------------------
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,7 @@ __all__ = [
     "insert_lesion",
     "generate_dataset",
     "check_writable",
+    "parse_fields",
     "write_stack",
     "read_stack",
     "write_dataset",
@@ -65,8 +67,8 @@ class StackGeometry:
     slice_sep_mm: float
 
     def __post_init__(self) -> None:
-        if min(self.width, self.height, self.n_slices) < 1:
-            raise ValueError("dimensions must be positive")
+        if not all(isinstance(n, int) and n >= 1 for n in self.shape):
+            raise ValueError("dimensions must be positive integers")
         if not (isinstance(self.bit_depth, int) and 1 <= self.bit_depth <= 16):
             raise ValueError("bit_depth must be an integer in 1..16")
         if not 0 < self.slice_sep_mm < np.inf:
@@ -89,18 +91,14 @@ GEOMETRY_PRESETS = {
 
 @dataclass(frozen=True, eq=False)
 class ImageStack:
-    """One browsed stack of integer code values.
+    """One browsed stack of integer code values, shaped as its geometry.
 
     lesion_slices is the tuple of slice indices the insertion affected
     (empty for healthy stacks); source_id names the healthy origin of a
     lesion stack; provenance is free-form generator bookkeeping.
     """
 
-    width: int
-    height: int
-    n_slices: int
-    bit_depth: int
-    slice_sep_mm: float
+    geometry: StackGeometry
     data: np.ndarray
     stack_id: str
     label: str
@@ -111,7 +109,7 @@ class ImageStack:
     def __post_init__(self) -> None:
         if self.label not in LABELS:
             raise ValueError(f"label must be one of {LABELS}")
-        geometry = self.geometry  # checks dimensions, bit depth, separation
+        geometry = self.geometry
         data = np.asarray(self.data)
         if data.shape != geometry.shape:
             raise ValueError(
@@ -120,22 +118,17 @@ class ImageStack:
         if data.dtype != np.uint16:
             raise ValueError("codes must be uint16")
         if data.size and int(data.max()) > geometry.max_code:
-            raise ValueError(
-                f"code {int(data.max())} exceeds {self.bit_depth}-bit range")
+            raise ValueError(f"code {int(data.max())} exceeds "
+                             f"{geometry.bit_depth}-bit range")
         object.__setattr__(self, "lesion_slices",
                            tuple(int(s) for s in self.lesion_slices))
         if self.label == "healthy" and self.lesion_slices:
             raise ValueError("healthy stacks cannot have affected slices")
-        if any(not 0 <= s < self.n_slices for s in self.lesion_slices):
+        if any(not 0 <= s < geometry.n_slices for s in self.lesion_slices):
             raise ValueError(f"affected slices {self.lesion_slices} leave "
-                             f"the {self.n_slices} slices of the stack")
+                             f"the {geometry.n_slices} slices of the stack")
         if self.label == "lesion" and not self.source_id:
             raise ValueError("lesion stacks must name their healthy source")
-
-    @property
-    def geometry(self) -> StackGeometry:
-        return StackGeometry(self.width, self.height, self.n_slices,
-                             self.bit_depth, self.slice_sep_mm)
 
 
 @dataclass(frozen=True)
@@ -158,15 +151,15 @@ class LesionSpec:
     def __post_init__(self) -> None:
         if self.kind not in self._DEFAULTS:
             raise ValueError(f"kind must be one of {tuple(self._DEFAULTS)}")
-        if not self.amplitude >= 0:
-            raise ValueError("amplitude must be nonnegative")
+        if not 0 <= self.amplitude < np.inf:
+            raise ValueError("amplitude must be nonnegative and finite")
         d, sz = self._DEFAULTS[self.kind]
         if self.diameter_px == 0.0:
             object.__setattr__(self, "diameter_px", d)
         if self.sigma_z == 0.0:
             object.__setattr__(self, "sigma_z", sz)
-        if not self.diameter_px > 0 or not self.sigma_z > 0:
-            raise ValueError("diameter and sigma_z must be positive")
+        if not (0 < self.diameter_px < np.inf and 0 < self.sigma_z < np.inf):
+            raise ValueError("diameter and sigma_z must be finite and > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,14 +190,15 @@ def generate_background(geometry: StackGeometry, seed,
     noise is shaped with the isotropic amplitude f^(-beta/2) (DC removed),
     scaled to unit theoretical standard deviation, and mapped to codes as
     center + field * quarter_range / 4, rounded and clipped: +-4 sigma of
-    the field spans the central half of the code range.
+    the field spans the central half of the code range.  A beta that is
+    negative, not finite or overflows the spectrum raises ValueError.
     """
     if texture not in TEXTURES:
         raise ValueError(f"texture must be one of {TEXTURES}")
     if texture == "white":
         beta = 0.0
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
+    if not 0 <= beta < np.inf:
+        raise ValueError(f"beta must be nonnegative and finite, got {beta!r}")
     rng = np.random.default_rng(seed)
     white = rng.standard_normal(geometry.shape)
 
@@ -212,10 +206,13 @@ def generate_background(geometry: StackGeometry, seed,
     fy = np.fft.fftfreq(geometry.height)[None, :, None]
     fz = np.fft.fftfreq(geometry.n_slices)[None, None, :]
     radial = np.sqrt(fx * fx + fy * fy + fz * fz)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         amplitude = radial ** (-beta / 2.0)
-    amplitude[0, 0, 0] = 0.0
-    sigma = float(np.sqrt(np.mean(amplitude * amplitude)))
+        amplitude[0, 0, 0] = 0.0
+        sigma = float(np.sqrt(np.mean(amplitude * amplitude)))
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"beta = {beta!r} gives no finite, nonzero spectrum "
+                         f"on the {geometry.shape} grid")
 
     shaped = np.fft.ifftn(np.fft.fftn(white) * amplitude).real / sigma
 
@@ -230,10 +227,8 @@ def generate_background(geometry: StackGeometry, seed,
     else:
         seed_text = repr(seed)
     provenance = f"texture={texture} beta={beta!r} seed={seed_text}"
-    return ImageStack(width=geometry.width, height=geometry.height,
-                      n_slices=geometry.n_slices, bit_depth=geometry.bit_depth,
-                      slice_sep_mm=geometry.slice_sep_mm, data=codes,
-                      stack_id=stack_id, label="healthy", provenance=provenance)
+    return ImageStack(geometry=geometry, data=codes, stack_id=stack_id,
+                      label="healthy", provenance=provenance)
 
 
 def centre_offsets(width: int, height: int):
@@ -335,8 +330,8 @@ def generate_dataset(geometry, n_pairs: int, lesion: LesionSpec, seed: int,
 # on-disk format
 
 
-_HEADER_KEYS = ("width", "height", "n_slices", "bit_depth", "slice_sep_mm",
-                "label", "lesion_slices", "stack_id", "source_id", "provenance")
+_HEADER_KEYS = tuple(f.name for f in fields(StackGeometry)) + (
+    "label", "lesion_slices", "stack_id", "source_id", "provenance")
 
 
 def check_writable(key: str, value: str, forbidden: str = "") -> None:
@@ -359,12 +354,9 @@ def write_stack(stack: ImageStack, path) -> None:
     payload = np.ascontiguousarray(
         stack.data.transpose(2, 0, 1)).astype("<u2").tobytes()
     path.write_bytes(payload)
-    lines = [
-        f"width = {stack.width}",
-        f"height = {stack.height}",
-        f"n_slices = {stack.n_slices}",
-        f"bit_depth = {stack.bit_depth}",
-        f"slice_sep_mm = {stack.slice_sep_mm!r}",
+    lines = [f"{key} = {value!r}"
+             for key, value in asdict(stack.geometry).items()]
+    lines += [
         f"label = {stack.label}",
         "lesion_slices = " + ",".join(str(s) for s in stack.lesion_slices),
         f"stack_id = {stack.stack_id}",
@@ -386,27 +378,26 @@ def read_utf8(path) -> str:
                           f"{exc.start}") from None
 
 
-def _parse_header(text: str, header_path: str) -> dict:
-    fields = {}
-    seen = {}
+def parse_fields(text: str, source: str, keys) -> dict:
+    """{key: value} of the 'key = value' lines of text, both stripped,
+    skipping blank and '#' lines.  Raises FormatError naming source:line
+    for a line without '=', a key not in keys or a repeated key."""
+    values, first_line = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         if "=" not in line:
-            raise FormatError(f"{header_path}:{lineno}: expected 'key = value'")
+            raise FormatError(f"{source}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _HEADER_KEYS:
-            raise FormatError(f"{header_path}:{lineno}: unknown key {key!r}")
-        if key in seen:
-            raise FormatError(f"{header_path}:{lineno}: key {key!r} repeats "
-                              f"the one on line {seen[key]}")
-        seen[key] = lineno
-        fields[key] = value.strip()
-    missing = [k for k in _HEADER_KEYS[:8] if k not in fields]
-    if missing:
-        raise FormatError(f"{header_path}: missing header keys {missing}")
-    return fields
+        if key not in keys:
+            raise FormatError(f"{source}:{lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise FormatError(f"{source}:{lineno}: key {key!r} repeats the "
+                              f"one on line {first_line[key]}")
+        first_line[key] = lineno
+        values[key] = value.strip()
+    return values
 
 
 def read_stack(path) -> ImageStack:
@@ -419,24 +410,24 @@ def read_stack(path) -> ImageStack:
     """
     path = Path(path)
     header_path = str(path) + ".hdr"
-    fields = _parse_header(read_utf8(header_path), header_path)
+    header = parse_fields(read_utf8(header_path), header_path, _HEADER_KEYS)
+    missing = [k for k in _HEADER_KEYS[:8] if k not in header]
+    if missing:
+        raise FormatError(f"{header_path}: missing header keys {missing}")
     try:
-        width = int(fields["width"])
-        height = int(fields["height"])
-        n_slices = int(fields["n_slices"])
-        bit_depth = int(fields["bit_depth"])
-        slice_sep = float(fields["slice_sep_mm"])
+        dims = [int(header[key]) for key in _HEADER_KEYS[:4]]
+        slice_sep = float(header["slice_sep_mm"])
     except ValueError as exc:
         raise FormatError(f"{header_path}: non-numeric geometry field: {exc}")
     try:
-        geometry = StackGeometry(width=width, height=height, n_slices=n_slices,
-                                 bit_depth=bit_depth, slice_sep_mm=slice_sep)
+        geometry = StackGeometry(*dims, slice_sep)
     except ValueError as exc:
         raise FormatError(f"{header_path}: {exc}") from None
     # ImageStack reads the tokens as integers and checks them
-    lesion_slices = [tok for tok in fields["lesion_slices"].split(",")
+    lesion_slices = [tok for tok in header["lesion_slices"].split(",")
                      if tok.strip() != ""]
 
+    width, height, n_slices = geometry.shape
     payload = path.read_bytes()
     expected = width * height * n_slices * 2
     if len(payload) != expected:
@@ -453,12 +444,11 @@ def read_stack(path) -> ImageStack:
             f"exceeds the {geometry.bit_depth}-bit range")
     data = np.ascontiguousarray(codes.transpose(1, 2, 0)).astype(np.uint16)
     try:
-        return ImageStack(width=width, height=height, n_slices=n_slices,
-                          bit_depth=bit_depth, slice_sep_mm=slice_sep,
-                          data=data, stack_id=fields["stack_id"],
-                          label=fields["label"], lesion_slices=lesion_slices,
-                          source_id=fields.get("source_id", ""),
-                          provenance=fields.get("provenance", ""))
+        return ImageStack(geometry=geometry, data=data,
+                          stack_id=header["stack_id"], label=header["label"],
+                          lesion_slices=lesion_slices,
+                          source_id=header.get("source_id", ""),
+                          provenance=header.get("provenance", ""))
     except ValueError as exc:
         raise FormatError(f"{header_path}: {exc}") from None
 

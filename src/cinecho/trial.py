@@ -242,16 +242,16 @@ def plan_stacks(dataset, plan: TrialPlan,
     stacks = [stacks_by_id[sid] for sid in sorted(plan.subset_assignment)]
     first = stacks[0]
     for stack in stacks[1:]:
-        if (stack.data.shape, stack.bit_depth) \
-                != (first.data.shape, first.bit_depth):
+        bits, first_bits = stack.geometry.bit_depth, first.geometry.bit_depth
+        if (stack.data.shape, bits) != (first.data.shape, first_bits):
             raise PlanError(
-                f"stack {stack.stack_id!r} is {stack.data.shape} at "
-                f"{stack.bit_depth} bits, but {first.stack_id!r} is "
-                f"{first.data.shape} at {first.bit_depth} bits")
-    if first.bit_depth != config.display.bit_depth:
+                f"stack {stack.stack_id!r} is {stack.data.shape} at {bits} "
+                f"bits, but {first.stack_id!r} is {first.data.shape} at "
+                f"{first_bits} bits")
+    if first.geometry.bit_depth != config.display.bit_depth:
         raise PlanError(
-            f"the stacks are {first.bit_depth}-bit, but the display is "
-            f"{config.display.bit_depth}-bit")
+            f"the stacks are {first.geometry.bit_depth}-bit, but the display "
+            f"is {config.display.bit_depth}-bit")
 
     ranges = {stacks_by_id[l].lesion_slices for _, l in plan.pairing}
     if len(ranges) != 1:
@@ -321,28 +321,25 @@ def run_trial(dataset, plan: TrialPlan,
     central_pos = central_position(slice_range, stacks[0].data.shape[2])
     if responses is None:
         responses = perceive_responses(stacks, [config], slice_range)[:, 0]
-    if np.shape(responses) != (len(stacks), len(slice_range),
-                               config.n_channels):
+    responses = np.asarray(responses)
+    if responses.shape != (len(stacks), len(slice_range), config.n_channels):
         raise ValueError("responses do not match the plan and config")
-    responses = dict(zip(sorted(plan.subset_assignment), responses))
 
-    labels_by_id = {stack.stack_id: stack.label == "lesion" for stack in stacks}
-
-    test_ids = plan.subset_ids(plan.n_readers)
-    test_labels = np.array([labels_by_id[sid] for sid in test_ids])
+    subset = np.array([plan.subset_assignment[s.stack_id] for s in stacks])
+    lesion = np.array([s.label == "lesion" for s in stacks])
+    test = subset == plan.n_readers
+    test_ids = tuple(s.stack_id for s, t in zip(stacks, test) if t)
+    test_labels = lesion[test]
     if not (test_labels.any() and (~test_labels).any()):
         raise PlanError("test subset lacks one of the classes")
 
     scores = np.empty((plan.n_readers, len(test_ids)), dtype=np.float64)
     per_reader_auc = np.empty(plan.n_readers, dtype=np.float64)
-    test_resp = np.array([responses[sid] for sid in test_ids])
+    test_resp = responses[test]
     for reader in range(plan.n_readers):
-        train_ids = plan.subset_ids(reader)
-        resp_h = np.array([responses[sid] for sid in train_ids
-                           if not labels_by_id[sid]])
-        resp_l = np.array([responses[sid] for sid in train_ids
-                           if labels_by_id[sid]])
-        if resp_h.ndim != 3 or resp_l.ndim != 3:
+        train = subset == reader
+        resp_h, resp_l = responses[train & ~lesion], responses[train & lesion]
+        if not (len(resp_h) and len(resp_l)):
             raise PlanError(f"reader {reader} training subset lacks a class")
         model = train_mscho_from_responses(resp_h, resp_l, central_pos,
                                            slice_range, config.combiner)
@@ -353,5 +350,5 @@ def run_trial(dataset, plan: TrialPlan,
     _, variance = one_shot_mrmc(scores, test_labels)
     mean_auc = float(np.mean(per_reader_auc))
     return TrialResult(per_reader_auc=per_reader_auc, mean_auc=mean_auc,
-                       variance=variance, scores=scores,
-                       test_ids=tuple(test_ids), test_labels=test_labels)
+                       variance=variance, scores=scores, test_ids=test_ids,
+                       test_labels=test_labels)

@@ -164,6 +164,29 @@ class TestErrors:
         assert "error:" in err
         assert "twice.txt:2: key 'trial.seed' repeats the one on line 1" in err
 
+    @pytest.mark.parametrize("command, line, message", [
+        ("gen-dataset", "generator.beta = nan",
+         "beta must be nonnegative and finite, got nan"),
+        ("run-trial", "display.l_max = inf", "l_max must be finite")])
+    def test_non_finite_model_value_is_named(self, config_path, tmp_path,
+                                             capsys, command, line, message):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(config_path.read_text(encoding="utf-8") + line + "\n",
+                       encoding="utf-8")
+        assert main([command, "--config", str(bad),
+                     "--out", str(tmp_path)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_non_finite_overlay_field(self, sweep_dir, tmp_path, capsys):
+        overlay = tmp_path / "ext.csv"
+        overlay.write_text("axis,value,tolerance\n5,0.7,0.05\n25,nan,0.05\n",
+                           encoding="utf-8")
+        assert main(["plot", str(sweep_dir / "sweep.csv"), "--overlay",
+                     str(overlay), "--out", str(tmp_path)]) == 2
+        assert f"error: {overlay}:3: value 'nan' is not finite" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "plot.svg").exists()
+
     def test_missing_results_file(self, tmp_path, capsys):
         assert main(["plot", str(tmp_path / "absent.csv"),
                      "--out", str(tmp_path)]) == 2

@@ -42,6 +42,11 @@ class TestParse:
             parse_config("# sampling\npercept.ssr = 7\ntrial.seed = 3\n"
                          "percept.ssr = 14\n", source="run.txt")
 
+    def test_line_faults_raise_before_bad_values(self):
+        # every line is read before any value is coerced
+        with pytest.raises(FormatError, match=r"<config>:3: unknown key"):
+            parse_config("percept.ssr = seven  # bad value\n\nnope = 1\n")
+
     def test_missing_equals_sign(self):
         with pytest.raises(FormatError, match=r"<config>:1: expected"):
             parse_config("percept.ssr 7\n")
@@ -143,6 +148,28 @@ class TestRoundTrip:
     @given(_CONFIGS)
     def test_parse_reads_back_what_format_writes(self, config):
         assert parse_config(format_config(config)) == config
+
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data())
+    def test_any_one_line_edit_parses_or_raises_format_error(self, data):
+        lines = format_config(dict(DEFAULTS)).splitlines()
+        keys = [ln.partition(" = ")[0] for ln in lines]
+        text = st.text(st.characters(blacklist_categories=("Cs",)),
+                       max_size=20)
+        value = st.one_of(
+            text, st.integers().map(str), st.floats().map(repr),
+            st.lists(st.floats(), max_size=4).map(
+                lambda floats: ",".join(map(repr, floats))))
+        line = st.one_of(text, st.builds("{} = {}".format,
+                                         st.sampled_from(keys), value))
+        at = data.draw(st.integers(0, len(lines)), label="at")
+        replace_line = at < len(lines) and data.draw(st.booleans(),
+                                                     label="replace")
+        lines[at:at + replace_line] = [data.draw(line, label="line")]
+        try:
+            parse_config("\n".join(lines) + "\n")
+        except FormatError:
+            pass
 
     @settings(deadline=None)
     @given(st.sampled_from(_STRING_KEYS), _UNWRITABLE)

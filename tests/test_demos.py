@@ -9,9 +9,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# demo 05 runs a full sweep and writes demos/output/, so it is left out
 DEMOS = ["01_sensitivity_surface.py", "02_perceived_stack.py",
-         "03_observer_training.py", "04_virtual_trial.py"]
+         "03_observer_training.py", "04_virtual_trial.py",
+         "05_browsing_speed_sweep.py"]
 
 
 @pytest.mark.parametrize("demo", DEMOS)

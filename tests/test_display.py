@@ -58,6 +58,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             DisplayModel(l_min=10.0, l_max=10.0)
 
+    def test_l_max_must_be_finite(self):
+        with pytest.raises(ValueError, match="l_max must be finite"):
+            DisplayModel(l_max=float("inf"))
+
     def test_bit_depth_checked(self):
         with pytest.raises(ValueError):
             DisplayModel(bit_depth=0)

@@ -134,8 +134,9 @@ RESPONSE_POINTS = [(7.0, 25.0), (1.0, 40.0), (1.0, 10.0)]
 def test_perceive_responses_match_full_complex_path(shape, taper,
                                                     foveal_mode):
     rng = np.random.default_rng(5 * sum(shape))
-    stacks = [ImageStack(*shape, 10, 1.0, rng.integers(0, 1024, size=shape,
-                                                       dtype=np.uint16),
+    geometry = StackGeometry(*shape, 10, 1.0)
+    stacks = [ImageStack(geometry, rng.integers(0, 1024, size=shape,
+                                                dtype=np.uint16),
                          f"s{i}", "healthy") for i in range(2)]
     configs = [PipelineConfig(ssr=ssr, slice_rate=rate, taper=taper,
                               foveal_mode=foveal_mode, n_channels=5,

@@ -70,6 +70,8 @@ class TestSweepSpec:
     def test_not_increasing(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             SweepSpec("ssr", (1.0, 3.0, 3.0))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SweepSpec("slice_rate", (1.0, math.nan, 1.0))
 
 
 class TestResultRow:
@@ -80,6 +82,16 @@ class TestResultRow:
     def test_negative_stddev(self):
         with pytest.raises(ValueError, match="auc_stddev"):
             ResultRow(1.0, 0.5, -0.1, 3, 0, "abc")
+
+    def test_non_finite_axis_or_stddev(self):
+        for axis in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="axis value"):
+                ResultRow(axis, 0.5, 0.1, 3, 0, "abc")
+        with pytest.raises(ValueError, match="auc_stddev"):
+            ResultRow(1.0, 0.5, math.inf, 3, 0, "abc")
+        # a nan stddev means the variance was inestimable
+        assert math.isnan(ResultRow(1.0, 0.5, math.nan, 3, 0, "abc")
+                          .auc_stddev)
 
 
 class TestApplyAxis:
@@ -189,6 +201,17 @@ class TestCsvRoundTrip:
         with pytest.raises(FormatError, match="bad.csv:3: invalid literal"):
             read_rows_csv(path)
 
+    @pytest.mark.parametrize("row, match", [
+        ("inf,0.5,0.1,2,9,abc", "axis value inf"),
+        ("nan,0.5,0.1,2,9,abc", "axis value nan"),
+        ("1,0.5,inf,2,9,abc", "auc_stddev")])
+    def test_non_finite_field(self, tmp_path, row, match):
+        path = tmp_path / "bad.csv"
+        path.write_text("axis,mean_auc,auc_stddev,n_readers,seed,config_hash"
+                        f"\n1,0.5,0.1,2,9,abc\n{row}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=f"bad.csv:3: {match}"):
+            read_rows_csv(path)
+
 
 class TestOverlayCsv:
     def test_read(self, tmp_path):
@@ -210,6 +233,16 @@ class TestOverlayCsv:
         path = tmp_path / "ext.csv"
         path.write_text("axis,value,tolerance\n1,x,0.01\n", encoding="utf-8")
         with pytest.raises(FormatError, match="ext.csv:2: could not convert"):
+            read_overlay_csv(path)
+
+    @pytest.mark.parametrize("row", ["nan,0.7,0.01", "1,inf,0.01",
+                                     "1,0.7,-inf"])
+    def test_non_finite_field(self, tmp_path, row):
+        path = tmp_path / "ext.csv"
+        path.write_text(f"axis,value,tolerance\n5,0.7,0.01\n{row}\n",
+                        encoding="utf-8")
+        with pytest.raises(FormatError, match="ext.csv:3: value .* is not "
+                                              "finite"):
             read_overlay_csv(path)
 
     def test_no_data_rows(self, tmp_path):
@@ -279,6 +312,10 @@ class TestRunSweep:
         with pytest.raises(RuntimeError,
                            match=r"sweep aborted at contrast_ratio = 0\.5"):
             run_sweep(small_dataset, SweepSpec("contrast_ratio", (0.5,)),
+                      config)
+        with pytest.raises(RuntimeError, match="sweep aborted at l_max = inf: "
+                                               "l_max must be finite"):
+            run_sweep(small_dataset, SweepSpec("l_max", (200.0, math.inf)),
                       config)
 
     @pytest.mark.parametrize("axis, values", [

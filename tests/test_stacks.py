@@ -46,6 +46,7 @@ class TestGeometry:
     @pytest.mark.parametrize("kwargs", [
         dict(width=0), dict(n_slices=0), dict(bit_depth=0),
         dict(bit_depth=17), dict(bit_depth=10.0), dict(slice_sep_mm=0.0),
+        dict(width=8.0),
     ])
     def test_validation(self, kwargs):
         base = dict(width=8, height=8, n_slices=4, bit_depth=10,
@@ -57,8 +58,7 @@ class TestGeometry:
 
 class TestImageStack:
     def _mk(self, **kwargs):
-        base = dict(width=4, height=4, n_slices=3, bit_depth=10,
-                    slice_sep_mm=1.0,
+        base = dict(geometry=StackGeometry(4, 4, 3, 10, 1.0),
                     data=np.zeros((4, 4, 3), dtype=np.uint16),
                     stack_id="s0", label="healthy")
         base.update(kwargs)
@@ -149,6 +149,12 @@ class TestGenerateBackground:
         with pytest.raises(ValueError, match="beta"):
             generate_background(SMALL, 1, beta=-1.0)
 
+    # beta >= 171 overflows the spectrum's scale on a 64 x 64 x 32 grid
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, 200.0])
+    def test_rejects_beta_that_gives_no_spectrum(self, beta):
+        with pytest.raises(ValueError, match=f"beta .*{beta!r}"):
+            generate_background(GEOMETRY_PRESETS["dataset_b"], 1, beta=beta)
+
     def test_metadata(self):
         stack = generate_background(SMALL, 9, stack_id="bg")
         assert stack.label == "healthy"
@@ -217,6 +223,11 @@ class TestLesionProfile:
         with pytest.raises(ValueError):
             LesionSpec("mass", 1.0, diameter_px=-4.0)
 
+    @pytest.mark.parametrize("field", ["amplitude", "diameter_px", "sigma_z"])
+    def test_spec_rejects_infinity(self, field):
+        with pytest.raises(ValueError, match="finite"):
+            LesionSpec(**{"kind": "mass", "amplitude": 1.0, field: math.inf})
+
     def test_diameter_must_fit(self):
         with pytest.raises(ValueError, match="diameter"):
             lesion_profile(LesionSpec("mass", 1.0), SMALL)
@@ -266,9 +277,8 @@ class TestInsertLesion:
 
     def test_clipping_warns(self):
         data = np.full((64, 64, 41), 1000, dtype=np.uint16)
-        healthy = ImageStack(width=64, height=64, n_slices=41, bit_depth=10,
-                             slice_sep_mm=1.0, data=data, stack_id="hi",
-                             label="healthy")
+        healthy = ImageStack(geometry=GEOMETRY_PRESETS["dataset_a"],
+                             data=data, stack_id="hi", label="healthy")
         with pytest.warns(LesionClippingWarning):
             insert_lesion(healthy, LesionSpec("microcalc", 200.0))
 
@@ -300,9 +310,10 @@ def _stacks(draw):
     lesion = draw(st.booleans())
     lesion_slices = draw(st.lists(st.integers(0, n_slices - 1), max_size=4)) \
         if lesion else []
+    geometry = StackGeometry(width, height, n_slices, bit_depth,
+                             draw(st.floats(0.0, 1e6, exclude_min=True)))
     return ImageStack(
-        width=width, height=height, n_slices=n_slices, bit_depth=bit_depth,
-        slice_sep_mm=draw(st.floats(0.0, 1e6, exclude_min=True)), data=data,
+        geometry=geometry, data=data,
         stack_id=draw(_IDS), label="lesion" if lesion else "healthy",
         lesion_slices=tuple(lesion_slices),
         source_id=draw(_IDS) if lesion else "", provenance=draw(st.text()))
@@ -343,8 +354,7 @@ class TestStackIO:
         assert back.label == "lesion"
         assert back.lesion_slices == lesion.lesion_slices
         assert back.source_id == lesion.source_id
-        assert back.slice_sep_mm == lesion.slice_sep_mm
-        assert back.bit_depth == lesion.bit_depth
+        assert back.geometry == lesion.geometry
 
     def test_payload_layout(self, tmp_path):
         # little-endian u16, row-major within slice, slices consecutive:
@@ -431,7 +441,7 @@ class TestStackIO:
     def test_stack_geometry_checked_like_stack_geometry(self, changes):
         stack = generate_background(SMALL, 39)
         with pytest.raises(ValueError, match="bit_depth|separation"):
-            replace(stack, **changes)
+            replace(stack, geometry=replace(stack.geometry, **changes))
 
     def test_malformed_header_line(self, tmp_path):
         stack = generate_background(SMALL, 38)
@@ -533,8 +543,7 @@ class TestDataset:
     def test_preset_by_name(self):
         ds = generate_dataset("dataset_b", 1, LesionSpec("microcalc", 40.0),
                               seed=1)
-        assert ds.stacks[0].n_slices == 32
-        assert ds.stacks[0].slice_sep_mm == 0.2
+        assert ds.stacks[0].geometry == GEOMETRY_PRESETS["dataset_b"]
 
     def test_round_trip(self, tmp_path):
         ds = self._dataset()

@@ -387,15 +387,17 @@ class TestRunTrial:
         with pytest.raises(PlanError, match="misses the central slice 4"):
             run_trial(Dataset(stacks=stacks), strong_plan, CONFIG)
 
-    @pytest.mark.parametrize("changes", [
-        dict(n_slices=8, data=np.zeros((16, 16, 8), dtype=np.uint16)),
-        dict(bit_depth=12)])
+    @pytest.mark.parametrize("changes", [dict(n_slices=8),
+                                         dict(bit_depth=12)])
     def test_stacks_must_share_shape_and_bit_depth(self, strong_dataset,
                                                    strong_plan, changes):
         ids = sorted(strong_plan.subset_assignment)
         odd = ids[5]
-        stacks = tuple(replace(s, **changes) if s.stack_id == odd else s
-                       for s in strong_dataset.stacks)
+        geometry = replace(strong_dataset.stacks[0].geometry, **changes)
+        stacks = tuple(
+            replace(s, geometry=geometry,
+                    data=np.zeros(geometry.shape, dtype=np.uint16))
+            if s.stack_id == odd else s for s in strong_dataset.stacks)
         with pytest.raises(PlanError, match=f"stack '{odd}' is "):
             run_trial(Dataset(stacks=stacks), strong_plan, CONFIG)
 
