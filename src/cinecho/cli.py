@@ -41,6 +41,7 @@ from .harness import (
     read_overlay_csv,
     read_rows_csv,
     run_sweep,
+    sweep_points,
 )
 from .stacks import generate_dataset, read_dataset, write_dataset
 from .trial import run_trial, split_dataset
@@ -91,10 +92,12 @@ def _cmd_gen_dataset(args) -> int:
 def _cmd_run_trial(args) -> int:
     config = _prepare_config(args)
     out = _out_dir(args)
+    # the model is checked before seconds go into generating the dataset
+    pipeline = pipeline_from(config)
     dataset = _dataset(config)
     plan = split_dataset(dataset.pairing, config["trial.n_readers"],
                          config["trial.seed"], config["trial.min_per_class"])
-    result = run_trial(dataset, plan, pipeline_from(config))
+    result = run_trial(dataset, plan, pipeline)
     row = ResultRow(axis_value=config["percept.slice_rate"],
                     mean_auc=result.mean_auc,
                     auc_stddev=float(np.sqrt(result.variance)),
@@ -117,6 +120,7 @@ def _cmd_sweep(args) -> int:
     else:
         values = config["sweep.values"]
     spec = SweepSpec(axis=axis, values=values)
+    sweep_points(spec, pipeline_from(config))
     dataset = _dataset(config)
     rows = run_sweep(dataset, spec, config)
     csv_path = emit_csv(rows, out / "sweep.csv")

@@ -40,6 +40,7 @@ __all__ = [
     "SweepSpec",
     "ResultRow",
     "apply_axis",
+    "sweep_points",
     "run_sweep",
     "overlay_rescale",
     "emit_csv",
@@ -116,6 +117,22 @@ def apply_axis(config: PipelineConfig, axis: str, value: float) -> PipelineConfi
     raise ValueError(f"axis must be one of {SWEEP_AXES}")
 
 
+def _named(spec: SweepSpec, value, thunk):
+    """thunk(), with any failure raised as a RuntimeError naming the point."""
+    try:
+        return thunk()
+    except Exception as exc:
+        raise RuntimeError(
+            f"sweep aborted at {spec.axis} = {value}: {exc}") from exc
+
+
+def sweep_points(spec: SweepSpec, base: PipelineConfig) -> list:
+    """The pipeline at each value of spec (apply_axis); raises RuntimeError
+    naming the first value whose pipeline is invalid."""
+    return [_named(spec, value, lambda: apply_axis(base, spec.axis, value))
+            for value in spec.values]
+
+
 def run_sweep(dataset, spec: SweepSpec, config: dict,
               plan: TrialPlan | None = None):
     """Run the trial once per axis value and return the result rows.
@@ -135,20 +152,11 @@ def run_sweep(dataset, spec: SweepSpec, config: dict,
                              config["trial.min_per_class"])
     base = pipeline_from(config)
     fingerprint = config_hash(config)
-
-    def named(value, thunk):
-        try:
-            return thunk()
-        except Exception as exc:
-            raise RuntimeError(
-                f"sweep aborted at {spec.axis} = {value}: {exc}") from exc
-
-    points = [named(value, lambda: apply_axis(base, spec.axis, value))
-              for value in spec.values]
+    points = sweep_points(spec, base)
     stacks, slice_range = plan_stacks(dataset, plan, base)
     # name a point whose geometry would fail its pass (any luminance will do)
     for value, point in zip(spec.values, points):
-        named(value, lambda: ViewingConditions.for_stack(
+        _named(spec, value, lambda: ViewingConditions.for_stack(
             stacks[0].data.shape[0], point.ssr, point.slice_rate, 1.0))
     workers = max(1, min(int(config.get("sweep.workers", 1)), len(stacks)))
     bounds = [len(stacks) * k // workers for k in range(workers + 1)]
@@ -168,11 +176,11 @@ def run_sweep(dataset, spec: SweepSpec, config: dict,
         run = pool.map if pool else map
         for members in groups.values():
             # list() reads every shard's result, so a failure raises here
-            named(spec.values[members[0]], lambda: list(run(
+            _named(spec, spec.values[members[0]], lambda: list(run(
                 perceive, [members] * workers, bounds[:-1], bounds[1:])))
     rows = []
     for i, (value, point) in enumerate(zip(spec.values, points)):
-        result = named(value, lambda: run_trial(
+        result = _named(spec, value, lambda: run_trial(
             dataset, plan, point, responses=responses[:, i]))
         rows.append(ResultRow(axis_value=value, mean_auc=result.mean_auc,
                               auc_stddev=math.sqrt(result.variance),

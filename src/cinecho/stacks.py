@@ -6,9 +6,12 @@
 # isotropic 1/f^(beta/2) amplitude (beta = 3 by default, a mammography-like
 # texture; beta = 0 is white noise), normalized to unit theoretical variance
 # and affine-mapped so +-4 sigma spans the central half of the code range.
+# The amplitude and its sigma are built once per (shape, beta) and applied
+# on the real half spectrum (rfftn / irfftn).
 # Lesions are additive smoothed discs (disc convolved with a Gaussian of
 # sigma = diameter/8, peak-normalized) with a Gaussian through-slice depth
-# profile, inserted at the spatio-temporal stack center.
+# profile, inserted at the spatio-temporal stack center; the shape is built
+# once per (spec, geometry).
 #
 # A stack is its codes plus one StackGeometry.  On disk it is a raw
 # little-endian u16 payload (row-major within slice, slices consecutive) plus
@@ -23,9 +26,11 @@ import csv
 import io
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+import scipy.fft
 from scipy.ndimage import gaussian_filter
 
 from .errors import FormatError, LesionClippingWarning
@@ -181,6 +186,30 @@ class Dataset:
         return pairs
 
 
+@lru_cache(maxsize=4)
+def _power_law_spectrum(shape: tuple, beta: float):
+    """(amplitude, sigma): the isotropic f^(-beta/2) amplitude (DC zero) on
+    the rfftn half grid of shape, read-only, and the root mean square of the
+    amplitude over the full grid.  Raises ValueError if sigma is not finite
+    and nonzero (an exception is not cached)."""
+    width, height, n_slices = shape
+    fx = np.fft.fftfreq(width)[:, None, None]
+    fy = np.fft.fftfreq(height)[None, :, None]
+    fz = np.fft.fftfreq(n_slices)[None, None, :]
+    radial = np.sqrt(fx * fx + fy * fy + fz * fz)
+    with np.errstate(divide="ignore", over="ignore"):
+        amplitude = radial ** (-beta / 2.0)
+        amplitude[0, 0, 0] = 0.0
+        sigma = float(np.sqrt(np.mean(amplitude * amplitude)))
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"beta = {beta!r} gives no finite, nonzero spectrum "
+                         f"on the {shape} grid")
+    # |fftfreq| is symmetric, so the half grid is the first n_slices//2 + 1
+    half = np.ascontiguousarray(amplitude[:, :, :n_slices // 2 + 1])
+    half.flags.writeable = False
+    return half, sigma
+
+
 def generate_background(geometry: StackGeometry, seed,
                         texture: str = "power_law", beta: float = 3.0,
                         stack_id: str = "stack") -> ImageStack:
@@ -199,22 +228,12 @@ def generate_background(geometry: StackGeometry, seed,
         beta = 0.0
     if not 0 <= beta < np.inf:
         raise ValueError(f"beta must be nonnegative and finite, got {beta!r}")
+    amplitude, sigma = _power_law_spectrum(geometry.shape, beta)
     rng = np.random.default_rng(seed)
     white = rng.standard_normal(geometry.shape)
 
-    fx = np.fft.fftfreq(geometry.width)[:, None, None]
-    fy = np.fft.fftfreq(geometry.height)[None, :, None]
-    fz = np.fft.fftfreq(geometry.n_slices)[None, None, :]
-    radial = np.sqrt(fx * fx + fy * fy + fz * fz)
-    with np.errstate(divide="ignore", over="ignore"):
-        amplitude = radial ** (-beta / 2.0)
-        amplitude[0, 0, 0] = 0.0
-        sigma = float(np.sqrt(np.mean(amplitude * amplitude)))
-    if not 0 < sigma < np.inf:
-        raise ValueError(f"beta = {beta!r} gives no finite, nonzero spectrum "
-                         f"on the {geometry.shape} grid")
-
-    shaped = np.fft.ifftn(np.fft.fftn(white) * amplitude).real / sigma
+    shaped = scipy.fft.irfftn(scipy.fft.rfftn(white) * amplitude,
+                              s=geometry.shape) / sigma
 
     # +-4 sigma of the unit-variance field maps to +-(range/4) around the
     # midpoint, i.e. the central half of the code range
@@ -268,6 +287,17 @@ def affected_slices(depth_profile) -> tuple:
                  np.nonzero(depth >= AFFECTED_THRESHOLD * depth.max())[0])
 
 
+@lru_cache(maxsize=4)
+def _lesion_shape(spec: LesionSpec, geometry: StackGeometry):
+    """(profile, energy, affected slices) of spec on geometry: the inserted
+    amplitude * outer(inplane, depth), read-only, its sum and the slices it
+    affects."""
+    inplane, depth = lesion_profile(spec, geometry)
+    profile = spec.amplitude * inplane[:, :, None] * depth[None, None, :]
+    profile.flags.writeable = False
+    return profile, float(profile.sum()), affected_slices(depth)
+
+
 def insert_lesion(healthy: ImageStack, spec: LesionSpec,
                   stack_id: str = "") -> ImageStack:
     """Add the lesion profile to a healthy stack at its center.
@@ -279,12 +309,10 @@ def insert_lesion(healthy: ImageStack, spec: LesionSpec,
     if healthy.label != "healthy":
         raise ValueError("can only insert into a healthy stack")
     geometry = healthy.geometry
-    inplane, depth = lesion_profile(spec, geometry)
-    profile = spec.amplitude * inplane[:, :, None] * depth[None, None, :]
-    ideal = healthy.data.astype(np.float64) + profile
+    profile, energy, lesion_slices = _lesion_shape(spec, geometry)
+    ideal = healthy.data + profile
     codes = np.clip(np.rint(ideal), 0, geometry.max_code)
 
-    energy = float(profile.sum())
     lost = float(np.maximum(ideal - geometry.max_code, 0.0).sum()
                  + np.maximum(-ideal, 0.0).sum())
     if energy > 0 and lost > 0.01 * energy:
@@ -296,7 +324,7 @@ def insert_lesion(healthy: ImageStack, spec: LesionSpec,
     return replace(healthy, data=codes.astype(np.uint16),
                    stack_id=stack_id or f"{healthy.stack_id}-lesion",
                    label="lesion",
-                   lesion_slices=affected_slices(depth),
+                   lesion_slices=lesion_slices,
                    source_id=healthy.stack_id,
                    provenance=healthy.provenance
                    + f" lesion={spec.kind} amp={spec.amplitude!r}")
@@ -351,8 +379,8 @@ def write_stack(stack: ImageStack, path) -> None:
     check_writable("stack_id", stack.stack_id)
     check_writable("source_id", stack.source_id)
     path = Path(path)
-    payload = np.ascontiguousarray(
-        stack.data.transpose(2, 0, 1)).astype("<u2").tobytes()
+    payload = stack.data.transpose(2, 0, 1).astype(
+        "<u2", copy=False).tobytes()
     path.write_bytes(payload)
     lines = [f"{key} = {value!r}"
              for key, value in asdict(stack.geometry).items()]
@@ -442,7 +470,7 @@ def read_stack(path) -> ImageStack:
         raise FormatError(
             f"{path}: code {int(flat[bad[0]])} at byte offset {offset} "
             f"exceeds the {geometry.bit_depth}-bit range")
-    data = np.ascontiguousarray(codes.transpose(1, 2, 0)).astype(np.uint16)
+    data = codes.transpose(1, 2, 0).astype(np.uint16, order="C")
     try:
         return ImageStack(geometry=geometry, data=data,
                           stack_id=header["stack_id"], label=header["label"],

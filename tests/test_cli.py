@@ -1,5 +1,6 @@
 import pytest
 
+from cinecho import cli
 from cinecho.cli import main
 from cinecho.config import load_config
 from cinecho.csf import ViewingConditions, stcsf
@@ -176,6 +177,37 @@ class TestErrors:
         assert main([command, "--config", str(bad),
                      "--out", str(tmp_path)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run-trial", "sweep"])
+    def test_model_checked_before_the_split(self, tmp_path, capsys, command):
+        # one pair fails the split too, so only the order names the display
+        bad = tmp_path / "one_pair.txt"
+        bad.write_text("generator.n_pairs = 1\ndisplay.l_max = inf\n",
+                       encoding="utf-8")
+        assert main([command, "--config", str(bad),
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: l_max must be finite")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run-trial"], "ssr and slice_rate must be finite and positive"),
+        (["sweep"], "ssr and slice_rate must be finite and positive"),
+        (["sweep", "--axis", "contrast_ratio", "--values", "0.5"],
+         "sweep aborted at contrast_ratio = 0.5: ")])
+    def test_bad_model_value_generates_nothing(self, config_path, tmp_path,
+                                               capsys, monkeypatch, argv,
+                                               message):
+        calls = []
+        monkeypatch.setattr(cli, "generate_dataset",
+                            lambda *args, **kwargs: calls.append(args))
+        bad = tmp_path / "bad.txt"
+        line = "percept.ssr = 0\n" if len(argv) == 1 else ""
+        bad.write_text(config_path.read_text(encoding="utf-8") + line,
+                       encoding="utf-8")
+        assert main(argv + ["--config", str(bad), "--out", str(tmp_path)]) \
+            == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert calls == []
 
     def test_non_finite_overlay_field(self, sweep_dir, tmp_path, capsys):
         overlay = tmp_path / "ext.csv"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cinecho import stacks
 from cinecho.errors import FormatError, LesionClippingWarning
 from cinecho.stacks import (
     GEOMETRY_PRESETS,
@@ -287,6 +288,63 @@ class TestInsertLesion:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             insert_lesion(healthy, LesionSpec("microcalc", 60.0))
+
+
+class TestGenerationCaches:
+    """The background spectrum is built once per (shape, beta) and the
+    lesion shape once per (spec, geometry); neither cache may change what
+    a call returns or raises."""
+
+    def test_cached_arrays_are_read_only(self):
+        amplitude, _ = stacks._power_law_spectrum(SMALL.shape, 3.0)
+        profile, _, _ = stacks._lesion_shape(LesionSpec("microcalc", 9.0),
+                                             SMALL)
+        for cached in (amplitude, profile):
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0, 0, 0] = 1.0
+
+    def test_lesion_profile_stays_writable(self):
+        spec = LesionSpec("microcalc", 9.0)
+        insert_lesion(generate_background(SMALL, 1), spec)
+        inplane, depth = lesion_profile(spec, SMALL)
+        inplane[0, 0] = depth[0] = 2.0
+        assert lesion_profile(spec, SMALL)[0][0, 0] != 2.0
+
+    def test_interleaved_equals_one_at_a_time(self):
+        # more (shape, beta) pairs than the cache holds, visited twice
+        cases = [(geom, beta) for geom in (SMALL, StackGeometry(9, 12, 8,
+                                                                12, 0.5))
+                 for beta in (0.0, 1.5, 3.0)]
+        interleaved = [generate_background(geom, 5, beta=beta).data
+                       for _ in range(2) for geom, beta in cases]
+        for k, (geom, beta) in enumerate(cases):
+            stacks._power_law_spectrum.cache_clear()
+            alone = generate_background(geom, 5, beta=beta).data
+            assert np.array_equal(interleaved[k], alone)
+            assert np.array_equal(interleaved[k + len(cases)], alone)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, 200.0])
+    def test_bad_beta_raises_on_every_call(self, beta):
+        for _ in range(3):
+            with pytest.raises(ValueError, match=f"beta .*{beta!r}"):
+                generate_background(GEOMETRY_PRESETS["dataset_b"], 1,
+                                    beta=beta)
+
+    def test_clipping_warns_on_every_insertion(self):
+        data = np.full(SMALL.shape, 1000, dtype=np.uint16)
+        healthy = ImageStack(geometry=SMALL, data=data, stack_id="hi",
+                             label="healthy")
+        spec = LesionSpec("microcalc", 200.0)
+        for _ in range(2):
+            with pytest.warns(LesionClippingWarning):
+                insert_lesion(healthy, spec)
+
+    def test_oversized_lesion_raises_on_every_insertion(self):
+        healthy = generate_background(SMALL, 2)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="diameter"):
+                insert_lesion(healthy, LesionSpec("mass", 1.0))
 
 
 # ids stay on one header line without edge whitespace; provenance is
