@@ -150,11 +150,14 @@ class TestGenerateBackground:
         with pytest.raises(ValueError, match="beta"):
             generate_background(SMALL, 1, beta=-1.0)
 
-    # beta >= 171 overflows the spectrum's scale on a 64 x 64 x 32 grid
+    # beta >= 171 overflows the spectrum's scale on a 64 x 64 x 32 grid;
+    # the spectrum is cached, the refusal must not be
     @pytest.mark.parametrize("beta", [math.nan, math.inf, 200.0])
     def test_rejects_beta_that_gives_no_spectrum(self, beta):
-        with pytest.raises(ValueError, match=f"beta .*{beta!r}"):
-            generate_background(GEOMETRY_PRESETS["dataset_b"], 1, beta=beta)
+        for _ in range(3):
+            with pytest.raises(ValueError, match=f"beta .*{beta!r}"):
+                generate_background(GEOMETRY_PRESETS["dataset_b"], 1,
+                                    beta=beta)
 
     def test_metadata(self):
         stack = generate_background(SMALL, 9, stack_id="bg")
@@ -232,6 +235,10 @@ class TestLesionProfile:
     def test_diameter_must_fit(self):
         with pytest.raises(ValueError, match="diameter"):
             lesion_profile(LesionSpec("mass", 1.0), SMALL)
+        healthy = generate_background(SMALL, 2)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="diameter"):
+                insert_lesion(healthy, LesionSpec("mass", 1.0))
 
 
 class TestInsertLesion:
@@ -280,8 +287,10 @@ class TestInsertLesion:
         data = np.full((64, 64, 41), 1000, dtype=np.uint16)
         healthy = ImageStack(geometry=GEOMETRY_PRESETS["dataset_a"],
                              data=data, stack_id="hi", label="healthy")
-        with pytest.warns(LesionClippingWarning):
-            insert_lesion(healthy, LesionSpec("microcalc", 200.0))
+        # the lesion shape is cached: each insertion still warns
+        for _ in range(2):
+            with pytest.warns(LesionClippingWarning):
+                insert_lesion(healthy, LesionSpec("microcalc", 200.0))
 
     def test_no_warning_with_headroom(self):
         healthy = self._healthy(seed=8)
@@ -293,7 +302,9 @@ class TestInsertLesion:
 class TestGenerationCaches:
     """The background spectrum is built once per (shape, beta) and the
     lesion shape once per (spec, geometry); neither cache may change what
-    a call returns or raises."""
+    a call returns or raises (see also the repeated calls in
+    test_rejects_beta_that_gives_no_spectrum, test_diameter_must_fit and
+    test_clipping_warns)."""
 
     def test_cached_arrays_are_read_only(self):
         amplitude, _ = stacks._power_law_spectrum(SMALL.shape, 3.0)
@@ -323,28 +334,6 @@ class TestGenerationCaches:
             alone = generate_background(geom, 5, beta=beta).data
             assert np.array_equal(interleaved[k], alone)
             assert np.array_equal(interleaved[k + len(cases)], alone)
-
-    @pytest.mark.parametrize("beta", [math.nan, math.inf, 200.0])
-    def test_bad_beta_raises_on_every_call(self, beta):
-        for _ in range(3):
-            with pytest.raises(ValueError, match=f"beta .*{beta!r}"):
-                generate_background(GEOMETRY_PRESETS["dataset_b"], 1,
-                                    beta=beta)
-
-    def test_clipping_warns_on_every_insertion(self):
-        data = np.full(SMALL.shape, 1000, dtype=np.uint16)
-        healthy = ImageStack(geometry=SMALL, data=data, stack_id="hi",
-                             label="healthy")
-        spec = LesionSpec("microcalc", 200.0)
-        for _ in range(2):
-            with pytest.warns(LesionClippingWarning):
-                insert_lesion(healthy, spec)
-
-    def test_oversized_lesion_raises_on_every_insertion(self):
-        healthy = generate_background(SMALL, 2)
-        for _ in range(2):
-            with pytest.raises(ValueError, match="diameter"):
-                insert_lesion(healthy, LesionSpec("mass", 1.0))
 
 
 # ids stay on one header line without edge whitespace; provenance is
