@@ -31,6 +31,7 @@ from .config import (
     pipeline_from,
 )
 from .csf import ViewingConditions, spatial_csf, stcsf
+from .errors import FormatError
 from .harness import (
     SWEEP_AXES,
     ResultRow,
@@ -115,8 +116,12 @@ def _cmd_sweep(args) -> int:
     out = _out_dir(args)
     axis = args.axis or config["sweep.axis"]
     if args.values:
-        values = tuple(float(tok) for tok in args.values.split(",")
-                       if tok.strip())
+        try:
+            values = tuple(float(tok) for tok in args.values.split(",")
+                           if tok.strip())
+        except ValueError:
+            raise FormatError(f"--values: expected comma-separated numbers, "
+                              f"got {args.values!r}") from None
     else:
         values = config["sweep.values"]
     spec = SweepSpec(axis=axis, values=values)
@@ -135,6 +140,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_csf_table(args) -> int:
     config = _prepare_config(args)
+    for key in ("csf.u_values", "csf.w_values"):
+        if not np.isfinite(config[key]).all():
+            raise FormatError(f"{key}: expected finite numbers, "
+                              f"got {config[key]}")
     out = _out_dir(args)
     vc = ViewingConditions(luminance=config["csf.luminance"],
                            x0=config["csf.x0"],

@@ -18,6 +18,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from html import escape
 from pathlib import Path
 
 import numpy as np
@@ -144,7 +145,8 @@ def run_sweep(dataset, spec: SweepSpec, config: dict,
     one per value for l_max and contrast_ratio; each point then trains
     and scores its readers.  config['sweep.workers'] > 1 shards the
     stacks of each pass over a thread pool, with output identical to the
-    sequential pass.
+    sequential pass.  Every pass and every shard shares one cached
+    channel bank and spectral plan.
     """
     if plan is None:
         plan = split_dataset(dataset.pairing, config["trial.n_readers"],
@@ -369,7 +371,7 @@ def emit_svg_plot(rows, overlays, path, axis_label: str = "axis") -> Path:
                      f'font-size="12" text-anchor="end">{t:.3g}</text>')
     parts.append(f'<text x="{_LEFT + inner_w / 2:.1f}" '
                  f'y="{_HEIGHT - 12:.1f}" font-size="14" '
-                 f'text-anchor="middle">{axis_label}</text>')
+                 f'text-anchor="middle">{escape(axis_label)}</text>')
     parts.append(f'<text x="18" y="{_TOP + inner_h / 2:.1f}" font-size="14" '
                  f'text-anchor="middle" transform="rotate(-90 18 '
                  f'{_TOP + inner_h / 2:.1f})">mean AUC</text>')
@@ -395,7 +397,7 @@ def emit_svg_plot(rows, overlays, path, axis_label: str = "axis") -> Path:
                          f'r="2.5" fill="{color}"/>')
         parts.append(f'<text x="{_LEFT + inner_w - 8:.1f}" '
                      f'y="{_TOP + 18 + 16 * idx:.1f}" font-size="12" '
-                     f'fill="{color}" text-anchor="end">{label}</text>')
+                     f'fill="{color}" text-anchor="end">{escape(label)}</text>')
 
     parts.append("</svg>")
     path = Path(path)

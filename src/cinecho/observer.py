@@ -19,6 +19,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import eval_laguerre
@@ -92,17 +93,18 @@ class MsChoModel:
     stage2_ridge: float | None
 
 
+@lru_cache(maxsize=8)
 def lg_channel_bank(width: int, height: int, n_channels: int = 15,
                     spread: float = 10.0) -> ChannelBank:
     """Build the channel bank on a width x height pixel grid.
 
-    Channels are centered at the image center pixel (width//2, height//2)
-    and are deterministic for identical parameters.
+    Channels are centered at the image center pixel (width//2, height//2).
+    Identical arguments return the same cached bank, its matrix read-only.
     """
     if n_channels < 1:
         raise ValueError("need at least one channel")
-    if not spread > 0:
-        raise ValueError("spread must be positive")
+    if not 0 < spread < np.inf:
+        raise ValueError(f"spread must be finite and positive, got {spread!r}")
     rows, cols = centre_offsets(width, height)
     r2 = rows[:, None] ** 2 + cols[None, :] ** 2
     x = 2.0 * np.pi * r2 / (spread * spread)
@@ -110,6 +112,7 @@ def lg_channel_bank(width: int, height: int, n_channels: int = 15,
     matrix = np.empty((width * height, n_channels), dtype=np.float64)
     for j in range(n_channels):
         matrix[:, j] = (envelope * eval_laguerre(j, x)).ravel()
+    matrix.flags.writeable = False
     return ChannelBank(width=width, height=height, n_channels=n_channels,
                        spread=spread, matrix=matrix)
 

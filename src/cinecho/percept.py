@@ -15,11 +15,12 @@
 # real stack (a real FFT over the plane, a complex one over the slices) and
 # inverts only the slices asked for.  The work falls into three layers:
 #
-#   per pass   a SpectralPlan (spectral_plan) holds what no stack changes:
-#              the distinct effective radii of the quarter grid and the
-#              index that gathers them onto the half plane, the inverse
-#              temporal phases of the slices, the foveal weights and the
-#              channel templates as half-spectrum weights
+#   per plan   what no stack changes, built once per stack shape, (x0, ssr)
+#              set, slices, foveal mode and channel bank and cached
+#              read-only (_plan): the distinct effective radii of the
+#              quarter grid and the index that gathers them onto the half
+#              plane, the inverse temporal phases of the slices, the foveal
+#              weights and the channel templates as half-spectrum weights
 #   per stack  mean, contrast, taper and one forward transform; per
 #              (L, x0, ssr) one derive_optics and one gain evaluation for
 #              every browsing point at once
@@ -42,6 +43,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import fft as sfft
@@ -59,8 +61,6 @@ __all__ = [
     "frequency_of_index",
     "transfer_gain",
     "foveal_weight",
-    "SpectralPlan",
-    "spectral_plan",
     "filter_contrast",
     "apply_stcsf",
 ]
@@ -214,12 +214,10 @@ class _Geometry:
 
 
 @dataclass(frozen=True, eq=False)
-class SpectralPlan:
+class _Plan:
     """The stack-independent part of filtering W x H x K stacks: the
     inverse temporal phases of the output slices and, per (x0, ssr), the
-    gain grid, the foveal weight and the channel weights.  spectral_plan
-    builds one; a caller that filters many stacks alike builds it once and
-    hands it to every stack.
+    gain grid, the foveal weight and the channel weights.
 
     A stack's half spectrum is held as a (K, W * (H//2 + 1)) array: one
     row per temporal frequency index k3, each row a flattened (k1, k2)
@@ -227,19 +225,8 @@ class SpectralPlan:
     """
 
     shape: tuple
-    slices: np.ndarray
     phase: np.ndarray
     geometries: dict
-    foveal_mode: str
-    bank: object
-
-    def fits(self, shape, vcs, slices) -> bool:
-        """Whether the plan serves stacks of this shape at these viewing
-        conditions, output at these slices (None: all, in order)."""
-        slices = np.arange(shape[2]) if slices is None else slices
-        return (tuple(shape) == self.shape
-                and np.array_equal(np.asarray(slices), self.slices)
-                and all((vc.x0, vc.ssr) in self.geometries for vc in vcs))
 
     def half_gains(self, vcs):
         """Transfer gain of each of vcs on the half grid folded in k3, a
@@ -318,23 +305,22 @@ def _channel_weights(bank, foveal):
         -1, bank.n_channels)
 
 
-def spectral_plan(shape, vc, slices=None, *, foveal_mode: str = "none",
-                  bank=None) -> SpectralPlan:
-    """Plan the filtering of W x H x K stacks at the viewing conditions vc
-    (one or a sequence), output at the given slices (all, in order, by
-    default).
+@lru_cache(maxsize=8)
+def _plan(shape: tuple, geometry_keys: tuple, slices: tuple | None,
+          foveal_mode: str, bank) -> _Plan:
+    """The read-only plan for W x H x K stacks of this shape at the
+    distinct (x0, ssr) of geometry_keys, output at the given slices (None:
+    all, in order), under the foveal mode and channel bank (None, or an
+    observer.ChannelBank of the same W x H, keyed by identity).
 
-    Everything here is independent of the stack: the inverse temporal
-    phases of the slices and, per distinct (x0, ssr), the distinct
-    effective radial frequencies of the (|u1|, u2) quarter grid with one
-    index that folds |u1| and equal radii onto the (k1, k2) half plane,
-    the foveal weight and, given a channel bank (observer.ChannelBank of
-    the same W x H), the channel templates as half-spectrum weights.  A
-    plan with a bank makes the filter return channel responses instead
-    of planes.
+    Per (x0, ssr) it holds the distinct effective radial frequencies of
+    the (|u1|, u2) quarter grid with one index that folds |u1| and equal
+    radii onto the (k1, k2) half plane, the foveal weight and, given a
+    bank, the channel templates as half-spectrum weights: a plan with a
+    bank makes the filter return channel responses instead of planes.
     """
-    w_px, h_px, n_sl = (int(n) for n in shape)
-    slices = np.arange(n_sl) if slices is None else np.asarray(slices, dtype=int)
+    w_px, h_px, n_sl = shape
+    slices = np.arange(n_sl) if slices is None else np.array(slices, dtype=int)
     if np.any((slices < 0) | (slices >= n_sl)):
         raise ValueError(f"slices must be indices into {n_sl} slices")
     if foveal_mode not in FOVEAL_MODES:
@@ -346,6 +332,7 @@ def spectral_plan(shape, vc, slices=None, *, foveal_mode: str = "none",
     # index is reduced mod K in integers so it stays exact
     phase = np.exp(2j * np.pi * (np.outer(slices, np.arange(n_sl)) % n_sl)
                    / n_sl) / n_sl
+    phase.flags.writeable = False
     k1 = np.arange(w_px)
     fold1 = np.minimum(k1, w_px - k1)
     # pixel distance from the viewing axis through the centre pixel; over
@@ -353,28 +340,25 @@ def spectral_plan(shape, vc, slices=None, *, foveal_mode: str = "none",
     rows, cols = centre_offsets(w_px, h_px)
     distance = np.hypot(rows[:, None], cols[None, :])
     geometries = {}
-    for point in _as_list(vc):
-        if (point.x0, point.ssr) in geometries:
-            continue
-        u1 = np.abs(frequency_of_index(np.arange(w_px // 2 + 1), w_px,
-                                       point.ssr))
-        u2 = np.abs(frequency_of_index(np.arange(h_px // 2 + 1), h_px,
-                                       point.ssr))
-        u_eff = _effective_frequency(u1[:, None], u2[None, :], point.x0)
+    for x0, ssr in geometry_keys:
+        u1 = np.abs(frequency_of_index(np.arange(w_px // 2 + 1), w_px, ssr))
+        u2 = np.abs(frequency_of_index(np.arange(h_px // 2 + 1), h_px, ssr))
+        u_eff = _effective_frequency(u1[:, None], u2[None, :], x0)
         radii, inverse = np.unique(u_eff.ravel(), return_inverse=True)
         gather = inverse.reshape(u_eff.shape)[fold1].ravel()
         foveal = None if foveal_mode == "none" else foveal_weight(
-            distance / point.ssr, foveal_mode)
+            distance / ssr, foveal_mode)
         channels = None if bank is None else _channel_weights(bank, foveal)
-        geometries[point.x0, point.ssr] = _Geometry(
+        for array in (radii, gather, foveal, channels):
+            if array is not None:
+                array.flags.writeable = False
+        geometries[x0, ssr] = _Geometry(
             radii=radii, gather=gather, foveal=foveal, channels=channels)
-    return SpectralPlan(shape=(w_px, h_px, n_sl), slices=slices, phase=phase,
-                        geometries=geometries, foveal_mode=foveal_mode,
-                        bank=bank)
+    return _Plan(shape=shape, phase=phase, geometries=geometries)
 
 
 def filter_contrast(contrast_stack, vc, *, slices=None,
-                    plan: SpectralPlan | None = None):
+                    foveal_mode: str = "none", bank=None):
     """Linear core of the percept pipeline: scale every 3D frequency
     component of a contrast stack by the transfer gain at its frequency
     triple and transform back.
@@ -383,27 +367,27 @@ def filter_contrast(contrast_stack, vc, *, slices=None,
     the plane, a complex one over the slices).  Per viewing condition the
     gain is applied on that half grid and the inverse temporal DFT is
     evaluated at the requested slices only (all of them by default, in
-    order).  The plan's output step then returns the real planes through
-    irfft2 or, when the plan has a channel bank, projects the half planes
-    straight onto the channels.  The gain is real and even, so either
-    output is real by construction.
+    order).  The output is then the real planes through irfft2, foveally
+    weighted, or, given a channel bank, the (slices, n_channels) channel
+    responses of those planes, projected straight from the half planes.
+    The gain is real and even, so either output is real by construction.
+    What does not depend on the stack is planned once per shape, slices,
+    (x0, ssr) set, foveal mode and bank, and cached.
 
     vc supplies the luminance L and the two sampling rates; the caller is
     responsible for contrast having (near-)zero mean.  vc may also be a
     sequence of viewing conditions, which then share the forward
     transform; the result is a list with one output per entry instead of
-    one output.  plan, by default built here for planes, is the
-    spectral_plan of this shape, these conditions and these slices.
+    one output.
     """
     arr = np.asarray(contrast_stack, dtype=np.float64)
     if arr.ndim != 3:
         raise ValueError("expected a W x H x K stack")
     points = _as_list(vc)
-    if plan is None:
-        plan = spectral_plan(arr.shape, points, slices)
-    elif not plan.fits(arr.shape, points, slices):
-        raise ValueError("plan was built for another stack shape, other "
-                         "slices or other viewing conditions")
+    plan = _plan(arr.shape,
+                 tuple(dict.fromkeys((p.x0, p.ssr) for p in points)),
+                 None if slices is None else tuple(int(s) for s in slices),
+                 foveal_mode, bank)
     spectrum = sfft.rfftn(arr.transpose(2, 0, 1)).reshape(arr.shape[2], -1)
     groups = {}
     for i, point in enumerate(points):
@@ -422,8 +406,7 @@ def _as_list(vc) -> list:
 
 
 def apply_stcsf(lum_stack, vc, *, foveal_mode: str = "none",
-                taper: bool = True, slices=None, bank=None,
-                plan: SpectralPlan | None = None):
+                taper: bool = True, slices=None, bank=None):
     """Produce the perceived stack, in JND units, of a luminance stack.
 
     Steps: measure the space-time mean L; subtract it to get contrast;
@@ -440,8 +423,7 @@ def apply_stcsf(lum_stack, vc, *, foveal_mode: str = "none",
     slices: data then holds only those, in that order.  With a channel
     bank the perceived planes are never formed: each entry is instead the
     (slices, n_channels) array of channel responses of the foveally
-    weighted planes.  plan, when given, is the spectral_plan of these
-    arguments, built once by a caller that filters many stacks alike.
+    weighted planes.
     """
     arr = np.asarray(lum_stack, dtype=np.float64)
     if arr.ndim != 3:
@@ -454,12 +436,6 @@ def apply_stcsf(lum_stack, vc, *, foveal_mode: str = "none",
         if not abs(point.x0 - expected_x0) <= 1e-9 * abs(expected_x0):
             raise ValueError(f"geometry mismatch: vc.x0 = {point.x0!r} but "
                              f"width/ssr = {expected_x0!r}")
-    if plan is None:
-        plan = spectral_plan(arr.shape, points, slices,
-                             foveal_mode=foveal_mode, bank=bank)
-    elif (plan.foveal_mode, plan.bank) != (foveal_mode, bank):
-        raise ValueError("plan was built for another foveal weighting or "
-                         "channel bank")
 
     lum = mean_luminance(arr)
     contrast = arr - lum
@@ -470,7 +446,8 @@ def apply_stcsf(lum_stack, vc, *, foveal_mode: str = "none",
         contrast = contrast - contrast.mean()
     effective = [ViewingConditions(luminance=lum, x0=p.x0, ssr=p.ssr,
                                    slice_rate=p.slice_rate) for p in points]
-    outs = filter_contrast(contrast, effective, slices=slices, plan=plan)
+    outs = filter_contrast(contrast, effective, slices=slices,
+                           foveal_mode=foveal_mode, bank=bank)
     if bank is None:
         outs = [PerceivedStack(data=out, vc=vc_eff, foveal_mode=foveal_mode)
                 for vc_eff, out in zip(effective, outs)]

@@ -38,7 +38,7 @@ from .observer import (
     score_responses,
     train_mscho_from_responses,
 )
-from .percept import FOVEAL_MODES, apply_stcsf, spectral_plan
+from .percept import FOVEAL_MODES, apply_stcsf
 
 # channelize_slices is not called here (perceive_responses projects onto the
 # channels in the frequency domain); it stays imported because
@@ -101,8 +101,10 @@ class PipelineConfig:
             raise ValueError(f"combiner must be one of {COMBINERS}")
         if not (0 < self.ssr < np.inf and 0 < self.slice_rate < np.inf):
             raise ValueError("ssr and slice_rate must be finite and positive")
-        if self.n_channels < 1 or not self.spread > 0:
-            raise ValueError("bad observer hyperparameters")
+        if self.n_channels < 1:
+            raise ValueError("n_channels must be at least 1")
+        if not 0 < self.spread < np.inf:
+            raise ValueError("spread must be finite and positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,12 +274,13 @@ def perceive_responses(stacks, configs, slice_range) -> np.ndarray:
 
     Returns an (n_stacks, n_configs, len(slice_range), n_channels) array.
     The configs may differ only in ssr and slice_rate (the browsing
-    axes); any other difference raises ValueError.  One channel bank and
-    one spectral plan are built up front; each stack is then mapped to
-    luminance, tapered and forward-transformed once, and each config
-    costs only its share of the gain, the inverse temporal DFT and the
-    projection onto the channels, taken in the frequency domain.  The
-    stacks must share one shape (see plan_stacks).
+    axes); any other difference raises ValueError.  Each stack is mapped
+    to luminance and passed to apply_stcsf once, with every config's
+    viewing conditions, so it is tapered and forward-transformed once;
+    each config costs only its share of the gain, the inverse temporal
+    DFT and the projection onto the channels, taken in the frequency
+    domain.  Every stack shares one cached channel bank and spectral
+    plan.  The stacks must share one shape (see plan_stacks).
     """
     config = configs[0]
     if any(replace(c, ssr=config.ssr, slice_rate=config.slice_rate) != config
@@ -291,12 +294,10 @@ def perceive_responses(stacks, configs, slice_range) -> np.ndarray:
     nominal = float(display.code_to_luminance(display.max_code // 2))
     vcs = [ViewingConditions.for_stack(shape[0], c.ssr, c.slice_rate, nominal)
            for c in configs]
-    plan = spectral_plan(shape, vcs, slice_range,
-                         foveal_mode=config.foveal_mode, bank=bank)
     return np.array([apply_stcsf(
         display.code_to_luminance(stack.data), vcs,
         foveal_mode=config.foveal_mode, taper=config.taper,
-        slices=slice_range, bank=bank, plan=plan)
+        slices=slice_range, bank=bank)
         for stack in stacks])
 
 

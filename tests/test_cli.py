@@ -1,3 +1,5 @@
+import xml.etree.ElementTree as ET
+
 import pytest
 
 from cinecho import cli
@@ -111,6 +113,14 @@ class TestSweep:
                      "--out", str(tmp_path), "--values", "25,5"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_numeric_values_are_named(self, config_path, tmp_path,
+                                          capsys):
+        assert main(["sweep", "--config", str(config_path),
+                     "--out", str(tmp_path), "--values", "5,x"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: --values: expected comma-separated numbers, got '5,x'")
+        assert not (tmp_path / "sweep.csv").exists()
+
 
 class TestCsfTable:
     def test_grid_matches_direct_evaluation(self, tmp_path):
@@ -128,6 +138,17 @@ class TestCsfTable:
         assert (u, w) == (2.0, 0.0)
         assert s == pytest.approx(float(stcsf(2.0, 0.0, vc)), rel=1e-15)
 
+    @pytest.mark.parametrize("key", ["csf.u_values", "csf.w_values"])
+    def test_non_finite_grid_value_is_named(self, tmp_path, capsys, key):
+        config = tmp_path / "csf.txt"
+        config.write_text(f"{key} = 1,nan,inf\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["csf-table", "--config", str(config),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {key}: expected finite numbers, got (1.0, nan, inf)")
+        assert not out.exists()
+
 
 class TestPlot:
     def test_plot_with_overlay(self, sweep_dir, tmp_path):
@@ -139,6 +160,17 @@ class TestPlot:
                      "--overlay", str(overlay)]) == 0
         svg = (tmp_path / "plot.svg").read_text(encoding="utf-8")
         assert "external" in svg
+
+    def test_overlay_name_is_escaped(self, sweep_dir, tmp_path):
+        overlay = tmp_path / "R&D <2011>.csv"
+        overlay.write_text("axis,value,tolerance\n5,0.6,0.02\n25,0.8,0.02\n",
+                           encoding="utf-8")
+        assert main(["plot", str(sweep_dir / "sweep.csv"),
+                     "--out", str(tmp_path),
+                     "--overlay", str(overlay)]) == 0
+        root = ET.parse(tmp_path / "plot.svg").getroot()
+        labels = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "R&D <2011>" in labels
 
     def test_plot_without_overlay(self, sweep_dir, tmp_path):
         assert main(["plot", str(sweep_dir / "sweep.csv"),
@@ -168,12 +200,17 @@ class TestErrors:
     @pytest.mark.parametrize("command, line, message", [
         ("gen-dataset", "generator.beta = nan",
          "beta must be nonnegative and finite, got nan"),
-        ("run-trial", "display.l_max = inf", "l_max must be finite")])
+        ("run-trial", "display.l_max = inf", "l_max must be finite"),
+        ("run-trial", "observer.spread = inf",
+         "spread must be finite and positive")])
     def test_non_finite_model_value_is_named(self, config_path, tmp_path,
                                              capsys, command, line, message):
+        # line replaces the small config's own value for its key, if any
+        key = line.split(" = ")[0]
+        kept = [text for text in config_path.read_text(
+            encoding="utf-8").splitlines() if not text.startswith(key)]
         bad = tmp_path / "bad.txt"
-        bad.write_text(config_path.read_text(encoding="utf-8") + line + "\n",
-                       encoding="utf-8")
+        bad.write_text("\n".join(kept + [line]) + "\n", encoding="utf-8")
         assert main([command, "--config", str(bad),
                      "--out", str(tmp_path)]) == 2
         assert f"error: {message}" in capsys.readouterr().err

@@ -6,7 +6,7 @@ part of the result.  The kernel must match it to 1e-12 relative, both on
 whole perceived stacks and on the channel responses of a slice range
 (projected from the spatial planes or straight from the half spectrum),
 whether one viewing condition is filtered or several share one forward
-transform.  The spectral plan's gain grid must equal transfer_gain
+transform.  The cached spectral plan's gain grid must equal transfer_gain
 bitwise.
 """
 
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cinecho import percept
 from cinecho.csf import ViewingConditions
 from cinecho.display import DisplayModel
 from cinecho.observer import channelize_slices, lg_channel_bank
@@ -24,7 +25,6 @@ from cinecho.percept import (
     foveal_weight,
     frequency_of_index,
     mean_luminance,
-    spectral_plan,
     taper_margins,
     transfer_gain,
 )
@@ -182,7 +182,8 @@ def test_plan_gain_equals_transfer_gain_bitwise(w_px, h_px, n_sl, ssr, rates,
     # the folded frequencies (index k and n - k share |u1| and |w|)
     vcs = [ViewingConditions(luminance=lum, x0=w_px / ssr, ssr=ssr,
                              slice_rate=rate) for rate in rates]
-    plan = spectral_plan((w_px, h_px, n_sl), vcs)
+    plan = percept._plan((w_px, h_px, n_sl), ((w_px / ssr, ssr),), None,
+                         "none", None)
     k1 = np.arange(w_px)
     k3 = np.arange(n_sl)
     u1 = np.abs(frequency_of_index(np.minimum(k1, w_px - k1), w_px, ssr))

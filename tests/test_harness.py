@@ -271,6 +271,14 @@ class TestSvgPlot:
         assert "digitized" in text
         assert "nan" not in text.lower()
 
+    def test_labels_are_escaped(self, tmp_path):
+        overlay = ("a < b", [1.0, 5.0], [0.71, 0.74], [0.05, 0.05])
+        path = emit_svg_plot(self._rows(), [overlay], tmp_path / "p.svg",
+                             axis_label="R&D <rate>")
+        labels = [t.text for t in ET.parse(path).getroot().iter(
+            "{http://www.w3.org/2000/svg}text")]
+        assert "R&D <rate>" in labels and "a < b" in labels
+
     def test_no_rows(self, tmp_path):
         with pytest.raises(ValueError, match="no rows"):
             emit_svg_plot([], [], tmp_path / "p.svg")

@@ -57,11 +57,18 @@ class TestChannelBank:
         b = lg_channel_bank(48, 40, n_channels=7, spread=8.0)
         assert np.array_equal(a.matrix, b.matrix)
 
+    def test_cached_and_read_only(self):
+        bank = lg_channel_bank(48, 40, n_channels=7, spread=8.0)
+        assert lg_channel_bank(48, 40, n_channels=7, spread=8.0) is bank
+        with pytest.raises(ValueError, match="read-only"):
+            bank.matrix[0, 0] = 1.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             lg_channel_bank(32, 32, n_channels=0)
-        with pytest.raises(ValueError):
-            lg_channel_bank(32, 32, spread=0.0)
+        for spread in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="spread must be finite"):
+                lg_channel_bank(32, 32, spread=spread)
 
 
 def _channelize(plane, bank):

@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cinecho import percept
 from cinecho.csf import ViewingConditions
 from cinecho.observer import lg_channel_bank
 from cinecho.percept import (
     DEFAULT_FOVEAL,
+    FOVEAL_MODES,
     apply_stcsf,
     filter_contrast,
     foveal_weight,
     frequency_of_index,
     mean_luminance,
-    spectral_plan,
     taper_margins,
     transfer_gain,
 )
@@ -224,7 +225,8 @@ class TestCentrePixel:
         # 49 px from the centre at 7 px/deg is exactly the 7 deg cutoff
         vc = ViewingConditions(luminance=20.0, x0=100 / 7.0, ssr=7.0,
                                slice_rate=10.0)
-        plan = spectral_plan((100, 3, 2), vc, foveal_mode="hard")
+        plan = percept._plan((100, 3, 2), ((vc.x0, vc.ssr),), None, "hard",
+                             None)
         foveal = plan.geometries[vc.x0, vc.ssr].foveal
         assert foveal[50 + 49, 1] == 0.0
         assert foveal[50 + 48, 1] == 1.0
@@ -248,7 +250,8 @@ class TestCentrePixel:
         # at 0.1 px/deg only the centre pixel lies inside the 7 deg cutoff
         vc = ViewingConditions(luminance=20.0, x0=w_px / 0.1, ssr=0.1,
                                slice_rate=10.0)
-        plan = spectral_plan((w_px, h_px, 2), vc, foveal_mode="hard")
+        plan = percept._plan((w_px, h_px, 2), ((vc.x0, vc.ssr),), None,
+                             "hard", None)
         assert only_peak(plan.geometries[vc.x0, vc.ssr].foveal) == centre
 
 
@@ -369,22 +372,48 @@ class TestApplyStcsf:
 
     def test_plan_must_match_its_arguments(self):
         vc = ViewingConditions(luminance=20.0, x0=8.0, ssr=2.0, slice_rate=10.0)
-        lum = np.random.default_rng(6).uniform(15.0, 25.0, size=(16, 16, 4))
+        lum = np.random.default_rng(6).uniform(15.0, 25.0, size=(16, 12, 4))
         bank = lg_channel_bank(16, 16, n_channels=3, spread=4.0)
-        plan = spectral_plan(lum.shape, vc, (1, 2), bank=bank)
-        got = apply_stcsf(lum, vc, slices=(1, 2), bank=bank, plan=plan)
-        assert np.array_equal(
-            got, apply_stcsf(lum, vc, slices=(1, 2), bank=bank))
-        with pytest.raises(ValueError, match="foveal weighting or channel"):
-            apply_stcsf(lum, vc, slices=(1, 2), plan=plan)
-        with pytest.raises(ValueError, match="other slices"):
-            apply_stcsf(lum, vc, slices=(1, 3), bank=bank, plan=plan)
-        other = ViewingConditions(luminance=20.0, x0=4.0, ssr=4.0,
-                                  slice_rate=10.0)
-        with pytest.raises(ValueError, match="other viewing conditions"):
-            apply_stcsf(lum, other, slices=(1, 2), bank=bank, plan=plan)
-        with pytest.raises(ValueError, match="another stack shape"):
-            apply_stcsf(lum[:, :, :3], vc, slices=(1, 2), bank=bank,
-                        plan=plan)
         with pytest.raises(ValueError, match="channel bank is 16x16"):
-            spectral_plan((16, 12, 4), vc, bank=bank)
+            apply_stcsf(lum, vc, bank=bank)
+
+
+class TestPlanCache:
+    SHAPES = [(12, 12, 5), (13, 11, 6)]
+
+    @staticmethod
+    def _perceive(shape, ranged, foveal_mode, banked):
+        lum = np.random.default_rng(sum(shape)).uniform(15.0, 25.0,
+                                                        size=shape)
+        vcs = [ViewingConditions.for_stack(shape[0], ssr, rate, 20.0)
+               for ssr, rate in ((2.0, 10.0), (4.0, 25.0), (2.0, 40.0))]
+        bank = lg_channel_bank(shape[0], shape[1], n_channels=3,
+                               spread=4.0) if banked else None
+        outs = apply_stcsf(lum, vcs, foveal_mode=foveal_mode,
+                           slices=(3, 1) if ranged else None, bank=bank)
+        return [out if banked else out.data for out in outs]
+
+    @settings(max_examples=25, deadline=None)
+    @given(calls=st.lists(st.tuples(st.sampled_from(SHAPES), st.booleans(),
+                                    st.sampled_from(FOVEAL_MODES),
+                                    st.booleans()),
+                          min_size=1, max_size=6))
+    def test_interleaved_calls_match_a_cold_cache_bitwise(self, calls):
+        warm = [self._perceive(*call) for call in calls]
+        for call, outs in zip(calls, warm):
+            percept._plan.cache_clear()
+            lg_channel_bank.cache_clear()
+            cold = self._perceive(*call)
+            assert all(np.array_equal(a, b) for a, b in zip(outs, cold))
+
+    def test_cached_arrays_refuse_writes(self):
+        bank = lg_channel_bank(12, 12, n_channels=3, spread=4.0)
+        plan = percept._plan((12, 12, 5), ((6.0, 2.0),), (1, 2), "hard",
+                             bank)
+        assert percept._plan((12, 12, 5), ((6.0, 2.0),), (1, 2), "hard",
+                             bank) is plan
+        geometry = plan.geometries[6.0, 2.0]
+        for array in (bank.matrix, plan.phase, geometry.radii,
+                      geometry.gather, geometry.foveal, geometry.channels):
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 0
