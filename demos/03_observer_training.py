@@ -67,7 +67,7 @@ print(f"perceived {2 * N_TRAIN} training stacks")
 # learns how to pool the per-slice scores
 central = central_position(slice_range, geometry.n_slices)
 model = train_mscho_from_responses(train_h, train_l, central, slice_range)
-print(f"stage-1 ridge {model.stage1.ridge:g}, "
+print(f"stage-1 ridge {model.ridge:g}, "
       f"stage-2 weights {np.array2string(model.stage2_weights, precision=3)}")
 
 # step 4: the held-out cases measure separation

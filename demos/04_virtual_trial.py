@@ -12,6 +12,8 @@ The variance matters as much as the mean: it says how far a repeat of
 the whole experiment, new cases and new readers, would scatter.
 """
 
+from collections import Counter
+
 import numpy as np
 
 from cinecho.stacks import LesionSpec, generate_dataset
@@ -28,9 +30,10 @@ dataset = generate_dataset("dataset_b", N_PAIRS,
 # the plan deals pairs round-robin: n_readers training subsets plus one
 # shared test subset, members of a pair never in the same subset
 plan = split_dataset(dataset.pairing, N_READERS, seed=23, min_per_class=6)
-for subset in range(plan.n_subsets):
+sizes = Counter(plan.subset_assignment.values())
+for subset in range(N_READERS + 1):
     role = "test" if subset == N_READERS else f"reader {subset}"
-    print(f"subset {subset} ({role}): {len(plan.subset_ids(subset))} stacks")
+    print(f"subset {subset} ({role}): {sizes[subset]} stacks")
 
 config = PipelineConfig(slice_rate=25.0, ssr=7.0)
 result = run_trial(dataset, plan, config)

@@ -68,7 +68,9 @@ class SweepSpec:
         if not self.values:
             raise ValueError("values must be non-empty")
         values = tuple(float(v) for v in self.values)
-        # "not a < b" also refuses nan, which compares false either way
+        # inf is left to the per-point checks, which name the axis
+        if any(math.isnan(v) for v in values):
+            raise ValueError(f"nan in values {values} is not a number")
         if any(not a < b for a, b in zip(values, values[1:])):
             raise ValueError("values must be strictly increasing")
         object.__setattr__(self, "values", values)

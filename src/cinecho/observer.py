@@ -32,7 +32,6 @@ __all__ = [
     "RIDGE_LADDER",
     "COND_LIMIT",
     "ChannelBank",
-    "ChoModel",
     "MsChoModel",
     "lg_channel_bank",
     "channelize_slices",
@@ -67,40 +66,32 @@ class ChannelBank:
 
 
 @dataclass(frozen=True, eq=False)
-class ChoModel:
-    """Trained 2D channelized Hotelling observer.
-
-    template solves (cov + ridge I) template = mean_diff, where cov is the
-    average of the two intra-class channel covariances and mean_diff the
-    lesion-minus-healthy mean channel response.
-    """
+class MsChoModel:
+    """Multi-slice observer: the stage-1 template and its ridge (see
+    hotelling_template), the slice range it reads, and the stage-2
+    combiner (weights and ridge present for the hotelling rule)."""
 
     template: np.ndarray
-    mean_diff: np.ndarray
-    cov: np.ndarray
     ridge: float
-
-
-@dataclass(frozen=True, eq=False)
-class MsChoModel:
-    """Multi-slice observer: a stage-1 2D model, the slice range it reads,
-    and the stage-2 combiner (weights present for the hotelling rule)."""
-
-    stage1: ChoModel
     slice_range: tuple
     combiner: str
     stage2_weights: np.ndarray | None
     stage2_ridge: float | None
 
 
-@lru_cache(maxsize=8)
 def lg_channel_bank(width: int, height: int, n_channels: int = 15,
                     spread: float = 10.0) -> ChannelBank:
     """Build the channel bank on a width x height pixel grid.
 
     Channels are centered at the image center pixel (width//2, height//2).
-    Identical arguments return the same cached bank, its matrix read-only.
+    Equal arguments, given by position or by keyword, return the same
+    cached bank, its matrix read-only.
     """
+    return _cached_bank(width, height, n_channels, spread)
+
+
+@lru_cache(maxsize=8)
+def _cached_bank(width, height, n_channels, spread) -> ChannelBank:
     if n_channels < 1:
         raise ValueError("need at least one channel")
     if not 0 < spread < np.inf:
@@ -135,14 +126,6 @@ def channelize_slices(stack_data, bank: ChannelBank, slice_indices) -> np.ndarra
     return planes.T @ bank.matrix
 
 
-def _condition_number(sym: np.ndarray) -> float:
-    eigs = np.linalg.eigvalsh(sym)
-    lo, hi = float(eigs[0]), float(eigs[-1])
-    if lo <= 0.0:
-        return np.inf
-    return hi / lo
-
-
 def hotelling_template(healthy_responses, lesion_responses):
     """Hotelling discriminant from per-class response matrices.
 
@@ -150,7 +133,9 @@ def hotelling_template(healthy_responses, lesion_responses):
     (template, mean_diff, cov, ridge) with cov the average of the two
     sample covariances (N-1 divisor).  ridge is 0 when cov is well
     conditioned, otherwise the smallest rung of the ladder (as a fraction
-    of trace(cov)/d) that brings the condition number within bounds.
+    of trace(cov)/d) that brings the condition number within bounds.  The
+    eigenvalues of cov + ridge I are those of cov shifted by ridge, so cov
+    is decomposed once for every rung.
     """
     resp_h = np.asarray(healthy_responses, dtype=np.float64)
     resp_l = np.asarray(lesion_responses, dtype=np.float64)
@@ -169,16 +154,14 @@ def hotelling_template(healthy_responses, lesion_responses):
     trace = float(np.trace(cov))
     if trace <= 0.0:
         raise TrainingError("zero covariance: all samples identical per class")
-    ridge = 0.0
-    if _condition_number(cov) > COND_LIMIT:
-        for fraction in RIDGE_LADDER:
-            candidate = fraction * trace / d
-            if _condition_number(cov + candidate * np.eye(d)) <= COND_LIMIT:
-                ridge = candidate
-                break
-        else:
-            raise TrainingError(
-                "covariance could not be conditioned by the ridge ladder")
+    eigs = np.linalg.eigvalsh(cov)
+    lo, hi = float(eigs[0]), float(eigs[-1])
+    for ridge in (0.0, *(fraction * trace / d for fraction in RIDGE_LADDER)):
+        if lo + ridge > 0.0 and (hi + ridge) / (lo + ridge) <= COND_LIMIT:
+            break
+    else:
+        raise TrainingError(
+            "covariance could not be conditioned by the ridge ladder")
     template = np.linalg.solve(cov + ridge * np.eye(d), mean_diff)
     return template, mean_diff, cov, ridge
 
@@ -220,10 +203,8 @@ def train_mscho_from_responses(resp_h, resp_l, central_pos: int,
     m = resp_h.shape[1]
     if not 0 <= central_pos < m:
         raise ValueError("central_pos outside the slice range")
-    template, mean_diff, cov, ridge = hotelling_template(
+    template, _, _, ridge = hotelling_template(
         resp_h[:, central_pos, :], resp_l[:, central_pos, :])
-    stage1 = ChoModel(template=template, mean_diff=mean_diff, cov=cov,
-                      ridge=ridge)
 
     stage2_weights = None
     stage2_ridge = None
@@ -236,7 +217,8 @@ def train_mscho_from_responses(resp_h, resp_l, central_pos: int,
             scores_l = resp_l @ template
             stage2_weights, _, _, stage2_ridge = hotelling_template(
                 scores_h, scores_l)
-    return MsChoModel(stage1=stage1, slice_range=tuple(int(s) for s in slice_range),
+    return MsChoModel(template=template, ridge=ridge,
+                      slice_range=tuple(int(s) for s in slice_range),
                       combiner=combiner, stage2_weights=stage2_weights,
                       stage2_ridge=stage2_ridge)
 
@@ -246,7 +228,7 @@ def score_responses(responses, model: MsChoModel) -> float:
     resp = np.asarray(responses, dtype=np.float64)
     if resp.ndim != 2 or resp.shape[0] != len(model.slice_range):
         raise ValueError("responses do not match the model's slice range")
-    slice_scores = resp @ model.stage1.template
+    slice_scores = resp @ model.template
     if model.combiner == "hotelling":
         return float(model.stage2_weights @ slice_scores)
     if model.combiner == "max":

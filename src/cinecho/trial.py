@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .csf import ViewingConditions
 from .display import DisplayModel
@@ -69,14 +68,6 @@ class TrialPlan:
     seed: int
     subset_assignment: dict
     pairing: tuple
-
-    @property
-    def n_subsets(self) -> int:
-        return self.n_readers + 1
-
-    def subset_ids(self, subset: int) -> list:
-        return sorted(sid for sid, s in self.subset_assignment.items()
-                      if s == subset)
 
 
 @dataclass(frozen=True)
@@ -159,16 +150,20 @@ def auc_wilcoxon(healthy_scores, lesion_scores) -> float:
     """Mann-Whitney AUC: fraction of (healthy, lesion) pairs where the
     lesion case scores higher, ties counting one half.
 
-    Computed from midranks, which reproduces brute-force pair counting
-    exactly (sums of integers and halves are exact in double precision).
+    Each lesion score is placed among the sorted healthy scores: the
+    healthy scores below it are wins, the equal ones ties.  The count of
+    wins plus half the ties is exact in double precision.  Raises
+    ValueError on an empty class or a score that is not finite.
     """
-    h = np.asarray(healthy_scores, dtype=np.float64)
+    h = np.sort(np.asarray(healthy_scores, dtype=np.float64))
     l = np.asarray(lesion_scores, dtype=np.float64)
     if h.size == 0 or l.size == 0:
         raise ValueError("both classes need at least one score")
-    ranks = rankdata(np.concatenate([h, l]))
-    rank_sum_lesion = float(ranks[h.size:].sum())
-    return (rank_sum_lesion - l.size * (l.size + 1) / 2.0) / (l.size * h.size)
+    if not (np.isfinite(h).all() and np.isfinite(l).all()):
+        raise ValueError("scores must be finite")
+    below = np.searchsorted(h, l, side="left")
+    ties = np.searchsorted(h, l, side="right") - below
+    return float((below.sum() + 0.5 * ties.sum()) / (l.size * h.size))
 
 
 def _success_matrix(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:

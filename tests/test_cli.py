@@ -230,7 +230,10 @@ class TestErrors:
         (["run-trial"], "ssr and slice_rate must be finite and positive"),
         (["sweep"], "ssr and slice_rate must be finite and positive"),
         (["sweep", "--axis", "contrast_ratio", "--values", "0.5"],
-         "sweep aborted at contrast_ratio = 0.5: ")])
+         "sweep aborted at contrast_ratio = 0.5: "),
+        (["sweep", "--values", "5,nan"],
+         "nan in values (5.0, nan) is not a number"),
+        (["sweep", "--values", "nan"], "nan in values (nan,) is not a number")])
     def test_bad_model_value_generates_nothing(self, config_path, tmp_path,
                                                capsys, monkeypatch, argv,
                                                message):

@@ -71,7 +71,14 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="strictly increasing"):
             SweepSpec("ssr", (1.0, 3.0, 3.0))
         with pytest.raises(ValueError, match="strictly increasing"):
-            SweepSpec("slice_rate", (1.0, math.nan, 1.0))
+            SweepSpec("slice_rate", (1.0, 2.0, 1.0))
+
+    @pytest.mark.parametrize("values", [(math.nan,), (5.0, math.nan),
+                                        (1.0, math.nan, 1.0)])
+    def test_nan_value_is_not_a_number(self, values):
+        with pytest.raises(ValueError, match=r"nan in values .* is not a "
+                                             r"number"):
+            SweepSpec("slice_rate", values)
 
 
 class TestResultRow:

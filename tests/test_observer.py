@@ -62,6 +62,9 @@ class TestChannelBank:
         assert lg_channel_bank(48, 40, n_channels=7, spread=8.0) is bank
         with pytest.raises(ValueError, match="read-only"):
             bank.matrix[0, 0] = 1.0
+        # positional and keyword calls share the bank too
+        assert lg_channel_bank(48, 40, 7, 8.0) is bank
+        assert lg_channel_bank(64, 64) is lg_channel_bank(64, 64, 15, 10.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -214,18 +217,21 @@ def _score(stack, bank, model):
 
 def _stage1_score(plane, bank, model):
     # the stage-1 score of one W x H plane: template' * its channel response
-    return float(model.stage1.template @ _channelize(plane, bank))
+    return float(model.template @ _channelize(plane, bank))
 
 
 class TestScoreSlice:
     BANK = lg_channel_bank(16, 16, n_channels=4)
 
-    def _model(self):
+    def _stacks(self):
         # one-slice stacks: stage 1 alone, trained on slice 0
         rng = np.random.default_rng(6)
         healthy = [rng.normal(size=(16, 16, 1)) for _ in range(12)]
         lesion = [rng.normal(size=(16, 16, 1)) + 0.1 for _ in range(12)]
-        return _train(healthy, lesion, self.BANK, (0,))
+        return healthy, lesion
+
+    def _model(self):
+        return _train(*self._stacks(), self.BANK, (0,))
 
     def test_zero_slice_scores_zero(self):
         model = self._model()
@@ -240,8 +246,11 @@ class TestScoreSlice:
         assert np.allclose(shifts, shifts[0], rtol=1e-9)
 
     def test_class_mean_separation_nonnegative(self):
-        model = self._model().stage1
-        separation = float(model.template @ model.mean_diff)
+        healthy, lesion = self._stacks()
+        mean_h, mean_l = (np.mean([_channelize(s[:, :, 0], self.BANK)
+                                   for s in stacks], axis=0)
+                          for stacks in (healthy, lesion))
+        separation = float(self._model().template @ (mean_l - mean_h))
         assert separation >= 0.0
 
 
@@ -310,7 +319,7 @@ class TestMsCho:
                 size=(16, 16, 6))
         redone = _train(corrupted_h, corrupted_l, bank, (2, 3, 4),
                         "hotelling")
-        assert np.array_equal(base.stage1.template, redone.stage1.template)
+        assert np.array_equal(base.template, redone.template)
 
     def test_slice_range_must_include_central(self):
         rng = np.random.default_rng(11)

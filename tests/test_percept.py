@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cinecho import percept
+from cinecho import observer, percept
 from cinecho.csf import ViewingConditions
 from cinecho.observer import lg_channel_bank
 from cinecho.percept import (
@@ -402,7 +402,7 @@ class TestPlanCache:
         warm = [self._perceive(*call) for call in calls]
         for call, outs in zip(calls, warm):
             percept._plan.cache_clear()
-            lg_channel_bank.cache_clear()
+            observer._cached_bank.cache_clear()
             cold = self._perceive(*call)
             assert all(np.array_equal(a, b) for a, b in zip(outs, cold))
 

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,18 +22,25 @@ from cinecho.trial import (
     split_dataset,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def _pairing(n):
     return tuple((f"h{i:02d}", f"l{i:02d}") for i in range(n))
+
+
+def _subset_ids(plan, subset):
+    return sorted(sid for sid, s in plan.subset_assignment.items()
+                  if s == subset)
 
 
 class TestSplitDataset:
     def test_subset_sizes(self):
         plan = split_dataset(_pairing(12), n_readers=2, seed=0,
                              min_per_class=4)
-        assert plan.n_subsets == 3
+        assert set(plan.subset_assignment.values()) == {0, 1, 2}
         for subset in range(3):
-            ids = plan.subset_ids(subset)
+            ids = _subset_ids(plan, subset)
             assert len(ids) == 8
             assert sum(i.startswith("h") for i in ids) == 4
             assert sum(i.startswith("l") for i in ids) == 4
@@ -43,7 +54,7 @@ class TestSplitDataset:
     def test_partition_is_complete(self):
         plan = split_dataset(_pairing(12), n_readers=2, seed=1,
                              min_per_class=4)
-        seen = sorted(sid for s in range(3) for sid in plan.subset_ids(s))
+        seen = sorted(sid for s in range(3) for sid in _subset_ids(plan, s))
         expected = sorted(sid for pair in _pairing(12) for sid in pair)
         assert seen == expected
 
@@ -113,9 +124,27 @@ class TestAucWilcoxon:
         with pytest.raises(ValueError):
             auc_wilcoxon([1.0], [])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score(self, bad):
+        # a sorted nan would land above every healthy score and count a win
+        for h, l in (([0.0, bad], [1.0]), ([0.0], [1.0, bad])):
+            with pytest.raises(ValueError, match="scores must be finite"):
+                auc_wilcoxon(h, l)
+
+    def test_importing_the_cli_leaves_scipy_stats_out(self):
+        # a fresh interpreter: this test module's process may hold it already
+        code = ("import sys, cinecho.cli; print(sorted("
+                "m for m in sys.modules if m.startswith('scipy.stats')))")
+        paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_matches_pair_counting(self):
-        # midranks reproduce the O(n^2) count exactly: all intermediate
-        # sums are half-integers below 2**53
+        # counting on the sorted scores reproduces the O(n^2) count
+        # exactly: wins plus half the ties is a half-integer below 2**53
         rng = np.random.default_rng(20260819)
         for _ in range(1000):
             n_h = int(rng.integers(1, 21))
@@ -348,7 +377,7 @@ class TestRunTrial:
     def test_shapes_and_metadata(self, strong_dataset, strong_plan):
         result = run_trial(strong_dataset, strong_plan, CONFIG)
         assert result.scores.shape == (2, 16)
-        assert result.test_ids == tuple(strong_plan.subset_ids(2))
+        assert result.test_ids == tuple(_subset_ids(strong_plan, 2))
         assert result.test_labels.sum() == 8
 
     @pytest.mark.parametrize("combiner", ["max", "mean"])
