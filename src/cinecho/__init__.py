@@ -8,32 +8,3 @@ estimate per trial.
 """
 
 __version__ = "0.1.0"
-
-from .csf import (
-    DerivedOptics,
-    ViewingConditions,
-    derive_optics,
-    spatial_csf,
-    stcsf,
-)
-from .display import DisplayModel
-from .errors import (
-    FormatError,
-    LesionClippingWarning,
-    PlanError,
-    TrainingError,
-)
-
-__all__ = [
-    "DerivedOptics",
-    "ViewingConditions",
-    "derive_optics",
-    "spatial_csf",
-    "stcsf",
-    "DisplayModel",
-    "FormatError",
-    "LesionClippingWarning",
-    "PlanError",
-    "TrainingError",
-    "__version__",
-]

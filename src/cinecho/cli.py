@@ -23,18 +23,16 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
-    config_hash,
     format_config,
     geometry_from,
     lesion_from,
     load_config,
     pipeline_from,
 )
-from .csf import ViewingConditions, spatial_csf, stcsf
+from .csf import ViewingConditions, stcsf
 from .errors import FormatError
 from .harness import (
     SWEEP_AXES,
-    ResultRow,
     SweepSpec,
     emit_csv,
     emit_svg_plot,
@@ -45,7 +43,6 @@ from .harness import (
     sweep_points,
 )
 from .stacks import generate_dataset, read_dataset, write_dataset
-from .trial import run_trial, split_dataset
 
 __all__ = ["main"]
 
@@ -90,24 +87,29 @@ def _cmd_gen_dataset(args) -> int:
     return 0
 
 
+def _sweep_to_csv(config: dict, spec: SweepSpec, pipeline, out: Path,
+                  name: str) -> tuple:
+    """Check every point of spec, then read or generate the dataset, run
+    the sweep and write its rows to out/name beside config.txt; returns
+    the rows and the CSV path."""
+    # the model is checked before seconds go into generating the dataset
+    sweep_points(spec, pipeline)
+    rows = run_sweep(_dataset(config), spec, config)
+    path = emit_csv(rows, out / name)
+    _write_resolved(config, out)
+    return rows, path
+
+
 def _cmd_run_trial(args) -> int:
     config = _prepare_config(args)
     out = _out_dir(args)
-    # the model is checked before seconds go into generating the dataset
+    # a trial is the one-point slice_rate sweep at the configured rate; the
+    # pipeline comes first, so a bad rate gets the pipeline's message
     pipeline = pipeline_from(config)
-    dataset = _dataset(config)
-    plan = split_dataset(dataset.pairing, config["trial.n_readers"],
-                         config["trial.seed"], config["trial.min_per_class"])
-    result = run_trial(dataset, plan, pipeline)
-    row = ResultRow(axis_value=config["percept.slice_rate"],
-                    mean_auc=result.mean_auc,
-                    auc_stddev=float(np.sqrt(result.variance)),
-                    n_readers=plan.n_readers, seed=plan.seed,
-                    config_hash=config_hash(config))
-    path = emit_csv([row], out / "trial.csv")
-    _write_resolved(config, out)
-    print(f"mean AUC = {result.mean_auc:.4f} +- {row.auc_stddev:.4f} "
-          f"({plan.n_readers} readers); wrote {path}")
+    spec = SweepSpec("slice_rate", (config["percept.slice_rate"],))
+    (row,), path = _sweep_to_csv(config, spec, pipeline, out, "trial.csv")
+    print(f"mean AUC = {row.mean_auc:.4f} +- {row.auc_stddev:.4f} "
+          f"({row.n_readers} readers); wrote {path}")
     return 0
 
 
@@ -125,12 +127,9 @@ def _cmd_sweep(args) -> int:
     else:
         values = config["sweep.values"]
     spec = SweepSpec(axis=axis, values=values)
-    sweep_points(spec, pipeline_from(config))
-    dataset = _dataset(config)
-    rows = run_sweep(dataset, spec, config)
-    csv_path = emit_csv(rows, out / "sweep.csv")
+    rows, csv_path = _sweep_to_csv(config, spec, pipeline_from(config), out,
+                                   "sweep.csv")
     emit_svg_plot(rows, [], out / "sweep.svg", axis_label=spec.axis)
-    _write_resolved(config, out)
     best = max(rows, key=lambda r: r.mean_auc)
     print(f"swept {spec.axis} over {len(rows)} values; peak mean AUC "
           f"{best.mean_auc:.4f} at {spec.axis} = {best.axis_value:g}; "
@@ -152,10 +151,7 @@ def _cmd_csf_table(args) -> int:
     u = np.array(config["csf.u_values"])
     w = np.array(config["csf.w_values"])
     uu, ww = np.meshgrid(u, w, indexing="ij")
-    if config["csf.temporal"]:
-        s = stcsf(uu, ww, vc)
-    else:
-        s = spatial_csf(uu, vc) * np.ones_like(ww)
+    s = stcsf(uu, ww, vc, temporal_filters=config["csf.temporal"])
     lines = ["u,w,sensitivity"]
     for i in range(u.size):
         for j in range(w.size):

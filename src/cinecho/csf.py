@@ -38,7 +38,6 @@ __all__ = [
     "temporal_filter",
     "derive_optics",
     "stcsf",
-    "spatial_csf",
 ]
 
 
@@ -238,7 +237,3 @@ def stcsf(u, w, vc: ViewingConditions, optics: DerivedOptics | None = None,
         h2 = 1.0
     return _sensitivity(u, h1, h2, vc, optics)
 
-
-def spatial_csf(u, vc: ViewingConditions, optics: DerivedOptics | None = None):
-    """Spatial-only sensitivity: stcsf with both temporal filters at unity."""
-    return stcsf(u, 0.0, vc, optics, temporal_filters=False)

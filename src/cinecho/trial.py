@@ -286,8 +286,7 @@ def perceive_responses(stacks, configs, slice_range) -> np.ndarray:
                            config.spread)
     display = config.display
     # the luminance is a placeholder: apply_stcsf uses each stack's mean
-    nominal = float(display.code_to_luminance(display.max_code // 2))
-    vcs = [ViewingConditions.for_stack(shape[0], c.ssr, c.slice_rate, nominal)
+    vcs = [ViewingConditions.for_stack(shape[0], c.ssr, c.slice_rate, 1.0)
            for c in configs]
     return np.array([apply_stcsf(
         display.code_to_luminance(stack.data), vcs,

@@ -1,5 +1,8 @@
+import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cinecho import cli
@@ -9,6 +12,8 @@ from cinecho.csf import ViewingConditions, stcsf
 from cinecho.errors import FormatError
 from cinecho.harness import read_overlay_csv, read_rows_csv
 from cinecho.stacks import read_dataset, read_stack
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 # small but complete run: 18 pairs of dataset_b stacks, 2 readers,
 # a 3-channel observer, and a strong lesion so AUC is away from chance;
@@ -91,6 +96,33 @@ class TestRunTrial:
         assert disk.mean_auc == mem.mean_auc
         assert disk.auc_stddev == mem.auc_stddev
 
+    def test_default_trial_matches_the_reference(self, tmp_path):
+        # the benchmark's recorded run_trial at the defaults, read only
+        reference = json.loads(REFERENCE.read_text(
+            encoding="utf-8"))["trial_default"]["12345"]
+        (point,) = reference["points"]
+        assert main(["run-trial", "--seed", "12345",
+                     "--out", str(tmp_path)]) == 0
+        (row,) = read_rows_csv(tmp_path / "trial.csv")
+        assert row.config_hash == reference["config_hash"]
+        assert row.axis_value == point["axis_value"]
+        assert abs(row.mean_auc - point["mean_auc"]) <= 1e-9
+        assert abs(row.auc_stddev ** 2 - point["variance"]) <= 1e-9
+
+    def test_workers_give_the_same_row(self, config_path, tmp_path):
+        sharded = tmp_path / "sharded.txt"
+        sharded.write_text(SMALL_CONFIG + "sweep.workers = 2\n",
+                           encoding="utf-8")
+        rows = []
+        for config in (config_path, sharded):
+            out = tmp_path / config.stem
+            assert main(["run-trial", "--config", str(config),
+                         "--out", str(out)]) == 0
+            rows.append(read_rows_csv(out / "trial.csv")[0])
+        serial, parallel = rows
+        assert parallel.mean_auc == serial.mean_auc
+        assert parallel.auc_stddev == serial.auc_stddev
+
 
 class TestSweep:
     def test_csv_svg_and_peak_line(self, sweep_dir, capsys):
@@ -137,6 +169,24 @@ class TestCsfTable:
                                slice_rate=25.0)
         assert (u, w) == (2.0, 0.0)
         assert s == pytest.approx(float(stcsf(2.0, 0.0, vc)), rel=1e-15)
+
+    def test_spatial_grid_is_stcsf_without_temporal_filters(self, tmp_path):
+        config = tmp_path / "csf.txt"
+        config.write_text("csf.temporal = false\n"
+                          "csf.u_values = 0, 0.5, 2, 8, 60\n"
+                          "csf.w_values = 0, 8, 40\n", encoding="utf-8")
+        assert main(["csf-table", "--config", str(config),
+                     "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "csf.csv").read_text().splitlines()[1:]
+        table = np.array([[float(tok) for tok in line.split(",")]
+                          for line in lines]).reshape(5, 3, 3)
+        vc = ViewingConditions(luminance=20.0, x0=2.5, ssr=7.0,
+                               slice_rate=25.0)
+        spatial = stcsf(table[:, 0, 0], 0.0, vc, temporal_filters=False)
+        for j, w in enumerate((0.0, 8.0, 40.0)):
+            assert (table[:, j, 1] == w).all()
+            # 17 significant digits read back bit for bit
+            assert np.array_equal(table[:, j, 2], spatial)
 
     @pytest.mark.parametrize("key", ["csf.u_values", "csf.w_values"])
     def test_non_finite_grid_value_is_named(self, tmp_path, capsys, key):

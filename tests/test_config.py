@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +15,12 @@ from cinecho.config import (
     parse_config,
     pipeline_from,
 )
+from cinecho.display import DisplayModel
 from cinecho.errors import FormatError
-from cinecho.stacks import GEOMETRY_PRESETS
+from cinecho.observer import lg_channel_bank, train_mscho_from_responses
+from cinecho.stacks import GEOMETRY_PRESETS, generate_background, \
+    generate_dataset
+from cinecho.trial import PipelineConfig, split_dataset
 
 
 class TestParse:
@@ -247,3 +253,25 @@ class TestBuilders:
         config["generator.preset"] = "dataset_c"
         with pytest.raises(FormatError, match="unknown preset"):
             geometry_from(config)
+
+    def test_model_defaults_are_the_config_defaults(self):
+        # the README and the acceptance criteria build models from the
+        # model defaults, the CLI from DEFAULTS: they must be one run
+        assert pipeline_from(dict(DEFAULTS)) == PipelineConfig()
+        assert display_from(dict(DEFAULTS)) == DisplayModel()
+
+    @pytest.mark.parametrize("function, name, key", [
+        (split_dataset, "min_per_class", "trial.min_per_class"),
+        (lg_channel_bank, "n_channels", "observer.n_channels"),
+        (lg_channel_bank, "spread", "observer.spread"),
+        (train_mscho_from_responses, "combiner", "observer.combiner"),
+        (generate_background, "texture", "generator.texture"),
+        (generate_background, "beta", "generator.beta"),
+        (generate_dataset, "texture", "generator.texture"),
+        (generate_dataset, "beta", "generator.beta")],
+        ids=lambda v: getattr(v, "__name__", None))
+    def test_keyword_default_is_the_config_default(self, function, name,
+                                                   key):
+        default = inspect.signature(function).parameters[name].default
+        assert default == DEFAULTS[key]
+        assert type(default) is type(DEFAULTS[key])

@@ -17,7 +17,6 @@ from cinecho.csf import (
     optical_mtf,
     pupil_diameter,
     retinal_illuminance,
-    spatial_csf,
     stcsf,
     temporal_filter,
     temporal_time_constants,
@@ -121,9 +120,9 @@ class TestSensitivity:
 
     def test_spatial_equals_static_limit(self):
         # with both temporal filters forced to unity the result must be
-        # bit-identical to the spatial-only form for every w
+        # bit-identical to the spatial-only form (w = 0) for every w
         u = np.linspace(0.1, 40.0, 37)
-        s_spatial = spatial_csf(u, VC)
+        s_spatial = stcsf(u, 0.0, VC, temporal_filters=False)
         for w in (0.0, 3.0, 17.0):
             s_forced = stcsf(u, w, VC, temporal_filters=False)
             assert np.array_equal(s_forced, s_spatial)
@@ -140,15 +139,15 @@ class TestSensitivity:
     def test_spatial_peak_location(self):
         # band-pass in u with a peak at a few cyc/deg
         u = np.linspace(0.05, 60.0, 4096)
-        s = spatial_csf(u, VC)
+        s = stcsf(u, 0.0, VC, temporal_filters=False)
         peak = u[np.argmax(s)]
         assert 1.0 <= peak <= 8.0
         assert s.max() > 100.0
 
     def test_high_frequency_rolloff(self):
-        s60 = float(spatial_csf(60.0, VC))
+        s60 = float(stcsf(60.0, 0.0, VC, temporal_filters=False))
         u = np.linspace(0.05, 60.0, 4096)
-        speak = spatial_csf(u, VC).max()
+        speak = stcsf(u, 0.0, VC, temporal_filters=False).max()
         assert s60 < 0.01 * speak
 
     def test_temporal_bandpass_at_low_u(self):
