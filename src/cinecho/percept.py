@@ -204,12 +204,12 @@ def foveal_weight(alpha, mode: str):
 class _Geometry:
     """What one (x0, ssr) adds to a spectral plan: the distinct effective
     radial frequencies of the (|u1|, u2) quarter grid, the index that
-    gathers them onto the (k1, k2) half plane, the foveal weight (None in
-    mode none) and the channel weights (None without a bank)."""
+    gathers them onto the (k1, k2) half plane, the foveal weight (all
+    ones in mode none) and the channel weights (None without a bank)."""
 
     radii: np.ndarray
     gather: np.ndarray
-    foveal: np.ndarray | None
+    foveal: np.ndarray
     channels: np.ndarray | None
 
 
@@ -274,8 +274,6 @@ class _Plan:
         w_px, h_px, _ = self.shape
         out = sfft.irfft2(half.reshape(half.shape[0], w_px, -1),
                           s=(w_px, h_px)).transpose(1, 2, 0)
-        if geometry.foveal is None:
-            return out
         return out * geometry.foveal[:, :, None]
 
 
@@ -291,9 +289,8 @@ def _channel_weights(bank, foveal):
     like the real and imaginary parts of X in memory.
     """
     w_px, h_px = bank.width, bank.height
-    templates = bank.matrix.reshape(w_px, h_px, bank.n_channels)
-    if foveal is not None:
-        templates = templates * foveal[:, :, None]
+    templates = bank.matrix.reshape(w_px, h_px, bank.n_channels) \
+        * foveal[:, :, None]
     mirror = np.full(h_px // 2 + 1, 2.0)
     mirror[0] = 1.0
     if h_px % 2 == 0:
@@ -346,8 +343,7 @@ def _plan(shape: tuple, geometry_keys: tuple, slices: tuple | None,
         u_eff = _effective_frequency(u1[:, None], u2[None, :], x0)
         radii, inverse = np.unique(u_eff.ravel(), return_inverse=True)
         gather = inverse.reshape(u_eff.shape)[fold1].ravel()
-        foveal = None if foveal_mode == "none" else foveal_weight(
-            distance / ssr, foveal_mode)
+        foveal = foveal_weight(distance / ssr, foveal_mode)
         channels = None if bank is None else _channel_weights(bank, foveal)
         for array in (radii, gather, foveal, channels):
             if array is not None:

@@ -482,12 +482,18 @@ def read_stack(path) -> ImageStack:
 
 
 def write_dataset(dataset: Dataset, directory) -> Path:
-    """Write every stack plus a manifest.csv; returns the manifest path."""
+    """Write every stack plus a manifest.csv; returns the manifest path.
+    Raises FormatError, before writing anything, naming a stack id whose
+    file name would not be a single path component inside directory."""
+    names = [f"{stack.stack_id}.u16" for stack in dataset.stacks]
+    for stack, name in zip(dataset.stacks, names):
+        if Path(name).name != name:
+            raise FormatError(f"stack_id {stack.stack_id!r} does not name a "
+                              f"file inside the dataset directory")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     rows = []
-    for stack in dataset.stacks:
-        name = f"{stack.stack_id}.u16"
+    for stack, name in zip(dataset.stacks, names):
         write_stack(stack, directory / name)
         rows.append((stack.stack_id, name, stack.label, stack.source_id))
     manifest = directory / "manifest.csv"

@@ -17,7 +17,8 @@
 # M1..M8 equals Abar^2 exactly, so only M8 is estimated.  It comes from one
 # pass over the R x N0 x N1 success array by inclusion-exclusion on the
 # cell, row, column and total sums.  The variance is NaN when either class
-# has fewer than two cases, or when the estimate falls below -1e-12.
+# has fewer than two cases, or when the estimate falls below -1e-12.  The
+# reader means of psi are the per-reader AUCs, so a trial builds psi once.
 # -----------------------------------------------------------------------------
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ class TrialPlan:
     n_readers: int
     seed: int
     subset_assignment: dict
-    pairing: tuple
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,6 @@ class TrialResult:
     mean_auc: float
     variance: float
     scores: np.ndarray       # n_readers x n_test_cases
-    test_ids: tuple
     test_labels: np.ndarray  # True where the test case is a lesion stack
 
 
@@ -119,10 +118,12 @@ def split_dataset(pairing, n_readers: int, seed: int,
     the healthy member of the k-th shuffled pair goes to subset
     k mod (n+1) and its lesion partner to (k+1) mod (n+1), so the two
     always differ and per-class subset sizes stay equal within one.
-    Raises PlanError when any subset would get fewer than min_per_class
-    members of either class.
+    Raises PlanError when the pairing is empty or when any subset would
+    get fewer than min_per_class members of either class.
     """
     pairs = [(h, l) for h, l in pairing]
+    if not pairs:
+        raise PlanError("pairing is empty: there are no lesion stacks")
     ids_h = {h for h, _ in pairs}
     ids_l = {l for _, l in pairs}
     if len(ids_h) != len(pairs) or len(ids_l) != len(pairs):
@@ -143,7 +144,7 @@ def split_dataset(pairing, n_readers: int, seed: int,
         assignment[healthy_id] = pos % n_subsets
         assignment[lesion_id] = (pos + 1) % n_subsets
     return TrialPlan(n_readers=n_readers, seed=seed,
-                     subset_assignment=assignment, pairing=tuple(pairs))
+                     subset_assignment=assignment)
 
 
 def auc_wilcoxon(healthy_scores, lesion_scores) -> float:
@@ -166,8 +167,20 @@ def auc_wilcoxon(healthy_scores, lesion_scores) -> float:
     return float((below.sum() + 0.5 * ties.sum()) / (l.size * h.size))
 
 
-def _success_matrix(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """psi[r, i, j] for reader r, healthy case i, lesion case j."""
+def _success_array(score_matrix, labels) -> np.ndarray:
+    """psi[r, i, j] for reader r, healthy case i, lesion case j.  Raises
+    ValueError unless scores and labels line up, two or more readers
+    scored, both classes are present and every score is finite."""
+    scores = np.asarray(score_matrix, dtype=np.float64)
+    labels = np.asarray(labels, dtype=bool)
+    if scores.ndim != 2 or scores.shape[1] != labels.size:
+        raise ValueError("score matrix and labels do not line up")
+    if scores.shape[0] < 2:
+        raise ValueError("need at least two readers")
+    if labels.all() or not labels.any():
+        raise ValueError("both classes must be present among the test cases")
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite")
     healthy = scores[:, ~labels]
     lesion = scores[:, labels]
     gt = lesion[:, None, :] > healthy[:, :, None]
@@ -175,34 +188,12 @@ def _success_matrix(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return gt.astype(np.float64) + 0.5 * eq
 
 
-def one_shot_mrmc(score_matrix, labels) -> tuple[float, float]:
-    """Mean AUC over readers and its one-shot MRMC variance estimate.
-
-    score_matrix is (n_readers, n_cases); labels marks lesion cases.  All
-    readers must have scored the same shared cases.  Returns
-    (mean_auc, variance) with variance = mean_auc^2 - M8, M8 the mean
-    success product over distinct readers and distinct cases of both
-    classes.  The variance is NaN, meaning inestimable, when either class
-    has fewer than two cases, or when the unbiased estimate falls below
-    -1e-12 (small, weakly correlated studies can land there); estimates
-    between -1e-12 and 0 are rounding and return 0.
-    """
-    scores = np.asarray(score_matrix, dtype=np.float64)
-    labels = np.asarray(labels, dtype=bool)
-    if scores.ndim != 2 or scores.shape[1] != labels.size:
-        raise ValueError("score matrix and labels do not line up")
-    n_readers = scores.shape[0]
-    if n_readers < 2:
-        raise ValueError("need at least two readers")
-    n1 = int(labels.sum())
-    n0 = int(labels.size - n1)
-    if n0 == 0 or n1 == 0:
-        raise ValueError("both classes must be present among the test cases")
-
-    psi = _success_matrix(scores, labels)   # (R, N0, N1)
-    mean_auc = float(psi.mean())
+def _one_shot_variance(psi: np.ndarray) -> float:
+    """The one-shot variance Abar^2 - M8 of an (R, N0, N1) success array,
+    with one_shot_mrmc's NaN and rounding rules."""
+    n_readers, n0, n1 = psi.shape
     if n0 < 2 or n1 < 2:
-        return mean_auc, float("nan")
+        return float("nan")
 
     def cross(a):
         """Sum of a[r] * a[r'] over readers r != r' and a's other axes."""
@@ -214,10 +205,27 @@ def one_shot_mrmc(score_matrix, labels) -> tuple[float, float]:
         - cross(psi.sum(axis=1)) + cross(psi)
     m8 = distinct / (n_readers * (n_readers - 1) * n0 * (n0 - 1)
                      * n1 * (n1 - 1))
+    mean_auc = float(psi.mean())
     variance = mean_auc * mean_auc - m8
     if variance < -1e-12:
-        return mean_auc, float("nan")
-    return mean_auc, max(variance, 0.0)
+        return float("nan")
+    return max(variance, 0.0)
+
+
+def one_shot_mrmc(score_matrix, labels) -> tuple[float, float]:
+    """Mean AUC over readers and its one-shot MRMC variance estimate.
+
+    score_matrix is (n_readers, n_cases); labels marks lesion cases.  All
+    readers must have scored the same shared cases, and every score must
+    be finite.  Returns (mean_auc, variance) with variance = mean_auc^2 -
+    M8, M8 the mean success product over distinct readers and distinct
+    cases of both classes.  The variance is NaN, meaning inestimable,
+    when either class has fewer than two cases, or when the unbiased
+    estimate falls below -1e-12 (small, weakly correlated studies can
+    land there); estimates between -1e-12 and 0 are rounding and return 0.
+    """
+    psi = _success_array(score_matrix, labels)
+    return float(psi.mean()), _one_shot_variance(psi)
 
 
 def plan_stacks(dataset, plan: TrialPlan,
@@ -250,10 +258,10 @@ def plan_stacks(dataset, plan: TrialPlan,
             f"the stacks are {first.geometry.bit_depth}-bit, but the display "
             f"is {config.display.bit_depth}-bit")
 
-    ranges = {stacks_by_id[l].lesion_slices for _, l in plan.pairing}
-    if len(ranges) != 1:
+    ranges = {s.lesion_slices for s in stacks if s.label == "lesion"}
+    if len(ranges) > 1:
         raise PlanError("lesion stacks disagree on the affected slice range")
-    slice_range = ranges.pop()
+    slice_range = ranges.pop() if ranges else ()
     if not slice_range:
         raise PlanError("lesion stacks record no affected slices")
     try:
@@ -323,14 +331,12 @@ def run_trial(dataset, plan: TrialPlan,
     subset = np.array([plan.subset_assignment[s.stack_id] for s in stacks])
     lesion = np.array([s.label == "lesion" for s in stacks])
     test = subset == plan.n_readers
-    test_ids = tuple(s.stack_id for s, t in zip(stacks, test) if t)
     test_labels = lesion[test]
     if not (test_labels.any() and (~test_labels).any()):
         raise PlanError("test subset lacks one of the classes")
 
-    scores = np.empty((plan.n_readers, len(test_ids)), dtype=np.float64)
-    per_reader_auc = np.empty(plan.n_readers, dtype=np.float64)
     test_resp = responses[test]
+    scores = np.empty((plan.n_readers, len(test_resp)), dtype=np.float64)
     for reader in range(plan.n_readers):
         train = subset == reader
         resp_h, resp_l = responses[train & ~lesion], responses[train & lesion]
@@ -339,11 +345,10 @@ def run_trial(dataset, plan: TrialPlan,
         model = train_mscho_from_responses(resp_h, resp_l, central_pos,
                                            slice_range, config.combiner)
         scores[reader] = [score_responses(resp, model) for resp in test_resp]
-        per_reader_auc[reader] = auc_wilcoxon(scores[reader][~test_labels],
-                                              scores[reader][test_labels])
 
-    _, variance = one_shot_mrmc(scores, test_labels)
-    mean_auc = float(np.mean(per_reader_auc))
-    return TrialResult(per_reader_auc=per_reader_auc, mean_auc=mean_auc,
-                       variance=variance, scores=scores, test_ids=test_ids,
+    psi = _success_array(scores, test_labels)
+    per_reader_auc = psi.mean(axis=(1, 2))
+    return TrialResult(per_reader_auc=per_reader_auc,
+                       mean_auc=float(np.mean(per_reader_auc)),
+                       variance=_one_shot_variance(psi), scores=scores,
                        test_labels=test_labels)

@@ -11,7 +11,8 @@ from cinecho.config import load_config
 from cinecho.csf import ViewingConditions, stcsf
 from cinecho.errors import FormatError
 from cinecho.harness import read_overlay_csv, read_rows_csv
-from cinecho.stacks import read_dataset, read_stack
+from cinecho.stacks import LesionSpec, StackGeometry, generate_dataset, \
+    read_dataset, read_stack, write_dataset
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -67,6 +68,34 @@ class TestGenDataset:
         text = (tmp_path / "config.txt").read_text(encoding="utf-8")
         assert "generator.seed = 5\n" in text
         assert "trial.seed = 5\n" in text
+
+
+    def test_stack_id_that_leaves_out_is_refused(self, tmp_path, capsys):
+        # a manifest whose lesion stack is named '../../escaped' in both its
+        # row and its header reads back, but must not be written back
+        source = tmp_path / "source"
+        ds = generate_dataset(StackGeometry(16, 16, 9, 10, 1.0), 2,
+                              LesionSpec("microcalc", 60.0), seed=3)
+        manifest = write_dataset(ds, source)
+        evil = "../../escaped"
+        manifest.write_text(manifest.read_text(encoding="utf-8").replace(
+            "l0,l0.u16", f"{evil},l0.u16"), encoding="utf-8")
+        header = source / "l0.u16.hdr"
+        header.write_text(header.read_text(encoding="utf-8").replace(
+            "stack_id = l0", f"stack_id = {evil}"), encoding="utf-8")
+        assert evil in {s.stack_id for s in read_dataset(manifest).stacks}
+        config = tmp_path / "manifest.txt"
+        config.write_text(f"trial.dataset = {manifest}\n", encoding="utf-8")
+        out = tmp_path / "a" / "b" / "out"
+        before = set(tmp_path.rglob("*"))
+        assert main(["gen-dataset", "--config", str(config),
+                     "--out", str(out)]) == 2
+        assert f"error: stack_id {evil!r} does not name a file inside" \
+            in capsys.readouterr().err
+        # --out and its parents are made; no file is written anywhere
+        new = set(tmp_path.rglob("*")) - before
+        assert new == {out, out.parent, out.parent.parent}
+        assert not (tmp_path / "a" / "escaped.u16").exists()
 
 
 class TestRunTrial:

@@ -609,6 +609,21 @@ class TestDataset:
         back = read_dataset(tmp_path / "data")
         assert len(back.stacks) == 4
 
+    @pytest.mark.parametrize("stack_id", ["../../escaped", "sub/l0",
+                                          "{tmp}/l0", "./l0"])
+    def test_id_that_is_not_a_file_name_writes_nothing(self, tmp_path,
+                                                       stack_id):
+        # the id names the stack's file, so it must not leave the directory
+        stack_id = stack_id.format(tmp=tmp_path)
+        ds = self._dataset()
+        stacks = tuple(replace(s, stack_id=stack_id) if s.stack_id == "l1"
+                       else s for s in ds.stacks)
+        target = tmp_path / "a" / "b" / "data"
+        with pytest.raises(FormatError, match=f"stack_id {stack_id!r} does "
+                                              "not name a file inside"):
+            write_dataset(Dataset(stacks=stacks), target)
+        assert not (tmp_path / "a").exists()
+
     def test_manifest_mismatch(self, tmp_path):
         ds = self._dataset()
         manifest = write_dataset(ds, tmp_path / "data")

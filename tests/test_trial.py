@@ -15,6 +15,7 @@ from cinecho.stacks import Dataset, LesionSpec, StackGeometry, \
     generate_background, generate_dataset, insert_lesion
 from cinecho.trial import (
     PipelineConfig,
+    _success_array,
     auc_wilcoxon,
     one_shot_mrmc,
     perceive_responses,
@@ -46,9 +47,9 @@ class TestSplitDataset:
             assert sum(i.startswith("l") for i in ids) == 4
 
     def test_pair_members_separated(self):
-        plan = split_dataset(_pairing(30), n_readers=3, seed=5,
-                             min_per_class=4)
-        for h, l in plan.pairing:
+        pairs = _pairing(30)
+        plan = split_dataset(pairs, n_readers=3, seed=5, min_per_class=4)
+        for h, l in pairs:
             assert plan.subset_assignment[h] != plan.subset_assignment[l]
 
     def test_partition_is_complete(self):
@@ -93,6 +94,11 @@ class TestSplitDataset:
     def test_needs_a_reader(self):
         with pytest.raises(PlanError, match="reader"):
             split_dataset(_pairing(8), n_readers=0, seed=0, min_per_class=1)
+
+    def test_empty_pairing(self):
+        # min_per_class 0 lets zero pairs past the size check
+        with pytest.raises(PlanError, match="pairing is empty"):
+            split_dataset((), n_readers=2, seed=0, min_per_class=0)
 
 
 class TestAucWilcoxon:
@@ -219,6 +225,16 @@ class TestOneShotMrmc:
         with pytest.raises(ValueError, match="reader"):
             one_shot_mrmc(np.zeros((1, 4)), np.array([0, 0, 1, 1], bool))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score(self, bad):
+        # a nan compares false both ways and would count as a loss
+        labels = np.array([0, 0, 1, 1], bool)
+        for at in ((0, 0), (1, 2)):
+            scores = np.array([[0.1, 0.2, 0.9, 0.8], [0.1, 0.3, 0.7, 0.6]])
+            scores[at] = bad
+            with pytest.raises(ValueError, match="scores must be finite"):
+                one_shot_mrmc(scores, labels)
+
     def test_needs_both_classes(self):
         with pytest.raises(ValueError, match="class"):
             one_shot_mrmc(np.zeros((2, 4)), np.zeros(4, bool))
@@ -310,6 +326,15 @@ class TestTrialProperties:
 
     @settings(deadline=None)
     @given(_reader_studies())
+    def test_success_reader_means_are_wilcoxon_aucs(self, study):
+        # run_trial's per-reader AUCs, bit for bit, with ties
+        scores, labels, _, _ = study
+        means = _success_array(scores, labels).mean(axis=(1, 2))
+        assert means.tolist() == [auc_wilcoxon(row[~labels], row[labels])
+                                  for row in scores]
+
+    @settings(deadline=None)
+    @given(_reader_studies())
     def test_returned_variance_is_nonnegative(self, study):
         scores, labels, _, _ = study
         _, var = one_shot_mrmc(scores, labels)
@@ -377,8 +402,18 @@ class TestRunTrial:
     def test_shapes_and_metadata(self, strong_dataset, strong_plan):
         result = run_trial(strong_dataset, strong_plan, CONFIG)
         assert result.scores.shape == (2, 16)
-        assert result.test_ids == tuple(_subset_ids(strong_plan, 2))
+        # test cases in id order: the plan's subset 2
+        test_ids = _subset_ids(strong_plan, 2)
+        assert result.test_labels.tolist() \
+            == [sid.startswith("l") for sid in test_ids]
         assert result.test_labels.sum() == 8
+
+    def test_needs_two_readers(self, strong_dataset):
+        # the one-shot variance needs distinct reader pairs
+        plan = split_dataset(strong_dataset.pairing, n_readers=1, seed=9,
+                             min_per_class=6)
+        with pytest.raises(ValueError, match="need at least two readers"):
+            run_trial(strong_dataset, plan, CONFIG)
 
     @pytest.mark.parametrize("combiner", ["max", "mean"])
     def test_other_combiners_also_separate(self, strong_dataset, strong_plan,
