@@ -66,7 +66,7 @@ print(f"perceived {2 * N_TRAIN} training stacks")
 # step 3: stage 1 learns a channel template on the central slice, stage 2
 # learns how to pool the per-slice scores
 central = central_position(slice_range, geometry.n_slices)
-model = train_mscho_from_responses(train_h, train_l, central, slice_range)
+model = train_mscho_from_responses(train_h, train_l, central)
 print(f"stage-1 ridge {model.ridge:g}, "
       f"stage-2 weights {np.array2string(model.stage2_weights, precision=3)}")
 

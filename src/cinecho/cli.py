@@ -27,6 +27,7 @@ from .config import (
     geometry_from,
     lesion_from,
     load_config,
+    parse_numbers,
     pipeline_from,
 )
 from .csf import ViewingConditions, stcsf
@@ -117,15 +118,8 @@ def _cmd_sweep(args) -> int:
     config = _prepare_config(args)
     out = _out_dir(args)
     axis = args.axis or config["sweep.axis"]
-    if args.values:
-        try:
-            values = tuple(float(tok) for tok in args.values.split(",")
-                           if tok.strip())
-        except ValueError:
-            raise FormatError(f"--values: expected comma-separated numbers, "
-                              f"got {args.values!r}") from None
-    else:
-        values = config["sweep.values"]
+    values = parse_numbers(args.values, "--values") if args.values \
+        else config["sweep.values"]
     spec = SweepSpec(axis=axis, values=values)
     rows, csv_path = _sweep_to_csv(config, spec, pipeline_from(config), out,
                                    "sweep.csv")

@@ -22,6 +22,7 @@ from .trial import PipelineConfig
 __all__ = [
     "DEFAULTS",
     "parse_config",
+    "parse_numbers",
     "load_config",
     "format_config",
     "config_hash",
@@ -98,12 +99,18 @@ def _coerce(key: str, text: str):
         except ValueError:
             raise FormatError(f"{key}: expected {kind}, got {text!r}")
     if isinstance(default, tuple):
-        try:
-            return tuple(float(tok) for tok in text.split(",") if tok.strip())
-        except ValueError:
-            raise FormatError(f"{key}: expected comma-separated numbers, "
-                              f"got {text!r}")
+        return parse_numbers(text, key)
     return text
+
+
+def parse_numbers(text: str, name: str) -> tuple:
+    """The floats of comma-separated text, blank entries skipped; raises
+    FormatError naming name when an entry is not a number."""
+    try:
+        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise FormatError(f"{name}: expected comma-separated numbers, "
+                          f"got {text!r}") from None
 
 
 def parse_config(text: str, source: str = "<config>") -> dict:

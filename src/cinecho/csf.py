@@ -203,19 +203,6 @@ def derive_optics(vc: ViewingConditions) -> DerivedOptics:
     return DerivedOptics(pupil_mm=d, retinal_troland=e, tau1=tau1, tau2=tau2)
 
 
-def _sensitivity(u, h1, h2, vc: ViewingConditions, optics: DerivedOptics):
-    u = np.asarray(u, dtype=float)
-    m_opt = optical_mtf(u, optics.pupil_mm)
-    f = lateral_inhibition(u)
-    spatial = 1.0 / vc.x0 ** 2 + 1.0 / X_MAX ** 2 + (u / N_MAX) ** 2
-    # at u=0, w=0 lateral inhibition cancels the signal entirely: the noise
-    # term diverges and the sensitivity limit is exactly 0
-    with np.errstate(divide="ignore"):
-        noise = 1.0 / (ETA * P * optics.retinal_troland) \
-            + PHI0 / (h1 * (1.0 - h2 * f)) ** 2
-        return m_opt / (K * np.sqrt((2.0 / T_INT) * spatial * noise))
-
-
 def stcsf(u, w, vc: ViewingConditions, optics: DerivedOptics | None = None,
           temporal_filters: bool = True):
     """Contrast sensitivity at spatial frequency u (cyc/deg) and temporal
@@ -235,5 +222,13 @@ def stcsf(u, w, vc: ViewingConditions, optics: DerivedOptics | None = None,
     else:
         h1 = 1.0
         h2 = 1.0
-    return _sensitivity(u, h1, h2, vc, optics)
-
+    u = np.asarray(u, dtype=float)
+    m_opt = optical_mtf(u, optics.pupil_mm)
+    f = lateral_inhibition(u)
+    spatial = 1.0 / vc.x0 ** 2 + 1.0 / X_MAX ** 2 + (u / N_MAX) ** 2
+    # at u=0, w=0 lateral inhibition cancels the signal entirely: the noise
+    # term diverges and the sensitivity limit is exactly 0
+    with np.errstate(divide="ignore"):
+        noise = 1.0 / (ETA * P * optics.retinal_troland) \
+            + PHI0 / (h1 * (1.0 - h2 * f)) ** 2
+        return m_opt / (K * np.sqrt((2.0 / T_INT) * spatial * noise))

@@ -68,12 +68,12 @@ class ChannelBank:
 @dataclass(frozen=True, eq=False)
 class MsChoModel:
     """Multi-slice observer: the stage-1 template and its ridge (see
-    hotelling_template), the slice range it reads, and the stage-2
+    hotelling_template), the number of slices it reads, and the stage-2
     combiner (weights and ridge present for the hotelling rule)."""
 
     template: np.ndarray
     ridge: float
-    slice_range: tuple
+    n_slices: int
     combiner: str
     stage2_weights: np.ndarray | None
     stage2_ridge: float | None
@@ -184,13 +184,12 @@ def central_position(slice_range, depth: int) -> int:
 
 
 def train_mscho_from_responses(resp_h, resp_l, central_pos: int,
-                               slice_range,
                                combiner: str = "hotelling") -> MsChoModel:
     """Train from precomputed channel responses.
 
-    resp_h and resp_l are (N, m, n_channels) arrays over the m slices of
-    slice_range; central_pos is the position of the stack's central slice
-    within that range.  Stage 1 is trained on the central-slice responses
+    resp_h and resp_l are (N, m, n_channels) arrays over the m slices the
+    observer reads; central_pos is the position of the stack's central
+    slice among them.  Stage 1 is trained on the central-slice responses
     only; the hotelling combiner is then trained on the per-slice score
     vectors of the same stacks.
     """
@@ -202,7 +201,7 @@ def train_mscho_from_responses(resp_h, resp_l, central_pos: int,
         raise ValueError("expected (N, m, n_channels) response arrays")
     m = resp_h.shape[1]
     if not 0 <= central_pos < m:
-        raise ValueError("central_pos outside the slice range")
+        raise ValueError(f"central_pos outside the {m} slices")
     template, _, _, ridge = hotelling_template(
         resp_h[:, central_pos, :], resp_l[:, central_pos, :])
 
@@ -217,17 +216,18 @@ def train_mscho_from_responses(resp_h, resp_l, central_pos: int,
             scores_l = resp_l @ template
             stage2_weights, _, _, stage2_ridge = hotelling_template(
                 scores_h, scores_l)
-    return MsChoModel(template=template, ridge=ridge,
-                      slice_range=tuple(int(s) for s in slice_range),
+    return MsChoModel(template=template, ridge=ridge, n_slices=m,
                       combiner=combiner, stage2_weights=stage2_weights,
                       stage2_ridge=stage2_ridge)
 
 
 def score_responses(responses, model: MsChoModel) -> float:
-    """Score precomputed (m, n_channels) responses over the slice range."""
+    """Score precomputed (m, n_channels) responses over the model's m
+    slices."""
     resp = np.asarray(responses, dtype=np.float64)
-    if resp.ndim != 2 or resp.shape[0] != len(model.slice_range):
-        raise ValueError("responses do not match the model's slice range")
+    if resp.ndim != 2 or resp.shape[0] != model.n_slices:
+        raise ValueError(f"expected ({model.n_slices}, n_channels) "
+                         f"responses, got shape {resp.shape}")
     slice_scores = resp @ model.template
     if model.combiner == "hotelling":
         return float(model.stage2_weights @ slice_scores)

@@ -53,8 +53,6 @@ from .stacks import centre_offsets
 
 __all__ = [
     "FOVEAL_MODES",
-    "FovealParams",
-    "DEFAULT_FOVEAL",
     "PerceivedStack",
     "mean_luminance",
     "taper_margins",
@@ -69,47 +67,27 @@ TAPER_PX = 5
 FOVEAL_MODES = ("none", "hard", "soft")
 
 
-@dataclass(frozen=True)
-class FovealParams:
-    """Relative acuity vs. eccentricity, as a piecewise fit.
-
-    Below threshold_deg the acuity coefficient is the polynomial
-    -sum(b[i] * q**i) in q = -1/(alpha + 0.1); beyond it the curve is flat
-    at ``floor``.  ``hard_cutoff_deg`` is the radius used by the hard mode,
-    which zeroes everything at or beyond it.  The defaults are a tight fit
-    to the standard relative acuity curve; the two pieces agree at the
-    threshold to within 1e-3.  DEFAULT_FOVEAL is the one instance.
-    """
-
-    threshold_deg: float = 63.5780
-    floor: float = 0.02
-    b: tuple = (0.04526296245190, 4.48579690404659, 21.9046292071393,
-                55.8322547230034, 58.6385398078192, 19.7119376682204,
-                1.43849397325222)
-    hard_cutoff_deg: float = 7.0
-
-    def _poly(self, alpha):
-        q = -1.0 / (alpha + 0.1)
-        # Horner, ascending coefficients
-        acc = np.zeros_like(q)
-        for b_i in reversed(self.b):
-            acc = acc * q + b_i
-        return -acc
-
-
-DEFAULT_FOVEAL = FovealParams()
+# Relative acuity vs. eccentricity alpha (deg), a piecewise fit: below
+# ACUITY_THRESHOLD_DEG the polynomial -sum(ACUITY_B[i] * q**i) in
+# q = -1/(alpha + 0.1), beyond it flat at ACUITY_FLOOR.  A tight fit to the
+# standard relative acuity curve; the two pieces agree at the threshold to
+# within 1e-3.  The hard mode zeroes everything at or beyond HARD_CUTOFF_DEG.
+ACUITY_THRESHOLD_DEG = 63.5780
+ACUITY_FLOOR = 0.02
+ACUITY_B = (0.04526296245190, 4.48579690404659, 21.9046292071393,
+            55.8322547230034, 58.6385398078192, 19.7119376682204,
+            1.43849397325222)
+HARD_CUTOFF_DEG = 7.0
 
 
 @dataclass(frozen=True, eq=False)
 class PerceivedStack:
     """A real W x H x K array of perceived amplitudes in JND units (or
     only the slices asked for), with the effective viewing conditions
-    (luminance = the measured stack mean) and the foveal mode it was
-    produced under."""
+    (luminance = the measured stack mean)."""
 
     data: np.ndarray
     vc: ViewingConditions
-    foveal_mode: str
 
 
 def mean_luminance(lum_stack) -> float:
@@ -178,9 +156,9 @@ def transfer_gain(u1, u2, w, vc: ViewingConditions, optics=None):
 def foveal_weight(alpha, mode: str):
     """Acuity weight for eccentricity alpha (deg) under the given mode.
 
-    none: 1 everywhere.  hard: 1 inside the cutoff radius, 0 at and
-    beyond it.  soft: the polynomial acuity fit, flat at the floor past
-    the threshold.
+    none: 1 everywhere.  hard: 1 inside HARD_CUTOFF_DEG, 0 at and
+    beyond it.  soft: the polynomial acuity fit, flat at ACUITY_FLOOR past
+    ACUITY_THRESHOLD_DEG.
 
     The soft fit is applied exactly as defined, with no clamping.  Note
     that it is ill-behaved below about 1.2 deg of eccentricity, where it
@@ -193,10 +171,14 @@ def foveal_weight(alpha, mode: str):
     if mode == "none":
         return np.ones_like(alpha)
     if mode == "hard":
-        return np.where(alpha >= DEFAULT_FOVEAL.hard_cutoff_deg, 0.0, 1.0)
+        return np.where(alpha >= HARD_CUTOFF_DEG, 0.0, 1.0)
     if mode == "soft":
-        return np.where(alpha > DEFAULT_FOVEAL.threshold_deg,
-                        DEFAULT_FOVEAL.floor, DEFAULT_FOVEAL._poly(alpha))
+        q = -1.0 / (alpha + 0.1)
+        # Horner, ascending coefficients
+        poly = np.zeros_like(q)
+        for b_i in reversed(ACUITY_B):
+            poly = poly * q + b_i
+        return np.where(alpha > ACUITY_THRESHOLD_DEG, ACUITY_FLOOR, -poly)
     raise ValueError(f"foveal mode must be one of {FOVEAL_MODES}")
 
 
@@ -445,6 +427,6 @@ def apply_stcsf(lum_stack, vc, *, foveal_mode: str = "none",
     outs = filter_contrast(contrast, effective, slices=slices,
                            foveal_mode=foveal_mode, bank=bank)
     if bank is None:
-        outs = [PerceivedStack(data=out, vc=vc_eff, foveal_mode=foveal_mode)
+        outs = [PerceivedStack(data=out, vc=vc_eff)
                 for vc_eff, out in zip(effective, outs)]
     return outs if isinstance(vc, (list, tuple)) else outs[0]

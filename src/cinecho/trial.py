@@ -234,12 +234,14 @@ def plan_stacks(dataset, plan: TrialPlan,
     reads, the lesion-affected slices the lesion stacks record, checked
     up front.
 
-    Raises PlanError when the plan names a stack the dataset lacks, when
-    a stack's (W, H, K) or bit depth differs from the first plan stack's,
-    when the stacks' bit depth differs from the display's, or when the
-    lesion stacks disagree on the slice range, record none, or miss the
-    central slice.
+    Raises PlanError when the plan assigns no stacks, when it names a
+    stack the dataset lacks, when a stack's (W, H, K) or bit depth
+    differs from the first plan stack's, when the stacks' bit depth
+    differs from the display's, or when the lesion stacks disagree on the
+    slice range, record none, or miss the central slice.
     """
+    if not plan.subset_assignment:
+        raise PlanError("the plan assigns no stacks")
     stacks_by_id = {s.stack_id: s for s in dataset.stacks}
     missing = [sid for sid in plan.subset_assignment if sid not in stacks_by_id]
     if missing:
@@ -343,7 +345,7 @@ def run_trial(dataset, plan: TrialPlan,
         if not (len(resp_h) and len(resp_l)):
             raise PlanError(f"reader {reader} training subset lacks a class")
         model = train_mscho_from_responses(resp_h, resp_l, central_pos,
-                                           slice_range, config.combiner)
+                                           config.combiner)
         scores[reader] = [score_responses(resp, model) for resp in test_resp]
 
     psi = _success_array(scores, test_labels)

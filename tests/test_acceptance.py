@@ -28,7 +28,7 @@ from cinecho.csf import (
 from cinecho.display import DisplayModel
 from cinecho.harness import SweepSpec, emit_csv, run_sweep
 from cinecho.percept import (
-    DEFAULT_FOVEAL,
+    ACUITY_B,
     apply_stcsf,
     filter_contrast,
     foveal_weight,
@@ -222,7 +222,7 @@ def test_criterion_03_analytic_anchors(criterion_report):
 
 
 def test_criterion_04_acuity_falloff_polynomial(criterion_report):
-    b = DEFAULT_FOVEAL.b
+    b = ACUITY_B
     direct = {}
     for alpha in (0.0, 63.5780):
         q = -1.0 / (alpha + 0.1)

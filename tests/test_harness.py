@@ -369,6 +369,26 @@ class TestRunSweep:
         assert [replace(row, config_hash="") for row in rows] \
             == [replace(row, config_hash="") for row in sequential]
 
+    def test_more_workers_than_stacks_run_one_stack_each(self):
+        # 8 pairs are 16 stacks; one channel and the max combiner let
+        # readers train on 2 or 3 stacks per class, and a faint lesion
+        # keeps the first point's AUC off 1
+        dataset = generate_dataset(GEOM, 8, replace(LESION, amplitude=40.0),
+                                   seed=404)
+        config = _small_config(**{"trial.min_per_class": 2,
+                                  "observer.n_channels": 1,
+                                  "observer.combiner": "max"})
+        spec = SweepSpec("slice_rate", (5.0, 25.0))
+        sequential = run_sweep(dataset, spec, config)
+        rows = run_sweep(dataset, spec, {**config, "sweep.workers": 19})
+        assert 0.5 < sequential[0].mean_auc < 1.0
+
+        def numbers(rows):
+            return [(r.axis_value, r.mean_auc, r.auc_stddev) for r in rows]
+
+        # a NaN standard deviation compares equal here
+        np.testing.assert_array_equal(numbers(rows), numbers(sequential))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failure_in_the_pass_names_axis_and_value(self, small_dataset,

@@ -183,6 +183,29 @@ class TestHotellingTemplate:
         assert eigs[-1] / eigs[0] <= COND_LIMIT
         assert np.all(np.isfinite(template))
 
+    @staticmethod
+    def _with_eigenvalues(small):
+        # four samples per class whose average covariance is diag(1, small)
+        # (the sample covariance of the unit square's corners is 4/3 I)
+        corners = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0],
+                            [-1.0, -1.0]])
+        healthy = corners * np.sqrt(0.75 * np.array([1.0, small]))
+        return healthy, healthy + np.array([1.0, 1e-6])
+
+    def test_condition_number_between_1e11_and_1e12_needs_no_ridge(self):
+        _, _, cov, ridge = hotelling_template(*self._with_eigenvalues(5e-12))
+        eigs = np.linalg.eigvalsh(cov)
+        assert 1e11 < eigs[-1] / eigs[0] < 1e12
+        assert ridge == 0.0
+
+    def test_first_rung_conditions_a_covariance_just_past_the_limit(self):
+        # eigenvalues 1 and 8e-13: condition 1.25e12, and the first rung
+        # (1e-12 of trace/d) brings it to ~7.7e11
+        _, _, cov, ridge = hotelling_template(*self._with_eigenvalues(8e-13))
+        eigs = np.linalg.eigvalsh(cov)
+        assert 1e12 < eigs[-1] / eigs[0] < 2e12
+        assert ridge == pytest.approx(1e-12 * np.trace(cov) / 2, rel=1e-12)
+
     @pytest.mark.oracle
     def test_large_sample_consistency(self):
         rng = np.random.default_rng(5)
@@ -205,14 +228,13 @@ def _train(healthy, lesion, bank, slice_range, combiner="hotelling"):
     central = central_position(slice_range, healthy[0].shape[2])
     resp_h = np.array([channelize_slices(s, bank, slice_range) for s in healthy])
     resp_l = np.array([channelize_slices(s, bank, slice_range) for s in lesion])
-    return train_mscho_from_responses(resp_h, resp_l, central, slice_range,
-                                      combiner)
+    return train_mscho_from_responses(resp_h, resp_l, central, combiner)
 
 
-def _score(stack, bank, model):
+def _score(stack, bank, model, slice_range):
     # one scalar score for a W x H x K array
     return score_responses(
-        channelize_slices(stack, bank, model.slice_range), model)
+        channelize_slices(stack, bank, slice_range), model)
 
 
 def _stage1_score(plane, bank, model):
@@ -293,8 +315,8 @@ class TestMsCho:
             model = _train(healthy, lesion, bank, (central,), combiner)
             probe = rng.normal(size=(16, 16, 7))
             want = _stage1_score(probe[:, :, central], bank, model)
-            assert _score(probe, bank, model) == pytest.approx(want,
-                                                               rel=1e-12)
+            assert _score(probe, bank, model, (central,)) \
+                == pytest.approx(want, rel=1e-12)
 
     def test_mean_combiner_on_identical_slices(self):
         rng = np.random.default_rng(9)
@@ -304,7 +326,8 @@ class TestMsCho:
         plane = rng.normal(size=(16, 16))
         probe = np.repeat(plane[:, :, None], 7, axis=2)
         want = _stage1_score(plane, bank, model)
-        assert _score(probe, bank, model) == pytest.approx(want, rel=1e-12)
+        assert _score(probe, bank, model, (2, 3, 4)) \
+            == pytest.approx(want, rel=1e-12)
 
     def test_stage1_uses_central_slices_only(self):
         rng = np.random.default_rng(10)
@@ -334,7 +357,22 @@ class TestMsCho:
         healthy, lesion = _toy_stacks(rng, 10)
         for combiner in ("hotelling", "mean"):
             model = _train(healthy, lesion, bank, (2, 3, 4), combiner)
-            assert _score(np.zeros((16, 16, 7)), bank, model) == 0.0
+            assert _score(np.zeros((16, 16, 7)), bank, model,
+                          (2, 3, 4)) == 0.0
+
+    def test_model_reads_the_slices_it_was_trained_on(self):
+        # the slice count comes from the responses, so a model always
+        # scores responses shaped like its own training responses
+        rng = np.random.default_rng(13)
+        resp_h = rng.normal(size=(12, 5, 3))
+        resp_l = rng.normal(size=(12, 5, 3)) + 0.3
+        model = train_mscho_from_responses(resp_h, resp_l, 2)
+        assert model.n_slices == 5
+        assert np.isfinite(score_responses(resp_h[0], model))
+        with pytest.raises(ValueError, match=r"expected \(5, n_channels\)"):
+            score_responses(resp_h[0, :3], model)
+        with pytest.raises(ValueError, match="central_pos outside the 5"):
+            train_mscho_from_responses(resp_h, resp_l, 5)
 
     @pytest.mark.oracle
     def test_gaussian_auc_matches_closed_form(self):

@@ -11,7 +11,9 @@ from cinecho import observer, percept
 from cinecho.csf import ViewingConditions
 from cinecho.observer import lg_channel_bank
 from cinecho.percept import (
-    DEFAULT_FOVEAL,
+    ACUITY_B,
+    ACUITY_FLOOR,
+    ACUITY_THRESHOLD_DEG,
     FOVEAL_MODES,
     apply_stcsf,
     filter_contrast,
@@ -192,7 +194,7 @@ class TestFovealWeight:
         # as defined, with no clamping
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
-        b = DEFAULT_FOVEAL.b
+        b = ACUITY_B
         for alpha in (0.5, 1.0):
             q = -1 / (mp.mpf(alpha) + mp.mpf("0.1"))
             want = float(-sum(mp.mpf(repr(bi)) * q ** i for i, bi in enumerate(b)))
@@ -207,9 +209,9 @@ class TestFovealWeight:
             foveal_weight(1.0, "blur")
 
     def test_fit_meets_the_floor_at_the_threshold(self):
-        fp = DEFAULT_FOVEAL
-        at_threshold = fp._poly(np.float64(fp.threshold_deg))
-        assert abs(at_threshold - fp.floor) <= 1e-3
+        # at the threshold itself the polynomial piece still applies
+        at_threshold = foveal_weight(ACUITY_THRESHOLD_DEG, "soft")
+        assert abs(at_threshold - ACUITY_FLOOR) <= 1e-3
 
 
 class TestCentrePixel:
@@ -255,6 +257,23 @@ class TestCentrePixel:
         assert only_peak(plan.geometries[vc.x0, vc.ssr].foveal) == centre
 
 
+class TestPlanPhases:
+    def test_phase_depends_on_the_index_product_mod_k_alone(self):
+        # slice s and frequency k enter only as s * k mod K, so every phase
+        # must be bit for bit the one of its reduced index; at this K the
+        # unreduced float product gives other last bits
+        n_sl = 32
+        vc = ViewingConditions(luminance=20.0, x0=16 / 7.0, ssr=7.0,
+                               slice_rate=10.0)
+        phase = percept._plan((16, 16, n_sl), ((vc.x0, vc.ssr),), None,
+                              "none", None).phase
+        index = np.arange(n_sl)
+        product = np.outer(index, index)
+        assert np.array_equal(phase, phase[1, product % n_sl])
+        unreduced = np.exp(2j * np.pi * product / n_sl) / n_sl
+        assert not np.array_equal(unreduced, phase)
+
+
 class TestApplyStcsf:
     def test_constant_stack_maps_to_zero(self):
         vc = ViewingConditions(luminance=37.5, x0=16.0 / 2.0, ssr=2.0,
@@ -262,7 +281,6 @@ class TestApplyStcsf:
         out = apply_stcsf(np.full((16, 16, 4), 37.5), vc)
         assert np.all(out.data == 0.0)
         assert out.vc.luminance == 37.5
-        assert out.foveal_mode == "none"
 
     def test_geometry_mismatch_rejected(self):
         vc = ViewingConditions(luminance=20.0, x0=10.0, ssr=7.0, slice_rate=25.0)

@@ -298,6 +298,27 @@ class TestInsertLesion:
             warnings.simplefilter("error")
             insert_lesion(healthy, LesionSpec("microcalc", 60.0))
 
+    @pytest.mark.parametrize("amplitude, warns", [(21.5, False),
+                                                  (22.0, True)])
+    def test_clipping_warns_past_one_percent(self, amplitude, warns):
+        # 20 codes of headroom everywhere under a microcalc peaking at the
+        # amplitude: 21.5 clips ~0.9% of the inserted energy, 22 ~1.4%
+        headroom = 20
+        data = np.full(SMALL.shape, SMALL.max_code - headroom,
+                       dtype=np.uint16)
+        healthy = ImageStack(geometry=SMALL, data=data, stack_id="hi",
+                             label="healthy")
+        spec = LesionSpec("microcalc", amplitude)
+        inplane, depth = lesion_profile(spec, SMALL)
+        profile = amplitude * inplane[:, :, None] * depth[None, None, :]
+        lost = np.maximum(profile - headroom, 0.0).sum() / profile.sum()
+        assert (0.01 < lost < 0.02) if warns else (0.005 < lost < 0.01)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            insert_lesion(healthy, spec)
+        assert any(issubclass(w.category, LesionClippingWarning)
+                   for w in caught) == warns
+
 
 class TestGenerationCaches:
     """The background spectrum is built once per (shape, beta) and the

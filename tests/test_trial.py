@@ -15,6 +15,7 @@ from cinecho.stacks import Dataset, LesionSpec, StackGeometry, \
     generate_background, generate_dataset, insert_lesion
 from cinecho.trial import (
     PipelineConfig,
+    _one_shot_variance,
     _success_array,
     auc_wilcoxon,
     one_shot_mrmc,
@@ -277,6 +278,21 @@ class TestOneShotMrmc:
         assert mean == np.mean(_psi(scores, labels))
         assert np.isnan(var)
 
+    @staticmethod
+    def _psi_with_variance(variance):
+        # psi = 1/2 + b v_i w_j with v = w = (1, -1), the same for both
+        # readers: the mean stays 1/2 and M8 is 1/4 + b^2, so the one-shot
+        # estimate is -b^2
+        b = np.sqrt(-variance)
+        pattern = 0.5 + b * np.outer([1.0, -1.0], [1.0, -1.0])
+        return np.stack([pattern, pattern])
+
+    def test_estimate_near_minus_1e9_is_nan(self):
+        assert np.isnan(_one_shot_variance(self._psi_with_variance(-1e-9)))
+
+    def test_estimate_between_minus_1e12_and_zero_is_zero(self):
+        assert _one_shot_variance(self._psi_with_variance(-1e-13)) == 0.0
+
 
 def _pair_count_auc(healthy, lesion) -> float:
     wins = sum(1.0 if b > a else (0.5 if b == a else 0.0)
@@ -441,6 +457,11 @@ class TestRunTrial:
         truncated = Dataset(stacks=strong_dataset.stacks[:-1])
         with pytest.raises(PlanError, match="unknown stack"):
             run_trial(truncated, strong_plan, CONFIG)
+
+    def test_empty_plan(self, strong_dataset, strong_plan):
+        empty = replace(strong_plan, subset_assignment={})
+        with pytest.raises(PlanError, match="the plan assigns no stacks"):
+            run_trial(strong_dataset, empty, CONFIG)
 
     def test_slice_range_must_cover_central(self, strong_dataset,
                                             strong_plan):
