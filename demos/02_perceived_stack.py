@@ -13,7 +13,6 @@ here we watch the lesion's perceived contrast change with browsing speed.
 
 import numpy as np
 
-from cinecho.csf import ViewingConditions
 from cinecho.display import DisplayModel
 from cinecho.percept import apply_stcsf
 from cinecho.stacks import GEOMETRY_PRESETS, LesionSpec, \
@@ -29,7 +28,8 @@ lesion = insert_lesion(healthy, LesionSpec("microcalc", amplitude=60.0),
 print(f"geometry {geometry.width}x{geometry.height}x{geometry.n_slices}, "
       f"lesion on slices {lesion.lesion_slices}")
 
-# codes -> cd/m^2; the mean sets the adaptation level of the model
+# codes -> cd/m^2; each stack's own mean sets the adaptation level of the
+# model, and its width over ssr its apparent size
 lum_healthy = display.code_to_luminance(healthy.data)
 lum_lesion = display.code_to_luminance(lesion.data)
 print(f"mean luminance {lum_healthy.mean():.0f} cd/m^2, "
@@ -37,13 +37,16 @@ print(f"mean luminance {lum_healthy.mean():.0f} cd/m^2, "
 
 center = (geometry.width // 2, geometry.height // 2,
           geometry.n_slices // 2)
-for rate in (1.0, 10.0, 25.0, 45.0):
-    vc = ViewingConditions.for_stack(geometry.width, ssr, rate,
-                                     lum_healthy.mean())
-    seen_h = apply_stcsf(lum_healthy, vc)
-    seen_l = apply_stcsf(lum_lesion, vc)
+rates = (1.0, 10.0, 25.0, 45.0)
+# one call per stack perceives it at every browsing point (ssr, slice_rate):
+# its contrast is tapered and transformed once
+points = [(ssr, rate) for rate in rates]
+lesion_jnd = []
+for rate, seen_h, seen_l in zip(rates, apply_stcsf(lum_healthy, points),
+                                apply_stcsf(lum_lesion, points)):
     # perceived lesion contrast: the JND difference at the lesion center
     diff = seen_l.data - seen_h.data
+    lesion_jnd.append(diff[center])
     print(f"  {rate:4.0f} slice/s: lesion center at "
           f"{diff[center]:6.2f} JND, peak |background| "
           f"{np.abs(seen_h.data).max():6.2f} JND")
@@ -51,3 +54,4 @@ for rate in (1.0, 10.0, 25.0, 45.0):
 # faster browsing moves the stack's energy to higher temporal frequency,
 # where (at these spatial frequencies) sensitivity first rises; the
 # perceived contrast of the lesion grows with the browsing speed
+assert np.all(np.diff(lesion_jnd) > 0), "lesion contrast should grow"

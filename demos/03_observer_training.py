@@ -14,7 +14,6 @@ where each moving part sits.
 
 import numpy as np
 
-from cinecho.csf import ViewingConditions
 from cinecho.display import DisplayModel
 from cinecho.observer import (
     central_position,
@@ -54,9 +53,9 @@ display = DisplayModel()
 
 def perceive(stack):
     """The (slices, channels) responses of one perceived stack."""
-    lum = display.code_to_luminance(stack.data)
-    vc = ViewingConditions.for_stack(geometry.width, SSR, RATE, lum.mean())
-    return apply_stcsf(lum, vc, slices=slice_range, bank=bank)
+    responses, = apply_stcsf(display.code_to_luminance(stack.data),
+                             [(SSR, RATE)], slices=slice_range, bank=bank)
+    return responses
 
 
 train_h = np.array([perceive(by_id[h]) for h, _ in train_pairs])

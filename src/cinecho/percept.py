@@ -1,7 +1,8 @@
 # percept.py
 # -----------------------------------------------------------------------------
 # Perceived-stack construction: turn a luminance stack browsed at a given
-# slice rate into a stack of perceived amplitudes in JND units.
+# slice rate into a stack of perceived amplitudes in JND units.  A browsing
+# point is (ssr, slice_rate); the stack fixes L (its mean) and x0 (width/ssr).
 #
 # The pipeline treats the browsed stack as a short video, decomposes its
 # contrast (luminance minus the space-time mean L) into 3D Fourier
@@ -335,98 +336,78 @@ def _plan(shape: tuple, geometry_keys: tuple, slices: tuple | None,
     return _Plan(shape=shape, phase=phase, geometries=geometries)
 
 
-def filter_contrast(contrast_stack, vc, *, slices=None,
-                    foveal_mode: str = "none", bank=None):
+def filter_contrast(contrast_stack, vcs, *, slices=None,
+                    foveal_mode: str = "none", bank=None) -> list:
     """Linear core of the percept pipeline: scale every 3D frequency
     component of a contrast stack by the transfer gain at its frequency
-    triple and transform back.
+    triple and transform back, once per viewing condition of vcs.
 
     The stack is transformed once, as a half spectrum (a real FFT over
-    the plane, a complex one over the slices).  Per viewing condition the
-    gain is applied on that half grid and the inverse temporal DFT is
-    evaluated at the requested slices only (all of them by default, in
-    order).  The output is then the real planes through irfft2, foveally
-    weighted, or, given a channel bank, the (slices, n_channels) channel
-    responses of those planes, projected straight from the half planes.
-    The gain is real and even, so either output is real by construction.
-    What does not depend on the stack is planned once per shape, slices,
-    (x0, ssr) set, foveal mode and bank, and cached.
-
-    vc supplies the luminance L and the two sampling rates; the caller is
-    responsible for contrast having (near-)zero mean.  vc may also be a
-    sequence of viewing conditions, which then share the forward
-    transform; the result is a list with one output per entry instead of
-    one output.
+    the plane, a complex one over the slices), for all of vcs.  Per
+    viewing condition the gain is applied on that half grid and the
+    inverse temporal DFT is evaluated at the requested slices only (all
+    of them by default, in order).  The output is then the real planes
+    through irfft2, foveally weighted, or, given a channel bank, the
+    (slices, n_channels) channel responses of those planes, projected
+    straight from the half planes.  The gain is real and even, so either
+    output is real by construction.  What does not depend on the stack is
+    planned once per shape, slices, (x0, ssr) set, foveal mode and bank,
+    and cached.  The caller is responsible for contrast having
+    (near-)zero mean.  Returns a list, one output per entry of vcs.
     """
     arr = np.asarray(contrast_stack, dtype=np.float64)
     if arr.ndim != 3:
         raise ValueError("expected a W x H x K stack")
-    points = _as_list(vc)
     plan = _plan(arr.shape,
-                 tuple(dict.fromkeys((p.x0, p.ssr) for p in points)),
+                 tuple(dict.fromkeys((vc.x0, vc.ssr) for vc in vcs)),
                  None if slices is None else tuple(int(s) for s in slices),
                  foveal_mode, bank)
     spectrum = sfft.rfftn(arr.transpose(2, 0, 1)).reshape(arr.shape[2], -1)
     groups = {}
-    for i, point in enumerate(points):
-        groups.setdefault((point.luminance, point.x0, point.ssr), []).append(i)
-    outs = [None] * len(points)
+    for i, vc in enumerate(vcs):
+        groups.setdefault((vc.luminance, vc.x0, vc.ssr), []).append(i)
+    outs = [None] * len(vcs)
     for members in groups.values():
-        gains = plan.half_gains([points[i] for i in members])
+        gains = plan.half_gains([vcs[i] for i in members])
         for i, gain in zip(members, gains):
             half = plan.phase @ plan.weigh(spectrum, gain)
-            outs[i] = plan.output(half, points[i])
-    return outs if isinstance(vc, (list, tuple)) else outs[0]
+            outs[i] = plan.output(half, vcs[i])
+    return outs
 
 
-def _as_list(vc) -> list:
-    return list(vc) if isinstance(vc, (list, tuple)) else [vc]
+def apply_stcsf(lum_stack, points, *, foveal_mode: str = "none",
+                taper: bool = True, slices=None, bank=None) -> list:
+    """The perceived stacks, in JND units, of a luminance stack browsed
+    at each of points, a sequence of (ssr, slice_rate) browsing points:
+    one entry per point, in order.
 
-
-def apply_stcsf(lum_stack, vc, *, foveal_mode: str = "none",
-                taper: bool = True, slices=None, bank=None):
-    """Produce the perceived stack, in JND units, of a luminance stack.
-
-    Steps: measure the space-time mean L; subtract it to get contrast;
-    taper the in-plane margins (and re-zero the mean, which the taper
-    perturbs); scale every 3D frequency component by S(u_eff, w)/L; weight
-    by foveal acuity last.  vc carries the geometry (x0 must equal
-    width/ssr) and the sampling rates; its luminance field is a nominal
-    value that is replaced by the measured mean.
-
-    vc may also be a sequence of viewing conditions (browsing points of
-    the same stack): contrast, taper and the forward transform do not
-    depend on them and are computed once, and a list of PerceivedStack is
-    returned, one per entry.  slices, when given, selects the output
-    slices: data then holds only those, in that order.  With a channel
-    bank the perceived planes are never formed: each entry is instead the
-    (slices, n_channels) array of channel responses of the foveally
-    weighted planes.
+    The stack fixes the rest of the viewing conditions: L is its measured
+    space-time mean and its apparent size x0 is width/ssr.  Steps:
+    measure L; subtract it to get contrast; taper the in-plane margins
+    (and re-zero the mean, which the taper perturbs); scale every 3D
+    frequency component by S(u_eff, w)/L; weight by foveal acuity last.
+    Contrast, taper and the forward transform do not depend on the
+    points and are computed once.  Each entry is a PerceivedStack whose
+    vc holds the point's effective viewing conditions.  slices, when
+    given, selects the output slices: data then holds only those, in that
+    order.  With a channel bank the perceived planes are never formed:
+    each entry is instead the (slices, n_channels) array of channel
+    responses of the foveally weighted planes.
     """
     arr = np.asarray(lum_stack, dtype=np.float64)
     if arr.ndim != 3:
         raise ValueError("expected a W x H x K stack")
-    w_px = arr.shape[0]
-    points = _as_list(vc)
-    for point in points:
-        # np.isclose(x0, width/ssr, rtol=1e-9, atol=0), without its cost
-        expected_x0 = w_px / point.ssr
-        if not abs(point.x0 - expected_x0) <= 1e-9 * abs(expected_x0):
-            raise ValueError(f"geometry mismatch: vc.x0 = {point.x0!r} but "
-                             f"width/ssr = {expected_x0!r}")
-
     lum = mean_luminance(arr)
+    effective = [ViewingConditions.for_stack(arr.shape[0], ssr, rate, lum)
+                 for ssr, rate in points]
     contrast = arr - lum
     if taper:
         contrast = taper_margins(contrast)
         # the taper window breaks the exact zero mean of the contrast;
         # restore it so the DC component carries nothing into the filter
         contrast = contrast - contrast.mean()
-    effective = [ViewingConditions(luminance=lum, x0=p.x0, ssr=p.ssr,
-                                   slice_rate=p.slice_rate) for p in points]
     outs = filter_contrast(contrast, effective, slices=slices,
                            foveal_mode=foveal_mode, bank=bank)
-    if bank is None:
-        outs = [PerceivedStack(data=out, vc=vc_eff)
-                for vc_eff, out in zip(effective, outs)]
-    return outs if isinstance(vc, (list, tuple)) else outs[0]
+    if bank is not None:
+        return outs
+    return [PerceivedStack(out, vc) for vc, out in zip(effective, outs)]

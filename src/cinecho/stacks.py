@@ -169,9 +169,15 @@ class LesionSpec:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Generated stacks plus the healthy-to-lesion pairing."""
+    """Stacks with distinct ids plus the healthy-to-lesion pairing."""
 
     stacks: tuple
+
+    def __post_init__(self) -> None:
+        ids = [s.stack_id for s in self.stacks]
+        if len(set(ids)) < len(ids):
+            repeated = next(i for k, i in enumerate(ids) if i in ids[:k])
+            raise ValueError(f"stack id {repeated!r} names two stacks")
 
     @property
     def pairing(self) -> tuple:
@@ -310,11 +316,10 @@ def insert_lesion(healthy: ImageStack, spec: LesionSpec,
         raise ValueError("can only insert into a healthy stack")
     geometry = healthy.geometry
     profile, energy, lesion_slices = _lesion_shape(spec, geometry)
+    # the profile is nonnegative, so only the top of the range can clip
     ideal = healthy.data + profile
-    codes = np.clip(np.rint(ideal), 0, geometry.max_code)
-
-    lost = float(np.maximum(ideal - geometry.max_code, 0.0).sum()
-                 + np.maximum(-ideal, 0.0).sum())
+    codes = np.minimum(np.rint(ideal), geometry.max_code)
+    lost = float(np.maximum(ideal - geometry.max_code, 0.0).sum())
     if energy > 0 and lost > 0.01 * energy:
         warnings.warn(
             f"clipping removed {lost:.3g} of {energy:.3g} inserted energy "
@@ -505,7 +510,8 @@ def write_dataset(dataset: Dataset, directory) -> Path:
 
 
 def read_dataset(manifest_path) -> Dataset:
-    """Read a dataset back from its manifest.csv (or its directory)."""
+    """Read a dataset back from its manifest.csv (or its directory).
+    A fault of the manifest, such as a repeated id, raises FormatError."""
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.csv"
@@ -526,6 +532,9 @@ def read_dataset(manifest_path) -> Dataset:
                 f"{manifest_path}: row for {row[0]!r} disagrees with the "
                 f"stack header")
         stacks.append(stack)
-    dataset = Dataset(stacks=tuple(stacks))
-    dataset.pairing  # validates source references
+    try:
+        dataset = Dataset(stacks=tuple(stacks))
+        dataset.pairing  # validates source references
+    except ValueError as exc:
+        raise FormatError(f"{manifest_path}: {exc}") from None
     return dataset

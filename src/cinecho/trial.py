@@ -27,7 +27,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .csf import ViewingConditions
 from .display import DisplayModel
 from .errors import PlanError
 from .observer import (
@@ -281,7 +280,7 @@ def perceive_responses(stacks, configs, slice_range) -> np.ndarray:
     The configs may differ only in ssr and slice_rate (the browsing
     axes); any other difference raises ValueError.  Each stack is mapped
     to luminance and passed to apply_stcsf once, with every config's
-    viewing conditions, so it is tapered and forward-transformed once;
+    browsing point, so it is tapered and forward-transformed once;
     each config costs only its share of the gain, the inverse temporal
     DFT and the projection onto the channels, taken in the frequency
     domain.  Every stack shares one cached channel bank and spectral
@@ -291,15 +290,11 @@ def perceive_responses(stacks, configs, slice_range) -> np.ndarray:
     if any(replace(c, ssr=config.ssr, slice_rate=config.slice_rate) != config
            for c in configs):
         raise ValueError("configs may differ only in ssr and slice_rate")
-    shape = stacks[0].data.shape
-    bank = lg_channel_bank(shape[0], shape[1], config.n_channels,
+    bank = lg_channel_bank(*stacks[0].data.shape[:2], config.n_channels,
                            config.spread)
-    display = config.display
-    # the luminance is a placeholder: apply_stcsf uses each stack's mean
-    vcs = [ViewingConditions.for_stack(shape[0], c.ssr, c.slice_rate, 1.0)
-           for c in configs]
+    points = [(c.ssr, c.slice_rate) for c in configs]
     return np.array([apply_stcsf(
-        display.code_to_luminance(stack.data), vcs,
+        config.display.code_to_luminance(stack.data), points,
         foveal_mode=config.foveal_mode, taper=config.taper,
         slices=slice_range, bank=bank)
         for stack in stacks])

@@ -245,15 +245,14 @@ def test_criterion_04_acuity_falloff_polynomial(criterion_report):
 def test_criterion_05_filter_correctness(criterion_report):
     w_px, h_px, n_sl = 24, 20, 12
     ssr, rate, lum0, amp = 7.0, 25.0, 50.0, 3.0
-    vc = ViewingConditions(luminance=lum0, x0=w_px / ssr, ssr=ssr,
-                           slice_rate=rate)
     x = np.arange(w_px)[:, None, None]
     y = np.arange(h_px)[None, :, None]
     t = np.arange(n_sl)[None, None, :]
     k1, k2, k3 = 3, 5, 4
     phase = 2.0 * np.pi * (k1 * x / w_px + k2 * y / h_px
                            + k3 * t / n_sl) + 0.7
-    perceived = apply_stcsf(lum0 + amp * np.cos(phase), vc, taper=False)
+    perceived, = apply_stcsf(lum0 + amp * np.cos(phase), [(ssr, rate)],
+                             taper=False)
     gain = float(transfer_gain(float(frequency_of_index(k1, w_px, ssr)),
                                float(frequency_of_index(k2, h_px, ssr)),
                                float(frequency_of_index(k3, n_sl, rate)),
@@ -274,18 +273,16 @@ def test_criterion_05_filter_correctness(criterion_report):
     b = rng.normal(size=(16, 16, 8))
     vc_small = ViewingConditions(luminance=25.0, x0=8.0, ssr=2.0,
                                  slice_rate=15.0)
-    lhs = filter_contrast(1.7 * a - 0.6 * b, vc_small)
-    rhs = 1.7 * filter_contrast(a, vc_small) - 0.6 * filter_contrast(
-        b, vc_small)
+    lhs, = filter_contrast(1.7 * a - 0.6 * b, [vc_small])
+    rhs = 1.7 * filter_contrast(a, [vc_small])[0] \
+        - 0.6 * filter_contrast(b, [vc_small])[0]
     linearity_err = float(np.abs(lhs - rhs).max() / np.abs(rhs).max())
 
     xb = np.arange(15)[:, None, None] - 7
     yb = np.arange(15)[None, :, None] - 7
     tb = np.arange(9)[None, None, :] - 4
     blob = np.exp(-(xb ** 2 + yb ** 2) / 8.0 - tb ** 2 / 4.0)
-    vc_blob = ViewingConditions(luminance=30.0, x0=10.0, ssr=1.5,
-                                slice_rate=12.0)
-    out = apply_stcsf(30.0 + 5.0 * blob, vc_blob, taper=False)
+    out, = apply_stcsf(30.0 + 5.0 * blob, [(1.5, 12.0)], taper=False)
     peak = tuple(int(i) for i in
                  np.unravel_index(int(np.argmax(out.data)), out.data.shape))
     centered = peak == (7, 7, 4)

@@ -97,6 +97,27 @@ class TestGenDataset:
         assert new == {out, out.parent, out.parent.parent}
         assert not (tmp_path / "a" / "escaped.u16").exists()
 
+    def test_repeated_stack_id_is_refused(self, tmp_path, capsys):
+        # renaming l1 to l0 in its row and header would make the second l0
+        # overwrite the first on writing: 4 stacks announced, 3 files
+        source = tmp_path / "source"
+        ds = generate_dataset(StackGeometry(16, 16, 9, 10, 1.0), 2,
+                              LesionSpec("microcalc", 60.0), seed=3)
+        manifest = write_dataset(ds, source)
+        manifest.write_text(manifest.read_text(encoding="utf-8").replace(
+            "l1,l1.u16", "l0,l1.u16"), encoding="utf-8")
+        header = source / "l1.u16.hdr"
+        header.write_text(header.read_text(encoding="utf-8").replace(
+            "stack_id = l1", "stack_id = l0"), encoding="utf-8")
+        config = tmp_path / "manifest.txt"
+        config.write_text(f"trial.dataset = {manifest}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["gen-dataset", "--config", str(config),
+                     "--out", str(out)]) == 2
+        assert f"error: {manifest}: stack id 'l0' names two stacks" \
+            in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestRunTrial:
     def test_in_memory_dataset(self, config_path, tmp_path, capsys):

@@ -1,6 +1,8 @@
-"""Run the narrative demos end to end: each asserts what it claims."""
+"""Run the narrative demos and the README's Python example end to end:
+each asserts or prints what it claims, and must exit cleanly."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,11 +16,23 @@ DEMOS = ["01_sensitivity_surface.py", "02_perceived_stack.py",
          "05_browsing_speed_sweep.py"]
 
 
-@pytest.mark.parametrize("demo", DEMOS)
-def test_demo_runs(demo):
+def run_python(*args):
+    """Run the interpreter on args from the repository root with src/ on
+    the path; assert it exits 0."""
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
-                          cwd=ROOT, env=env, capture_output=True, text=True,
-                          timeout=300)
+    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo):
+    run_python(str(ROOT / "demos" / demo))
+
+
+def test_readme_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) == 1
+    run_python("-c", blocks[0])

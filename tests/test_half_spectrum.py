@@ -54,18 +54,21 @@ def reference_filter(contrast, vc):
     return (back / contrast.size).real
 
 
-def reference_perceive(lum, vc, *, taper, foveal_mode):
+def reference_perceive(lum, point, *, taper, foveal_mode):
+    """The perceived stack at browsing point (ssr, slice_rate): L is the
+    stack mean and x0 = width/ssr."""
+    ssr, rate = point
     lum_mean = mean_luminance(lum)
     contrast = lum - lum_mean
     if taper:
         contrast = taper_margins(contrast)
         contrast = contrast - contrast.mean()
-    vc_eff = ViewingConditions(luminance=lum_mean, x0=vc.x0, ssr=vc.ssr,
-                               slice_rate=vc.slice_rate)
-    out = reference_filter(contrast, vc_eff)
     w_px, h_px, _ = lum.shape
+    vc_eff = ViewingConditions(luminance=lum_mean, x0=w_px / ssr, ssr=ssr,
+                               slice_rate=rate)
+    out = reference_filter(contrast, vc_eff)
     rows, cols = np.meshgrid(np.arange(w_px), np.arange(h_px), indexing="ij")
-    alpha = np.hypot(rows - w_px // 2, cols - h_px // 2) / vc.ssr
+    alpha = np.hypot(rows - w_px // 2, cols - h_px // 2) / ssr
     return out * foveal_weight(alpha, foveal_mode)[:, :, None]
 
 
@@ -88,8 +91,8 @@ def test_filter_contrast_matches_full_complex_path(shape):
                              slice_rate=rate) for ssr, rate in POINTS]
     for vc, got in zip(vcs, filter_contrast(contrast, vcs)):
         assert relative_error(got, reference_filter(contrast, vc)) <= RTOL
-    assert relative_error(filter_contrast(contrast, vcs[0]),
-                          reference_filter(contrast, vcs[0])) <= RTOL
+    alone, = filter_contrast(contrast, vcs[:1])
+    assert relative_error(alone, reference_filter(contrast, vcs[0])) <= RTOL
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -98,19 +101,17 @@ def test_filter_contrast_matches_full_complex_path(shape):
 def test_apply_stcsf_matches_full_complex_path(shape, taper, foveal_mode):
     rng = np.random.default_rng(3 * sum(shape))
     lum = rng.uniform(20.0, 80.0, size=shape)
-    vcs = [ViewingConditions.for_stack(shape[0], ssr, rate, luminance=50.0)
-           for ssr, rate in POINTS]
     centre = shape[2] // 2
     slices = (centre - 2, centre - 1, centre, centre + 1, centre + 2)
     bank = lg_channel_bank(shape[0], shape[1], n_channels=5, spread=4.0)
 
-    whole = apply_stcsf(lum, vcs, taper=taper, foveal_mode=foveal_mode)
-    ranged = apply_stcsf(lum, vcs, taper=taper, foveal_mode=foveal_mode,
+    whole = apply_stcsf(lum, POINTS, taper=taper, foveal_mode=foveal_mode)
+    ranged = apply_stcsf(lum, POINTS, taper=taper, foveal_mode=foveal_mode,
                          slices=slices)
-    banked = apply_stcsf(lum, vcs, taper=taper, foveal_mode=foveal_mode,
+    banked = apply_stcsf(lum, POINTS, taper=taper, foveal_mode=foveal_mode,
                          slices=slices, bank=bank)
-    for vc, full, part, responses in zip(vcs, whole, ranged, banked):
-        want = reference_perceive(lum, vc, taper=taper,
+    for point, full, part, responses in zip(POINTS, whole, ranged, banked):
+        want = reference_perceive(lum, point, taper=taper,
                                   foveal_mode=foveal_mode)
         assert full.data.shape == shape
         assert relative_error(full.data, want) <= RTOL
@@ -150,10 +151,8 @@ def test_perceive_responses_match_full_complex_path(shape, taper,
     for row, stack in enumerate(stacks):
         lum = configs[0].display.code_to_luminance(stack.data)
         for col, config in enumerate(configs):
-            vc = ViewingConditions.for_stack(shape[0], config.ssr,
-                                             config.slice_rate, 1.0)
-            want = reference_perceive(lum, vc, taper=taper,
-                                      foveal_mode=foveal_mode)
+            want = reference_perceive(lum, (config.ssr, config.slice_rate),
+                                      taper=taper, foveal_mode=foveal_mode)
             assert relative_error(
                 got[row, col],
                 channelize_slices(want, bank, slice_range)) <= RTOL
@@ -163,11 +162,9 @@ def test_perceive_responses_match_full_complex_path(shape, taper,
 def test_foveal_weight_serves_every_condition_alike(foveal_mode):
     rng = np.random.default_rng(17)
     lum = rng.uniform(20.0, 80.0, size=(17, 12, 7))
-    vcs = [ViewingConditions.for_stack(17, ssr, rate, luminance=50.0)
-           for ssr, rate in RESPONSE_POINTS]
-    together = apply_stcsf(lum, vcs, foveal_mode=foveal_mode)
-    for vc, got in zip(vcs, together):
-        alone = apply_stcsf(lum, vc, foveal_mode=foveal_mode)
+    together = apply_stcsf(lum, RESPONSE_POINTS, foveal_mode=foveal_mode)
+    for point, got in zip(RESPONSE_POINTS, together):
+        alone, = apply_stcsf(lum, [point], foveal_mode=foveal_mode)
         assert np.array_equal(got.data, alone.data)
 
 
@@ -220,10 +217,9 @@ def test_trial_responses_match_full_complex_path():
         for row, stack in enumerate(stacks):
             for col, config in enumerate(configs):
                 lum = config.display.code_to_luminance(stack.data)
-                vc = ViewingConditions.for_stack(16, config.ssr,
-                                                 config.slice_rate, 1.0)
-                want = reference_perceive(lum, vc, taper=True,
-                                          foveal_mode="none")
+                want = reference_perceive(
+                    lum, (config.ssr, config.slice_rate), taper=True,
+                    foveal_mode="none")
                 assert relative_error(
                     got[row, col],
                     channelize_slices(want, bank, slice_range)) <= RTOL

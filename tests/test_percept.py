@@ -276,23 +276,15 @@ class TestPlanPhases:
 
 class TestApplyStcsf:
     def test_constant_stack_maps_to_zero(self):
-        vc = ViewingConditions(luminance=37.5, x0=16.0 / 2.0, ssr=2.0,
-                               slice_rate=10.0)
-        out = apply_stcsf(np.full((16, 16, 4), 37.5), vc)
+        out, = apply_stcsf(np.full((16, 16, 4), 37.5), [(2.0, 10.0)])
         assert np.all(out.data == 0.0)
-        assert out.vc.luminance == 37.5
-
-    def test_geometry_mismatch_rejected(self):
-        vc = ViewingConditions(luminance=20.0, x0=10.0, ssr=7.0, slice_rate=25.0)
-        with pytest.raises(ValueError):
-            apply_stcsf(np.full((64, 64, 4), 20.0), vc)
+        assert out.vc == ViewingConditions(luminance=37.5, x0=8.0, ssr=2.0,
+                                           slice_rate=10.0)
 
     def test_single_cosine_amplitude_and_phase(self):
         w_px, h_px, n_sl = 24, 20, 12
         k1, k2, k3 = 3, 5, 4
         ssr, rate = 7.0, 25.0
-        vc = ViewingConditions(luminance=50.0, x0=w_px / ssr, ssr=ssr,
-                               slice_rate=rate)
         x = np.arange(w_px)[:, None, None]
         y = np.arange(h_px)[None, :, None]
         t = np.arange(n_sl)[None, None, :]
@@ -300,7 +292,7 @@ class TestApplyStcsf:
         amp = 3.0
         lum = 50.0 + amp * np.cos(phase)
 
-        perceived = apply_stcsf(lum, vc, taper=False)
+        perceived, = apply_stcsf(lum, [(ssr, rate)], taper=False)
 
         u1 = float(frequency_of_index(k1, w_px, ssr))
         u2 = float(frequency_of_index(k2, h_px, ssr))
@@ -314,13 +306,11 @@ class TestApplyStcsf:
         # odd dims so the center pixel is also the mirror-symmetry center
         w_px, h_px, n_sl = 15, 15, 9
         ssr = 1.5
-        vc = ViewingConditions(luminance=30.0, x0=w_px / ssr, ssr=ssr,
-                               slice_rate=12.0)
         x = np.arange(w_px)[:, None, None] - w_px // 2
         y = np.arange(h_px)[None, :, None] - h_px // 2
         t = np.arange(n_sl)[None, None, :] - n_sl // 2
         blob = np.exp(-(x ** 2 + y ** 2) / 8.0 - t ** 2 / 4.0)
-        out = apply_stcsf(30.0 + 5.0 * blob, vc, taper=False)
+        out, = apply_stcsf(30.0 + 5.0 * blob, [(ssr, 12.0)], taper=False)
         peak = np.unravel_index(np.argmax(out.data), out.data.shape)
         assert peak == (w_px // 2, h_px // 2, n_sl // 2)
 
@@ -329,9 +319,7 @@ class TestApplyStcsf:
         w_px, h_px, n_sl = 20, 16, 10
         r = rng.normal(size=(w_px, h_px, n_sl))
         sym = r + r[::-1, ::-1, ::-1]
-        vc = ViewingConditions(luminance=40.0, x0=w_px / 2.0, ssr=2.0,
-                               slice_rate=20.0)
-        out = apply_stcsf(40.0 + sym, vc, taper=True).data
+        out = apply_stcsf(40.0 + sym, [(2.0, 20.0)], taper=True)[0].data
         err = np.abs(out - out[::-1, ::-1, ::-1]).max()
         assert err <= 1e-9 * np.abs(out).max()
 
@@ -341,8 +329,9 @@ class TestApplyStcsf:
         vc = ViewingConditions(luminance=25.0, x0=8.0, ssr=2.0, slice_rate=15.0)
         a = rng.normal(size=shape)
         b = rng.normal(size=shape)
-        lhs = filter_contrast(1.7 * a - 0.6 * b, vc)
-        rhs = 1.7 * filter_contrast(a, vc) - 0.6 * filter_contrast(b, vc)
+        lhs, = filter_contrast(1.7 * a - 0.6 * b, [vc])
+        rhs = 1.7 * filter_contrast(a, [vc])[0] \
+            - 0.6 * filter_contrast(b, [vc])[0]
         assert np.abs(lhs - rhs).max() <= 1e-9 * np.abs(rhs).max()
 
     def test_transform_round_trip(self):
@@ -357,18 +346,18 @@ class TestApplyStcsf:
     def test_output_mean_is_zero(self):
         rng = np.random.default_rng(17)
         lum = rng.uniform(30.0, 70.0, size=(32, 32, 16))
-        vc = ViewingConditions(luminance=50.0, x0=8.0, ssr=4.0, slice_rate=25.0)
-        out = apply_stcsf(lum, vc, taper=True).data
+        out = apply_stcsf(lum, [(4.0, 25.0)], taper=True)[0].data
         rms = np.sqrt(np.mean(out * out))
         assert abs(out.mean()) <= 1e-9 * rms
 
     def test_foveal_hard_zeroes_periphery(self):
         w_px = h_px = 16
-        vc = ViewingConditions(luminance=20.0, x0=16.0, ssr=1.0, slice_rate=10.0)
         rng = np.random.default_rng(2)
         lum = rng.uniform(15.0, 25.0, size=(w_px, h_px, 4))
-        hard = apply_stcsf(lum, vc, taper=False, foveal_mode="hard")
-        none = apply_stcsf(lum, vc, taper=False, foveal_mode="none")
+        hard, = apply_stcsf(lum, [(1.0, 10.0)], taper=False,
+                            foveal_mode="hard")
+        none, = apply_stcsf(lum, [(1.0, 10.0)], taper=False,
+                            foveal_mode="none")
         # corner pixel is > 7 deg from the center at 1 px/deg
         assert np.all(hard.data[0, 0, :] == 0.0)
         # on-axis pixels are untouched
@@ -377,11 +366,12 @@ class TestApplyStcsf:
 
     def test_foveal_soft_is_pixelwise_weighting(self):
         w_px = h_px = 16
-        vc = ViewingConditions(luminance=20.0, x0=8.0, ssr=2.0, slice_rate=10.0)
         rng = np.random.default_rng(4)
         lum = rng.uniform(15.0, 25.0, size=(w_px, h_px, 4))
-        soft = apply_stcsf(lum, vc, taper=False, foveal_mode="soft")
-        none = apply_stcsf(lum, vc, taper=False, foveal_mode="none")
+        soft, = apply_stcsf(lum, [(2.0, 10.0)], taper=False,
+                            foveal_mode="soft")
+        none, = apply_stcsf(lum, [(2.0, 10.0)], taper=False,
+                            foveal_mode="none")
         rows = np.arange(w_px) - w_px // 2
         cols = np.arange(h_px) - h_px // 2
         alpha = np.hypot(rows[:, None], cols[None, :]) / 2.0
@@ -389,11 +379,10 @@ class TestApplyStcsf:
         assert np.array_equal(soft.data, none.data * weights[:, :, None])
 
     def test_plan_must_match_its_arguments(self):
-        vc = ViewingConditions(luminance=20.0, x0=8.0, ssr=2.0, slice_rate=10.0)
         lum = np.random.default_rng(6).uniform(15.0, 25.0, size=(16, 12, 4))
         bank = lg_channel_bank(16, 16, n_channels=3, spread=4.0)
         with pytest.raises(ValueError, match="channel bank is 16x16"):
-            apply_stcsf(lum, vc, bank=bank)
+            apply_stcsf(lum, [(2.0, 10.0)], bank=bank)
 
 
 class TestPlanCache:
@@ -403,11 +392,10 @@ class TestPlanCache:
     def _perceive(shape, ranged, foveal_mode, banked):
         lum = np.random.default_rng(sum(shape)).uniform(15.0, 25.0,
                                                         size=shape)
-        vcs = [ViewingConditions.for_stack(shape[0], ssr, rate, 20.0)
-               for ssr, rate in ((2.0, 10.0), (4.0, 25.0), (2.0, 40.0))]
+        points = ((2.0, 10.0), (4.0, 25.0), (2.0, 40.0))
         bank = lg_channel_bank(shape[0], shape[1], n_channels=3,
                                spread=4.0) if banked else None
-        outs = apply_stcsf(lum, vcs, foveal_mode=foveal_mode,
+        outs = apply_stcsf(lum, points, foveal_mode=foveal_mode,
                            slices=(3, 1) if ranged else None, bank=bank)
         return [out if banked else out.data for out in outs]
 

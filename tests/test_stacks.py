@@ -319,6 +319,22 @@ class TestInsertLesion:
         assert any(issubclass(w.category, LesionClippingWarning)
                    for w in caught) == warns
 
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["microcalc", "mass"]),
+           amplitude=st.floats(0.0, 1e4), diameter=st.floats(0.5, 12.0),
+           sigma_z=st.floats(0.05, 10.0), width=st.integers(12, 20),
+           height=st.integers(12, 20), n_slices=st.integers(1, 12))
+    def test_inserted_profile_is_nonnegative(self, kind, amplitude, diameter,
+                                             sigma_z, width, height,
+                                             n_slices):
+        # insert_lesion clips only at the top of the code range: exact
+        # because codes plus this profile are never negative
+        spec = LesionSpec(kind, amplitude, diameter_px=diameter,
+                          sigma_z=sigma_z)
+        geometry = StackGeometry(width, height, n_slices, 10, 1.0)
+        profile, _, _ = stacks._lesion_shape(spec, geometry)
+        assert np.all(profile >= 0)
+
 
 class TestGenerationCaches:
     """The background spectrum is built once per (shape, beta) and the
@@ -653,6 +669,23 @@ class TestDataset:
         manifest.write_text(text)
         with pytest.raises(FormatError, match="disagrees"):
             read_dataset(manifest)
+
+    def test_repeated_id_in_manifest_is_named(self, tmp_path):
+        manifest = write_dataset(self._dataset(), tmp_path / "data")
+        manifest.write_text(manifest.read_text().replace("l1,l1.u16",
+                                                         "l0,l1.u16"))
+        header = tmp_path / "data" / "l1.u16.hdr"
+        header.write_text(header.read_text().replace("stack_id = l1",
+                                                     "stack_id = l0"))
+        with pytest.raises(FormatError, match=f"^{manifest}: stack id 'l0' "
+                                              "names two stacks$"):
+            read_dataset(manifest)
+
+    def test_repeated_id_in_memory_is_refused(self, tmp_path):
+        stacks = tuple(replace(s, stack_id="h0") if s.stack_id == "h1"
+                       else s for s in self._dataset().stacks)
+        with pytest.raises(ValueError, match="stack id 'h0' names two"):
+            Dataset(stacks=stacks)
 
     def test_manifest_header_check(self, tmp_path):
         ds = self._dataset()
