@@ -21,7 +21,7 @@ from cinecho.csf import ViewingConditions, derive_optics, stcsf
 out_dir = Path(__file__).parent / "output"
 out_dir.mkdir(exist_ok=True)
 
-vc = ViewingConditions(luminance=20.0, x0=2.5, ssr=7.0, slice_rate=25.0)
+vc = ViewingConditions(luminance=20.0, x0=2.5)
 
 # the luminance-dependent internals: pupil, retinal illuminance, and the
 # adapted time constants of the two temporal filters

@@ -138,10 +138,7 @@ def _cmd_csf_table(args) -> int:
             raise FormatError(f"{key}: expected finite numbers, "
                               f"got {config[key]}")
     out = _out_dir(args)
-    vc = ViewingConditions(luminance=config["csf.luminance"],
-                           x0=config["csf.x0"],
-                           ssr=config["percept.ssr"],
-                           slice_rate=config["percept.slice_rate"])
+    vc = ViewingConditions(config["csf.luminance"], config["csf.x0"])
     u = np.array(config["csf.u_values"])
     w = np.array(config["csf.w_values"])
     uu, ww = np.meshgrid(u, w, indexing="ij")

@@ -61,17 +61,10 @@ TAU20 = 18e-3    # base time constant of the second temporal filter (s)
 @dataclass(frozen=True)
 class ViewingConditions:
     """What the eye is looking at: average luminance L of the object over
-    space and time (cd/m^2), apparent image size x0 (deg), spatial sampling
-    rate ssr (pixel/deg) and browsing speed slice_rate (slice/s).
-
-    ssr and slice_rate are the sampling rates that map array indices to
-    spatial and temporal frequencies.
-    """
+    space and time (cd/m^2) and its apparent size x0 (deg)."""
 
     luminance: float
     x0: float
-    ssr: float
-    slice_rate: float
 
     # 1/x0**2 must be a normal float, and tau2's (1 + D/3.2)**5 finite for
     # the field diameter D = 2 x0/sqrt(pi): x0 <= 3.2 (max**(1/5) - 1)
@@ -79,22 +72,13 @@ class ViewingConditions:
     _X0_RANGE = (np.sqrt(np.finfo(float).tiny), 1.2695e62)
 
     def __post_init__(self) -> None:
-        for name in ("luminance", "x0", "ssr", "slice_rate"):
+        for name in ("luminance", "x0"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
                 raise ValueError(f"ViewingConditions.{name} must be finite and > 0")
         if not self._X0_RANGE[0] <= self.x0 <= self._X0_RANGE[1]:
             raise ValueError(f"ViewingConditions.x0 = {self.x0!r} deg is too "
                              "extreme for double precision")
-
-    @classmethod
-    def for_stack(cls, width_px: int, ssr: float, slice_rate: float,
-                  luminance: float) -> "ViewingConditions":
-        """Derive the apparent size from image width and sampling rate."""
-        if not (np.isfinite(ssr) and ssr > 0):
-            raise ValueError("ViewingConditions.ssr must be finite and > 0")
-        return cls(luminance=luminance, x0=width_px / ssr, ssr=ssr,
-                   slice_rate=slice_rate)
 
 
 @dataclass(frozen=True)

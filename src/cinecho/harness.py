@@ -160,8 +160,8 @@ def run_sweep(dataset, spec: SweepSpec, config: dict,
     stacks, slice_range = plan_stacks(dataset, plan, base)
     # name a point whose geometry would fail its pass (any luminance will do)
     for value, point in zip(spec.values, points):
-        _named(spec, value, lambda: ViewingConditions.for_stack(
-            stacks[0].data.shape[0], point.ssr, point.slice_rate, 1.0))
+        _named(spec, value, lambda: ViewingConditions(
+            1.0, stacks[0].data.shape[0] / point.ssr))
     workers = max(1, min(int(config.get("sweep.workers", 1)), len(stacks)))
     bounds = [len(stacks) * k // workers for k in range(workers + 1)]
     groups = {}

@@ -16,15 +16,15 @@
 # real stack (a real FFT over the plane, a complex one over the slices) and
 # inverts only the slices asked for.  The work falls into three layers:
 #
-#   per plan   what no stack changes, built once per stack shape, (x0, ssr)
-#              set, slices, foveal mode and channel bank and cached
+#   per plan   what no stack changes, built once per stack shape, ssr set,
+#              slices, foveal mode and channel bank and cached
 #              read-only (_plan): the distinct effective radii of the
 #              quarter grid and the index that gathers them onto the half
 #              plane, the inverse temporal phases of the slices, the foveal
 #              weights and the channel templates as half-spectrum weights
-#   per stack  mean, contrast, taper and one forward transform; per
-#              (L, x0, ssr) one derive_optics and one gain evaluation for
-#              every browsing point at once
+#   per stack  mean, contrast, taper and one forward transform; per ssr
+#              one derive_optics and one gain evaluation for every slice
+#              rate at once
 #   per point  gather the gain, weigh the spectrum, contract the phases,
 #              then irfft2 to real planes or, with a channel bank, one GEMM
 #              straight onto the channels (Parseval): the planes are never
@@ -185,7 +185,7 @@ def foveal_weight(alpha, mode: str):
 
 @dataclass(frozen=True, eq=False)
 class _Geometry:
-    """What one (x0, ssr) adds to a spectral plan: the distinct effective
+    """What one ssr adds to a spectral plan: the distinct effective
     radial frequencies of the (|u1|, u2) quarter grid, the index that
     gathers them onto the (k1, k2) half plane, the foveal weight (all
     ones in mode none) and the channel weights (None without a bank)."""
@@ -199,7 +199,7 @@ class _Geometry:
 @dataclass(frozen=True, eq=False)
 class _Plan:
     """The stack-independent part of filtering W x H x K stacks: the
-    inverse temporal phases of the output slices and, per (x0, ssr), the
+    inverse temporal phases of the output slices and, per ssr, the
     gain grid, the foveal weight and the channel weights.
 
     A stack's half spectrum is held as a (K, W * (H//2 + 1)) array: one
@@ -211,26 +211,25 @@ class _Plan:
     phase: np.ndarray
     geometries: dict
 
-    def half_gains(self, vcs):
-        """Transfer gain of each of vcs on the half grid folded in k3, a
-        (K//2 + 1, W * (H//2 + 1)) array per point, one at a time; see
-        weigh for the unfolding.
+    def half_gains(self, vc, ssr, rates):
+        """Transfer gain under vc, sampled at ssr, at each slice rate of
+        rates on the half grid folded in k3, a (K//2 + 1, W * (H//2 + 1))
+        array per rate, one at a time; see weigh for the unfolding.
 
-        The points must share luminance, x0 and ssr: one derive_optics and
-        one transfer_gain call then serve them all, evaluated only at the
-        distinct effective radii times each point's |w|, and each point's
-        gain is gathered onto the (k1, k2) half plane in one take.
+        One derive_optics and one transfer_gain call serve every rate,
+        evaluated only at the distinct effective radii times each rate's
+        |w|, and each rate's gain is gathered onto the (k1, k2) half plane
+        in one take.
         """
-        first = vcs[0]
-        geometry = self.geometries[first.x0, first.ssr]
+        geometry = self.geometries[ssr]
         n_sl = self.shape[2]
-        rates = np.array([vc.slice_rate for vc in vcs], dtype=np.float64)
+        rates = np.array(rates, dtype=np.float64)
         w = np.abs(frequency_of_index(np.arange(n_sl // 2 + 1), n_sl,
                                       rates[:, None]))
-        optics = derive_optics(first)
+        optics = derive_optics(vc)
         # the radii are clamped already, and hypot(u, 0) is u exactly
         folded = transfer_gain(geometry.radii[None, None, :], 0.0,
-                               w[:, :, None], first, optics=optics)
+                               w[:, :, None], vc, optics=optics)
         for gain in folded:
             yield gain.take(geometry.gather, axis=1)
 
@@ -245,13 +244,13 @@ class _Plan:
                     out=out[n_w:])
         return out
 
-    def output(self, half, vc):
+    def output(self, half, ssr):
         """The output step for one point's (slices, W * (H//2 + 1)) half
         planes: their channel responses (slices, n_channels) when the plan
         has a bank, one GEMM on the real view of the complex planes;
         otherwise the real W x H x slices planes through irfft2, foveally
         weighted."""
-        geometry = self.geometries[vc.x0, vc.ssr]
+        geometry = self.geometries[ssr]
         if geometry.channels is not None:
             return half.view(np.float64) @ geometry.channels
         w_px, h_px, _ = self.shape
@@ -286,18 +285,19 @@ def _channel_weights(bank, foveal):
 
 
 @lru_cache(maxsize=8)
-def _plan(shape: tuple, geometry_keys: tuple, slices: tuple | None,
+def _plan(shape: tuple, ssrs: tuple, slices: tuple | None,
           foveal_mode: str, bank) -> _Plan:
     """The read-only plan for W x H x K stacks of this shape at the
-    distinct (x0, ssr) of geometry_keys, output at the given slices (None:
-    all, in order), under the foveal mode and channel bank (None, or an
+    distinct sampling rates ssrs, output at the given slices (None: all,
+    in order), under the foveal mode and channel bank (None, or an
     observer.ChannelBank of the same W x H, keyed by identity).
 
-    Per (x0, ssr) it holds the distinct effective radial frequencies of
-    the (|u1|, u2) quarter grid with one index that folds |u1| and equal
-    radii onto the (k1, k2) half plane, the foveal weight and, given a
-    bank, the channel templates as half-spectrum weights: a plan with a
-    bank makes the filter return channel responses instead of planes.
+    Per ssr, at the apparent size x0 = W/ssr, it holds the distinct
+    effective radial frequencies of the (|u1|, u2) quarter grid with one
+    index that folds |u1| and equal radii onto the (k1, k2) half plane,
+    the foveal weight and, given a bank, the channel templates as
+    half-spectrum weights: a plan with a bank makes the filter return
+    channel responses instead of planes.
     """
     w_px, h_px, n_sl = shape
     slices = np.arange(n_sl) if slices is None else np.array(slices, dtype=int)
@@ -320,7 +320,8 @@ def _plan(shape: tuple, geometry_keys: tuple, slices: tuple | None,
     rows, cols = centre_offsets(w_px, h_px)
     distance = np.hypot(rows[:, None], cols[None, :])
     geometries = {}
-    for x0, ssr in geometry_keys:
+    for ssr in ssrs:
+        x0 = w_px / ssr
         u1 = np.abs(frequency_of_index(np.arange(w_px // 2 + 1), w_px, ssr))
         u2 = np.abs(frequency_of_index(np.arange(h_px // 2 + 1), h_px, ssr))
         u_eff = _effective_frequency(u1[:, None], u2[None, :], x0)
@@ -331,47 +332,54 @@ def _plan(shape: tuple, geometry_keys: tuple, slices: tuple | None,
         for array in (radii, gather, foveal, channels):
             if array is not None:
                 array.flags.writeable = False
-        geometries[x0, ssr] = _Geometry(
+        geometries[ssr] = _Geometry(
             radii=radii, gather=gather, foveal=foveal, channels=channels)
     return _Plan(shape=shape, phase=phase, geometries=geometries)
 
 
-def filter_contrast(contrast_stack, vcs, *, slices=None,
-                    foveal_mode: str = "none", bank=None) -> list:
+def filter_contrast(contrast_stack, luminance: float, points, *,
+                    slices=None, foveal_mode: str = "none", bank=None) -> list:
     """Linear core of the percept pipeline: scale every 3D frequency
     component of a contrast stack by the transfer gain at its frequency
-    triple and transform back, once per viewing condition of vcs.
+    triple and transform back, once per (ssr, slice_rate) browsing point
+    of points, under the adaptation luminance L = luminance and the
+    apparent size x0 = W/ssr.
 
-    The stack is transformed once, as a half spectrum (a real FFT over
-    the plane, a complex one over the slices), for all of vcs.  Per
-    viewing condition the gain is applied on that half grid and the
-    inverse temporal DFT is evaluated at the requested slices only (all
-    of them by default, in order).  The output is then the real planes
-    through irfft2, foveally weighted, or, given a channel bank, the
-    (slices, n_channels) channel responses of those planes, projected
-    straight from the half planes.  The gain is real and even, so either
-    output is real by construction.  What does not depend on the stack is
-    planned once per shape, slices, (x0, ssr) set, foveal mode and bank,
-    and cached.  The caller is responsible for contrast having
-    (near-)zero mean.  Returns a list, one output per entry of vcs.
+    Every point is checked before anything is divided by it.  The stack
+    is transformed once, as a half spectrum (a real FFT over the plane, a
+    complex one over the slices), for all of points.  Per point the gain
+    is applied on that half grid and the inverse temporal DFT is
+    evaluated at the requested slices only (all of them by default, in
+    order).  The output is then the real planes through irfft2, foveally
+    weighted, or, given a channel bank, the (slices, n_channels) channel
+    responses of those planes, projected straight from the half planes.
+    The gain is real and even, so either output is real by construction.
+    What does not depend on the stack is planned once per shape, slices,
+    ssr set, foveal mode and bank, and cached.  The caller is responsible
+    for contrast having (near-)zero mean.  Returns a list, one output per
+    point.
     """
     arr = np.asarray(contrast_stack, dtype=np.float64)
     if arr.ndim != 3:
         raise ValueError("expected a W x H x K stack")
-    plan = _plan(arr.shape,
-                 tuple(dict.fromkeys((vc.x0, vc.ssr) for vc in vcs)),
+    groups = {}
+    for i, (ssr, rate) in enumerate(points):
+        if not (0 < ssr < np.inf and 0 < rate < np.inf):
+            raise ValueError(f"browsing point ({ssr!r}, {rate!r}): ssr and "
+                             "slice_rate must be finite and positive")
+        groups.setdefault(ssr, []).append(i)
+    vcs = {ssr: ViewingConditions(luminance, arr.shape[0] / ssr)
+           for ssr in groups}
+    plan = _plan(arr.shape, tuple(groups),
                  None if slices is None else tuple(int(s) for s in slices),
                  foveal_mode, bank)
     spectrum = sfft.rfftn(arr.transpose(2, 0, 1)).reshape(arr.shape[2], -1)
-    groups = {}
-    for i, vc in enumerate(vcs):
-        groups.setdefault((vc.luminance, vc.x0, vc.ssr), []).append(i)
-    outs = [None] * len(vcs)
-    for members in groups.values():
-        gains = plan.half_gains([vcs[i] for i in members])
+    outs = [None] * len(points)
+    for ssr, members in groups.items():
+        gains = plan.half_gains(vcs[ssr], ssr, [points[i][1] for i in members])
         for i, gain in zip(members, gains):
             half = plan.phase @ plan.weigh(spectrum, gain)
-            outs[i] = plan.output(half, vcs[i])
+            outs[i] = plan.output(half, ssr)
     return outs
 
 
@@ -398,16 +406,15 @@ def apply_stcsf(lum_stack, points, *, foveal_mode: str = "none",
     if arr.ndim != 3:
         raise ValueError("expected a W x H x K stack")
     lum = mean_luminance(arr)
-    effective = [ViewingConditions.for_stack(arr.shape[0], ssr, rate, lum)
-                 for ssr, rate in points]
     contrast = arr - lum
     if taper:
         contrast = taper_margins(contrast)
         # the taper window breaks the exact zero mean of the contrast;
         # restore it so the DC component carries nothing into the filter
         contrast = contrast - contrast.mean()
-    outs = filter_contrast(contrast, effective, slices=slices,
+    outs = filter_contrast(contrast, lum, points, slices=slices,
                            foveal_mode=foveal_mode, bank=bank)
     if bank is not None:
         return outs
-    return [PerceivedStack(out, vc) for vc, out in zip(effective, outs)]
+    return [PerceivedStack(out, ViewingConditions(lum, arr.shape[0] / ssr))
+            for (ssr, _), out in zip(points, outs)]

@@ -48,8 +48,8 @@ from cinecho.trial import (
 pytestmark = pytest.mark.acceptance
 
 # the reference viewing conditions for the sensitivity criteria: a 2.5 deg
-# object at 20 cd/m^2 (sampling rates do not enter the formula itself)
-VC_REF = ViewingConditions(luminance=20.0, x0=2.5, ssr=7.0, slice_rate=25.0)
+# object at 20 cd/m^2
+VC_REF = ViewingConditions(luminance=20.0, x0=2.5)
 
 DATASET_SEEDS = (1, 2, 3, 4, 5)
 RATE_GRID = (1.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0)
@@ -271,11 +271,11 @@ def test_criterion_05_filter_correctness(criterion_report):
 
     a = rng.normal(size=(16, 16, 8))
     b = rng.normal(size=(16, 16, 8))
-    vc_small = ViewingConditions(luminance=25.0, x0=8.0, ssr=2.0,
-                                 slice_rate=15.0)
-    lhs, = filter_contrast(1.7 * a - 0.6 * b, [vc_small])
-    rhs = 1.7 * filter_contrast(a, [vc_small])[0] \
-        - 0.6 * filter_contrast(b, [vc_small])[0]
+    # L = 25 cd/m^2 and x0 = 16/2 = 8 deg
+    small = [(2.0, 15.0)]
+    lhs, = filter_contrast(1.7 * a - 0.6 * b, 25.0, small)
+    rhs = 1.7 * filter_contrast(a, 25.0, small)[0] \
+        - 0.6 * filter_contrast(b, 25.0, small)[0]
     linearity_err = float(np.abs(lhs - rhs).max() / np.abs(rhs).max())
 
     xb = np.arange(15)[:, None, None] - 7

@@ -215,8 +215,7 @@ class TestCsfTable:
         assert lines[0] == "u,w,sensitivity"
         assert len(lines) == 1 + 3 * 2
         u, w, s = (float(tok) for tok in lines[3].split(","))
-        vc = ViewingConditions(luminance=20.0, x0=2.5, ssr=7.0,
-                               slice_rate=25.0)
+        vc = ViewingConditions(luminance=20.0, x0=2.5)
         assert (u, w) == (2.0, 0.0)
         assert s == pytest.approx(float(stcsf(2.0, 0.0, vc)), rel=1e-15)
 
@@ -230,13 +229,41 @@ class TestCsfTable:
         lines = (tmp_path / "csf.csv").read_text().splitlines()[1:]
         table = np.array([[float(tok) for tok in line.split(",")]
                           for line in lines]).reshape(5, 3, 3)
-        vc = ViewingConditions(luminance=20.0, x0=2.5, ssr=7.0,
-                               slice_rate=25.0)
+        vc = ViewingConditions(luminance=20.0, x0=2.5)
         spatial = stcsf(table[:, 0, 0], 0.0, vc, temporal_filters=False)
         for j, w in enumerate((0.0, 8.0, 40.0)):
             assert (table[:, j, 1] == w).all()
             # 17 significant digits read back bit for bit
             assert np.array_equal(table[:, j, 2], spatial)
+
+    def test_table_reads_no_percept_key(self, tmp_path):
+        # the table depends on csf.* alone: browsing-point values that no
+        # pipeline would accept leave it byte for byte the default one
+        assert main(["csf-table", "--out", str(tmp_path / "default")]) == 0
+        config = tmp_path / "csf.txt"
+        config.write_text("percept.ssr = 0\npercept.slice_rate = nan\n",
+                          encoding="utf-8")
+        assert main(["csf-table", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "csf.csv").read_bytes() \
+            == (tmp_path / "default" / "csf.csv").read_bytes()
+
+    @pytest.mark.parametrize("line, message", [
+        ("csf.x0 = 0", "ViewingConditions.x0 must be finite and > 0"),
+        ("csf.x0 = 1e-200", "ViewingConditions.x0 = 1e-200 deg is too "
+                            "extreme"),
+        ("csf.luminance = -1", "ViewingConditions.luminance must be finite "
+                               "and > 0")],
+        ids=["x0-zero", "x0-tiny", "luminance-negative"])
+    def test_bad_viewing_conditions_are_refused(self, tmp_path, capsys, line,
+                                                message):
+        config = tmp_path / "csf.txt"
+        config.write_text(line + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["csf-table", "--config", str(config),
+                     "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (out / "csf.csv").exists()
 
     @pytest.mark.parametrize("key", ["csf.u_values", "csf.w_values"])
     def test_non_finite_grid_value_is_named(self, tmp_path, capsys, key):

@@ -23,8 +23,8 @@ from cinecho.csf import (
 )
 
 # Reference viewing conditions used throughout: a 2.5 deg object at
-# 20 cd/m^2.  ssr and slice_rate do not enter the formula itself.
-VC = ViewingConditions(luminance=20.0, x0=2.5, ssr=7.0, slice_rate=25.0)
+# 20 cd/m^2.
+VC = ViewingConditions(luminance=20.0, x0=2.5)
 
 REL = 1e-10
 
@@ -178,41 +178,31 @@ class TestSensitivity:
 
 class TestValidation:
     def test_conditions_reject_nonpositive(self):
-        with pytest.raises(ValueError):
-            ViewingConditions(luminance=0.0, x0=2.5, ssr=7.0, slice_rate=25.0)
-        with pytest.raises(ValueError):
-            ViewingConditions(luminance=20.0, x0=2.5, ssr=7.0, slice_rate=np.inf)
-
-    def test_for_stack(self):
-        vc = ViewingConditions.for_stack(64, ssr=8.0, slice_rate=25.0, luminance=20.0)
-        assert vc.x0 == 8.0
-
-    @pytest.mark.parametrize("ssr", [0.0, -8.0, float("nan"), float("inf")])
-    def test_for_stack_rejects_bad_ssr_before_dividing(self, ssr):
-        with pytest.raises(ValueError, match=r"ViewingConditions\.ssr"):
-            ViewingConditions.for_stack(64, ssr, 25.0, 20.0)
+        with pytest.raises(ValueError, match=r"ViewingConditions\.luminance"):
+            ViewingConditions(luminance=0.0, x0=2.5)
+        with pytest.raises(ValueError, match=r"ViewingConditions\.x0"):
+            ViewingConditions(luminance=20.0, x0=np.inf)
 
     @pytest.mark.parametrize("x0", [1e-200, 1e100, 1e200])
     def test_conditions_reject_x0_the_sensitivity_cannot_square(self, x0):
         # 1 / x0**2 would divide by zero or overflow inside stcsf, and from
         # about 1.27e62 deg the (1 + D/3.2)**5 of tau2 overflows
         with pytest.raises(ValueError, match=r"ViewingConditions\.x0 = "):
-            ViewingConditions(luminance=20.0, x0=x0, ssr=7.0, slice_rate=25.0)
+            ViewingConditions(luminance=20.0, x0=x0)
 
     def test_largest_x0_keeps_the_tau2_power_finite(self):
         x0 = ViewingConditions._X0_RANGE[1]
-        ViewingConditions(luminance=20.0, x0=x0, ssr=7.0, slice_rate=25.0)
+        ViewingConditions(luminance=20.0, x0=x0)
         with np.errstate(over="raise"):
             assert np.isfinite((1.0 + 2.0 * x0 / np.sqrt(np.pi) / 3.2) ** 5)
         with pytest.raises(ValueError, match=r"ViewingConditions\.x0 = "):
-            ViewingConditions(luminance=20.0, x0=np.nextafter(x0, np.inf),
-                              ssr=7.0, slice_rate=25.0)
+            ViewingConditions(luminance=20.0, x0=np.nextafter(x0, np.inf))
 
     @pytest.mark.parametrize("lum, x0", [(20.0, 6e61), (1e4, 3e61)])
     def test_tau2_overflow_names_d_and_e(self, lum, x0):
         # x0 is accepted, but (1 + D/3.2)**5 times E leaves double range;
         # tau2 must not silently become 0
-        vc = ViewingConditions(luminance=lum, x0=x0, ssr=7.0, slice_rate=25.0)
+        vc = ViewingConditions(luminance=lum, x0=x0)
         with pytest.raises(ValueError, match=r"overflows at field diameter "
                            r"D = \S+ deg, retinal illuminance E = \S+ Td"):
             derive_optics(vc)
@@ -220,14 +210,14 @@ class TestValidation:
     def test_illuminance_overflow_names_the_luminance(self):
         # E itself overflows, so the error is the luminance's, not the
         # field size's
-        vc = ViewingConditions(luminance=5e307, x0=2.5, ssr=7.0, slice_rate=25.0)
+        vc = ViewingConditions(luminance=5e307, x0=2.5)
         with pytest.raises(ValueError, match=r"luminance 5e\+307 cd/m\^2") \
                 as info:
             derive_optics(vc)
         assert "(1 + D/3.2)" not in str(info.value)
 
     def test_tau2_below_the_overflow_is_unchanged(self):
-        vc = ViewingConditions(luminance=20.0, x0=5e61, ssr=7.0, slice_rate=25.0)
+        vc = ViewingConditions(luminance=20.0, x0=5e61)
         assert derive_optics(vc).tau2 == 6.879666420023998e-05
 
 
@@ -272,7 +262,7 @@ class TestAgainstArbitraryPrecision:
             w = float(rng.uniform(0.0, 50.0))
             lum = float(10.0 ** rng.uniform(-1, 3))
             x0 = float(rng.uniform(0.5, 30.0))
-            vc = ViewingConditions(luminance=lum, x0=x0, ssr=7.0, slice_rate=25.0)
+            vc = ViewingConditions(luminance=lum, x0=x0)
             got = float(stcsf(u, w, vc))
             want = float(s_ref(u, w, lum, x0))
             assert relerr(got, want) < 1e-12, (u, w, lum, x0)

@@ -42,12 +42,15 @@ pytestmark = pytest.mark.oracle
 RTOL = 1e-12
 
 
-def reference_filter(contrast, vc):
-    """Full-grid gain, complex fftn/ifftn, real part."""
+def reference_filter(contrast, luminance, point):
+    """Full-grid gain at browsing point (ssr, slice_rate), with
+    x0 = width/ssr, complex fftn/ifftn, real part."""
+    ssr, rate = point
     w_px, h_px, n_sl = contrast.shape
-    u1 = frequency_of_index(np.arange(w_px), w_px, vc.ssr)
-    u2 = frequency_of_index(np.arange(h_px), h_px, vc.ssr)
-    w = frequency_of_index(np.arange(n_sl), n_sl, vc.slice_rate)
+    vc = ViewingConditions(luminance=luminance, x0=w_px / ssr)
+    u1 = frequency_of_index(np.arange(w_px), w_px, ssr)
+    u2 = frequency_of_index(np.arange(h_px), h_px, ssr)
+    w = frequency_of_index(np.arange(n_sl), n_sl, rate)
     gain = transfer_gain(u1[:, None, None], u2[None, :, None],
                          w[None, None, :], vc)
     back = np.fft.ifftn(np.fft.fftn(contrast) * gain, norm="forward")
@@ -57,18 +60,15 @@ def reference_filter(contrast, vc):
 def reference_perceive(lum, point, *, taper, foveal_mode):
     """The perceived stack at browsing point (ssr, slice_rate): L is the
     stack mean and x0 = width/ssr."""
-    ssr, rate = point
     lum_mean = mean_luminance(lum)
     contrast = lum - lum_mean
     if taper:
         contrast = taper_margins(contrast)
         contrast = contrast - contrast.mean()
     w_px, h_px, _ = lum.shape
-    vc_eff = ViewingConditions(luminance=lum_mean, x0=w_px / ssr, ssr=ssr,
-                               slice_rate=rate)
-    out = reference_filter(contrast, vc_eff)
+    out = reference_filter(contrast, lum_mean, point)
     rows, cols = np.meshgrid(np.arange(w_px), np.arange(h_px), indexing="ij")
-    alpha = np.hypot(rows - w_px // 2, cols - h_px // 2) / ssr
+    alpha = np.hypot(rows - w_px // 2, cols - h_px // 2) / point[0]
     return out * foveal_weight(alpha, foveal_mode)[:, :, None]
 
 
@@ -87,12 +87,12 @@ def test_filter_contrast_matches_full_complex_path(shape):
     rng = np.random.default_rng(sum(shape))
     contrast = rng.normal(size=shape)
     contrast -= contrast.mean()
-    vcs = [ViewingConditions(luminance=40.0, x0=shape[0] / ssr, ssr=ssr,
-                             slice_rate=rate) for ssr, rate in POINTS]
-    for vc, got in zip(vcs, filter_contrast(contrast, vcs)):
-        assert relative_error(got, reference_filter(contrast, vc)) <= RTOL
-    alone, = filter_contrast(contrast, vcs[:1])
-    assert relative_error(alone, reference_filter(contrast, vcs[0])) <= RTOL
+    for point, got in zip(POINTS, filter_contrast(contrast, 40.0, POINTS)):
+        assert relative_error(got, reference_filter(contrast, 40.0, point)) \
+            <= RTOL
+    alone, = filter_contrast(contrast, 40.0, POINTS[:1])
+    assert relative_error(alone, reference_filter(contrast, 40.0, POINTS[0])) \
+        <= RTOL
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -177,19 +177,16 @@ def test_plan_gain_equals_transfer_gain_bitwise(w_px, h_px, n_sl, ssr, rates,
                                                 lum):
     # the full half grid: every k1, every k2 in [0, H//2], every k3, at
     # the folded frequencies (index k and n - k share |u1| and |w|)
-    vcs = [ViewingConditions(luminance=lum, x0=w_px / ssr, ssr=ssr,
-                             slice_rate=rate) for rate in rates]
-    plan = percept._plan((w_px, h_px, n_sl), ((w_px / ssr, ssr),), None,
-                         "none", None)
+    vc = ViewingConditions(luminance=lum, x0=w_px / ssr)
+    plan = percept._plan((w_px, h_px, n_sl), (ssr,), None, "none", None)
     k1 = np.arange(w_px)
     k3 = np.arange(n_sl)
     u1 = np.abs(frequency_of_index(np.minimum(k1, w_px - k1), w_px, ssr))
     u2 = np.abs(frequency_of_index(np.arange(h_px // 2 + 1), h_px, ssr))
     # weighing a spectrum of ones lays the gain out on the half grid
     ones = np.ones((n_sl, u1.size * u2.size), dtype=np.complex128)
-    for vc, gain in zip(vcs, plan.half_gains(vcs)):
-        w = np.abs(frequency_of_index(np.minimum(k3, n_sl - k3), n_sl,
-                                      vc.slice_rate))
+    for rate, gain in zip(rates, plan.half_gains(vc, ssr, rates)):
+        w = np.abs(frequency_of_index(np.minimum(k3, n_sl - k3), n_sl, rate))
         want = transfer_gain(u1[None, :, None], u2[None, None, :],
                              w[:, None, None], vc)
         got = plan.weigh(ones, gain)

@@ -141,6 +141,18 @@ class TestHotellingTemplate:
         assert np.allclose(cov, np.diag([2.0, 1.0]), rtol=1e-12)
         assert np.allclose(template, [0.5, 1.0], rtol=1e-12)
 
+    def test_cov_is_the_mean_of_the_two_class_covariances(self):
+        # classes of unequal spread: N-1 sample covariances diag(2, 1) and
+        # diag(18, 9), so the pooled covariance is diag(10, 5)
+        healthy, _ = _crafted_classes()
+        lesion = 3.0 * healthy + np.array([1.0, 1.0])
+        template, mean_diff, cov, ridge = hotelling_template(healthy, lesion)
+        assert ridge == 0.0
+        assert np.allclose(cov, np.diag([10.0, 5.0]), rtol=1e-12)
+        assert np.array_equal(cov, 0.5 * (np.cov(healthy, rowvar=False)
+                                          + np.cov(lesion, rowvar=False)))
+        assert np.allclose(template, [0.1, 0.2], rtol=1e-12)
+
     def test_identity_covariance_gives_mean_diff(self):
         a = np.sqrt(1.5)
         healthy = np.array([[a, 0.0], [-a, 0.0], [0.0, a], [0.0, -a]])
@@ -373,6 +385,23 @@ class TestMsCho:
             score_responses(resp_h[0, :3], model)
         with pytest.raises(ValueError, match="central_pos outside the 5"):
             train_mscho_from_responses(resp_h, resp_l, 5)
+
+    def test_stage2_weight_keeps_its_sign(self):
+        # the lesion raises channel 0 on the central slice and lowers it on
+        # the other, so the trained weight of the other slice is negative
+        # and the score must be weights @ slice_scores, sign and all
+        rng = np.random.default_rng(14)
+        shift = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        resp_h = rng.normal(size=(20, 2, 2))
+        resp_l = rng.normal(size=(20, 2, 2)) + shift
+        model = train_mscho_from_responses(resp_h, resp_l, 0)
+        assert model.stage2_weights[0] > 0 > model.stage2_weights[1]
+        probe = rng.normal(size=(2, 2)) + shift
+        slice_scores = probe @ model.template
+        assert score_responses(probe, model) \
+            == float(model.stage2_weights @ slice_scores)
+        assert score_responses(probe, model) != pytest.approx(
+            float(np.abs(model.stage2_weights) @ slice_scores))
 
     @pytest.mark.oracle
     def test_gaussian_auc_matches_closed_form(self):

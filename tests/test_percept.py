@@ -106,7 +106,7 @@ class TestFrequencyOfIndex:
             frequency_of_index(-1, 8, 8.0)
 
 
-VC64 = ViewingConditions(luminance=20.0, x0=64.0 / 7.0, ssr=7.0, slice_rate=25.0)
+VC64 = ViewingConditions(luminance=20.0, x0=64.0 / 7.0)
 
 
 class TestTransferGain:
@@ -225,11 +225,8 @@ class TestCentrePixel:
 
     def test_seven_degrees_in_the_plan(self):
         # 49 px from the centre at 7 px/deg is exactly the 7 deg cutoff
-        vc = ViewingConditions(luminance=20.0, x0=100 / 7.0, ssr=7.0,
-                               slice_rate=10.0)
-        plan = percept._plan((100, 3, 2), ((vc.x0, vc.ssr),), None, "hard",
-                             None)
-        foveal = plan.geometries[vc.x0, vc.ssr].foveal
+        plan = percept._plan((100, 3, 2), (7.0,), None, "hard", None)
+        foveal = plan.geometries[7.0].foveal
         assert foveal[50 + 49, 1] == 0.0
         assert foveal[50 + 48, 1] == 1.0
         assert foveal[50 - 49, 1] == 0.0
@@ -250,11 +247,8 @@ class TestCentrePixel:
                                     StackGeometry(w_px, h_px, 3, 10, 1.0))
         assert only_peak(inplane) == centre
         # at 0.1 px/deg only the centre pixel lies inside the 7 deg cutoff
-        vc = ViewingConditions(luminance=20.0, x0=w_px / 0.1, ssr=0.1,
-                               slice_rate=10.0)
-        plan = percept._plan((w_px, h_px, 2), ((vc.x0, vc.ssr),), None,
-                             "hard", None)
-        assert only_peak(plan.geometries[vc.x0, vc.ssr].foveal) == centre
+        plan = percept._plan((w_px, h_px, 2), (0.1,), None, "hard", None)
+        assert only_peak(plan.geometries[0.1].foveal) == centre
 
 
 class TestPlanPhases:
@@ -263,10 +257,8 @@ class TestPlanPhases:
         # must be bit for bit the one of its reduced index; at this K the
         # unreduced float product gives other last bits
         n_sl = 32
-        vc = ViewingConditions(luminance=20.0, x0=16 / 7.0, ssr=7.0,
-                               slice_rate=10.0)
-        phase = percept._plan((16, 16, n_sl), ((vc.x0, vc.ssr),), None,
-                              "none", None).phase
+        phase = percept._plan((16, 16, n_sl), (7.0,), None, "none",
+                              None).phase
         index = np.arange(n_sl)
         product = np.outer(index, index)
         assert np.array_equal(phase, phase[1, product % n_sl])
@@ -274,12 +266,38 @@ class TestPlanPhases:
         assert not np.array_equal(unreduced, phase)
 
 
+class TestBrowsingPoints:
+    """Both percept entries check each (ssr, slice_rate) point before
+    anything is divided by it, and derive x0 = width/ssr from it."""
+
+    def test_apparent_size_is_width_over_ssr(self):
+        out, = apply_stcsf(np.full((64, 16, 4), 20.0), [(8.0, 25.0)])
+        assert out.vc == ViewingConditions(luminance=20.0, x0=8.0)
+
+    @staticmethod
+    def _refused(point):
+        lum = np.full((16, 16, 4), 20.0)
+        for entry in (lambda: apply_stcsf(lum, [(2.0, 10.0), point]),
+                      lambda: filter_contrast(lum - 20.0, 20.0, [point])):
+            with pytest.raises(ValueError, match=r"browsing point \(.*\): "
+                               r"ssr and slice_rate must be finite and "
+                               r"positive"):
+                entry()
+
+    @pytest.mark.parametrize("ssr", [0.0, -8.0, float("nan"), float("inf")])
+    def test_bad_ssr_is_refused_before_dividing(self, ssr):
+        self._refused((ssr, 25.0))
+
+    @pytest.mark.parametrize("rate", [0.0, -8.0, float("nan"), float("inf")])
+    def test_bad_slice_rate_is_refused(self, rate):
+        self._refused((7.0, rate))
+
+
 class TestApplyStcsf:
     def test_constant_stack_maps_to_zero(self):
         out, = apply_stcsf(np.full((16, 16, 4), 37.5), [(2.0, 10.0)])
         assert np.all(out.data == 0.0)
-        assert out.vc == ViewingConditions(luminance=37.5, x0=8.0, ssr=2.0,
-                                           slice_rate=10.0)
+        assert out.vc == ViewingConditions(luminance=37.5, x0=8.0)
 
     def test_single_cosine_amplitude_and_phase(self):
         w_px, h_px, n_sl = 24, 20, 12
@@ -326,12 +344,12 @@ class TestApplyStcsf:
     def test_filter_stage_linearity(self):
         rng = np.random.default_rng(5)
         shape = (16, 16, 8)
-        vc = ViewingConditions(luminance=25.0, x0=8.0, ssr=2.0, slice_rate=15.0)
+        point = [(2.0, 15.0)]
         a = rng.normal(size=shape)
         b = rng.normal(size=shape)
-        lhs, = filter_contrast(1.7 * a - 0.6 * b, [vc])
-        rhs = 1.7 * filter_contrast(a, [vc])[0] \
-            - 0.6 * filter_contrast(b, [vc])[0]
+        lhs, = filter_contrast(1.7 * a - 0.6 * b, 25.0, point)
+        rhs = 1.7 * filter_contrast(a, 25.0, point)[0] \
+            - 0.6 * filter_contrast(b, 25.0, point)[0]
         assert np.abs(lhs - rhs).max() <= 1e-9 * np.abs(rhs).max()
 
     def test_transform_round_trip(self):
@@ -414,11 +432,10 @@ class TestPlanCache:
 
     def test_cached_arrays_refuse_writes(self):
         bank = lg_channel_bank(12, 12, n_channels=3, spread=4.0)
-        plan = percept._plan((12, 12, 5), ((6.0, 2.0),), (1, 2), "hard",
-                             bank)
-        assert percept._plan((12, 12, 5), ((6.0, 2.0),), (1, 2), "hard",
+        plan = percept._plan((12, 12, 5), (2.0,), (1, 2), "hard", bank)
+        assert percept._plan((12, 12, 5), (2.0,), (1, 2), "hard",
                              bank) is plan
-        geometry = plan.geometries[6.0, 2.0]
+        geometry = plan.geometries[2.0]
         for array in (bank.matrix, plan.phase, geometry.radii,
                       geometry.gather, geometry.foveal, geometry.channels):
             with pytest.raises(ValueError, match="read-only"):
