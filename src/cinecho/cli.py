@@ -80,8 +80,9 @@ def _write_resolved(config: dict, out: Path) -> None:
 
 def _cmd_gen_dataset(args) -> int:
     config = _prepare_config(args)
-    out = _out_dir(args)
+    # generation refuses bad input before --out is made
     dataset = _dataset(config)
+    out = _out_dir(args)
     manifest = write_dataset(dataset, out)
     _write_resolved(config, out)
     print(f"wrote {len(dataset.stacks)} stacks to {manifest}")

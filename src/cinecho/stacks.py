@@ -11,7 +11,9 @@
 # Lesions are additive smoothed discs (disc convolved with a Gaussian of
 # sigma = diameter/8, peak-normalized) with a Gaussian through-slice depth
 # profile, inserted at the spatio-temporal stack center; the shape is built
-# once per (spec, geometry).
+# once per (spec, geometry), cropped to its in-plane support.
+# A dataset's backgrounds are drawn on one thread per available CPU; each
+# pair has its own seed, so the thread count cannot change a byte.
 #
 # A stack is its codes plus one StackGeometry.  On disk it is a raw
 # little-endian u16 payload (row-major within slice, slices consecutive) plus
@@ -22,9 +24,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
+import numbers
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
 from pathlib import Path
@@ -216,6 +222,19 @@ def _power_law_spectrum(shape: tuple, beta: float):
     return half, sigma
 
 
+def _texture_spectrum(shape: tuple, texture: str, beta: float):
+    """(amplitude, sigma, beta) of a texture on shape, beta being 0 for
+    white noise; raises ValueError for an unknown texture or a beta that
+    is negative, not finite or overflows the spectrum."""
+    if texture not in TEXTURES:
+        raise ValueError(f"texture must be one of {TEXTURES}")
+    if texture == "white":
+        beta = 0.0
+    if not 0 <= beta < np.inf:
+        raise ValueError(f"beta must be nonnegative and finite, got {beta!r}")
+    return _power_law_spectrum(shape, beta) + (beta,)
+
+
 def generate_background(geometry: StackGeometry, seed,
                         texture: str = "power_law", beta: float = 3.0,
                         stack_id: str = "stack") -> ImageStack:
@@ -228,13 +247,7 @@ def generate_background(geometry: StackGeometry, seed,
     the field spans the central half of the code range.  A beta that is
     negative, not finite or overflows the spectrum raises ValueError.
     """
-    if texture not in TEXTURES:
-        raise ValueError(f"texture must be one of {TEXTURES}")
-    if texture == "white":
-        beta = 0.0
-    if not 0 <= beta < np.inf:
-        raise ValueError(f"beta must be nonnegative and finite, got {beta!r}")
-    amplitude, sigma = _power_law_spectrum(geometry.shape, beta)
+    amplitude, sigma, beta = _texture_spectrum(geometry.shape, texture, beta)
     rng = np.random.default_rng(seed)
     white = rng.standard_normal(geometry.shape)
 
@@ -295,13 +308,21 @@ def affected_slices(depth_profile) -> tuple:
 
 @lru_cache(maxsize=4)
 def _lesion_shape(spec: LesionSpec, geometry: StackGeometry):
-    """(profile, energy, affected slices) of spec on geometry: the inserted
-    amplitude * outer(inplane, depth), read-only, its sum and the slices it
-    affects."""
+    """(window, profile, energy, affected slices) of spec on geometry.
+
+    window is the (rows, columns) slice pair of the tight box around the
+    in-plane support, over which the inserted amplitude * outer(inplane,
+    depth) is nonzero; profile is that product on the window, read-only;
+    energy is its sum over the whole stack."""
     inplane, depth = lesion_profile(spec, geometry)
+    rows = np.flatnonzero(inplane.any(axis=1))
+    cols = np.flatnonzero(inplane.any(axis=0))
+    window = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
     profile = spec.amplitude * inplane[:, :, None] * depth[None, None, :]
+    energy = float(profile.sum())
+    profile = profile[window].copy()
     profile.flags.writeable = False
-    return profile, float(profile.sum()), affected_slices(depth)
+    return window, profile, energy, affected_slices(depth)
 
 
 def insert_lesion(healthy: ImageStack, spec: LesionSpec,
@@ -311,14 +332,17 @@ def insert_lesion(healthy: ImageStack, spec: LesionSpec,
     The result is rounded back to integer codes and clamped to the code
     range; if clamping discards more than 1% of the inserted energy a
     LesionClippingWarning is emitted (the amplitude leaves no headroom).
+    Only the box around the lesion's in-plane support is touched: outside
+    it the profile is zero, so the codes stay those of the healthy stack.
     """
     if healthy.label != "healthy":
         raise ValueError("can only insert into a healthy stack")
     geometry = healthy.geometry
-    profile, energy, lesion_slices = _lesion_shape(spec, geometry)
+    window, profile, energy, lesion_slices = _lesion_shape(spec, geometry)
+    codes = healthy.data.copy()
     # the profile is nonnegative, so only the top of the range can clip
-    ideal = healthy.data + profile
-    codes = np.minimum(np.rint(ideal), geometry.max_code)
+    ideal = codes[window] + profile
+    codes[window] = np.minimum(np.rint(ideal), geometry.max_code)
     lost = float(np.maximum(ideal - geometry.max_code, 0.0).sum())
     if energy > 0 and lost > 0.01 * energy:
         warnings.warn(
@@ -326,7 +350,7 @@ def insert_lesion(healthy: ImageStack, spec: LesionSpec,
             f"(amplitude {spec.amplitude} too high for the code headroom)",
             LesionClippingWarning)
 
-    return replace(healthy, data=codes.astype(np.uint16),
+    return replace(healthy, data=codes,
                    stack_id=stack_id or f"{healthy.stack_id}-lesion",
                    label="lesion",
                    lesion_slices=lesion_slices,
@@ -335,28 +359,63 @@ def insert_lesion(healthy: ImageStack, spec: LesionSpec,
                    + f" lesion={spec.kind} amp={spec.amplitude!r}")
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def generate_dataset(geometry, n_pairs: int, lesion: LesionSpec, seed: int,
                      texture: str = "power_law", beta: float = 3.0) -> Dataset:
     """Generate n_pairs healthy stacks and their lesion twins.
 
     geometry may be a StackGeometry or a preset name.  Stack i draws from
-    an independent stream seeded by (seed, i), so generation order cannot
-    change the output.
+    an independent stream seeded by (seed, i), so neither generation order
+    nor the thread count can change the output.  Backgrounds are drawn on
+    one thread per available CPU, at most n_pairs (on the calling thread
+    when that is one).  Lesions are inserted on the calling thread in pair
+    order, so LesionClippingWarnings reach the caller in that order, and
+    an exception raised for a pair reaches it unchanged.  Every argument is
+    checked before a thread starts: an unknown preset, a pair count below
+    one, a seed that is not a non-negative integer, and whatever
+    generate_background or insert_lesion would refuse raise ValueError.
     """
     if isinstance(geometry, str):
+        if geometry not in GEOMETRY_PRESETS:
+            raise ValueError(f"unknown geometry preset {geometry!r}; "
+                             f"available: {sorted(GEOMETRY_PRESETS)}")
         geometry = GEOMETRY_PRESETS[geometry]
-    if n_pairs < 1:
-        raise ValueError("need at least one pair")
+    if not (isinstance(n_pairs, numbers.Integral) and n_pairs >= 1):
+        raise ValueError(f"need at least one pair, got n_pairs = {n_pairs!r}")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    _texture_spectrum(geometry.shape, texture, beta)
+    _lesion_shape(lesion, geometry)
     width = len(str(max(n_pairs - 1, 1)))
-    stacks = []
-    for i in range(n_pairs):
-        child_seed = np.random.SeedSequence([int(seed), i])
-        healthy = generate_background(geometry, child_seed, texture, beta,
-                                      stack_id=f"h{i:0{width}d}")
-        stacks.append(healthy)
-        stacks.append(insert_lesion(healthy, lesion,
-                                    stack_id=f"l{i:0{width}d}"))
-    return Dataset(stacks=tuple(stacks))
+
+    def background(i):
+        return generate_background(geometry,
+                                   np.random.SeedSequence([int(seed), i]),
+                                   texture, beta, stack_id=f"h{i:0{width}d}")
+
+    def with_lesions(backgrounds) -> Dataset:
+        stacks = []
+        for i, healthy in enumerate(backgrounds):
+            stacks += (healthy, insert_lesion(healthy, lesion,
+                                              stack_id=f"l{i:0{width}d}"))
+        return Dataset(stacks=tuple(stacks))
+
+    workers = min(_available_cpus(), n_pairs)
+    if workers == 1:
+        return with_lesions(map(background, range(n_pairs)))
+    # map yields in pair order; closing it cancels the backgrounds not yet
+    # started when a pair fails, and the pool joins its threads on exit
+    with ThreadPoolExecutor(workers) as pool, \
+            contextlib.closing(pool.map(background, range(n_pairs))) as drawn:
+        return with_lesions(drawn)
 
 
 # ---------------------------------------------------------------------------

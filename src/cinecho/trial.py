@@ -23,6 +23,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -117,8 +118,9 @@ def split_dataset(pairing, n_readers: int, seed: int,
     the healthy member of the k-th shuffled pair goes to subset
     k mod (n+1) and its lesion partner to (k+1) mod (n+1), so the two
     always differ and per-class subset sizes stay equal within one.
-    Raises PlanError when the pairing is empty or when any subset would
-    get fewer than min_per_class members of either class.
+    Raises PlanError when the pairing is empty, when the seed is not a
+    non-negative integer or when any subset would get fewer than
+    min_per_class members of either class.
     """
     pairs = [(h, l) for h, l in pairing]
     if not pairs:
@@ -131,6 +133,9 @@ def split_dataset(pairing, n_readers: int, seed: int,
         raise PlanError("a stack id appears on both sides of the pairing")
     if n_readers < 1:
         raise PlanError("need at least one reader")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise PlanError(f"trial seed must be a non-negative integer, "
+                        f"got {seed!r}")
     n_subsets = n_readers + 1
     if len(pairs) // n_subsets < min_per_class:
         raise PlanError(

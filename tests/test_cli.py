@@ -116,7 +116,22 @@ class TestGenDataset:
                      "--out", str(out)]) == 2
         assert f"error: {manifest}: stack id 'l0' names two stacks" \
             in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+        ([], "unknown preset 'dataset_c'")])
+    def test_bad_generator_input_is_named_and_makes_no_out(
+            self, tmp_path, capsys, argv, message):
+        config = tmp_path / "bad.txt"
+        config.write_text("generator.n_pairs = 2\n"
+                          + ("" if argv else "generator.preset = dataset_c\n"),
+                          encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["gen-dataset", "--config", str(config),
+                     "--out", str(out)] + argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRunTrial:
@@ -352,6 +367,16 @@ class TestErrors:
                      "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(
             "error: l_max must be finite")
+
+    def test_negative_trial_seed_is_a_plan_error(self, config_path, tmp_path,
+                                                 capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(config_path.read_text(encoding="utf-8")
+                       + "trial.seed = -3\n", encoding="utf-8")
+        assert main(["run-trial", "--config", str(bad),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: trial seed must be a non-negative integer, got -3\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["run-trial"], "ssr and slice_rate must be finite and positive"),

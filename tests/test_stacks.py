@@ -1,5 +1,7 @@
 import math
+import sys
 import tempfile
+import threading
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -332,8 +334,27 @@ class TestInsertLesion:
         spec = LesionSpec(kind, amplitude, diameter_px=diameter,
                           sigma_z=sigma_z)
         geometry = StackGeometry(width, height, n_slices, 10, 1.0)
-        profile, _, _ = stacks._lesion_shape(spec, geometry)
+        _, profile, _, _ = stacks._lesion_shape(spec, geometry)
         assert np.all(profile >= 0)
+
+    @pytest.mark.parametrize("kind, amplitude", [("microcalc", 2e4),
+                                                 ("mass", 500.0)])
+    def test_equals_the_whole_stack_formula(self, kind, amplitude):
+        # insertion works on the box around the in-plane support only; at a
+        # 16-bit depth even the box's outermost ring adds a whole code, so
+        # a box one pixel too small would show
+        geometry = StackGeometry(48, 44, 7, 16, 1.0)
+        data = np.random.default_rng(3).integers(0, 40, geometry.shape,
+                                                 dtype=np.uint16)
+        healthy = ImageStack(geometry=geometry, data=data, stack_id="h",
+                             label="healthy")
+        spec = LesionSpec(kind, amplitude)
+        inplane, depth = lesion_profile(spec, geometry)
+        ideal = data + amplitude * inplane[:, :, None] * depth[None, None, :]
+        expected = np.minimum(np.rint(ideal), geometry.max_code)
+        lesion = insert_lesion(healthy, spec)
+        assert lesion.data.dtype == np.uint16
+        assert np.array_equal(lesion.data, expected)
 
 
 class TestGenerationCaches:
@@ -345,8 +366,8 @@ class TestGenerationCaches:
 
     def test_cached_arrays_are_read_only(self):
         amplitude, _ = stacks._power_law_spectrum(SMALL.shape, 3.0)
-        profile, _, _ = stacks._lesion_shape(LesionSpec("microcalc", 9.0),
-                                             SMALL)
+        _, profile, _, _ = stacks._lesion_shape(
+            LesionSpec("microcalc", 9.0), SMALL)
         for cached in (amplitude, profile):
             assert not cached.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -703,3 +724,129 @@ class TestDataset:
                                stack_id="l9")
         with pytest.raises(FormatError, match="unknown source"):
             Dataset(stacks=(lesion,)).pairing
+
+
+class TestGenerationThreads:
+    """Backgrounds are drawn on one thread per available CPU, lesions are
+    inserted on the calling thread in pair order; the thread count must
+    not change a byte, a warning's order or an exception."""
+
+    LESION = LesionSpec("microcalc", 60.0, diameter_px=4.0)
+
+    @staticmethod
+    def _serial(n_pairs, lesion, seed):
+        width = len(str(n_pairs - 1))
+        stacks = []
+        for i in range(n_pairs):
+            healthy = generate_background(
+                SMALL, np.random.SeedSequence([seed, i]),
+                stack_id=f"h{i:0{width}d}")
+            stacks += (healthy, insert_lesion(healthy, lesion,
+                                              stack_id=f"l{i:0{width}d}"))
+        return stacks
+
+    @staticmethod
+    def _cpus(monkeypatch, n):
+        monkeypatch.setattr(stacks, "_available_cpus", lambda: n)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 64])
+    def test_any_thread_count_gives_the_serial_bytes(self, monkeypatch, cpus):
+        self._cpus(monkeypatch, cpus)
+        drawn_on = []
+        draw = stacks.generate_background
+
+        def recorded(*args, **kwargs):
+            drawn_on.append(threading.get_ident())
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(stacks, "generate_background", recorded)
+        # threads switch as often as the interpreter allows
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = generate_dataset(SMALL, 12, self.LESION, seed=31).stacks
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.undo()
+        expected = self._serial(12, self.LESION, 31)
+        assert [s.stack_id for s in got] == [s.stack_id for s in expected]
+        for a, b in zip(got, expected):
+            assert np.array_equal(a.data, b.data)
+            assert (a.label, a.source_id, a.lesion_slices, a.provenance) \
+                == (b.label, b.source_id, b.lesion_slices, b.provenance)
+        # one worker stays on the calling thread; more never use it
+        caller = threading.get_ident()
+        assert (set(drawn_on) == {caller}) if cpus == 1 \
+            else (caller not in drawn_on)
+        assert len(drawn_on) == 12
+
+    def test_clipping_warnings_reach_the_caller_in_pair_order(
+            self, monkeypatch):
+        # 980 codes of headroom at most: amplitude 2000 clips every pair
+        lesion = LesionSpec("microcalc", 2000.0, diameter_px=4.0)
+        with warnings.catch_warnings(record=True) as serial:
+            warnings.simplefilter("always")
+            self._serial(6, lesion, 8)
+        self._cpus(monkeypatch, 2)
+        inserted_on = []
+        insert = stacks.insert_lesion
+
+        def recorded(*args, **kwargs):
+            inserted_on.append(threading.get_ident())
+            return insert(*args, **kwargs)
+
+        monkeypatch.setattr(stacks, "insert_lesion", recorded)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            generate_dataset(SMALL, 6, lesion, seed=8)
+        assert [w.category for w in caught] == [LesionClippingWarning] * 6
+        messages = [str(w.message) for w in caught]
+        assert messages == [str(w.message) for w in serial]
+        assert len(set(messages)) > 1  # the order is visible
+        assert inserted_on == [threading.get_ident()] * 6
+
+    @pytest.mark.parametrize("cpus, failing", [(1, 2), (2, 0), (2, 3),
+                                               (3, 6)])
+    def test_a_failing_pair_reaches_the_caller_unchanged(
+            self, monkeypatch, cpus, failing):
+        self._cpus(monkeypatch, cpus)
+        boom = RuntimeError("pair failed")
+        draw = stacks.generate_background
+
+        def fail_one(*args, stack_id, **kwargs):
+            if stack_id == f"h{failing}":
+                raise boom
+            return draw(*args, stack_id=stack_id, **kwargs)
+
+        monkeypatch.setattr(stacks, "generate_background", fail_one)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            generate_dataset(SMALL, 7, self.LESION, seed=2)
+        assert info.value is boom
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"geometry": "dataset_c"},
+         r"unknown geometry preset 'dataset_c'; available: "
+         r"\['dataset_a', 'dataset_b'\]"),
+        ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+        ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+        ({"seed": "3"}, "seed must be a non-negative integer, got '3'"),
+        ({"n_pairs": 0}, "need at least one pair, got n_pairs = 0"),
+        ({"n_pairs": 2.0}, "need at least one pair, got n_pairs = 2.0"),
+        ({"texture": "pink"}, "texture must be one of"),
+        ({"beta": -1.0}, "beta must be nonnegative"),
+        ({"lesion": LesionSpec("mass", 9.0)}, "diameter exceeds the image")])
+    def test_bad_arguments_are_refused_before_any_thread(
+            self, monkeypatch, kwargs, message):
+        self._cpus(monkeypatch, 4)
+
+        def no_thread(*args, **kwargs):
+            pytest.fail("a thread pool was started")
+
+        monkeypatch.setattr(stacks, "ThreadPoolExecutor", no_thread)
+        monkeypatch.setattr(stacks, "generate_background", no_thread)
+        arguments = {"geometry": SMALL, "n_pairs": 3, "lesion": self.LESION,
+                     "seed": 1, **kwargs}
+        with pytest.raises(ValueError, match=message):
+            generate_dataset(**arguments)

@@ -101,6 +101,14 @@ class TestSplitDataset:
         with pytest.raises(PlanError, match="pairing is empty"):
             split_dataset((), n_readers=2, seed=0, min_per_class=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, "7"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(PlanError, match=f"trial seed must be a "
+                                            f"non-negative integer, got "
+                                            f"{seed!r}$"):
+            split_dataset(_pairing(8), n_readers=1, seed=seed,
+                          min_per_class=1)
+
 
 class TestAucWilcoxon:
     def test_perfect_separation(self):
