@@ -80,8 +80,8 @@ def _write_resolved(config: dict, out: Path) -> None:
 
 def _cmd_gen_dataset(args) -> int:
     config = _prepare_config(args)
-    # generation refuses bad input before --out is made
     dataset = _dataset(config)
+    # --out is made only once there is something to write in it
     out = _out_dir(args)
     manifest = write_dataset(dataset, out)
     _write_resolved(config, out)
@@ -89,14 +89,15 @@ def _cmd_gen_dataset(args) -> int:
     return 0
 
 
-def _sweep_to_csv(config: dict, spec: SweepSpec, pipeline, out: Path,
+def _sweep_to_csv(config: dict, spec: SweepSpec, pipeline, args,
                   name: str) -> tuple:
     """Check every point of spec, then read or generate the dataset, run
-    the sweep and write its rows to out/name beside config.txt; returns
-    the rows and the CSV path."""
+    the sweep, make --out and write the rows to name in it beside
+    config.txt; returns the rows and the CSV path."""
     # the model is checked before seconds go into generating the dataset
     sweep_points(spec, pipeline)
     rows = run_sweep(_dataset(config), spec, config)
+    out = _out_dir(args)
     path = emit_csv(rows, out / name)
     _write_resolved(config, out)
     return rows, path
@@ -104,12 +105,11 @@ def _sweep_to_csv(config: dict, spec: SweepSpec, pipeline, out: Path,
 
 def _cmd_run_trial(args) -> int:
     config = _prepare_config(args)
-    out = _out_dir(args)
     # a trial is the one-point slice_rate sweep at the configured rate; the
     # pipeline comes first, so a bad rate gets the pipeline's message
     pipeline = pipeline_from(config)
     spec = SweepSpec("slice_rate", (config["percept.slice_rate"],))
-    (row,), path = _sweep_to_csv(config, spec, pipeline, out, "trial.csv")
+    (row,), path = _sweep_to_csv(config, spec, pipeline, args, "trial.csv")
     print(f"mean AUC = {row.mean_auc:.4f} +- {row.auc_stddev:.4f} "
           f"({row.n_readers} readers); wrote {path}")
     return 0
@@ -117,14 +117,14 @@ def _cmd_run_trial(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _prepare_config(args)
-    out = _out_dir(args)
     axis = args.axis or config["sweep.axis"]
     values = parse_numbers(args.values, "--values") if args.values \
         else config["sweep.values"]
     spec = SweepSpec(axis=axis, values=values)
-    rows, csv_path = _sweep_to_csv(config, spec, pipeline_from(config), out,
+    rows, csv_path = _sweep_to_csv(config, spec, pipeline_from(config), args,
                                    "sweep.csv")
-    emit_svg_plot(rows, [], out / "sweep.svg", axis_label=spec.axis)
+    emit_svg_plot(rows, [], csv_path.with_name("sweep.svg"),
+                  axis_label=spec.axis)
     best = max(rows, key=lambda r: r.mean_auc)
     print(f"swept {spec.axis} over {len(rows)} values; peak mean AUC "
           f"{best.mean_auc:.4f} at {spec.axis} = {best.axis_value:g}; "

@@ -222,19 +222,6 @@ def _power_law_spectrum(shape: tuple, beta: float):
     return half, sigma
 
 
-def _texture_spectrum(shape: tuple, texture: str, beta: float):
-    """(amplitude, sigma, beta) of a texture on shape, beta being 0 for
-    white noise; raises ValueError for an unknown texture or a beta that
-    is negative, not finite or overflows the spectrum."""
-    if texture not in TEXTURES:
-        raise ValueError(f"texture must be one of {TEXTURES}")
-    if texture == "white":
-        beta = 0.0
-    if not 0 <= beta < np.inf:
-        raise ValueError(f"beta must be nonnegative and finite, got {beta!r}")
-    return _power_law_spectrum(shape, beta) + (beta,)
-
-
 def generate_background(geometry: StackGeometry, seed,
                         texture: str = "power_law", beta: float = 3.0,
                         stack_id: str = "stack") -> ImageStack:
@@ -247,7 +234,13 @@ def generate_background(geometry: StackGeometry, seed,
     the field spans the central half of the code range.  A beta that is
     negative, not finite or overflows the spectrum raises ValueError.
     """
-    amplitude, sigma, beta = _texture_spectrum(geometry.shape, texture, beta)
+    if texture not in TEXTURES:
+        raise ValueError(f"texture must be one of {TEXTURES}")
+    if texture == "white":
+        beta = 0.0
+    if not 0 <= beta < np.inf:
+        raise ValueError(f"beta must be nonnegative and finite, got {beta!r}")
+    amplitude, sigma = _power_law_spectrum(geometry.shape, beta)
     rng = np.random.default_rng(seed)
     white = rng.standard_normal(geometry.shape)
 
@@ -375,13 +368,13 @@ def generate_dataset(geometry, n_pairs: int, lesion: LesionSpec, seed: int,
     geometry may be a StackGeometry or a preset name.  Stack i draws from
     an independent stream seeded by (seed, i), so neither generation order
     nor the thread count can change the output.  Backgrounds are drawn on
-    one thread per available CPU, at most n_pairs (on the calling thread
-    when that is one).  Lesions are inserted on the calling thread in pair
-    order, so LesionClippingWarnings reach the caller in that order, and
-    an exception raised for a pair reaches it unchanged.  Every argument is
-    checked before a thread starts: an unknown preset, a pair count below
-    one, a seed that is not a non-negative integer, and whatever
-    generate_background or insert_lesion would refuse raise ValueError.
+    a pool of one thread per available CPU, at most n_pairs.  Lesions are
+    inserted on the calling thread in pair order, so LesionClippingWarnings
+    reach the caller in that order, and an exception raised for a pair
+    (such as generate_background's or insert_lesion's ValueError) reaches
+    it unchanged.  An unknown preset, a pair count below one and a seed
+    that is not a non-negative integer raise ValueError before a thread
+    starts.
     """
     if isinstance(geometry, str):
         if geometry not in GEOMETRY_PRESETS:
@@ -392,8 +385,6 @@ def generate_dataset(geometry, n_pairs: int, lesion: LesionSpec, seed: int,
         raise ValueError(f"need at least one pair, got n_pairs = {n_pairs!r}")
     if not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    _texture_spectrum(geometry.shape, texture, beta)
-    _lesion_shape(lesion, geometry)
     width = len(str(max(n_pairs - 1, 1)))
 
     def background(i):
@@ -401,21 +392,15 @@ def generate_dataset(geometry, n_pairs: int, lesion: LesionSpec, seed: int,
                                    np.random.SeedSequence([int(seed), i]),
                                    texture, beta, stack_id=f"h{i:0{width}d}")
 
-    def with_lesions(backgrounds) -> Dataset:
-        stacks = []
-        for i, healthy in enumerate(backgrounds):
-            stacks += (healthy, insert_lesion(healthy, lesion,
-                                              stack_id=f"l{i:0{width}d}"))
-        return Dataset(stacks=tuple(stacks))
-
-    workers = min(_available_cpus(), n_pairs)
-    if workers == 1:
-        return with_lesions(map(background, range(n_pairs)))
+    stacks = []
     # map yields in pair order; closing it cancels the backgrounds not yet
     # started when a pair fails, and the pool joins its threads on exit
-    with ThreadPoolExecutor(workers) as pool, \
+    with ThreadPoolExecutor(min(_available_cpus(), n_pairs)) as pool, \
             contextlib.closing(pool.map(background, range(n_pairs))) as drawn:
-        return with_lesions(drawn)
+        for i, healthy in enumerate(drawn):
+            stacks += (healthy, insert_lesion(healthy, lesion,
+                                              stack_id=f"l{i:0{width}d}"))
+    return Dataset(stacks=tuple(stacks))
 
 
 # ---------------------------------------------------------------------------

@@ -118,21 +118,6 @@ class TestGenDataset:
             in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv, message", [
-        (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
-        ([], "unknown preset 'dataset_c'")])
-    def test_bad_generator_input_is_named_and_makes_no_out(
-            self, tmp_path, capsys, argv, message):
-        config = tmp_path / "bad.txt"
-        config.write_text("generator.n_pairs = 2\n"
-                          + ("" if argv else "generator.preset = dataset_c\n"),
-                          encoding="utf-8")
-        out = tmp_path / "out"
-        assert main(["gen-dataset", "--config", str(config),
-                     "--out", str(out)] + argv) == 2
-        assert message in capsys.readouterr().err
-        assert not out.exists()
-
 
 class TestRunTrial:
     def test_in_memory_dataset(self, config_path, tmp_path, capsys):
@@ -373,10 +358,28 @@ class TestErrors:
         bad = tmp_path / "bad.txt"
         bad.write_text(config_path.read_text(encoding="utf-8")
                        + "trial.seed = -3\n", encoding="utf-8")
+        out = tmp_path / "out"
         assert main(["run-trial", "--config", str(bad),
-                     "--out", str(tmp_path / "out")]) == 2
+                     "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             "error: trial seed must be a non-negative integer, got -3\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-dataset", "run-trial", "sweep"])
+    @pytest.mark.parametrize("argv, message", [
+        (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+        ([], "unknown preset 'dataset_c'")])
+    def test_bad_generator_input_is_named_and_makes_no_out(
+            self, tmp_path, capsys, command, argv, message):
+        config = tmp_path / "bad.txt"
+        config.write_text("generator.n_pairs = 2\n"
+                          + ("" if argv else "generator.preset = dataset_c\n"),
+                          encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config),
+                     "--out", str(out)] + argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
         (["run-trial"], "ssr and slice_rate must be finite and positive"),
