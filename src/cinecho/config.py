@@ -70,6 +70,8 @@ DEFAULTS = {
     "sweep.axis": "slice_rate",
     "sweep.values": (1.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0,
                      40.0, 45.0),
+    # retired and ignored (perception runs on every CPU taskset allows);
+    # kept so config hashes and config.txt read-back do not change
     "sweep.workers": 1,
     # sensitivity table dumps
     "csf.luminance": 20.0,

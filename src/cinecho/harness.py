@@ -15,8 +15,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from html import escape
 from pathlib import Path
@@ -145,10 +143,10 @@ def run_sweep(dataset, spec: SweepSpec, config: dict,
     The channel responses are computed in one pass over the stacks per
     display (see perceive_responses): one for a slice_rate or ssr sweep,
     one per value for l_max and contrast_ratio; each point then trains
-    and scores its readers.  config['sweep.workers'] > 1 shards the
-    stacks of each pass over a thread pool, with output identical to the
-    sequential pass.  Every pass and every shard shares one cached
-    channel bank and spectral plan.
+    and scores its readers.  Each pass runs its stacks on one thread per
+    CPU the process may run on, with output identical at any CPU count;
+    config['sweep.workers'] is accepted and ignored.  Every pass shares
+    one cached channel bank and spectral plan.
     """
     if plan is None:
         plan = split_dataset(dataset.pairing, config["trial.n_readers"],
@@ -162,26 +160,15 @@ def run_sweep(dataset, spec: SweepSpec, config: dict,
     for value, point in zip(spec.values, points):
         _named(spec, value, lambda: ViewingConditions(
             1.0, stacks[0].data.shape[0] / point.ssr))
-    workers = max(1, min(int(config.get("sweep.workers", 1)), len(stacks)))
-    bounds = [len(stacks) * k // workers for k in range(workers + 1)]
     groups = {}
     for i, point in enumerate(points):
         groups.setdefault(point.display, []).append(i)
     responses = np.empty((len(stacks), len(points), len(slice_range),
                           base.n_channels))
-
-    def perceive(members, start, stop):
-        responses[start:stop, members] = perceive_responses(
-            stacks[start:stop], [points[i] for i in members], slice_range)
-
-    # sweep.workers <= 1 stays on the calling thread: a pool thread runs the
-    # pass slower while it grows a malloc arena of its own
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        run = pool.map if pool else map
-        for members in groups.values():
-            # list() reads every shard's result, so a failure raises here
-            _named(spec, spec.values[members[0]], lambda: list(run(
-                perceive, [members] * workers, bounds[:-1], bounds[1:])))
+    for members in groups.values():
+        responses[:, members] = _named(
+            spec, spec.values[members[0]], lambda: perceive_responses(
+                stacks, [points[i] for i in members], slice_range))
     rows = []
     for i, (value, point) in enumerate(zip(spec.values, points)):
         result = _named(spec, value, lambda: run_trial(

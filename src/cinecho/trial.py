@@ -24,6 +24,7 @@
 from __future__ import annotations
 
 import numbers
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,6 +40,7 @@ from .observer import (
     train_mscho_from_responses,
 )
 from .percept import FOVEAL_MODES, apply_stcsf
+from .stacks import _available_cpus
 
 # channelize_slices is not called here (perceive_responses projects onto the
 # channels in the frequency domain); it stays imported because
@@ -288,8 +290,11 @@ def perceive_responses(stacks, configs, slice_range) -> np.ndarray:
     browsing point, so it is tapered and forward-transformed once;
     each config costs only its share of the gain, the inverse temporal
     DFT and the projection onto the channels, taken in the frequency
-    domain.  Every stack shares one cached channel bank and spectral
-    plan.  The stacks must share one shape (see plan_stacks).
+    domain.  Stacks are perceived one per task on a pool of one thread
+    per CPU the process may run on (as taskset sets it) and gathered in
+    stack order, so the array does not depend on the CPU count.  They
+    share one channel bank, built on the calling thread, and one cached
+    spectral plan, and must share one shape (see plan_stacks).
     """
     config = configs[0]
     if any(replace(c, ssr=config.ssr, slice_rate=config.slice_rate) != config
@@ -298,11 +303,14 @@ def perceive_responses(stacks, configs, slice_range) -> np.ndarray:
     bank = lg_channel_bank(*stacks[0].data.shape[:2], config.n_channels,
                            config.spread)
     points = [(c.ssr, c.slice_rate) for c in configs]
-    return np.array([apply_stcsf(
-        config.display.code_to_luminance(stack.data), points,
-        foveal_mode=config.foveal_mode, taper=config.taper,
-        slices=slice_range, bank=bank)
-        for stack in stacks])
+
+    def perceive(stack):
+        return apply_stcsf(config.display.code_to_luminance(stack.data),
+                           points, foveal_mode=config.foveal_mode,
+                           taper=config.taper, slices=slice_range, bank=bank)
+
+    with ThreadPoolExecutor(min(_available_cpus(), len(stacks))) as pool:
+        return np.array(list(pool.map(perceive, stacks)))
 
 
 def run_trial(dataset, plan: TrialPlan,

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cinecho import trial
 from cinecho.config import DEFAULTS, lesion_from
 from cinecho.errors import FormatError
 from cinecho.harness import (
@@ -41,6 +42,11 @@ def _small_config(**overrides):
     config["trial.seed"] = 9
     config.update(overrides)
     return config
+
+
+def _cpus(monkeypatch, n):
+    """Size the perception pool as if the process could run on n CPUs."""
+    monkeypatch.setattr(trial, "_available_cpus", lambda: n)
 
 
 @pytest.fixture(scope="module")
@@ -336,40 +342,37 @@ class TestRunSweep:
     @pytest.mark.parametrize("axis, values", [
         ("slice_rate", (5.0, 25.0)), ("ssr", (4.0, 8.0)),
         ("l_max", (500.0, 1000.0)), ("contrast_ratio", (100.0, 1000.0))])
-    def test_parallel_matches_sequential(self, faint_dataset, axis, values):
-        # a faint lesion keeps the AUCs off 1, so differing scores show
+    def test_parallel_matches_sequential(self, faint_dataset, monkeypatch,
+                                         axis, values):
+        # a faint lesion keeps the AUCs off 1, so differing scores show;
+        # seven threads take the stacks unevenly, and switching threads
+        # often tests that no stack's responses land in another's place
         spec = SweepSpec(axis, values)
-        sequential = run_sweep(faint_dataset, spec, _small_config())
-        assert all(0.5 < row.mean_auc < 1.0 for row in sequential)
-        # seven workers cut uneven shards; switching threads often tests
-        # that no shard writes over another's rows
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for workers in (2, 7):
-                parallel = run_sweep(
-                    faint_dataset, spec,
-                    _small_config(**{"sweep.workers": workers}))
-                # rows differ only in the fingerprint, which covers
-                # sweep.workers
-                assert [replace(row, config_hash="") for row in parallel] \
-                    == [replace(row, config_hash="") for row in sequential]
+            rows = {}
+            for cpus in (1, 2, 7):
+                _cpus(monkeypatch, cpus)
+                rows[cpus] = run_sweep(faint_dataset, spec, _small_config())
         finally:
             sys.setswitchinterval(interval)
+        assert all(0.5 < row.mean_auc < 1.0 for row in rows[1])
+        assert rows[2] == rows[1] and rows[7] == rows[1]
 
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_workers_below_one_run_sequentially(self, faint_dataset,
-                                                workers):
+    @pytest.mark.parametrize("workers", [0, -1, 1, 2])
+    def test_sweep_workers_is_ignored(self, faint_dataset, workers):
         # run first, so no freed buffer of a good sweep can stand in for
         # responses that were never computed
         spec = SweepSpec("slice_rate", (5.0, 25.0))
         rows = run_sweep(faint_dataset, spec,
                          _small_config(**{"sweep.workers": workers}))
-        sequential = run_sweep(faint_dataset, spec, _small_config())
+        default = run_sweep(faint_dataset, spec, _small_config())
+        # rows differ at most in the fingerprint, which covers sweep.workers
         assert [replace(row, config_hash="") for row in rows] \
-            == [replace(row, config_hash="") for row in sequential]
+            == [replace(row, config_hash="") for row in default]
 
-    def test_more_workers_than_stacks_run_one_stack_each(self):
+    def test_more_workers_than_stacks_run_one_stack_each(self, monkeypatch):
         # 8 pairs are 16 stacks; one channel and the max combiner let
         # readers train on 2 or 3 stacks per class, and a faint lesion
         # keeps the first point's AUC off 1
@@ -379,26 +382,29 @@ class TestRunSweep:
                                   "observer.n_channels": 1,
                                   "observer.combiner": "max"})
         spec = SweepSpec("slice_rate", (5.0, 25.0))
-        sequential = run_sweep(dataset, spec, config)
-        rows = run_sweep(dataset, spec, {**config, "sweep.workers": 19})
-        assert 0.5 < sequential[0].mean_auc < 1.0
+        _cpus(monkeypatch, 1)
+        one = run_sweep(dataset, spec, config)
+        _cpus(monkeypatch, 19)
+        rows = run_sweep(dataset, spec, config)
+        assert 0.5 < one[0].mean_auc < 1.0
 
         def numbers(rows):
             return [(r.axis_value, r.mean_auc, r.auc_stddev) for r in rows]
 
         # a NaN standard deviation compares equal here
-        np.testing.assert_array_equal(numbers(rows), numbers(sequential))
+        np.testing.assert_array_equal(numbers(rows), numbers(one))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("cpus", [1, 2])
     def test_failure_in_the_pass_names_axis_and_value(self, small_dataset,
-                                                      workers):
+                                                      monkeypatch, cpus):
         # codes mapped onto a 1e308 cd/m2 display overflow the stack mean;
         # at ssr 1e200 a 16-pixel image spans 1.6e-199 deg, whose square
         # the sensitivity cannot divide by, and at ssr 1e-61 it spans 1.6e62
         # deg, past where tau2's power of the field size overflows; ssr 4
         # shares their pass
-        config = _small_config(**{"sweep.workers": workers})
+        _cpus(monkeypatch, cpus)
+        config = _small_config()
         for spec, match in [
                 (SweepSpec("l_max", (500.0, 1e308)),
                  r"sweep aborted at l_max = 1e\+308: "
@@ -444,7 +450,8 @@ class TestRunSweep:
         assert lines and all(line.get("stroke") == "#444" for line in lines)
 
     def test_parallel_sweep_needs_no_main_guard(self, tmp_path):
-        # a sweep with workers is callable from a plain script's top level
+        # a sweep, which perceives on a thread pool, is callable from a
+        # plain script's top level
         script = tmp_path / "sweep_script.py"
         script.write_text(textwrap.dedent("""
             from cinecho.config import DEFAULTS, lesion_from
@@ -457,8 +464,7 @@ class TestRunSweep:
                                                   diameter_px=4.0), seed=404)
             config = dict(DEFAULTS, **{
                 "observer.n_channels": 5, "observer.spread": 4.0,
-                "trial.n_readers": 2, "trial.min_per_class": 6,
-                "sweep.workers": 2})
+                "trial.n_readers": 2, "trial.min_per_class": 6})
             rows = run_sweep(dataset, SweepSpec("slice_rate", (5.0, 25.0)),
                              config)
             print(len(rows), "rows")

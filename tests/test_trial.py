@@ -9,8 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cinecho import trial
 from cinecho.display import DisplayModel
 from cinecho.errors import PlanError
+from cinecho.observer import lg_channel_bank
+from cinecho.percept import apply_stcsf
 from cinecho.stacks import Dataset, LesionSpec, StackGeometry, \
     generate_background, generate_dataset, insert_lesion
 from cinecho.trial import (
@@ -531,6 +534,32 @@ class TestPerceiveResponses:
         configs = [CONFIG, replace(CONFIG, ssr=3.5, slice_rate=40.0, **other)]
         with pytest.raises(ValueError, match="only in ssr and slice_rate"):
             perceive_responses(strong_dataset.stacks[:2], configs, (3, 4, 5))
+
+    CONFIGS = [CONFIG, replace(CONFIG, ssr=3.5, slice_rate=40.0)]
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_any_cpu_count_gives_the_per_stack_loop(self, strong_dataset,
+                                                    monkeypatch, cpus):
+        # three threads take ten stacks unevenly, and switching threads
+        # often tests that every stack's responses land in its own place
+        stacks = strong_dataset.stacks[:10]
+        slices = stacks[1].lesion_slices
+        bank = lg_channel_bank(16, 16, CONFIG.n_channels, CONFIG.spread)
+        expected = np.array([apply_stcsf(
+            CONFIG.display.code_to_luminance(s.data),
+            [(c.ssr, c.slice_rate) for c in self.CONFIGS],
+            foveal_mode=CONFIG.foveal_mode, taper=CONFIG.taper,
+            slices=slices, bank=bank) for s in stacks])
+        monkeypatch.setattr(trial, "_available_cpus", lambda: cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = perceive_responses(stacks, self.CONFIGS, slices)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.shape == (10, 2, len(slices), 5)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestPipelineConfig:
