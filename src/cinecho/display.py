@@ -12,12 +12,14 @@
 #     L(t) = l_min^(1-t) * l_max^t .
 #
 # Both forms hit l_min at t=0 and l_max at t=1 exactly, with no rounding
-# residue at the endpoints.
+# residue at the endpoints.  A display has only 2^b codes: the closed form
+# is evaluated once per display, at every code, and codes read that table.
 # -----------------------------------------------------------------------------
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,21 +55,31 @@ class DisplayModel:
     def max_code(self) -> int:
         return (1 << self.bit_depth) - 1
 
-    def code_to_luminance(self, code):
-        """Map integer code values to luminance in cd/m^2.
-
-        code may be any array-like of integers in [0, 2^bit_depth - 1];
-        values outside that range raise ValueError.  Returns float64 with
-        the broadcast shape of the input.
-        """
-        code = np.asarray(code)
-        if code.size and (code.min() < 0 or code.max() > self.max_code):
-            raise ValueError(
-                f"code values must lie in [0, {self.max_code}] "
-                f"for a {self.bit_depth}-bit display")
-        t = code.astype(np.float64) / float(self.max_code)
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """The closed form at every code 0..max_code, read-only."""
+        t = np.arange(self.max_code + 1) / float(self.max_code)
         if self.mapping == "linear_luminance":
             lum = self.l_min * (1.0 - t) + self.l_max * t
         else:
             lum = self.l_min ** (1.0 - t) * self.l_max ** t
+        lum.flags.writeable = False
         return lum
+
+    def code_to_luminance(self, code):
+        """Map integer code values to luminance in cd/m^2.
+
+        code may be any array-like of integers (or booleans) in
+        [0, 2^bit_depth - 1]; any other dtype, and values outside that
+        range, raise ValueError.  Each code reads its entry of the display's
+        table of the closed form.  Returns float64 shaped like the input.
+        """
+        code = np.asarray(code)
+        if code.dtype.kind not in "biu":
+            raise ValueError(f"code values must be integers, got dtype "
+                             f"{code.dtype}")
+        if code.size and (code.min() < 0 or code.max() > self.max_code):
+            raise ValueError(
+                f"code values must lie in [0, {self.max_code}] "
+                f"for a {self.bit_depth}-bit display")
+        return self._table.take(code)

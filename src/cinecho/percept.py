@@ -13,22 +13,22 @@
 # even in every frequency axis, hence zero-phase: features do not move.
 #
 # Because of that evenness the transform works on the half spectrum of the
-# real stack (a real FFT over the plane, a complex one over the slices) and
-# inverts only the slices asked for.  The work falls into three layers:
+# real stack (a real FFT over the plane, a complex one over the slices),
+# folds it in k3 and inverts only the slices asked for.  Three layers:
 #
 #   per plan   what no stack changes, built once per stack shape, ssr set,
-#              slices, foveal mode and channel bank and cached
-#              read-only (_plan): the distinct effective radii of the
-#              quarter grid and the index that gathers them onto the half
-#              plane, the inverse temporal phases of the slices, the foveal
-#              weights and the channel templates as half-spectrum weights
-#   per stack  mean, contrast, taper and one forward transform; per ssr
-#              one derive_optics and one gain evaluation for every slice
-#              rate at once
-#   per point  gather the gain, weigh the spectrum, contract the phases,
-#              then irfft2 to real planes or, with a channel bank, one GEMM
-#              straight onto the channels (Parseval): the planes are never
-#              formed
+#              slices, foveal mode and channel bank and cached read-only
+#              (_plan): the distinct effective radii of the quarter grid
+#              and their gather onto the half plane, the real inverse
+#              temporal phases of the folded spectrum, the foveal weights
+#              and the channel templates as half-spectrum weights
+#   per stack  mean, contrast, taper, the mean re-zeroed in place, one
+#              forward transform folded in k3; per ssr one derive_optics
+#              and one gain evaluation at the distinct |w| of all rates
+#   per point  gather the gain, weigh the spectrum, one real GEMM with the
+#              phases, then irfft2 to real planes or, with a channel bank,
+#              one GEMM straight onto the channels (Parseval): the planes
+#              are never formed
 #
 # Contrast, L and the forward transform do not depend on the browsing speed
 # or the sampling rate, so one forward transform serves every
@@ -204,7 +204,9 @@ class _Plan:
 
     A stack's half spectrum is held as a (K, W * (H//2 + 1)) array: one
     row per temporal frequency index k3, each row a flattened (k1, k2)
-    half plane.
+    half plane, folded in k3 (see fold), so the phase of slice s is real:
+    cos(2 pi s j / K) / K on rows j <= K//2, sin(2 pi s (K - j) / K) / K
+    on the others.
     """
 
     shape: tuple
@@ -217,21 +219,33 @@ class _Plan:
         array per rate, one at a time; see weigh for the unfolding.
 
         One derive_optics and one transfer_gain call serve every rate,
-        evaluated only at the distinct effective radii times each rate's
-        |w|, and each rate's gain is gathered onto the (k1, k2) half plane
-        in one take.
+        evaluated only at the distinct effective radii times the distinct
+        |w| of all the rates; each rate's rows are then gathered from
+        that, and onto the (k1, k2) half plane, by take.
         """
         geometry = self.geometries[ssr]
         n_sl = self.shape[2]
         rates = np.array(rates, dtype=np.float64)
         w = np.abs(frequency_of_index(np.arange(n_sl // 2 + 1), n_sl,
                                       rates[:, None]))
+        distinct, rows = np.unique(w, return_inverse=True)
         optics = derive_optics(vc)
         # the radii are clamped already, and hypot(u, 0) is u exactly
-        folded = transfer_gain(geometry.radii[None, None, :], 0.0,
-                               w[:, :, None], vc, optics=optics)
-        for gain in folded:
-            yield gain.take(geometry.gather, axis=1)
+        folded = transfer_gain(geometry.radii[None, :], 0.0,
+                               distinct[:, None], vc, optics=optics)
+        for row in rows.reshape(w.shape):
+            yield folded.take(row, axis=0).take(geometry.gather, axis=1)
+
+    def fold(self, spectrum):
+        """Fold a half spectrum in k3, in place: for 0 < j < K - j, row j
+        becomes X_j + X_(K-j) and row K - j becomes i (X_j - X_(K-j)).
+        Both rows of a pair take one gain (it is even in k3), and
+        exp(ia) X_j + exp(-ia) X_(K-j) = cos(a) row j + sin(a) row K - j."""
+        n_sl = self.shape[2]
+        low, high = spectrum[1:(n_sl + 1) // 2], spectrum[:n_sl // 2:-1]
+        difference = low - high
+        low += high
+        np.multiply(difference, 1j, out=high)
 
     def weigh(self, spectrum, gain):
         """A (K, W * (H//2 + 1)) half spectrum times one point's folded
@@ -245,17 +259,17 @@ class _Plan:
         return out
 
     def output(self, half, ssr):
-        """The output step for one point's (slices, W * (H//2 + 1)) half
-        planes: their channel responses (slices, n_channels) when the plan
-        has a bank, one GEMM on the real view of the complex planes;
-        otherwise the real W x H x slices planes through irfft2, foveally
-        weighted."""
+        """The output step for one point's half planes, given as the real
+        view (slices, 2 * W * (H//2 + 1)) of the complex ones: their
+        channel responses (slices, n_channels) when the plan has a bank,
+        one GEMM on that real view; otherwise the real W x H x slices
+        planes through irfft2, foveally weighted."""
         geometry = self.geometries[ssr]
         if geometry.channels is not None:
-            return half.view(np.float64) @ geometry.channels
+            return half @ geometry.channels
         w_px, h_px, _ = self.shape
-        out = sfft.irfft2(half.reshape(half.shape[0], w_px, -1),
-                          s=(w_px, h_px)).transpose(1, 2, 0)
+        half = half.view(np.complex128).reshape(half.shape[0], w_px, -1)
+        out = sfft.irfft2(half, s=(w_px, h_px)).transpose(1, 2, 0)
         return out * geometry.foveal[:, :, None]
 
 
@@ -308,10 +322,12 @@ def _plan(shape: tuple, ssrs: tuple, slices: tuple | None,
     if bank is not None and (bank.width, bank.height) != (w_px, h_px):
         raise ValueError(f"channel bank is {bank.width}x{bank.height}, "
                          f"stacks are {w_px}x{h_px}")
-    # inverse temporal DFT restricted to the requested slices; the phase
-    # index is reduced mod K in integers so it stays exact
-    phase = np.exp(2j * np.pi * (np.outer(slices, np.arange(n_sl)) % n_sl)
-                   / n_sl) / n_sl
+    # inverse temporal DFT of the folded spectrum at the requested slices;
+    # the phase index is reduced mod K in integers so it stays exact
+    k3 = np.arange(n_sl)
+    angle = 2 * np.pi * (np.outer(slices, np.minimum(k3, n_sl - k3))
+                         % n_sl) / n_sl
+    phase = np.where(k3 <= n_sl // 2, np.cos(angle), np.sin(angle)) / n_sl
     phase.flags.writeable = False
     k1 = np.arange(w_px)
     fold1 = np.minimum(k1, w_px - k1)
@@ -347,12 +363,13 @@ def filter_contrast(contrast_stack, luminance: float, points, *,
 
     Every point is checked before anything is divided by it.  The stack
     is transformed once, as a half spectrum (a real FFT over the plane, a
-    complex one over the slices), for all of points.  Per point the gain
-    is applied on that half grid and the inverse temporal DFT is
-    evaluated at the requested slices only (all of them by default, in
-    order).  The output is then the real planes through irfft2, foveally
-    weighted, or, given a channel bank, the (slices, n_channels) channel
-    responses of those planes, projected straight from the half planes.
+    complex one over the slices) folded in k3, for all of points.  Per
+    point the gain is applied on that half grid and the inverse temporal
+    DFT, one real GEMM, is evaluated at the requested slices only (all of
+    them by default, in order).  The output is then the real planes
+    through irfft2, foveally weighted, or, given a channel bank, the
+    (slices, n_channels) channel responses of those planes, projected
+    straight from the half planes.
     The gain is real and even, so either output is real by construction.
     What does not depend on the stack is planned once per shape, slices,
     ssr set, foveal mode and bank, and cached.  The caller is responsible
@@ -374,11 +391,12 @@ def filter_contrast(contrast_stack, luminance: float, points, *,
                  None if slices is None else tuple(int(s) for s in slices),
                  foveal_mode, bank)
     spectrum = sfft.rfftn(arr.transpose(2, 0, 1)).reshape(arr.shape[2], -1)
+    plan.fold(spectrum)
     outs = [None] * len(points)
     for ssr, members in groups.items():
         gains = plan.half_gains(vcs[ssr], ssr, [points[i][1] for i in members])
         for i, gain in zip(members, gains):
-            half = plan.phase @ plan.weigh(spectrum, gain)
+            half = plan.phase @ plan.weigh(spectrum, gain).view(np.float64)
             outs[i] = plan.output(half, ssr)
     return outs
 
@@ -411,7 +429,7 @@ def apply_stcsf(lum_stack, points, *, foveal_mode: str = "none",
         contrast = taper_margins(contrast)
         # the taper window breaks the exact zero mean of the contrast;
         # restore it so the DC component carries nothing into the filter
-        contrast = contrast - contrast.mean()
+        contrast -= contrast.mean()
     outs = filter_contrast(contrast, lum, points, slices=slices,
                            foveal_mode=foveal_mode, bank=bank)
     if bank is not None:

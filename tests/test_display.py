@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cinecho.display import DisplayModel
+from cinecho.display import MAPPINGS, DisplayModel
 
 
 class TestLinearMapping:
@@ -44,6 +46,39 @@ class TestLogMapping:
         assert np.allclose(ratios, ratios[0], rtol=1e-12)
 
 
+class TestTable:
+    @settings(max_examples=60, deadline=None)
+    @given(bit_depth=st.integers(1, 16), mapping=st.sampled_from(MAPPINGS),
+           levels=st.lists(st.floats(1e-3, 1e4), min_size=2, max_size=2,
+                           unique=True),
+           seed=st.integers(0, 2**32 - 1))
+    def test_table_equals_closed_form_bitwise(self, bit_depth, mapping,
+                                              levels, seed):
+        # every code, in a shuffled 2-D layout, against the closed form
+        # evaluated on the codes themselves
+        l_min, l_max = sorted(levels)
+        disp = DisplayModel(l_min, l_max, bit_depth, mapping)
+        codes = np.random.default_rng(seed).permutation(
+            disp.max_code + 1).reshape(2, -1)
+        t = codes.astype(np.float64) / float(disp.max_code)
+        if mapping == "linear_luminance":
+            want = l_min * (1.0 - t) + l_max * t
+        else:
+            want = l_min ** (1.0 - t) * l_max ** t
+        assert np.array_equal(disp.code_to_luminance(codes), want)
+
+    def test_booleans_read_codes_0_and_1(self):
+        disp = DisplayModel()
+        assert np.array_equal(disp.code_to_luminance(np.array([True, False])),
+                              disp.code_to_luminance(np.array([1, 0])))
+
+    def test_result_is_a_fresh_array(self):
+        disp = DisplayModel()
+        out = disp.code_to_luminance(np.arange(4))
+        out[0] = -1.0
+        assert float(disp.code_to_luminance(0)) == 1.05
+
+
 class TestValidation:
     def test_code_range_checked(self):
         disp = DisplayModel(bit_depth=10)
@@ -51,6 +86,22 @@ class TestValidation:
             disp.code_to_luminance(1024)
         with pytest.raises(ValueError):
             disp.code_to_luminance(np.array([0, -1]))
+
+    @pytest.mark.parametrize("code", [1024, np.array([0, -1])])
+    def test_out_of_range_codes_named(self, code):
+        disp = DisplayModel(bit_depth=10)
+        with pytest.raises(ValueError, match=r"code values must lie in "
+                           r"\[0, 1023\] for a 10-bit display"):
+            disp.code_to_luminance(code)
+
+    @pytest.mark.parametrize("code", [np.array([0.0, 3.0]), 2.0,
+                                      np.array([1 + 0j])])
+    def test_non_integer_codes_refused_by_dtype(self, code):
+        disp = DisplayModel(bit_depth=10)
+        dtype = np.asarray(code).dtype
+        with pytest.raises(ValueError, match=r"code values must be integers, "
+                           rf"got dtype {dtype}"):
+            disp.code_to_luminance(code)
 
     def test_levels_checked(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ bitwise.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cinecho import percept
@@ -173,6 +173,11 @@ def test_foveal_weight_serves_every_condition_alike(foveal_mode):
        n_sl=st.integers(1, 24), ssr=st.floats(0.5, 30.0),
        rates=st.lists(st.floats(0.5, 60.0), min_size=1, max_size=3),
        lum=st.floats(0.1, 2000.0))
+# rates whose |w| grids share values, at an even and an odd K
+@example(w_px=12, h_px=10, n_sl=8, ssr=7.0, rates=[5.0, 10.0, 20.0],
+         lum=500.0)
+@example(w_px=9, h_px=14, n_sl=41, ssr=7.0, rates=[20.0, 5.0, 10.0, 5.0],
+         lum=32.0)
 def test_plan_gain_equals_transfer_gain_bitwise(w_px, h_px, n_sl, ssr, rates,
                                                 lum):
     # the full half grid: every k1, every k2 in [0, H//2], every k3, at

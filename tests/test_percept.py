@@ -253,17 +253,26 @@ class TestCentrePixel:
 
 class TestPlanPhases:
     def test_phase_depends_on_the_index_product_mod_k_alone(self):
-        # slice s and frequency k enter only as s * k mod K, so every phase
-        # must be bit for bit the one of its reduced index; at this K the
+        # the phase inverts the spectrum folded in k3: row j <= K//2 holds
+        # cos and row j > K//2 holds sin of 2 pi (s * f mod K) / K, over
+        # K, at the folded frequency f = min(j, K - j).  Slice s and f
+        # enter only as s * f mod K, so every cos and every sin must be
+        # bit for bit the one of its reduced index; at this K the
         # unreduced float product gives other last bits
         n_sl = 32
         phase = percept._plan((16, 16, n_sl), (7.0,), None, "none",
                               None).phase
         index = np.arange(n_sl)
-        product = np.outer(index, index)
-        assert np.array_equal(phase, phase[1, product % n_sl])
-        unreduced = np.exp(2j * np.pi * product / n_sl) / n_sl
-        assert not np.array_equal(unreduced, phase)
+        product = np.outer(index, np.minimum(index, n_sl - index))
+        cos = index <= n_sl // 2
+        angle = 2 * np.pi * index / n_sl
+        by_index = np.where(cos, np.cos(angle[product % n_sl]),
+                            np.sin(angle[product % n_sl])) / n_sl
+        assert np.array_equal(phase, by_index)
+        unreduced = 2 * np.pi * product / n_sl
+        for part, function in ((cos, np.cos), (~cos, np.sin)):
+            assert not np.array_equal(function(unreduced[:, part]) / n_sl,
+                                      phase[:, part])
 
 
 class TestBrowsingPoints:
