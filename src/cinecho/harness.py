@@ -28,9 +28,10 @@ from .stacks import read_utf8
 from .trial import (
     PipelineConfig,
     TrialPlan,
+    _score,
     perceive_responses,
     plan_stacks,
-    run_trial,
+    run_trial,  # unused here; perfbench/spans.py patches this name
     split_dataset,
 )
 
@@ -140,13 +141,14 @@ def run_sweep(dataset, spec: SweepSpec, config: dict,
 
     config is the full flat config dict (the plan seed, reader count, and
     row fingerprint come from it); plan may be passed to reuse a split.
-    The channel responses are computed in one pass over the stacks per
-    display (see perceive_responses): one for a slice_rate or ssr sweep,
-    one per value for l_max and contrast_ratio; each point then trains
-    and scores its readers.  Each pass runs its stacks on one thread per
-    CPU the process may run on, with output identical at any CPU count;
-    config['sweep.workers'] is accepted and ignored.  Every pass shares
-    one cached channel bank and spectral plan.
+    The plan is checked once, then the channel responses are computed in
+    one pass over the stacks per display (see perceive_responses): one for
+    a slice_rate or ssr sweep, one per value for l_max and contrast_ratio.
+    Each point's readers train and score as in run_trial, to the same bits.
+    Each pass runs its stacks on one thread per CPU the process may run
+    on, with output identical at any CPU count; config['sweep.workers'] is
+    accepted and ignored.  Every pass shares one cached channel bank and
+    spectral plan.
     """
     if plan is None:
         plan = split_dataset(dataset.pairing, config["trial.n_readers"],
@@ -171,8 +173,8 @@ def run_sweep(dataset, spec: SweepSpec, config: dict,
                 stacks, [points[i] for i in members], slice_range))
     rows = []
     for i, (value, point) in enumerate(zip(spec.values, points)):
-        result = _named(spec, value, lambda: run_trial(
-            dataset, plan, point, responses=responses[:, i]))
+        result = _named(spec, value, lambda: _score(
+            stacks, plan, responses[:, i], point, slice_range))
         rows.append(ResultRow(axis_value=value, mean_auc=result.mean_auc,
                               auc_stddev=math.sqrt(result.variance),
                               n_readers=plan.n_readers, seed=plan.seed,

@@ -221,17 +221,20 @@ def train_mscho_from_responses(resp_h, resp_l, central_pos: int,
                       stage2_ridge=stage2_ridge)
 
 
-def score_responses(responses, model: MsChoModel) -> float:
-    """Score precomputed (m, n_channels) responses over the model's m
-    slices."""
+def score_responses(responses, model: MsChoModel):
+    """Score precomputed (..., m, n_channels) responses over the model's m
+    slices: a float for one stack, else an array over the leading axes."""
     resp = np.asarray(responses, dtype=np.float64)
-    if resp.ndim != 2 or resp.shape[0] != model.n_slices:
+    if resp.ndim < 2 or resp.shape[-2] != model.n_slices:
         raise ValueError(f"expected ({model.n_slices}, n_channels) "
                          f"responses, got shape {resp.shape}")
     slice_scores = resp @ model.template
     if model.combiner == "hotelling":
-        return float(model.stage2_weights @ slice_scores)
-    if model.combiner == "max":
-        return float(slice_scores.max())
-    return float(slice_scores.mean())
+        # a (1, m) @ (m,) dot per stack: gemv would round differently
+        scores = (slice_scores[..., None, :] @ model.stage2_weights)[..., 0]
+    elif model.combiner == "max":
+        scores = slice_scores.max(axis=-1)
+    else:
+        scores = slice_scores.mean(axis=-1)
+    return float(scores) if resp.ndim == 2 else scores
 

@@ -1,10 +1,11 @@
 # trial.py
 # -----------------------------------------------------------------------------
 # Virtual detection trial: split a dataset of healthy/lesion stack pairs
-# into n+1 non-overlapping subsets, train n independent model readers (one
-# per training subset), score the one shared test subset with every reader,
+# into n+1 non-overlapping subsets, check the plan (plan_stacks), reduce
+# each stack to channel responses (perceive_responses), then train n model
+# readers, one per training subset, score the shared test subset with each
 # and aggregate to a mean AUC with a one-shot multi-reader multi-case
-# (MRMC) variance estimate.
+# (MRMC) variance estimate (_score, which a sweep runs once per point).
 #
 # With psi_r(i, j) = 1 if reader r scores lesion case j above healthy case
 # i, 1/2 on ties, 0 otherwise, the one-shot variance (Gallas 2006) is
@@ -237,14 +238,15 @@ def one_shot_mrmc(score_matrix, labels) -> tuple[float, float]:
 def plan_stacks(dataset, plan: TrialPlan,
                 config: PipelineConfig = PipelineConfig()) -> tuple:
     """The plan's stacks in id order and the slice range the observer
-    reads, the lesion-affected slices the lesion stacks record, checked
-    up front.
+    reads (the lesion-affected slices the lesion stacks record), checked
+    before any stack is perceived.
 
-    Raises PlanError when the plan assigns no stacks, when it names a
-    stack the dataset lacks, when a stack's (W, H, K) or bit depth
-    differs from the first plan stack's, when the stacks' bit depth
-    differs from the display's, or when the lesion stacks disagree on the
-    slice range, record none, or miss the central slice.
+    Raises PlanError when the plan assigns no stacks or names a stack the
+    dataset lacks; when a stack's (W, H, K) or bit depth differs from the
+    first's or the stacks' bit depth from the display's; when the lesion
+    stacks disagree on the slice range, record none, or miss the central
+    slice; or when the plan has fewer than two readers or leaves a class
+    out of a subset.
     """
     if not plan.subset_assignment:
         raise PlanError("the plan assigns no stacks")
@@ -276,6 +278,14 @@ def plan_stacks(dataset, plan: TrialPlan,
         central_position(slice_range, first.data.shape[2])
     except ValueError as exc:
         raise PlanError(str(exc)) from None
+    if plan.n_readers < 2:
+        raise PlanError("need at least two readers")
+    for subset in range(plan.n_readers + 1):
+        if len({s.label for s in stacks
+                if plan.subset_assignment[s.stack_id] == subset}) < 2:
+            raise PlanError("test subset lacks one of the classes"
+                            if subset == plan.n_readers else
+                            f"reader {subset} training subset lacks a class")
     return stacks, slice_range
 
 
@@ -314,51 +324,35 @@ def perceive_responses(stacks, configs, slice_range) -> np.ndarray:
 
 
 def run_trial(dataset, plan: TrialPlan,
-              config: PipelineConfig = PipelineConfig(), *,
-              responses=None) -> TrialResult:
+              config: PipelineConfig = PipelineConfig()) -> TrialResult:
     """Run one virtual trial.
 
     dataset provides .stacks (ImageStack objects with integer codes);
-    every stack id in the plan must be present.  Each stack is mapped to
-    luminance through the display, filtered to its perceived slices and
-    reduced to channel responses once (the one-point case of
-    perceive_responses); readers then train and score in channel-response
-    space, which is arithmetic-identical to scoring whole stacks.
-
-    responses, when given, are this config's (n_stacks, m, n_channels)
-    channel responses of the plan's stacks in id order, as
-    perceive_responses computes them; a sweep passes them to skip the
-    perception stage.
+    every stack id in the plan must be present.  The plan is checked, each
+    stack reduced to channel responses once (perceive_responses at one
+    point), and the readers train and score in channel-response space.
     """
     stacks, slice_range = plan_stacks(dataset, plan, config)
-    central_pos = central_position(slice_range, stacks[0].data.shape[2])
-    if responses is None:
-        responses = perceive_responses(stacks, [config], slice_range)[:, 0]
-    responses = np.asarray(responses)
-    if responses.shape != (len(stacks), len(slice_range), config.n_channels):
-        raise ValueError("responses do not match the plan and config")
+    responses = perceive_responses(stacks, [config], slice_range)[:, 0]
+    return _score(stacks, plan, responses, config, slice_range)
 
+
+def _score(stacks, plan: TrialPlan, responses, config: PipelineConfig,
+           slice_range) -> TrialResult:
+    """Train every reader on its subset of the (n_stacks, m, n_channels)
+    responses of plan_stacks' stacks, score the test subset with each and
+    read out the mean AUC and its one-shot variance."""
+    central_pos = central_position(slice_range, stacks[0].data.shape[2])
     subset = np.array([plan.subset_assignment[s.stack_id] for s in stacks])
     lesion = np.array([s.label == "lesion" for s in stacks])
     test = subset == plan.n_readers
-    test_labels = lesion[test]
-    if not (test_labels.any() and (~test_labels).any()):
-        raise PlanError("test subset lacks one of the classes")
-
-    test_resp = responses[test]
-    scores = np.empty((plan.n_readers, len(test_resp)), dtype=np.float64)
-    for reader in range(plan.n_readers):
-        train = subset == reader
-        resp_h, resp_l = responses[train & ~lesion], responses[train & lesion]
-        if not (len(resp_h) and len(resp_l)):
-            raise PlanError(f"reader {reader} training subset lacks a class")
-        model = train_mscho_from_responses(resp_h, resp_l, central_pos,
-                                           config.combiner)
-        scores[reader] = [score_responses(resp, model) for resp in test_resp]
-
-    psi = _success_array(scores, test_labels)
+    models = [train_mscho_from_responses(
+        responses[(subset == r) & ~lesion], responses[(subset == r) & lesion],
+        central_pos, config.combiner) for r in range(plan.n_readers)]
+    scores = np.array([score_responses(responses[test], m) for m in models])
+    psi = _success_array(scores, lesion[test])
     per_reader_auc = psi.mean(axis=(1, 2))
     return TrialResult(per_reader_auc=per_reader_auc,
                        mean_auc=float(np.mean(per_reader_auc)),
                        variance=_one_shot_variance(psi), scores=scores,
-                       test_labels=test_labels)
+                       test_labels=lesion[test])

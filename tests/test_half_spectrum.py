@@ -204,7 +204,8 @@ def test_trial_responses_match_full_complex_path():
     dataset = generate_dataset(geometry, 8,
                                LesionSpec("microcalc", 180.0, diameter_px=4.0),
                                seed=404)
-    plan = split_dataset(dataset.pairing, 1, 0, 1)
+    # plan_stacks checks for two readers and both classes in every subset
+    plan = split_dataset(dataset.pairing, 2, 0, 1)
     base = PipelineConfig(n_channels=5, spread=4.0)
     dim = DisplayModel(l_min=0.5, l_max=300.0)
     # one pass per display, as a sweep makes them

@@ -298,20 +298,27 @@ class TestSvgPlot:
 
 
 class TestRunSweep:
-    def test_single_point_matches_direct_trial(self, small_dataset):
+    def test_single_point_matches_direct_trial(self, faint_dataset):
+        # every row is run_trial at its point, bit for bit: one point, two
+        # points sharing one pass, and two displays with a pass each; the
+        # faint lesions keep the AUCs of the points apart, so a row scored
+        # on another point's responses would show
         config = _small_config()
-        rows = run_sweep(small_dataset, SweepSpec("slice_rate", (25.0,)),
-                         config)
-        plan = split_dataset(small_dataset.pairing, 2, 9, 6)
-        direct = run_trial(small_dataset, plan,
-                           PipelineConfig(n_channels=5, spread=4.0,
-                                          slice_rate=25.0))
-        assert len(rows) == 1
-        assert rows[0].axis_value == 25.0
-        assert rows[0].mean_auc == direct.mean_auc
-        assert rows[0].auc_stddev == math.sqrt(direct.variance)
-        assert rows[0].n_readers == 2
-        assert rows[0].seed == 9
+        plan = split_dataset(faint_dataset.pairing, 2, 9, 6)
+        base = PipelineConfig(n_channels=5, spread=4.0)
+        for spec in (SweepSpec("slice_rate", (25.0,)),
+                     SweepSpec("slice_rate", (5.0, 25.0)),
+                     SweepSpec("l_max", (150.0, 300.0))):
+            rows = run_sweep(faint_dataset, spec, config)
+            assert [row.axis_value for row in rows] == list(spec.values)
+            assert len({row.mean_auc for row in rows}) == len(rows)
+            for row in rows:
+                direct = run_trial(faint_dataset, plan,
+                                   apply_axis(base, spec.axis, row.axis_value))
+                assert row.mean_auc == direct.mean_auc
+                assert row.auc_stddev == math.sqrt(direct.variance)
+                assert row.n_readers == 2
+                assert row.seed == 9
 
     def test_deterministic_bytes(self, small_dataset, tmp_path):
         config = _small_config()

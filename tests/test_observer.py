@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm, rankdata
 
 from cinecho.errors import TrainingError
 from cinecho.observer import (
+    COMBINERS,
     COND_LIMIT,
     ChannelBank,
     central_position,
@@ -385,6 +388,26 @@ class TestMsCho:
             score_responses(resp_h[0, :3], model)
         with pytest.raises(ValueError, match="central_pos outside the 5"):
             train_mscho_from_responses(resp_h, resp_l, 5)
+
+    @settings(deadline=None)
+    @given(n=st.integers(1, 6), m=st.integers(1, 6),
+           n_channels=st.integers(1, 4), combiner=st.sampled_from(COMBINERS),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batched_scores_are_the_per_stack_scores(self, n, m, n_channels,
+                                                     combiner, seed):
+        # an (n, m, C) batch scores bit for bit as its stacks one by one;
+        # m = 1 covers the hotelling combiner's fixed weights [1.0]
+        rng = np.random.default_rng(seed)
+        resp_h = rng.normal(size=(12, m, n_channels))
+        resp_l = rng.normal(size=(12, m, n_channels)) + 0.5
+        model = train_mscho_from_responses(resp_h, resp_l, m // 2, combiner)
+        batch = rng.normal(size=(n, m, n_channels))
+        alone = [score_responses(resp, model) for resp in batch]
+        got = score_responses(batch, model)
+        assert all(type(score) is float for score in alone)
+        assert got.shape == (n,)
+        assert got.tolist() == alone
+        assert score_responses(batch[None], model).shape == (1, n)
 
     def test_stage2_weight_keeps_its_sign(self):
         # the lesion raises channel 0 on the central slice and lowers it on

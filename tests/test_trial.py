@@ -18,6 +18,7 @@ from cinecho.stacks import Dataset, LesionSpec, StackGeometry, \
     generate_background, generate_dataset, insert_lesion
 from cinecho.trial import (
     PipelineConfig,
+    TrialPlan,
     _one_shot_variance,
     _success_array,
     auc_wilcoxon,
@@ -411,6 +412,15 @@ def strong_plan(strong_dataset):
                          min_per_class=6)
 
 
+@pytest.fixture
+def no_perception(monkeypatch):
+    """Make perceiving any stack fail the test."""
+    def perceive(*args, **kwargs):
+        raise AssertionError("a stack was perceived before the plan was "
+                             "checked")
+    monkeypatch.setattr(trial, "apply_stcsf", perceive)
+
+
 class TestRunTrial:
     def test_separable_dataset_gives_auc_one(self, strong_dataset,
                                               strong_plan):
@@ -435,11 +445,28 @@ class TestRunTrial:
             == [sid.startswith("l") for sid in test_ids]
         assert result.test_labels.sum() == 8
 
-    def test_needs_two_readers(self, strong_dataset):
-        # the one-shot variance needs distinct reader pairs
+    def test_needs_two_readers(self, strong_dataset, no_perception):
+        # the one-shot variance needs distinct reader pairs; the plan is
+        # refused (a PlanError) before any stack is perceived
         plan = split_dataset(strong_dataset.pairing, n_readers=1, seed=9,
                              min_per_class=6)
         with pytest.raises(ValueError, match="need at least two readers"):
+            run_trial(strong_dataset, plan, CONFIG)
+
+    @pytest.mark.parametrize(("emptied", "message"), [
+        (2, "test subset lacks one of the classes"),
+        (1, "reader 1 training subset lacks a class")])
+    def test_subset_lacking_a_class_fails_before_perception(
+            self, strong_dataset, strong_plan, no_perception, emptied,
+            message):
+        # the lesion stacks of one subset move to subset 0, which keeps
+        # both classes; subset 2 is the test subset of two readers
+        labels = {s.stack_id: s.label for s in strong_dataset.stacks}
+        assignment = {
+            sid: 0 if subset == emptied and labels[sid] == "lesion" else subset
+            for sid, subset in strong_plan.subset_assignment.items()}
+        plan = TrialPlan(n_readers=2, seed=9, subset_assignment=assignment)
+        with pytest.raises(PlanError, match=message):
             run_trial(strong_dataset, plan, CONFIG)
 
     @pytest.mark.parametrize("combiner", ["max", "mean"])
