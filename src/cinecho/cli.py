@@ -44,6 +44,7 @@ from .harness import (
     sweep_points,
 )
 from .stacks import generate_dataset, read_dataset, write_dataset
+from .trial import _check_split
 
 __all__ = ["main"]
 
@@ -62,13 +63,17 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _dataset(config: dict):
+def _dataset(config: dict, split: bool = False):
+    """Read or generate the dataset; with split, the pair count to be
+    generated meets the trial split's checks first."""
     manifest = config["trial.dataset"]
     if manifest:
         return read_dataset(manifest)
-    return generate_dataset(geometry_from(config),
-                            config["generator.n_pairs"],
-                            lesion_from(config),
+    geometry, lesion = geometry_from(config), lesion_from(config)
+    if split:
+        _check_split(config["generator.n_pairs"], config["trial.n_readers"],
+                     config["trial.seed"], config["trial.min_per_class"])
+    return generate_dataset(geometry, config["generator.n_pairs"], lesion,
                             seed=config["generator.seed"],
                             texture=config["generator.texture"],
                             beta=config["generator.beta"])
@@ -94,9 +99,10 @@ def _sweep_to_csv(config: dict, spec: SweepSpec, pipeline, args,
     """Check every point of spec, then read or generate the dataset, run
     the sweep, make --out and write the rows to name in it beside
     config.txt; returns the rows and the CSV path."""
-    # the model is checked before seconds go into generating the dataset
+    # the model and the split are checked before seconds go into
+    # generating the dataset
     sweep_points(spec, pipeline)
-    rows = run_sweep(_dataset(config), spec, config)
+    rows = run_sweep(_dataset(config, split=True), spec, config)
     out = _out_dir(args)
     path = emit_csv(rows, out / name)
     _write_resolved(config, out)

@@ -16,12 +16,12 @@
 # real stack (a real FFT over the plane, a complex one over the slices),
 # folds it in k3 and inverts only the slices asked for.  Three layers:
 #
-#   per plan   what no stack changes, built once per stack shape, ssr set,
-#              slices, foveal mode and channel bank and cached read-only
-#              (_plan): the distinct effective radii of the quarter grid
-#              and their gather onto the half plane, the real inverse
-#              temporal phases of the folded spectrum, the foveal weights
-#              and the channel templates as half-spectrum weights
+#   per plan   what no stack changes, one read-only plan per ssr, built
+#              together per stack shape, ssr set, slices, foveal mode and
+#              bank and cached (_plan): the real inverse temporal phases
+#              (one array for all), the distinct effective radii and their
+#              gather onto the half plane, the foveal weights and the
+#              channel templates as half-spectrum weights
 #   per stack  mean, contrast, taper, the mean re-zeroed in place, one
 #              forward transform folded in k3; per ssr one derive_optics
 #              and one gain evaluation at the distinct |w| of all rates
@@ -55,7 +55,6 @@ from .stacks import centre_offsets
 __all__ = [
     "FOVEAL_MODES",
     "PerceivedStack",
-    "mean_luminance",
     "taper_margins",
     "frequency_of_index",
     "transfer_gain",
@@ -89,14 +88,6 @@ class PerceivedStack:
 
     data: np.ndarray
     vc: ViewingConditions
-
-
-def mean_luminance(lum_stack) -> float:
-    """Arithmetic mean luminance over all samples of the stack, cd/m^2."""
-    arr = np.asarray(lum_stack, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("empty stack has no mean luminance")
-    return float(arr.mean())
 
 
 def taper_margins(contrast_stack):
@@ -184,46 +175,37 @@ def foveal_weight(alpha, mode: str):
 
 
 @dataclass(frozen=True, eq=False)
-class _Geometry:
-    """What one ssr adds to a spectral plan: the distinct effective
-    radial frequencies of the (|u1|, u2) quarter grid, the index that
-    gathers them onto the (k1, k2) half plane, the foveal weight (all
-    ones in mode none) and the channel weights (None without a bank)."""
-
-    radii: np.ndarray
-    gather: np.ndarray
-    foveal: np.ndarray
-    channels: np.ndarray | None
-
-
-@dataclass(frozen=True, eq=False)
 class _Plan:
-    """The stack-independent part of filtering W x H x K stacks: the
-    inverse temporal phases of the output slices and, per ssr, the
-    gain grid, the foveal weight and the channel weights.
+    """The stack-independent part of filtering W x H x K stacks at one
+    ssr: the inverse temporal phases of the output slices, the distinct
+    effective radii of the (|u1|, u2) quarter grid with the index that
+    gathers them onto the (k1, k2) half plane, the foveal weight (ones in
+    mode none) and the channel weights (None without a bank).
 
     A stack's half spectrum is held as a (K, W * (H//2 + 1)) array: one
     row per temporal frequency index k3, each row a flattened (k1, k2)
-    half plane, folded in k3 (see fold), so the phase of slice s is real:
+    half plane, folded in k3 (see _fold), so the phase of slice s is real:
     cos(2 pi s j / K) / K on rows j <= K//2, sin(2 pi s (K - j) / K) / K
     on the others.
     """
 
     shape: tuple
     phase: np.ndarray
-    geometries: dict
+    radii: np.ndarray
+    gather: np.ndarray
+    foveal: np.ndarray
+    channels: np.ndarray | None
 
-    def half_gains(self, vc, ssr, rates):
-        """Transfer gain under vc, sampled at ssr, at each slice rate of
-        rates on the half grid folded in k3, a (K//2 + 1, W * (H//2 + 1))
-        array per rate, one at a time; see weigh for the unfolding.
+    def half_gains(self, vc, rates):
+        """Transfer gain under vc at each slice rate of rates on the half
+        grid folded in k3, a (K//2 + 1, W * (H//2 + 1)) array per rate,
+        one at a time; see weigh for the unfolding.
 
         One derive_optics and one transfer_gain call serve every rate,
         evaluated only at the distinct effective radii times the distinct
         |w| of all the rates; each rate's rows are then gathered from
         that, and onto the (k1, k2) half plane, by take.
         """
-        geometry = self.geometries[ssr]
         n_sl = self.shape[2]
         rates = np.array(rates, dtype=np.float64)
         w = np.abs(frequency_of_index(np.arange(n_sl // 2 + 1), n_sl,
@@ -231,21 +213,10 @@ class _Plan:
         distinct, rows = np.unique(w, return_inverse=True)
         optics = derive_optics(vc)
         # the radii are clamped already, and hypot(u, 0) is u exactly
-        folded = transfer_gain(geometry.radii[None, :], 0.0,
+        folded = transfer_gain(self.radii[None, :], 0.0,
                                distinct[:, None], vc, optics=optics)
         for row in rows.reshape(w.shape):
-            yield folded.take(row, axis=0).take(geometry.gather, axis=1)
-
-    def fold(self, spectrum):
-        """Fold a half spectrum in k3, in place: for 0 < j < K - j, row j
-        becomes X_j + X_(K-j) and row K - j becomes i (X_j - X_(K-j)).
-        Both rows of a pair take one gain (it is even in k3), and
-        exp(ia) X_j + exp(-ia) X_(K-j) = cos(a) row j + sin(a) row K - j."""
-        n_sl = self.shape[2]
-        low, high = spectrum[1:(n_sl + 1) // 2], spectrum[:n_sl // 2:-1]
-        difference = low - high
-        low += high
-        np.multiply(difference, 1j, out=high)
+            yield folded.take(row, axis=0).take(self.gather, axis=1)
 
     def weigh(self, spectrum, gain):
         """A (K, W * (H//2 + 1)) half spectrum times one point's folded
@@ -258,19 +229,30 @@ class _Plan:
                     out=out[n_w:])
         return out
 
-    def output(self, half, ssr):
+    def output(self, half):
         """The output step for one point's half planes, given as the real
         view (slices, 2 * W * (H//2 + 1)) of the complex ones: their
         channel responses (slices, n_channels) when the plan has a bank,
         one GEMM on that real view; otherwise the real W x H x slices
         planes through irfft2, foveally weighted."""
-        geometry = self.geometries[ssr]
-        if geometry.channels is not None:
-            return half @ geometry.channels
+        if self.channels is not None:
+            return half @ self.channels
         w_px, h_px, _ = self.shape
         half = half.view(np.complex128).reshape(half.shape[0], w_px, -1)
         out = sfft.irfft2(half, s=(w_px, h_px)).transpose(1, 2, 0)
-        return out * geometry.foveal[:, :, None]
+        return out * self.foveal[:, :, None]
+
+
+def _fold(spectrum):
+    """Fold a (K, ...) half spectrum in k3, in place: for 0 < j < K - j,
+    row j becomes X_j + X_(K-j) and row K - j becomes i (X_j - X_(K-j)).
+    Both rows of a pair take one gain (it is even in k3), and
+    exp(ia) X_j + exp(-ia) X_(K-j) = cos(a) row j + sin(a) row K - j."""
+    n_sl = len(spectrum)
+    low, high = spectrum[1:(n_sl + 1) // 2], spectrum[:n_sl // 2:-1]
+    difference = low - high
+    low += high
+    np.multiply(difference, 1j, out=high)
 
 
 def _channel_weights(bank, foveal):
@@ -300,16 +282,17 @@ def _channel_weights(bank, foveal):
 
 @lru_cache(maxsize=8)
 def _plan(shape: tuple, ssrs: tuple, slices: tuple | None,
-          foveal_mode: str, bank) -> _Plan:
-    """The read-only plan for W x H x K stacks of this shape at the
-    distinct sampling rates ssrs, output at the given slices (None: all,
-    in order), under the foveal mode and channel bank (None, or an
-    observer.ChannelBank of the same W x H, keyed by identity).
+          foveal_mode: str, bank) -> dict:
+    """{ssr: _Plan} for W x H x K stacks of this shape at the distinct
+    sampling rates ssrs, output at the given slices (None: all, in
+    order), under the foveal mode and channel bank (None, or an
+    observer.ChannelBank of the same W x H, keyed by identity).  The key
+    is the whole ssr set: one cache entry per pass, whatever its ssrs.
 
-    Per ssr, at the apparent size x0 = W/ssr, it holds the distinct
-    effective radial frequencies of the (|u1|, u2) quarter grid with one
-    index that folds |u1| and equal radii onto the (k1, k2) half plane,
-    the foveal weight and, given a bank, the channel templates as
+    The plans share one phase array.  Each holds, at x0 = W/ssr, the
+    distinct effective radial frequencies of the (|u1|, u2) quarter grid
+    with one index that folds |u1| and equal radii onto the (k1, k2) half
+    plane, the foveal weight and, given a bank, the channel templates as
     half-spectrum weights: a plan with a bank makes the filter return
     channel responses instead of planes.
     """
@@ -335,7 +318,7 @@ def _plan(shape: tuple, ssrs: tuple, slices: tuple | None,
     # ssr (pixel/deg) it is the flat-field small-angle eccentricity
     rows, cols = centre_offsets(w_px, h_px)
     distance = np.hypot(rows[:, None], cols[None, :])
-    geometries = {}
+    plans = {}
     for ssr in ssrs:
         x0 = w_px / ssr
         u1 = np.abs(frequency_of_index(np.arange(w_px // 2 + 1), w_px, ssr))
@@ -348,9 +331,9 @@ def _plan(shape: tuple, ssrs: tuple, slices: tuple | None,
         for array in (radii, gather, foveal, channels):
             if array is not None:
                 array.flags.writeable = False
-        geometries[ssr] = _Geometry(
-            radii=radii, gather=gather, foveal=foveal, channels=channels)
-    return _Plan(shape=shape, phase=phase, geometries=geometries)
+        plans[ssr] = _Plan(shape=shape, phase=phase, radii=radii,
+                           gather=gather, foveal=foveal, channels=channels)
+    return plans
 
 
 def filter_contrast(contrast_stack, luminance: float, points, *,
@@ -371,10 +354,10 @@ def filter_contrast(contrast_stack, luminance: float, points, *,
     (slices, n_channels) channel responses of those planes, projected
     straight from the half planes.
     The gain is real and even, so either output is real by construction.
-    What does not depend on the stack is planned once per shape, slices,
-    ssr set, foveal mode and bank, and cached.  The caller is responsible
-    for contrast having (near-)zero mean.  Returns a list, one output per
-    point.
+    What does not depend on the stack is planned, one plan per ssr, once
+    per shape, slices, ssr set, foveal mode and bank, and cached.  The
+    caller is responsible for contrast having (near-)zero mean.  Returns a
+    list, one output per point.
     """
     arr = np.asarray(contrast_stack, dtype=np.float64)
     if arr.ndim != 3:
@@ -387,17 +370,18 @@ def filter_contrast(contrast_stack, luminance: float, points, *,
         groups.setdefault(ssr, []).append(i)
     vcs = {ssr: ViewingConditions(luminance, arr.shape[0] / ssr)
            for ssr in groups}
-    plan = _plan(arr.shape, tuple(groups),
-                 None if slices is None else tuple(int(s) for s in slices),
-                 foveal_mode, bank)
+    plans = _plan(arr.shape, tuple(groups),
+                  None if slices is None else tuple(int(s) for s in slices),
+                  foveal_mode, bank)
     spectrum = sfft.rfftn(arr.transpose(2, 0, 1)).reshape(arr.shape[2], -1)
-    plan.fold(spectrum)
+    _fold(spectrum)
     outs = [None] * len(points)
     for ssr, members in groups.items():
-        gains = plan.half_gains(vcs[ssr], ssr, [points[i][1] for i in members])
+        plan = plans[ssr]
+        gains = plan.half_gains(vcs[ssr], [points[i][1] for i in members])
         for i, gain in zip(members, gains):
             half = plan.phase @ plan.weigh(spectrum, gain).view(np.float64)
-            outs[i] = plan.output(half, ssr)
+            outs[i] = plan.output(half)
     return outs
 
 
@@ -423,7 +407,9 @@ def apply_stcsf(lum_stack, points, *, foveal_mode: str = "none",
     arr = np.asarray(lum_stack, dtype=np.float64)
     if arr.ndim != 3:
         raise ValueError("expected a W x H x K stack")
-    lum = mean_luminance(arr)
+    if arr.size == 0:
+        raise ValueError("empty stack has no mean luminance")
+    lum = float(arr.mean())
     contrast = arr - lum
     if taper:
         contrast = taper_margins(contrast)

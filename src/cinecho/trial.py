@@ -112,6 +112,22 @@ class TrialResult:
     test_labels: np.ndarray  # True where the test case is a lesion stack
 
 
+def _check_split(n_pairs, n_readers, seed, min_per_class) -> None:
+    """Raise PlanError unless n_pairs pairs split for two or more readers
+    (one can never be scored) by a non-negative integer seed, with
+    min_per_class members of each class in every subset."""
+    if n_readers < 2:
+        raise PlanError("need at least two readers")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise PlanError(f"trial seed must be a non-negative integer, "
+                        f"got {seed!r}")
+    n_subsets = n_readers + 1
+    if n_pairs // n_subsets < min_per_class:
+        raise PlanError(
+            f"{n_pairs} pairs cannot give every one of {n_subsets} subsets "
+            f"at least {min_per_class} members per class")
+
+
 def split_dataset(pairing, n_readers: int, seed: int,
                   min_per_class: int = 16) -> TrialPlan:
     """Assign each stack of each (healthy, lesion) pair to one of
@@ -121,9 +137,8 @@ def split_dataset(pairing, n_readers: int, seed: int,
     the healthy member of the k-th shuffled pair goes to subset
     k mod (n+1) and its lesion partner to (k+1) mod (n+1), so the two
     always differ and per-class subset sizes stay equal within one.
-    Raises PlanError when the pairing is empty, when the seed is not a
-    non-negative integer or when any subset would get fewer than
-    min_per_class members of either class.
+    Raises PlanError when the pairing is empty or repeats an id, and
+    where _check_split does.
     """
     pairs = [(h, l) for h, l in pairing]
     if not pairs:
@@ -134,16 +149,8 @@ def split_dataset(pairing, n_readers: int, seed: int,
         raise PlanError("pairing contains duplicate stack ids")
     if ids_h & ids_l:
         raise PlanError("a stack id appears on both sides of the pairing")
-    if n_readers < 1:
-        raise PlanError("need at least one reader")
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
-        raise PlanError(f"trial seed must be a non-negative integer, "
-                        f"got {seed!r}")
+    _check_split(len(pairs), n_readers, seed, min_per_class)
     n_subsets = n_readers + 1
-    if len(pairs) // n_subsets < min_per_class:
-        raise PlanError(
-            f"{len(pairs)} pairs cannot give every one of {n_subsets} subsets "
-            f"at least {min_per_class} members per class")
     order = np.random.default_rng(seed).permutation(len(pairs))
     assignment = {}
     for pos, pair_idx in enumerate(order):

@@ -365,6 +365,28 @@ class TestErrors:
             "error: trial seed must be a non-negative integer, got -3\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run-trial", "sweep"])
+    @pytest.mark.parametrize("line, message", [
+        ("trial.n_readers = 1", "need at least two readers"),
+        ("trial.seed = -3",
+         "trial seed must be a non-negative integer, got -3")])
+    def test_split_checked_before_generating(self, config_path, tmp_path,
+                                             capsys, monkeypatch, command,
+                                             line, message):
+        def generate(*args, **kwargs):
+            raise AssertionError("the dataset was generated")
+
+        monkeypatch.setattr(cli, "generate_dataset", generate)
+        key = line.split(" = ")[0]
+        kept = [text for text in config_path.read_text(
+            encoding="utf-8").splitlines() if not text.startswith(key)]
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(kept + [line]) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["gen-dataset", "run-trial", "sweep"])
     @pytest.mark.parametrize("argv, message", [
         (["--seed", "-1"], "seed must be a non-negative integer, got -1"),

@@ -24,7 +24,6 @@ from cinecho.percept import (
     filter_contrast,
     foveal_weight,
     frequency_of_index,
-    mean_luminance,
     taper_margins,
     transfer_gain,
 )
@@ -60,7 +59,7 @@ def reference_filter(contrast, luminance, point):
 def reference_perceive(lum, point, *, taper, foveal_mode):
     """The perceived stack at browsing point (ssr, slice_rate): L is the
     stack mean and x0 = width/ssr."""
-    lum_mean = mean_luminance(lum)
+    lum_mean = float(lum.mean())
     contrast = lum - lum_mean
     if taper:
         contrast = taper_margins(contrast)
@@ -183,14 +182,14 @@ def test_plan_gain_equals_transfer_gain_bitwise(w_px, h_px, n_sl, ssr, rates,
     # the full half grid: every k1, every k2 in [0, H//2], every k3, at
     # the folded frequencies (index k and n - k share |u1| and |w|)
     vc = ViewingConditions(luminance=lum, x0=w_px / ssr)
-    plan = percept._plan((w_px, h_px, n_sl), (ssr,), None, "none", None)
+    plan = percept._plan((w_px, h_px, n_sl), (ssr,), None, "none", None)[ssr]
     k1 = np.arange(w_px)
     k3 = np.arange(n_sl)
     u1 = np.abs(frequency_of_index(np.minimum(k1, w_px - k1), w_px, ssr))
     u2 = np.abs(frequency_of_index(np.arange(h_px // 2 + 1), h_px, ssr))
     # weighing a spectrum of ones lays the gain out on the half grid
     ones = np.ones((n_sl, u1.size * u2.size), dtype=np.complex128)
-    for rate, gain in zip(rates, plan.half_gains(vc, ssr, rates)):
+    for rate, gain in zip(rates, plan.half_gains(vc, rates)):
         w = np.abs(frequency_of_index(np.minimum(k3, n_sl - k3), n_sl, rate))
         want = transfer_gain(u1[None, :, None], u2[None, None, :],
                              w[:, None, None], vc)

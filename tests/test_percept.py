@@ -19,7 +19,6 @@ from cinecho.percept import (
     filter_contrast,
     foveal_weight,
     frequency_of_index,
-    mean_luminance,
     taper_margins,
     transfer_gain,
 )
@@ -32,22 +31,29 @@ from cinecho.stacks import (
 
 
 class TestMeanLuminance:
+    """apply_stcsf adapts to the stack's own mean luminance, L = vc.luminance."""
+
+    @staticmethod
+    def measured(stack):
+        (out,) = apply_stcsf(stack, [(7.0, 25.0)], taper=False)
+        return out.vc.luminance
+
     def test_constant(self):
-        assert mean_luminance(np.full((4, 4, 3), 20.0)) == 20.0
+        assert self.measured(np.full((4, 4, 3), 20.0)) == 20.0
 
     def test_two_slice(self):
         stack = np.stack([np.full((5, 5), 10.0), np.full((5, 5), 30.0)], axis=-1)
-        assert mean_luminance(stack) == 20.0
+        assert self.measured(stack) == 20.0
 
     def test_matches_bruteforce_sum(self):
         rng = np.random.default_rng(7)
         stack = rng.uniform(5.0, 80.0, size=(13, 11, 6))
         want = math.fsum(stack.ravel().tolist()) / stack.size
-        assert mean_luminance(stack) == pytest.approx(want, rel=1e-12)
+        assert self.measured(stack) == pytest.approx(want, rel=1e-12)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mean_luminance(np.zeros((0, 4, 4)))
+        with pytest.raises(ValueError, match="empty stack has no mean"):
+            apply_stcsf(np.zeros((0, 4, 4)), [(7.0, 25.0)])
 
 
 class TestTaperMargins:
@@ -225,8 +231,8 @@ class TestCentrePixel:
 
     def test_seven_degrees_in_the_plan(self):
         # 49 px from the centre at 7 px/deg is exactly the 7 deg cutoff
-        plan = percept._plan((100, 3, 2), (7.0,), None, "hard", None)
-        foveal = plan.geometries[7.0].foveal
+        plans = percept._plan((100, 3, 2), (7.0,), None, "hard", None)
+        foveal = plans[7.0].foveal
         assert foveal[50 + 49, 1] == 0.0
         assert foveal[50 + 48, 1] == 1.0
         assert foveal[50 - 49, 1] == 0.0
@@ -247,8 +253,8 @@ class TestCentrePixel:
                                     StackGeometry(w_px, h_px, 3, 10, 1.0))
         assert only_peak(inplane) == centre
         # at 0.1 px/deg only the centre pixel lies inside the 7 deg cutoff
-        plan = percept._plan((w_px, h_px, 2), (0.1,), None, "hard", None)
-        assert only_peak(plan.geometries[0.1].foveal) == centre
+        plans = percept._plan((w_px, h_px, 2), (0.1,), None, "hard", None)
+        assert only_peak(plans[0.1].foveal) == centre
 
 
 class TestPlanPhases:
@@ -261,7 +267,7 @@ class TestPlanPhases:
         # unreduced float product gives other last bits
         n_sl = 32
         phase = percept._plan((16, 16, n_sl), (7.0,), None, "none",
-                              None).phase
+                              None)[7.0].phase
         index = np.arange(n_sl)
         product = np.outer(index, np.minimum(index, n_sl - index))
         cos = index <= n_sl // 2
@@ -441,11 +447,13 @@ class TestPlanCache:
 
     def test_cached_arrays_refuse_writes(self):
         bank = lg_channel_bank(12, 12, n_channels=3, spread=4.0)
-        plan = percept._plan((12, 12, 5), (2.0,), (1, 2), "hard", bank)
-        assert percept._plan((12, 12, 5), (2.0,), (1, 2), "hard",
-                             bank) is plan
-        geometry = plan.geometries[2.0]
-        for array in (bank.matrix, plan.phase, geometry.radii,
-                      geometry.gather, geometry.foveal, geometry.channels):
+        plans = percept._plan((12, 12, 5), (2.0, 3.0), (1, 2), "hard", bank)
+        assert percept._plan((12, 12, 5), (2.0, 3.0), (1, 2), "hard",
+                             bank) is plans
+        # one phase array serves every ssr of the call
+        assert plans[2.0].phase is plans[3.0].phase
+        plan = plans[2.0]
+        for array in (bank.matrix, plan.phase, plan.radii, plan.gather,
+                      plan.foveal, plan.channels):
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = 0

@@ -13,8 +13,8 @@ from cinecho import trial
 from cinecho.display import DisplayModel
 from cinecho.errors import PlanError
 from cinecho.observer import lg_channel_bank
-from cinecho.percept import apply_stcsf
-from cinecho.stacks import Dataset, LesionSpec, StackGeometry, \
+from cinecho.percept import FOVEAL_MODES, apply_stcsf
+from cinecho.stacks import Dataset, ImageStack, LesionSpec, StackGeometry, \
     generate_background, generate_dataset, insert_lesion
 from cinecho.trial import (
     PipelineConfig,
@@ -100,6 +100,12 @@ class TestSplitDataset:
         with pytest.raises(PlanError, match="reader"):
             split_dataset(_pairing(8), n_readers=0, seed=0, min_per_class=1)
 
+    def test_needs_two_readers(self):
+        # a one-reader plan could never be scored: the one-shot variance
+        # needs two readers
+        with pytest.raises(PlanError, match="need at least two readers"):
+            split_dataset(_pairing(8), n_readers=1, seed=0, min_per_class=1)
+
     def test_empty_pairing(self):
         # min_per_class 0 lets zero pairs past the size check
         with pytest.raises(PlanError, match="pairing is empty"):
@@ -110,7 +116,7 @@ class TestSplitDataset:
         with pytest.raises(PlanError, match=f"trial seed must be a "
                                             f"non-negative integer, got "
                                             f"{seed!r}$"):
-            split_dataset(_pairing(8), n_readers=1, seed=seed,
+            split_dataset(_pairing(9), n_readers=2, seed=seed,
                           min_per_class=1)
 
 
@@ -445,12 +451,15 @@ class TestRunTrial:
             == [sid.startswith("l") for sid in test_ids]
         assert result.test_labels.sum() == 8
 
-    def test_needs_two_readers(self, strong_dataset, no_perception):
-        # the one-shot variance needs distinct reader pairs; the plan is
-        # refused (a PlanError) before any stack is perceived
-        plan = split_dataset(strong_dataset.pairing, n_readers=1, seed=9,
-                             min_per_class=6)
-        with pytest.raises(ValueError, match="need at least two readers"):
+    def test_needs_two_readers(self, strong_dataset, strong_plan,
+                               no_perception):
+        # the one-shot variance needs distinct reader pairs; a hand-built
+        # one-reader plan (split_dataset draws none) is refused before any
+        # stack is perceived.  Both of its subsets hold both classes.
+        assignment = {sid: 0 if subset < 2 else 1
+                      for sid, subset in strong_plan.subset_assignment.items()}
+        plan = TrialPlan(n_readers=1, seed=9, subset_assignment=assignment)
+        with pytest.raises(PlanError, match="need at least two readers"):
             run_trial(strong_dataset, plan, CONFIG)
 
     @pytest.mark.parametrize(("emptied", "message"), [
@@ -538,15 +547,16 @@ class TestRunTrial:
             run_trial(dataset, plan, CONFIG)
 
     def test_disagreeing_lesion_slices(self):
-        h0 = generate_background(GEOM, 1, stack_id="h0")
-        h1 = generate_background(GEOM, 2, stack_id="h1")
-        narrow = insert_lesion(h0, LesionSpec("microcalc", 50.0,
-                                              diameter_px=4.0), "l0")
-        wide = insert_lesion(h1, LesionSpec("microcalc", 50.0,
-                                            diameter_px=4.0, sigma_z=2.0),
-                             "l1")
-        ds = Dataset(stacks=(h0, h1, narrow, wide))
-        plan = split_dataset(ds.pairing, n_readers=1, seed=0, min_per_class=1)
+        healthy = [generate_background(GEOM, i + 1, stack_id=f"h{i}")
+                   for i in range(3)]
+        narrow = LesionSpec("microcalc", 50.0, diameter_px=4.0)
+        wide = replace(narrow, sigma_z=2.0)
+        lesion = [insert_lesion(h, spec, f"l{i}") for i, (h, spec)
+                  in enumerate(zip(healthy, (narrow, wide, narrow)))]
+        ds = Dataset(stacks=tuple(healthy + lesion))
+        # three pairs give each of the two readers' subsets and the test
+        # subset one pair's worth
+        plan = split_dataset(ds.pairing, n_readers=2, seed=0, min_per_class=1)
         with pytest.raises(PlanError, match="disagree"):
             run_trial(ds, plan, CONFIG)
 
@@ -587,6 +597,84 @@ class TestPerceiveResponses:
         assert got.shape == (10, 2, len(slices), 5)
         assert got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes()
+
+
+@st.composite
+def _browsed_codes(draw):
+    """Three small random square stacks of 10-bit codes, a slice range
+    and points at two ssr values times two slice rates."""
+    size, n_sl = draw(st.integers(12, 16)), draw(st.integers(5, 12))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    codes = np.random.default_rng(seed).integers(
+        0, 1024, (3, size, size, n_sl), dtype=np.uint16)
+    first = draw(st.integers(0, n_sl - 1))
+    slices = tuple(range(first, draw(st.integers(first + 1, n_sl))))
+    ssrs = draw(st.lists(st.sampled_from([2.0, 3.5, 7.0, 12.0]),
+                         min_size=2, max_size=2, unique=True))
+    rates = draw(st.lists(st.sampled_from([1.0, 5.0, 25.0, 45.0]),
+                          min_size=2, max_size=2, unique=True))
+    config = replace(CONFIG, foveal_mode=draw(st.sampled_from(FOVEAL_MODES)))
+    configs = [replace(config, ssr=ssr, slice_rate=rate)
+               for ssr in ssrs for rate in rates]
+    return codes, slices, configs
+
+
+def _responses(codes, configs, slices):
+    geometry = StackGeometry(*codes.shape[1:], 10, 1.0)
+    stacks = [ImageStack(geometry, np.ascontiguousarray(c), f"h{i}",
+                         "healthy") for i, c in enumerate(codes)]
+    return perceive_responses(stacks, configs, slices)
+
+
+# Each relation feeds the chain the same samples in another order, so the
+# two sides differ by rounding alone: the sums of the forward FFT (about
+# log2(16 * 16 * 12) = 12 stages), the mean and the two GEMMs (at most
+# 2 * 16 * 9 terms) round in another order.  Their errors grow like
+# sqrt(terms) ulps, about 30 here; 64 ulps of the largest |response| is
+# above that, and far below the order-one change a broken symmetry makes.
+RELATION_ULPS = 64
+
+
+def _assert_relation_holds(got, want):
+    assert got.shape == want.shape
+    bound = RELATION_ULPS * np.spacing(np.abs(want).max())
+    assert np.abs(got - want).max() <= bound
+
+
+class TestChainSymmetries:
+    """Exact relations of perceive_responses: the square stacks' x and y
+    axes are interchangeable (the taper, the fovea, the channels and the
+    radial frequency are symmetric), the slices may run backwards (the
+    gain is even in w) and, the browsing loop being periodic, start at
+    any slice."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=_browsed_codes())
+    def test_transposing_x_and_y(self, case):
+        codes, slices, configs = case
+        _assert_relation_holds(
+            _responses(codes.transpose(0, 2, 1, 3), configs, slices),
+            _responses(codes, configs, slices))
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=_browsed_codes())
+    def test_reversing_the_slices(self, case):
+        codes, slices, configs = case
+        n_sl = codes.shape[3]
+        _assert_relation_holds(
+            _responses(codes[..., ::-1], configs,
+                       tuple(n_sl - 1 - s for s in slices)),
+            _responses(codes, configs, slices))
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=_browsed_codes(), shift=st.integers(1, 11))
+    def test_rolling_the_slices(self, case, shift):
+        codes, slices, configs = case
+        n_sl = codes.shape[3]
+        _assert_relation_holds(
+            _responses(np.roll(codes, shift, axis=3), configs,
+                       tuple((s + shift) % n_sl for s in slices)),
+            _responses(codes, configs, slices))
 
 
 class TestPipelineConfig:
