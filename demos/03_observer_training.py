@@ -22,7 +22,7 @@ from cinecho.observer import (
     train_mscho_from_responses,
 )
 from cinecho.percept import apply_stcsf
-from cinecho.stacks import LesionSpec, generate_dataset
+from cinecho.stacks import GEOMETRY_PRESETS, LesionSpec, generate_dataset
 from cinecho.trial import auc_wilcoxon
 
 N_TRAIN = 24
@@ -30,7 +30,7 @@ N_TEST = 12
 SSR = 7.0
 RATE = 25.0
 
-dataset = generate_dataset("dataset_b", N_TRAIN + N_TEST,
+dataset = generate_dataset(GEOMETRY_PRESETS["dataset_b"], N_TRAIN + N_TEST,
                            LesionSpec("microcalc", amplitude=60.0), seed=11)
 by_id = {s.stack_id: s for s in dataset.stacks}
 pairs = dataset.pairing

@@ -16,7 +16,7 @@ from collections import Counter
 
 import numpy as np
 
-from cinecho.stacks import LesionSpec, generate_dataset
+from cinecho.stacks import GEOMETRY_PRESETS, LesionSpec, generate_dataset
 from cinecho.trial import PipelineConfig, run_trial, split_dataset
 
 # 100 pairs over 5 subsets leaves 20 per class per reader, enough to
@@ -24,7 +24,7 @@ from cinecho.trial import PipelineConfig, run_trial, split_dataset
 N_PAIRS = 100
 N_READERS = 4
 
-dataset = generate_dataset("dataset_b", N_PAIRS,
+dataset = generate_dataset(GEOMETRY_PRESETS["dataset_b"], N_PAIRS,
                            LesionSpec("microcalc", amplitude=60.0), seed=23)
 
 # the plan deals pairs round-robin: n_readers training subsets plus one

@@ -124,8 +124,8 @@ def _cmd_run_trial(args) -> int:
 def _cmd_sweep(args) -> int:
     config = _prepare_config(args)
     axis = args.axis or config["sweep.axis"]
-    values = parse_numbers(args.values, "--values") if args.values \
-        else config["sweep.values"]
+    values = config["sweep.values"] if args.values is None \
+        else parse_numbers(args.values, "--values")
     spec = SweepSpec(axis=axis, values=values)
     rows, csv_path = _sweep_to_csv(config, spec, pipeline_from(config), args,
                                    "sweep.csv")

@@ -299,11 +299,8 @@ _LEFT, _RIGHT, _TOP, _BOTTOM = 64.0, 24.0, 24.0, 56.0
 _COLORS = ("#1f6feb", "#d29922", "#3fb950", "#db61a2")
 
 
-def _ticks(lo: float, hi: float, n: int = 5):
-    if hi == lo:
-        return [lo]
-    raw = np.linspace(lo, hi, n)
-    return [float(t) for t in raw]
+def _ticks(lo: float, hi: float):
+    return [float(t) for t in np.linspace(lo, hi, 5)]
 
 
 def emit_svg_plot(rows, overlays, path, axis_label: str = "axis") -> Path:
@@ -326,7 +323,9 @@ def emit_svg_plot(rows, overlays, path, axis_label: str = "axis") -> Path:
     y_lo = min(float(np.min(v - t)) for _, _, v, t in series)
     y_hi = max(float(np.max(v + t)) for _, _, v, t in series)
     if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
+        # a unit each side, or a float step where a unit is lost; finite
+        step = max(1.0, math.ulp(x_lo))
+        x_lo, x_hi = np.nan_to_num((x_lo - step, x_hi + step))
     pad = 0.05 * (y_hi - y_lo) or 0.05
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

@@ -18,6 +18,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -85,15 +86,17 @@ def lg_channel_bank(width: int, height: int, n_channels: int = 15,
 
     Channels are centered at the image center pixel (width//2, height//2).
     Equal arguments, given by position or by keyword, return the same
-    cached bank, its matrix read-only.
+    cached bank, its matrix read-only.  The count is checked before the
+    cache, which would take 15.0 for a cached 15.
     """
+    if not (isinstance(n_channels, numbers.Integral) and n_channels >= 1):
+        raise ValueError(f"need an integer count of at least one channel, "
+                         f"got n_channels = {n_channels!r}")
     return _cached_bank(width, height, n_channels, spread)
 
 
 @lru_cache(maxsize=8)
 def _cached_bank(width, height, n_channels, spread) -> ChannelBank:
-    if n_channels < 1:
-        raise ValueError("need at least one channel")
     if not 0 < spread < np.inf:
         raise ValueError(f"spread must be finite and positive, got {spread!r}")
     rows, cols = centre_offsets(width, height)

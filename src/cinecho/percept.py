@@ -165,11 +165,7 @@ def foveal_weight(alpha, mode: str):
     if mode == "hard":
         return np.where(alpha >= HARD_CUTOFF_DEG, 0.0, 1.0)
     if mode == "soft":
-        q = -1.0 / (alpha + 0.1)
-        # Horner, ascending coefficients
-        poly = np.zeros_like(q)
-        for b_i in reversed(ACUITY_B):
-            poly = poly * q + b_i
+        poly = np.polyval(ACUITY_B[::-1], -1.0 / (alpha + 0.1))
         return np.where(alpha > ACUITY_THRESHOLD_DEG, ACUITY_FLOOR, -poly)
     raise ValueError(f"foveal mode must be one of {FOVEAL_MODES}")
 
@@ -405,8 +401,6 @@ def apply_stcsf(lum_stack, points, *, foveal_mode: str = "none",
     responses of the foveally weighted planes.
     """
     arr = np.asarray(lum_stack, dtype=np.float64)
-    if arr.ndim != 3:
-        raise ValueError("expected a W x H x K stack")
     if arr.size == 0:
         raise ValueError("empty stack has no mean luminance")
     lum = float(arr.mean())

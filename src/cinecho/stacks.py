@@ -361,26 +361,21 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def generate_dataset(geometry, n_pairs: int, lesion: LesionSpec, seed: int,
+def generate_dataset(geometry: StackGeometry, n_pairs: int,
+                     lesion: LesionSpec, seed: int,
                      texture: str = "power_law", beta: float = 3.0) -> Dataset:
-    """Generate n_pairs healthy stacks and their lesion twins.
+    """Generate n_pairs healthy stacks of geometry and their lesion twins.
 
-    geometry may be a StackGeometry or a preset name.  Stack i draws from
-    an independent stream seeded by (seed, i), so neither generation order
-    nor the thread count can change the output.  Backgrounds are drawn on
-    a pool of one thread per available CPU, at most n_pairs.  Lesions are
-    inserted on the calling thread in pair order, so LesionClippingWarnings
-    reach the caller in that order, and an exception raised for a pair
-    (such as generate_background's or insert_lesion's ValueError) reaches
-    it unchanged.  An unknown preset, a pair count below one and a seed
-    that is not a non-negative integer raise ValueError before a thread
-    starts.
+    Stack i draws from an independent stream seeded by (seed, i), so
+    neither generation order nor the thread count can change the output.
+    Backgrounds are drawn on a pool of one thread per available CPU, at
+    most n_pairs.  Lesions are inserted on the calling thread in pair
+    order, so LesionClippingWarnings reach the caller in that order, and
+    an exception raised for a pair (such as generate_background's or
+    insert_lesion's ValueError) reaches it unchanged.  A pair count below
+    one and a seed that is not a non-negative integer raise ValueError
+    before a thread starts.
     """
-    if isinstance(geometry, str):
-        if geometry not in GEOMETRY_PRESETS:
-            raise ValueError(f"unknown geometry preset {geometry!r}; "
-                             f"available: {sorted(GEOMETRY_PRESETS)}")
-        geometry = GEOMETRY_PRESETS[geometry]
     if not (isinstance(n_pairs, numbers.Integral) and n_pairs >= 1):
         raise ValueError(f"need at least one pair, got n_pairs = {n_pairs!r}")
     if not (isinstance(seed, numbers.Integral) and seed >= 0):

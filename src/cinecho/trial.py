@@ -95,8 +95,10 @@ class PipelineConfig:
             raise ValueError(f"combiner must be one of {COMBINERS}")
         if not (0 < self.ssr < np.inf and 0 < self.slice_rate < np.inf):
             raise ValueError("ssr and slice_rate must be finite and positive")
-        if self.n_channels < 1:
-            raise ValueError("n_channels must be at least 1")
+        if not (isinstance(self.n_channels, numbers.Integral)
+                and self.n_channels >= 1):
+            raise ValueError(f"n_channels must be an integer of at least 1, "
+                             f"got {self.n_channels!r}")
         if not 0 < self.spread < np.inf:
             raise ValueError("spread must be finite and positive")
 

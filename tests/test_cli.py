@@ -410,7 +410,8 @@ class TestErrors:
          "sweep aborted at contrast_ratio = 0.5: "),
         (["sweep", "--values", "5,nan"],
          "nan in values (5.0, nan) is not a number"),
-        (["sweep", "--values", "nan"], "nan in values (nan,) is not a number")])
+        (["sweep", "--values", "nan"], "nan in values (nan,) is not a number"),
+        (["sweep", "--values", ""], "values must be non-empty")])
     def test_bad_model_value_generates_nothing(self, config_path, tmp_path,
                                                capsys, monkeypatch, argv,
                                                message):
@@ -421,10 +422,11 @@ class TestErrors:
         line = "percept.ssr = 0\n" if len(argv) == 1 else ""
         bad.write_text(config_path.read_text(encoding="utf-8") + line,
                        encoding="utf-8")
-        assert main(argv + ["--config", str(bad), "--out", str(tmp_path)]) \
-            == 2
+        out = tmp_path / "out"
+        assert main(argv + ["--config", str(bad), "--out", str(out)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert calls == []
+        assert not out.exists()
 
     def test_non_finite_overlay_field(self, sweep_dir, tmp_path, capsys):
         overlay = tmp_path / "ext.csv"

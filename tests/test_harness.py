@@ -183,6 +183,14 @@ class TestCsvRoundTrip:
         again = read_rows_csv(path)
         assert again == rows
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        rows = self._rows()
+        path = emit_csv(rows, tmp_path / "rows.csv")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(lines[:2] + ["", " "] + lines[2:]) + "\n",
+                        encoding="utf-8")
+        assert read_rows_csv(path) == rows
+
     def test_single_row_two_lines(self, tmp_path):
         path = emit_csv(self._rows()[:1], tmp_path / "one.csv")
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -295,6 +303,20 @@ class TestSvgPlot:
     def test_no_rows(self, tmp_path):
         with pytest.raises(ValueError, match="no rows"):
             emit_svg_plot([], [], tmp_path / "p.svg")
+
+    @pytest.mark.parametrize("axis", [25.0, 1e17, sys.float_info.max])
+    def test_one_row_plots_at_any_axis_value(self, tmp_path, axis):
+        # one axis value is widened to a range that does not round away
+        path = emit_svg_plot([ResultRow(axis, 0.7, 0.02, 3, 7, "abc")], [],
+                             tmp_path / "p.svg")
+        root = ET.parse(path).getroot()
+        coordinates = [float(element.get(key)) for element in root.iter()
+                       for key in ("x", "y", "x1", "y1", "x2", "y2", "cx",
+                                   "cy") if element.get(key) is not None]
+        assert len(coordinates) > 40
+        assert all(math.isfinite(c) for c in coordinates)
+        circle, = root.iter("{http://www.w3.org/2000/svg}circle")
+        assert 64.0 <= float(circle.get("cx")) <= 640.0 - 24.0
 
 
 class TestRunSweep:

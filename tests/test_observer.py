@@ -72,6 +72,13 @@ class TestChannelBank:
     def test_validation(self):
         with pytest.raises(ValueError):
             lg_channel_bank(32, 32, n_channels=0)
+        # 15.0 would hit the cached 15-channel bank
+        lg_channel_bank(32, 32, 15)
+        for n_channels in (2.5, "3", 15.0):
+            with pytest.raises(ValueError, match="need an integer count of "
+                               f"at least one channel, got n_channels = "
+                               f"{n_channels!r}"):
+                lg_channel_bank(32, 32, n_channels)
         for spread in (0.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="spread must be finite"):
                 lg_channel_bank(32, 32, spread=spread)

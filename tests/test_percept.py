@@ -416,6 +416,21 @@ class TestApplyStcsf:
         bank = lg_channel_bank(16, 16, n_channels=3, spread=4.0)
         with pytest.raises(ValueError, match="channel bank is 16x16"):
             apply_stcsf(lum, [(2.0, 10.0)], bank=bank)
+        for slices in ([4], [0, -1]):
+            with pytest.raises(ValueError, match="slices must be indices "
+                                                 "into 4 slices"):
+                apply_stcsf(lum, [(2.0, 10.0)], slices=slices)
+        # with no points the plan's own check is the only refusal
+        for points in ([], [(2.0, 10.0)]):
+            with pytest.raises(ValueError, match="foveal mode must be one "
+                                                 "of"):
+                apply_stcsf(lum, points, foveal_mode="blur")
+
+    @pytest.mark.parametrize("taper", [True, False])
+    def test_stack_that_is_not_w_h_k_is_refused(self, taper):
+        # by taper_margins, or without the taper by filter_contrast
+        with pytest.raises(ValueError, match="expected a W x H x K stack"):
+            apply_stcsf(np.full((16, 16), 20.0), [(2.0, 10.0)], taper=taper)
 
 
 class TestPlanCache:

@@ -645,11 +645,6 @@ class TestDataset:
         for sa, sb in zip(a.stacks, b.stacks[:4]):
             assert np.array_equal(sa.data, sb.data)
 
-    def test_preset_by_name(self):
-        ds = generate_dataset("dataset_b", 1, LesionSpec("microcalc", 40.0),
-                              seed=1)
-        assert ds.stacks[0].geometry == GEOMETRY_PRESETS["dataset_b"]
-
     def test_round_trip(self, tmp_path):
         ds = self._dataset()
         manifest = write_dataset(ds, tmp_path / "data")
@@ -689,6 +684,14 @@ class TestDataset:
                                             "h0,h0.u16,lesion")
         manifest.write_text(text)
         with pytest.raises(FormatError, match="disagrees"):
+            read_dataset(manifest)
+
+    def test_row_without_four_fields_is_named(self, tmp_path):
+        manifest = write_dataset(self._dataset(), tmp_path / "data")
+        manifest.write_text(manifest.read_text().replace(
+            "h0,h0.u16,healthy,", "h0,h0.u16,healthy"))
+        with pytest.raises(FormatError, match=r"malformed row \['h0', "
+                                              r"'h0.u16', 'healthy'\]$"):
             read_dataset(manifest)
 
     def test_repeated_id_in_manifest_is_named(self, tmp_path):
@@ -823,14 +826,11 @@ class TestGenerationThreads:
         assert threading.active_count() == threads
 
     @pytest.mark.parametrize("kwargs, message", [
-        ({"geometry": "dataset_c"},
-         r"unknown geometry preset 'dataset_c'; available: "
-         r"\['dataset_a', 'dataset_b'\]"),
+        ({"n_pairs": 2.0}, "need at least one pair, got n_pairs = 2.0"),
         ({"seed": -1}, "seed must be a non-negative integer, got -1"),
         ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
         ({"seed": "3"}, "seed must be a non-negative integer, got '3'"),
-        ({"n_pairs": 0}, "need at least one pair, got n_pairs = 0"),
-        ({"n_pairs": 2.0}, "need at least one pair, got n_pairs = 2.0")])
+        ({"n_pairs": 0}, "need at least one pair, got n_pairs = 0")])
     def test_bad_arguments_are_refused_before_any_thread(
             self, monkeypatch, kwargs, message):
         self._cpus(monkeypatch, 4)

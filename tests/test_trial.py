@@ -15,7 +15,8 @@ from cinecho.errors import PlanError
 from cinecho.observer import lg_channel_bank
 from cinecho.percept import FOVEAL_MODES, apply_stcsf
 from cinecho.stacks import Dataset, ImageStack, LesionSpec, StackGeometry, \
-    generate_background, generate_dataset, insert_lesion
+    generate_background, generate_dataset, insert_lesion, read_dataset, \
+    write_dataset
 from cinecho.trial import (
     PipelineConfig,
     TrialPlan,
@@ -510,6 +511,24 @@ class TestRunTrial:
         with pytest.raises(PlanError, match="the plan assigns no stacks"):
             run_trial(strong_dataset, empty, CONFIG)
 
+    def test_lesion_stacks_recording_no_slices_fail_before_perception(
+            self, strong_dataset, strong_plan, no_perception, tmp_path):
+        # lesion headers whose lesion_slices line is empty read back as
+        # lesion stacks that record no affected slices
+        write_dataset(strong_dataset, tmp_path)
+        for stack in strong_dataset.stacks:
+            if stack.label == "lesion":
+                header = tmp_path / f"{stack.stack_id}.u16.hdr"
+                listed = ",".join(map(str, stack.lesion_slices))
+                header.write_text(header.read_text(encoding="utf-8").replace(
+                    f"lesion_slices = {listed}\n", "lesion_slices =\n"),
+                    encoding="utf-8")
+        dataset = read_dataset(tmp_path)
+        assert all(s.lesion_slices == () for s in dataset.stacks)
+        with pytest.raises(PlanError,
+                           match="lesion stacks record no affected slices"):
+            run_trial(dataset, strong_plan, CONFIG)
+
     def test_slice_range_must_cover_central(self, strong_dataset,
                                             strong_plan):
         # every lesion stack records slices 0 and 1, which miss slice 4
@@ -689,6 +708,7 @@ class TestPipelineConfig:
         dict(ssr=0.0), dict(slice_rate=-1.0), dict(n_channels=0),
         dict(spread=0.0), dict(ssr=float("inf")), dict(ssr=float("nan")),
         dict(slice_rate=float("inf")), dict(slice_rate=float("nan")),
+        dict(n_channels=2.5), dict(n_channels="3"),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
