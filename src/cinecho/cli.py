@@ -144,7 +144,6 @@ def _cmd_csf_table(args) -> int:
         if not np.isfinite(config[key]).all():
             raise FormatError(f"{key}: expected finite numbers, "
                               f"got {config[key]}")
-    out = _out_dir(args)
     vc = ViewingConditions(config["csf.luminance"], config["csf.x0"])
     u = np.array(config["csf.u_values"])
     w = np.array(config["csf.w_values"])
@@ -154,14 +153,13 @@ def _cmd_csf_table(args) -> int:
     for i in range(u.size):
         for j in range(w.size):
             lines.append(f"{u[i]:.17g},{w[j]:.17g},{s[i, j]:.17g}")
-    path = out / "csf.csv"
+    path = _out_dir(args) / "csf.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {u.size * w.size} sensitivities to {path}")
     return 0
 
 
 def _cmd_plot(args) -> int:
-    out = _out_dir(args)
     rows = read_rows_csv(args.results)
     overlays = []
     if args.overlay:
@@ -171,7 +169,7 @@ def _cmd_plot(args) -> int:
         values, tols = overlay_rescale(ext_axis, ext_values, ext_tols,
                                        row_axis, row_means)
         overlays.append((Path(args.overlay).stem, ext_axis, values, tols))
-    path = emit_svg_plot(rows, overlays, out / "plot.svg")
+    path = emit_svg_plot(rows, overlays, _out_dir(args) / "plot.svg")
     print(f"wrote {path}")
     return 0
 

@@ -26,7 +26,6 @@ __all__ = [
     "load_config",
     "format_config",
     "config_hash",
-    "display_from",
     "pipeline_from",
     "lesion_from",
     "geometry_from",
@@ -162,15 +161,12 @@ def config_hash(config: dict) -> str:
     return digest.hexdigest()[:12]
 
 
-def display_from(config: dict) -> DisplayModel:
-    return DisplayModel(l_min=config["display.l_min"],
-                        l_max=config["display.l_max"],
-                        bit_depth=config["display.bit_depth"],
-                        mapping=config["display.mapping"])
-
-
 def pipeline_from(config: dict) -> PipelineConfig:
-    return PipelineConfig(display=display_from(config),
+    display = DisplayModel(l_min=config["display.l_min"],
+                           l_max=config["display.l_max"],
+                           bit_depth=config["display.bit_depth"],
+                           mapping=config["display.mapping"])
+    return PipelineConfig(display=display,
                           ssr=config["percept.ssr"],
                           slice_rate=config["percept.slice_rate"],
                           foveal_mode=config["percept.foveal_mode"],

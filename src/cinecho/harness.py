@@ -39,7 +39,6 @@ __all__ = [
     "SWEEP_AXES",
     "SweepSpec",
     "ResultRow",
-    "apply_axis",
     "sweep_points",
     "run_sweep",
     "overlay_rescale",
@@ -97,28 +96,6 @@ class ResultRow:
                              "or nan")
 
 
-def apply_axis(config: PipelineConfig, axis: str, value: float) -> PipelineConfig:
-    """The pipeline at one sweep point.
-
-    l_max scales both display endpoints to keep the contrast ratio;
-    contrast_ratio lowers L_min under a fixed L_max.
-    """
-    value = float(value)
-    if axis == "slice_rate":
-        return replace(config, slice_rate=value)
-    if axis == "ssr":
-        return replace(config, ssr=value)
-    display = config.display
-    if axis == "l_max":
-        ratio = display.l_max / display.l_min
-        return replace(config, display=replace(display, l_min=value / ratio,
-                                               l_max=value))
-    if axis == "contrast_ratio":
-        return replace(config, display=replace(display,
-                                               l_min=display.l_max / value))
-    raise ValueError(f"axis must be one of {SWEEP_AXES}")
-
-
 def _named(spec: SweepSpec, value, thunk):
     """thunk(), with any failure raised as a RuntimeError naming the point."""
     try:
@@ -129,10 +106,22 @@ def _named(spec: SweepSpec, value, thunk):
 
 
 def sweep_points(spec: SweepSpec, base: PipelineConfig) -> list:
-    """The pipeline at each value of spec (apply_axis); raises RuntimeError
-    naming the first value whose pipeline is invalid."""
-    return [_named(spec, value, lambda: apply_axis(base, spec.axis, value))
-            for value in spec.values]
+    """The pipeline at each value of spec; raises RuntimeError naming the
+    first value whose pipeline is invalid.  slice_rate and ssr set the field
+    they name; l_max scales both display endpoints to keep the contrast
+    ratio, and contrast_ratio lowers L_min under a fixed L_max."""
+    def point(value):
+        display = base.display
+        if spec.axis == "l_max":
+            ratio = display.l_max / display.l_min
+            display = replace(display, l_min=value / ratio, l_max=value)
+        elif spec.axis == "contrast_ratio":
+            display = replace(display, l_min=display.l_max / value)
+        else:
+            return replace(base, **{spec.axis: value})
+        return replace(base, display=display)
+
+    return [_named(spec, v, lambda: point(v)) for v in spec.values]
 
 
 def run_sweep(dataset, spec: SweepSpec, config: dict,
@@ -245,8 +234,9 @@ def emit_csv(rows, path) -> Path:
 
 def _read_csv(path, header: str, parse) -> list:
     """parse(fields) of every non-blank line after the header line.
-    Raises FormatError, naming path:line for a wrong field count or for
-    fields parse rejects with ValueError (a non-numeric one, say)."""
+    Raises FormatError when there is no such line, and one naming
+    path:line for a wrong field count or for fields parse rejects with
+    ValueError (a non-numeric one, say)."""
     path = Path(path)
     lines = read_utf8(path).splitlines()
     if not lines or lines[0] != header:
@@ -263,6 +253,8 @@ def _read_csv(path, header: str, parse) -> list:
             records.append(parse(parts))
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from None
+    if not records:
+        raise FormatError(f"{path}: no data rows")
     return records
 
 
@@ -284,8 +276,6 @@ def read_overlay_csv(path):
     """External series as CSV 'axis,value,tolerance', all finite."""
     records = _read_csv(path, "axis,value,tolerance",
                         lambda parts: [_finite(p) for p in parts])
-    if not records:
-        raise FormatError(f"{path}: no data rows")
     axis, values, tolerances = np.array(records).T
     return axis, values, tolerances
 
@@ -300,7 +290,8 @@ _COLORS = ("#1f6feb", "#d29922", "#3fb950", "#db61a2")
 
 
 def _ticks(lo: float, hi: float):
-    return [float(t) for t in np.linspace(lo, hi, 5)]
+    # on halves, exact for normal floats, so hi - lo cannot overflow
+    return [2 * float(t) for t in np.linspace(lo / 2, hi / 2, 5)]
 
 
 def emit_svg_plot(rows, overlays, path, axis_label: str = "axis") -> Path:
@@ -333,7 +324,7 @@ def emit_svg_plot(rows, overlays, path, axis_label: str = "axis") -> Path:
     inner_h = _HEIGHT - _TOP - _BOTTOM
 
     def sx(v):
-        return _LEFT + (v - x_lo) / (x_hi - x_lo) * inner_w
+        return _LEFT + (v / 2 - x_lo / 2) / (x_hi / 2 - x_lo / 2) * inner_w
 
     def sy(v):
         return _TOP + (y_hi - v) / (y_hi - y_lo) * inner_h

@@ -80,23 +80,23 @@ class MsChoModel:
     stage2_ridge: float | None
 
 
+@lru_cache(maxsize=8, typed=True)
 def lg_channel_bank(width: int, height: int, n_channels: int = 15,
                     spread: float = 10.0) -> ChannelBank:
     """Build the channel bank on a width x height pixel grid.
 
     Channels are centered at the image center pixel (width//2, height//2).
-    Equal arguments, given by position or by keyword, return the same
-    cached bank, its matrix read-only.  The count is checked before the
-    cache, which would take 15.0 for a cached 15.
+    Equal calls return the same cached bank, its matrix read-only.  Raises
+    ValueError unless width, height and n_channels are positive integers
+    and spread is finite and positive.
     """
+    for name, size in (("width", width), ("height", height)):
+        if not (isinstance(size, numbers.Integral) and size >= 1):
+            raise ValueError(f"{name} must be a positive integer, got "
+                             f"{size!r}")
     if not (isinstance(n_channels, numbers.Integral) and n_channels >= 1):
         raise ValueError(f"need an integer count of at least one channel, "
                          f"got n_channels = {n_channels!r}")
-    return _cached_bank(width, height, n_channels, spread)
-
-
-@lru_cache(maxsize=8)
-def _cached_bank(width, height, n_channels, spread) -> ChannelBank:
     if not 0 < spread < np.inf:
         raise ValueError(f"spread must be finite and positive, got {spread!r}")
     rows, cols = centre_offsets(width, height)

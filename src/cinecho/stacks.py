@@ -292,13 +292,6 @@ def lesion_profile(spec: LesionSpec, geometry: StackGeometry):
     return inplane, depth
 
 
-def affected_slices(depth_profile) -> tuple:
-    """Slice indices whose depth weight is at least 1% of the peak."""
-    depth = np.asarray(depth_profile, dtype=np.float64)
-    return tuple(int(i) for i in
-                 np.nonzero(depth >= AFFECTED_THRESHOLD * depth.max())[0])
-
-
 @lru_cache(maxsize=4)
 def _lesion_shape(spec: LesionSpec, geometry: StackGeometry):
     """(window, profile, energy, affected slices) of spec on geometry.
@@ -306,7 +299,8 @@ def _lesion_shape(spec: LesionSpec, geometry: StackGeometry):
     window is the (rows, columns) slice pair of the tight box around the
     in-plane support, over which the inserted amplitude * outer(inplane,
     depth) is nonzero; profile is that product on the window, read-only;
-    energy is its sum over the whole stack."""
+    energy is its sum over the whole stack.  A slice is affected when its
+    depth weight is at least AFFECTED_THRESHOLD of the peak weight."""
     inplane, depth = lesion_profile(spec, geometry)
     rows = np.flatnonzero(inplane.any(axis=1))
     cols = np.flatnonzero(inplane.any(axis=0))
@@ -315,7 +309,8 @@ def _lesion_shape(spec: LesionSpec, geometry: StackGeometry):
     energy = float(profile.sum())
     profile = profile[window].copy()
     profile.flags.writeable = False
-    return window, profile, energy, affected_slices(depth)
+    affected = np.flatnonzero(depth >= AFFECTED_THRESHOLD * depth.max())
+    return window, profile, energy, tuple(int(i) for i in affected)
 
 
 def insert_lesion(healthy: ImageStack, spec: LesionSpec,

@@ -254,8 +254,8 @@ def plan_stacks(dataset, plan: TrialPlan,
     dataset lacks; when a stack's (W, H, K) or bit depth differs from the
     first's or the stacks' bit depth from the display's; when the lesion
     stacks disagree on the slice range, record none, or miss the central
-    slice; or when the plan has fewer than two readers or leaves a class
-    out of a subset.
+    slice; or when the plan has fewer than two readers, puts a stack in
+    a subset outside 0..n_readers or leaves a class out of a subset.
     """
     if not plan.subset_assignment:
         raise PlanError("the plan assigns no stacks")
@@ -289,6 +289,10 @@ def plan_stacks(dataset, plan: TrialPlan,
         raise PlanError(str(exc)) from None
     if plan.n_readers < 2:
         raise PlanError("need at least two readers")
+    for sid, subset in sorted(plan.subset_assignment.items()):
+        if subset not in range(plan.n_readers + 1):
+            raise PlanError(f"stack {sid!r} is in subset {subset!r}, not "
+                            f"one of 0..{plan.n_readers}")
     for subset in range(plan.n_readers + 1):
         if len({s.label for s in stacks
                 if plan.subset_assignment[s.stack_id] == subset}) < 2:

@@ -404,6 +404,22 @@ class TestErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
+        (["plot", "missing.csv"], "No such file or directory"),
+        (["plot", "header_only.csv"], "header_only.csv: no data rows"),
+        (["csf-table", "--config", "x0.txt"],
+         "ViewingConditions.x0 must be finite and > 0")])
+    def test_refused_plot_or_table_makes_no_out(self, tmp_path, capsys,
+                                                monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        Path("header_only.csv").write_text(
+            "axis,mean_auc,auc_stddev,n_readers,seed,config_hash\n",
+            encoding="utf-8")
+        Path("x0.txt").write_text("csf.x0 = -1\n", encoding="utf-8")
+        assert main(argv + ["--out", "out"]) == 2
+        assert message in capsys.readouterr().err
+        assert not Path("out").exists()
+
+    @pytest.mark.parametrize("argv, message", [
         (["run-trial"], "ssr and slice_rate must be finite and positive"),
         (["sweep"], "ssr and slice_rate must be finite and positive"),
         (["sweep", "--axis", "contrast_ratio", "--values", "0.5"],

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from cinecho.config import (
     DEFAULTS,
     config_hash,
-    display_from,
     format_config,
     geometry_from,
     lesion_from,
@@ -15,7 +14,6 @@ from cinecho.config import (
     parse_config,
     pipeline_from,
 )
-from cinecho.display import DisplayModel
 from cinecho.errors import FormatError
 from cinecho.observer import lg_channel_bank, train_mscho_from_responses
 from cinecho.stacks import GEOMETRY_PRESETS, generate_background, \
@@ -222,7 +220,7 @@ class TestHash:
 
 class TestBuilders:
     def test_display_from_defaults(self):
-        dm = display_from(dict(DEFAULTS))
+        dm = pipeline_from(dict(DEFAULTS)).display
         assert dm.l_min == 1.05
         assert dm.l_max == 1000.0
         assert dm.bit_depth == 10
@@ -258,7 +256,6 @@ class TestBuilders:
         # the README and the acceptance criteria build models from the
         # model defaults, the CLI from DEFAULTS: they must be one run
         assert pipeline_from(dict(DEFAULTS)) == PipelineConfig()
-        assert display_from(dict(DEFAULTS)) == DisplayModel()
 
     @pytest.mark.parametrize("function, name, key", [
         (split_dataset, "min_per_class", "trial.min_per_class"),

@@ -16,13 +16,13 @@ from cinecho.errors import FormatError
 from cinecho.harness import (
     ResultRow,
     SweepSpec,
-    apply_axis,
     emit_csv,
     emit_svg_plot,
     overlay_rescale,
     read_overlay_csv,
     read_rows_csv,
     run_sweep,
+    sweep_points,
 )
 from cinecho.stacks import GEOMETRY_PRESETS, LesionSpec, StackGeometry, \
     generate_dataset
@@ -107,30 +107,31 @@ class TestResultRow:
                           .auc_stddev)
 
 
-class TestApplyAxis:
+def _point(axis, value, base=PipelineConfig()):
+    (point,) = sweep_points(SweepSpec(axis, (value,)), base)
+    return point
+
+
+class TestSweepPoints:
     def test_slice_rate_and_ssr_replace(self):
         base = PipelineConfig()
-        assert apply_axis(base, "slice_rate", 40).slice_rate == 40.0
-        assert apply_axis(base, "ssr", 14).ssr == 14.0
+        assert _point("slice_rate", 40) == replace(base, slice_rate=40.0)
+        assert _point("ssr", 14) == replace(base, ssr=14.0)
 
     def test_l_max_keeps_contrast_ratio(self):
         base = PipelineConfig()
         ratio = base.display.l_max / base.display.l_min
-        swept = apply_axis(base, "l_max", 500.0)
+        swept = _point("l_max", 500.0)
         assert swept.display.l_max == 500.0
         assert swept.display.l_max / swept.display.l_min == pytest.approx(
             ratio, rel=1e-12)
 
     def test_contrast_ratio_keeps_l_max(self):
         base = PipelineConfig()
-        swept = apply_axis(base, "contrast_ratio", 100.0)
+        swept = _point("contrast_ratio", 100.0)
         assert swept.display.l_max == base.display.l_max
         assert swept.display.l_min == pytest.approx(
             base.display.l_max / 100.0)
-
-    def test_bad_axis(self):
-        with pytest.raises(ValueError, match="axis must be one of"):
-            apply_axis(PipelineConfig(), "beta", 2.0)
 
 
 class TestOverlayRescale:
@@ -207,6 +208,13 @@ class TestCsvRoundTrip:
         with pytest.raises(FormatError, match="expected header"):
             read_rows_csv(path)
 
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("axis,mean_auc,auc_stddev,n_readers,seed,config_hash"
+                        "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="empty.csv: no data rows"):
+            read_rows_csv(path)
+
     def test_bad_field_count(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("axis,mean_auc,auc_stddev,n_readers,seed,config_hash"
@@ -273,6 +281,14 @@ class TestOverlayCsv:
             read_overlay_csv(path)
 
 
+def _coordinates(svg_path):
+    """Every x and y coordinate of the plot's elements."""
+    return [float(element.get(key))
+            for element in ET.parse(svg_path).getroot().iter()
+            for key in ("x", "y", "x1", "y1", "x2", "y2", "cx", "cy")
+            if element.get(key) is not None]
+
+
 class TestSvgPlot:
     def _rows(self):
         return [ResultRow(1.0, 0.70, 0.02, 3, 7, "abc"),
@@ -309,14 +325,24 @@ class TestSvgPlot:
         # one axis value is widened to a range that does not round away
         path = emit_svg_plot([ResultRow(axis, 0.7, 0.02, 3, 7, "abc")], [],
                              tmp_path / "p.svg")
-        root = ET.parse(path).getroot()
-        coordinates = [float(element.get(key)) for element in root.iter()
-                       for key in ("x", "y", "x1", "y1", "x2", "y2", "cx",
-                                   "cy") if element.get(key) is not None]
+        coordinates = _coordinates(path)
         assert len(coordinates) > 40
         assert all(math.isfinite(c) for c in coordinates)
-        circle, = root.iter("{http://www.w3.org/2000/svg}circle")
+        circle, = ET.parse(path).getroot().iter(
+            "{http://www.w3.org/2000/svg}circle")
         assert 64.0 <= float(circle.get("cx")) <= 640.0 - 24.0
+
+    def test_axis_wider_than_the_largest_float(self, tmp_path):
+        # the span 2e308 overflows; an overflow warning fails the test
+        csv = tmp_path / "wide.csv"
+        csv.write_text("axis,mean_auc,auc_stddev,n_readers,seed,config_hash"
+                       "\n-1e308,0.7,0.02,3,7,abc\n1e308,0.8,0.02,3,7,abc\n",
+                       encoding="utf-8")
+        path = emit_svg_plot(read_rows_csv(csv), [], tmp_path / "p.svg")
+        assert all(math.isfinite(c) for c in _coordinates(path))
+        circles = ET.parse(path).getroot().iter(
+            "{http://www.w3.org/2000/svg}circle")
+        assert [float(c.get("cx")) for c in circles] == [64.0, 640.0 - 24.0]
 
 
 class TestRunSweep:
@@ -336,7 +362,7 @@ class TestRunSweep:
             assert len({row.mean_auc for row in rows}) == len(rows)
             for row in rows:
                 direct = run_trial(faint_dataset, plan,
-                                   apply_axis(base, spec.axis, row.axis_value))
+                                   _point(spec.axis, row.axis_value, base))
                 assert row.mean_auc == direct.mean_auc
                 assert row.auc_stddev == math.sqrt(direct.variance)
                 assert row.n_readers == 2

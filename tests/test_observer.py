@@ -65,9 +65,6 @@ class TestChannelBank:
         assert lg_channel_bank(48, 40, n_channels=7, spread=8.0) is bank
         with pytest.raises(ValueError, match="read-only"):
             bank.matrix[0, 0] = 1.0
-        # positional and keyword calls share the bank too
-        assert lg_channel_bank(48, 40, 7, 8.0) is bank
-        assert lg_channel_bank(64, 64) is lg_channel_bank(64, 64, 15, 10.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -82,6 +79,13 @@ class TestChannelBank:
         for spread in (0.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="spread must be finite"):
                 lg_channel_bank(32, 32, spread=spread)
+        for size in (16.0, 0, -4):
+            with pytest.raises(ValueError, match="width must be a positive "
+                               f"integer, got {size!r}"):
+                lg_channel_bank(size, 16, 3)
+            with pytest.raises(ValueError, match="height must be a positive "
+                               f"integer, got {size!r}"):
+                lg_channel_bank(16, size, 3)
 
 
 def _channelize(plane, bank):

@@ -456,7 +456,7 @@ class TestPlanCache:
         warm = [self._perceive(*call) for call in calls]
         for call, outs in zip(calls, warm):
             percept._plan.cache_clear()
-            observer._cached_bank.cache_clear()
+            observer.lg_channel_bank.cache_clear()
             cold = self._perceive(*call)
             assert all(np.array_equal(a, b) for a, b in zip(outs, cold))
 

@@ -19,7 +19,6 @@ from cinecho.stacks import (
     ImageStack,
     LesionSpec,
     StackGeometry,
-    affected_slices,
     generate_background,
     generate_dataset,
     insert_lesion,
@@ -173,10 +172,10 @@ class TestLesionProfile:
     def test_affected_slice_counts(self):
         # exp(-(ds/sigma_z)^2) >= 0.01 iff |ds| <= sigma_z * sqrt(ln 100)
         geom = GEOMETRY_PRESETS["dataset_a"]
-        _, depth = lesion_profile(LesionSpec("microcalc", 50.0), geom)
-        assert affected_slices(depth) == (18, 19, 20, 21, 22)
-        _, depth = lesion_profile(LesionSpec("mass", 50.0), geom)
-        assert affected_slices(depth) == tuple(range(14, 27))
+        spec = LesionSpec("microcalc", 50.0)
+        assert stacks._lesion_shape(spec, geom)[3] == (18, 19, 20, 21, 22)
+        spec = LesionSpec("mass", 50.0)
+        assert stacks._lesion_shape(spec, geom)[3] == tuple(range(14, 27))
 
     def test_depth_peak_at_central_slice(self):
         _, depth = lesion_profile(LesionSpec("mass", 1.0, diameter_px=8.0),

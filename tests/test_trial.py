@@ -479,6 +479,20 @@ class TestRunTrial:
         with pytest.raises(PlanError, match=message):
             run_trial(strong_dataset, plan, CONFIG)
 
+    @pytest.mark.parametrize(("moved", "message"), [
+        ({"h00": 7, "l00": -1}, "stack 'h00' is in subset 7, not one of 0..2"),
+        ({"h00": 0, "l00": -1}, "stack 'l00' is in subset -1, not one of "),
+        ({"h03": 1.5}, "stack 'h03' is in subset 1.5, not one of 0..2")])
+    def test_subset_outside_the_plan_fails_before_perception(
+            self, strong_dataset, strong_plan, no_perception, moved,
+            message):
+        # a stack in no subset of the plan would be perceived and then
+        # left out of training and test without a word
+        plan = replace(strong_plan, subset_assignment={
+            **strong_plan.subset_assignment, **moved})
+        with pytest.raises(PlanError, match=message):
+            run_trial(strong_dataset, plan, CONFIG)
+
     @pytest.mark.parametrize("combiner", ["max", "mean"])
     def test_other_combiners_also_separate(self, strong_dataset, strong_plan,
                                            combiner):
