@@ -44,7 +44,7 @@ from .harness import (
     sweep_points,
 )
 from .stacks import generate_dataset, read_dataset, write_dataset
-from .trial import _check_split
+from .trial import _check_covariance, _check_split
 
 __all__ = ["main"]
 
@@ -73,6 +73,11 @@ def _dataset(config: dict, split: bool = False):
     if split:
         _check_split(config["generator.n_pairs"], config["trial.n_readers"],
                      config["trial.seed"], config["trial.min_per_class"])
+        # split_dataset deals n_pairs // (n_readers + 1) of each class to
+        # the fewest-served training subset
+        _check_covariance(
+            config["generator.n_pairs"] // (config["trial.n_readers"] + 1),
+            config["observer.n_channels"])
     return generate_dataset(geometry, config["generator.n_pairs"], lesion,
                             seed=config["generator.seed"],
                             texture=config["generator.texture"],

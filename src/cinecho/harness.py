@@ -28,6 +28,7 @@ from .stacks import read_utf8
 from .trial import (
     PipelineConfig,
     TrialPlan,
+    _check_training,
     _score,
     perceive_responses,
     plan_stacks,
@@ -147,6 +148,7 @@ def run_sweep(dataset, spec: SweepSpec, config: dict,
     fingerprint = config_hash(config)
     points = sweep_points(spec, base)
     stacks, slice_range = plan_stacks(dataset, plan, base)
+    _check_training(stacks, plan, base.n_channels)
     # name a point whose geometry would fail its pass (any luminance will do)
     for value, point in zip(spec.values, points):
         _named(spec, value, lambda: ViewingConditions(
@@ -196,7 +198,11 @@ def overlay_rescale(ext_axis, ext_values, ext_tolerances, row_axis,
     if len(shared_ext) < 2:
         raise ValueError("need at least two shared axis points to rescale")
 
-    std_ext = float(np.std(shared_ext))
+    # the external moments are taken on the series scaled by a power of
+    # two, which rounds nothing, so that no square or sum of it overflows
+    unit = math.ldexp(1.0, -math.frexp(float(np.abs(ext_values).max()))[1])
+    scaled = np.multiply(shared_ext, unit)
+    std_ext = float(np.std(scaled)) / unit
     std_ours = float(np.std(shared_ours))
     if std_ext == 0.0:
         if std_ours != 0.0:
@@ -205,7 +211,8 @@ def overlay_rescale(ext_axis, ext_values, ext_tolerances, row_axis,
         scale = 1.0
     else:
         scale = std_ours / std_ext
-    shift = float(np.mean(shared_ours)) - scale * float(np.mean(shared_ext))
+    shift = float(np.mean(shared_ours)) \
+        - scale * (float(np.mean(scaled)) / unit)
     return scale * ext_values + shift, scale * ext_tolerances
 
 

@@ -12,16 +12,21 @@
 # amplitude measured in just-noticeable differences.  The filter is real and
 # even in every frequency axis, hence zero-phase: features do not move.
 #
-# Because of that evenness the transform works on the half spectrum of the
-# real stack (a real FFT over the plane, a complex one over the slices),
-# folds it in k3 and inverts only the slices asked for.  Three layers:
+# Because of that evenness the transform needs only part of the spectrum.
+# For perceived planes it is the half spectrum of the real stack (a real
+# FFT over the plane, a complex one over the slices), folded in k3, with
+# only the slices asked for inverted.  For channel responses it is less:
+# the Laguerre-Gauss templates are radial about the centre pixel, so only
+# the part of the stack even about it is read, a (W//2+1) x (H//2+1)
+# quadrant (a <= b of it when W == H), transformed by real cosine GEMMs.
+# Three layers:
 #
 #   per plan   what no stack changes, one read-only plan per ssr, built
 #              together per stack shape, ssr set, slices, foveal mode and
-#              bank and cached (_plan): the real inverse temporal phases
-#              (one array for all), the distinct effective radii and their
-#              gather onto the half plane, the foveal weights and the
-#              channel templates as half-spectrum weights
+#              bank and cached (_plan): the real temporal DFT and its
+#              inverse phases (one array for all), the distinct effective
+#              radii and their gather onto the spectrum's positions, the
+#              foveal weights and, with a bank, the channel weights there
 #   per stack  mean, contrast, taper, the mean re-zeroed in place, one
 #              forward transform folded in k3; per ssr one derive_optics
 #              and one gain evaluation at the distinct |w| of all rates
@@ -175,14 +180,14 @@ class _Plan:
     """The stack-independent part of filtering W x H x K stacks at one
     ssr: the inverse temporal phases of the output slices, the distinct
     effective radii of the (|u1|, u2) quarter grid with the index that
-    gathers them onto the (k1, k2) half plane, the foveal weight (ones in
-    mode none) and the channel weights (None without a bank).
+    gathers them onto the spectrum's positions, the foveal weight (ones
+    in mode none) and, given a channel bank (else None), the real DFT
+    over the slices, the kept quadrant positions and the channel weights
+    on them (see spectrum and _plan).
 
-    A stack's half spectrum is held as a (K, W * (H//2 + 1)) array: one
-    row per temporal frequency index k3, each row a flattened (k1, k2)
-    half plane, folded in k3 (see _fold), so the phase of slice s is real:
-    cos(2 pi s j / K) / K on rows j <= K//2, sin(2 pi s (K - j) / K) / K
-    on the others.
+    A stack's spectrum is a (K, positions) array folded in k3 (see
+    _fold), so the phase of slice s is real: cos(2 pi s j / K) / K on
+    rows j <= K//2, sin(2 pi s (K - j) / K) / K on the others.
     """
 
     shape: tuple
@@ -190,17 +195,40 @@ class _Plan:
     radii: np.ndarray
     gather: np.ndarray
     foveal: np.ndarray
-    channels: np.ndarray | None
+    dft: np.ndarray | None
+    kept: tuple | None
+    weights: np.ndarray | None
+
+    def spectrum(self, arr):
+        """A W x H x K stack's spectrum in this plan's layout.  Without a
+        bank, the half spectrum on the flattened (k1, k2) half plane (a
+        real FFT over the plane, a complex one over the slices).  With
+        one, the real spectrum of the part even about the centre pixel
+        (_even_quadrant), all the radial channels read through the even
+        gain, at the kept quadrant positions: when W == H, (a, b) and
+        (b, a) share gain and weight, so (b, a) is folded onto a <= b."""
+        if self.dft is None:
+            spectrum = sfft.rfftn(arr.transpose(2, 0, 1)).reshape(
+                arr.shape[2], -1)
+            _fold(spectrum)
+            return spectrum
+        quad = _even_quadrant(arr)
+        if self.shape[0] == self.shape[1]:
+            quad = quad + quad.swapaxes(0, 1)
+            # the diagonal is its own mirror: it was counted twice
+            diagonal = np.arange(len(quad))
+            quad[diagonal, diagonal] *= 0.5
+        return self.dft @ quad[self.kept].T
 
     def half_gains(self, vc, rates):
-        """Transfer gain under vc at each slice rate of rates on the half
-        grid folded in k3, a (K//2 + 1, W * (H//2 + 1)) array per rate,
-        one at a time; see weigh for the unfolding.
+        """Transfer gain under vc at each slice rate of rates, folded in
+        k3, a (K//2 + 1, positions) array per rate, one at a time; see
+        weigh for the unfolding.
 
         One derive_optics and one transfer_gain call serve every rate,
         evaluated only at the distinct effective radii times the distinct
         |w| of all the rates; each rate's rows are then gathered from
-        that, and onto the (k1, k2) half plane, by take.
+        that, and onto the spectrum's positions, by take.
         """
         n_sl = self.shape[2]
         rates = np.array(rates, dtype=np.float64)
@@ -215,9 +243,9 @@ class _Plan:
             yield folded.take(row, axis=0).take(self.gather, axis=1)
 
     def weigh(self, spectrum, gain):
-        """A (K, W * (H//2 + 1)) half spectrum times one point's folded
-        gain.  The gain is even in w (exactly, see transfer_gain), so row
-        k3 > K//2 takes the gain of row K - k3."""
+        """A (K, positions) spectrum times one point's folded gain.  The
+        gain is even in w (exactly, see transfer_gain), so row k3 > K//2
+        takes the gain of row K - k3."""
         n_w = gain.shape[0]
         out = np.empty_like(spectrum)
         np.multiply(spectrum[:n_w], gain, out=out[:n_w])
@@ -226,13 +254,9 @@ class _Plan:
         return out
 
     def output(self, half):
-        """The output step for one point's half planes, given as the real
-        view (slices, 2 * W * (H//2 + 1)) of the complex ones: their
-        channel responses (slices, n_channels) when the plan has a bank,
-        one GEMM on that real view; otherwise the real W x H x slices
-        planes through irfft2, foveally weighted."""
-        if self.channels is not None:
-            return half @ self.channels
+        """The real W x H x slices planes, foveally weighted, of one
+        point's half planes, given as the real view (slices,
+        2 * W * (H//2 + 1)) of the complex ones, through irfft2."""
         w_px, h_px, _ = self.shape
         half = half.view(np.complex128).reshape(half.shape[0], w_px, -1)
         out = sfft.irfft2(half, s=(w_px, h_px)).transpose(1, 2, 0)
@@ -251,29 +275,38 @@ def _fold(spectrum):
     np.multiply(difference, 1j, out=high)
 
 
-def _channel_weights(bank, foveal):
-    """The (foveally weighted) channel templates as weights on the real
-    view of flattened half planes.
+@lru_cache(maxsize=8)
+def _even_axis(n: int) -> tuple:
+    """(plus, single, cosines) of an n-pixel axis about its centre pixel
+    c = n//2: quadrant index i = 0..n//2 folds pixels plus[i] =
+    (c + i) % n and c - i, once where they are one (single: i = 0 and,
+    for even n, n/2); cosines[a, i] = cos(2 pi a i / n), the index
+    product reduced mod n, is the real DFT of the folded axis."""
+    index = np.arange(n // 2 + 1)
+    plus = (n // 2 + index) % n
+    cosines = np.cos(2 * np.pi * (np.outer(index, index) % n) / n)
+    arrays = (plus, plus == n // 2 - index, cosines)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
-    For real planes x = irfft2(X, s=(W, H)) and a real template b,
-    sum(x * b) = Re(sum(X * conj(rfft2(b)) * c)) / (W * H), with c = 1 on
-    the columns irfft2 does not mirror (k2 = 0 and, for even H, k2 = H/2)
-    and 2 on the others: exactly the weights irfft2 applies.  Re(X * B)
-    is Re(X) Re(B) - Im(X) Im(B), so the rows interleave Re(B), -Im(B)
-    like the real and imaginary parts of X in memory.
-    """
-    w_px, h_px = bank.width, bank.height
-    templates = bank.matrix.reshape(w_px, h_px, bank.n_channels) \
-        * foveal[:, :, None]
-    mirror = np.full(h_px // 2 + 1, 2.0)
-    mirror[0] = 1.0
-    if h_px % 2 == 0:
-        mirror[-1] = 1.0
-    weights = np.conj(sfft.rfft2(templates, axes=(0, 1))) \
-        * (mirror[:, None] / (w_px * h_px))
-    weights = weights.reshape(-1, bank.n_channels)
-    return np.stack([weights.real, -weights.imag], axis=1).reshape(
-        -1, bank.n_channels)
+
+def _even_quadrant(arr):
+    """The (W//2 + 1, H//2 + 1, m) real DFT over the plane of the part
+    of a W x H x m array even about the centre pixel: each axis folded,
+    then one cosine GEMM per axis (see _even_axis).  The odd part's DFT
+    is imaginary and sums to zero against even gains and templates."""
+    w_px, h_px = arr.shape[:2]
+    x_plus, x_single, x_cosines = _even_axis(w_px)
+    y_plus, y_single, y_cosines = _even_axis(h_px)
+    folded = arr[x_plus]
+    folded += arr[w_px // 2::-1]
+    folded[x_single] *= 0.5
+    quad = folded[:, y_plus]
+    quad += folded[:, h_px // 2::-1]
+    quad[:, y_single] *= 0.5
+    quad = np.matmul(y_cosines, quad)
+    return (x_cosines @ quad.reshape(len(quad), -1)).reshape(quad.shape)
 
 
 @lru_cache(maxsize=8)
@@ -282,15 +315,20 @@ def _plan(shape: tuple, ssrs: tuple, slices: tuple | None,
     """{ssr: _Plan} for W x H x K stacks of this shape at the distinct
     sampling rates ssrs, output at the given slices (None: all, in
     order), under the foveal mode and channel bank (None, or an
-    observer.ChannelBank of the same W x H, keyed by identity).  The key
-    is the whole ssr set: one cache entry per pass, whatever its ssrs.
+    observer.ChannelBank of the same W x H, keyed by identity, whose
+    templates are radial about the centre pixel).  The key is the whole
+    ssr set: one cache entry per pass, whatever its ssrs.
 
-    The plans share one phase array.  Each holds, at x0 = W/ssr, the
-    distinct effective radial frequencies of the (|u1|, u2) quarter grid
-    with one index that folds |u1| and equal radii onto the (k1, k2) half
-    plane, the foveal weight and, given a bank, the channel templates as
-    half-spectrum weights: a plan with a bank makes the filter return
-    channel responses instead of planes.
+    The plans share one phase array (and, given a bank, one dft).  Each
+    holds, at x0 = W/ssr, the distinct effective radial frequencies of
+    the (|u1|, u2) quarter grid with one index that gathers them onto
+    the spectrum's positions and the foveal weight.  Without a bank the
+    positions are the (k1, k2) half plane, |u1| folded.  With one they
+    are the kept positions of the quadrant (a <= b when W == H), and the
+    channel weights are the foveally weighted templates through the same
+    fold and cosine GEMMs as the stacks, times m(a) m(b) / (W H), m being
+    1 on indices that are their own mirror and 2 on the others: the
+    filter then returns channel responses instead of planes.
     """
     w_px, h_px, n_sl = shape
     slices = np.arange(n_sl) if slices is None else np.array(slices, dtype=int)
@@ -301,13 +339,24 @@ def _plan(shape: tuple, ssrs: tuple, slices: tuple | None,
     if bank is not None and (bank.width, bank.height) != (w_px, h_px):
         raise ValueError(f"channel bank is {bank.width}x{bank.height}, "
                          f"stacks are {w_px}x{h_px}")
-    # inverse temporal DFT of the folded spectrum at the requested slices;
-    # the phase index is reduced mod K in integers so it stays exact
+    # the real temporal DFT of every slice, folded in k3: its transpose
+    # is the forward transform and its rows at the output slices, over K,
+    # the inverse; the phase index is reduced mod K in integers so it
+    # stays exact
     k3 = np.arange(n_sl)
-    angle = 2 * np.pi * (np.outer(slices, np.minimum(k3, n_sl - k3))
+    angle = 2 * np.pi * (np.outer(k3, np.minimum(k3, n_sl - k3))
                          % n_sl) / n_sl
-    phase = np.where(k3 <= n_sl // 2, np.cos(angle), np.sin(angle)) / n_sl
-    phase.flags.writeable = False
+    table = np.where(k3 <= n_sl // 2, np.cos(angle), np.sin(angle))
+    phase = table[slices] / n_sl
+    dft = kept = None
+    if bank is not None:
+        # a row that folds two frequencies (0 < j, j != K - j) holds both
+        dft = table.T * np.where(2 * k3 % n_sl, 2.0, 1.0)[:, None]
+        a, b = np.indices((w_px // 2 + 1, h_px // 2 + 1))
+        kept = np.nonzero(a <= b if w_px == h_px else a >= 0)
+        mirror = [np.where(_even_axis(n)[1], 1.0, 2.0) for n in (w_px, h_px)]
+        scale = np.outer(*mirror)[kept] / (w_px * h_px)
+        templates = bank.matrix.reshape(w_px, h_px, -1)
     k1 = np.arange(w_px)
     fold1 = np.minimum(k1, w_px - k1)
     # pixel distance from the viewing axis through the centre pixel; over
@@ -321,14 +370,22 @@ def _plan(shape: tuple, ssrs: tuple, slices: tuple | None,
         u2 = np.abs(frequency_of_index(np.arange(h_px // 2 + 1), h_px, ssr))
         u_eff = _effective_frequency(u1[:, None], u2[None, :], x0)
         radii, inverse = np.unique(u_eff.ravel(), return_inverse=True)
-        gather = inverse.reshape(u_eff.shape)[fold1].ravel()
+        quarter = inverse.reshape(u_eff.shape)
         foveal = foveal_weight(distance / ssr, foveal_mode)
-        channels = None if bank is None else _channel_weights(bank, foveal)
-        for array in (radii, gather, foveal, channels):
+        weights = None
+        if bank is None:
+            gather = quarter[fold1].ravel()
+        else:
+            gather = quarter[kept]
+            weights = _even_quadrant(templates * foveal[:, :, None])[kept] \
+                * scale[:, None]
+        for array in (phase, dft, radii, gather, foveal, weights) + (
+                kept or ()):
             if array is not None:
                 array.flags.writeable = False
         plans[ssr] = _Plan(shape=shape, phase=phase, radii=radii,
-                           gather=gather, foveal=foveal, channels=channels)
+                           gather=gather, foveal=foveal, dft=dft, kept=kept,
+                           weights=weights)
     return plans
 
 
@@ -341,14 +398,14 @@ def filter_contrast(contrast_stack, luminance: float, points, *,
     apparent size x0 = W/ssr.
 
     Every point is checked before anything is divided by it.  The stack
-    is transformed once, as a half spectrum (a real FFT over the plane, a
-    complex one over the slices) folded in k3, for all of points.  Per
-    point the gain is applied on that half grid and the inverse temporal
-    DFT, one real GEMM, is evaluated at the requested slices only (all of
-    them by default, in order).  The output is then the real planes
-    through irfft2, foveally weighted, or, given a channel bank, the
-    (slices, n_channels) channel responses of those planes, projected
-    straight from the half planes.
+    is transformed once for all of points, folded in k3: as a half
+    spectrum without a bank; with one, folded about the centre pixel onto
+    the quadrant first (see _Plan.spectrum).  Per point the gain is
+    applied there and the inverse temporal DFT, one real GEMM, is
+    evaluated at the requested slices only (all of them by default, in
+    order).  The output is then the real planes through irfft2, foveally
+    weighted, or, given a channel bank, the (slices, n_channels) channel
+    responses of those planes, one GEMM with the plan's channel weights.
     The gain is real and even, so either output is real by construction.
     What does not depend on the stack is planned, one plan per ssr, once
     per shape, slices, ssr set, foveal mode and bank, and cached.  The
@@ -369,15 +426,15 @@ def filter_contrast(contrast_stack, luminance: float, points, *,
     plans = _plan(arr.shape, tuple(groups),
                   None if slices is None else tuple(int(s) for s in slices),
                   foveal_mode, bank)
-    spectrum = sfft.rfftn(arr.transpose(2, 0, 1)).reshape(arr.shape[2], -1)
-    _fold(spectrum)
+    # every plan of the call lays the spectrum out alike
+    spectrum = plans[points[0][0]].spectrum(arr) if points else None
     outs = [None] * len(points)
     for ssr, members in groups.items():
         plan = plans[ssr]
         gains = plan.half_gains(vcs[ssr], [points[i][1] for i in members])
         for i, gain in zip(members, gains):
-            half = plan.phase @ plan.weigh(spectrum, gain).view(np.float64)
-            outs[i] = plan.output(half)
+            out = plan.phase @ plan.weigh(spectrum, gain).view(np.float64)
+            outs[i] = plan.output(out) if bank is None else out @ plan.weights
     return outs
 
 

@@ -130,6 +130,25 @@ def _check_split(n_pairs, n_readers, seed, min_per_class) -> None:
             f"at least {min_per_class} members per class")
 
 
+def _check_covariance(per_class, n_channels) -> None:
+    """Raise PlanError unless per_class stacks of each class in every
+    training subset estimate the n_channels-dimensional channel
+    covariance: hotelling_template needs n_channels + 1."""
+    if per_class < n_channels + 1:
+        raise PlanError(
+            f"{per_class} stacks per class in a training subset cannot "
+            f"train {n_channels} channels; need at least {n_channels + 1}")
+
+
+def _check_training(stacks, plan: TrialPlan, n_channels: int) -> None:
+    """_check_covariance at the fewest stacks of one class in one training
+    subset of the plan over plan_stacks' stacks, before perception."""
+    cells = [(plan.subset_assignment[s.stack_id], s.label) for s in stacks]
+    _check_covariance(min(cells.count((subset, label))
+                          for subset in range(plan.n_readers)
+                          for label in ("healthy", "lesion")), n_channels)
+
+
 def split_dataset(pairing, n_readers: int, seed: int,
                   min_per_class: int = 16) -> TrialPlan:
     """Assign each stack of each (healthy, lesion) pair to one of
@@ -310,14 +329,15 @@ def perceive_responses(stacks, configs, slice_range) -> np.ndarray:
     The configs may differ only in ssr and slice_rate (the browsing
     axes); any other difference raises ValueError.  Each stack is mapped
     to luminance and passed to apply_stcsf once, with every config's
-    browsing point, so it is tapered and forward-transformed once;
-    each config costs only its share of the gain, the inverse temporal
-    DFT and the projection onto the channels, taken in the frequency
-    domain.  Stacks are perceived one per task on a pool of one thread
-    per CPU the process may run on (as taskset sets it) and gathered in
-    stack order, so the array does not depend on the CPU count.  They
-    share one channel bank, built on the calling thread, and one cached
-    spectral plan, and must share one shape (see plan_stacks).
+    browsing point, so it is tapered, folded onto its even quadrant and
+    forward-transformed once; each config costs only its share of the
+    gain, the inverse temporal DFT and the projection onto the channels,
+    on the kept quadrant positions.  Stacks are perceived one per task
+    on a pool of one thread per CPU the process may run on (as taskset
+    sets it) and gathered in stack order, so the array does not depend
+    on the CPU count.  They share one channel bank, built on the calling
+    thread, and one cached spectral plan, and must share one shape (see
+    plan_stacks).
     """
     config = configs[0]
     if any(replace(c, ssr=config.ssr, slice_rate=config.slice_rate) != config
@@ -341,11 +361,13 @@ def run_trial(dataset, plan: TrialPlan,
     """Run one virtual trial.
 
     dataset provides .stacks (ImageStack objects with integer codes);
-    every stack id in the plan must be present.  The plan is checked, each
+    every stack id in the plan must be present.  The plan is checked
+    (plan_stacks, and that its training subsets can train), each
     stack reduced to channel responses once (perceive_responses at one
     point), and the readers train and score in channel-response space.
     """
     stacks, slice_range = plan_stacks(dataset, plan, config)
+    _check_training(stacks, plan, config.n_channels)
     responses = perceive_responses(stacks, [config], slice_range)[:, 0]
     return _score(stacks, plan, responses, config, slice_range)
 

@@ -369,7 +369,10 @@ class TestErrors:
     @pytest.mark.parametrize("line, message", [
         ("trial.n_readers = 1", "need at least two readers"),
         ("trial.seed = -3",
-         "trial seed must be a non-negative integer, got -3")])
+         "trial seed must be a non-negative integer, got -3"),
+        # 18 pairs over three subsets leave 6 stacks per class in each
+        ("observer.n_channels = 6", "6 stacks per class in a training "
+         "subset cannot train 6 channels; need at least 7")])
     def test_split_checked_before_generating(self, config_path, tmp_path,
                                              capsys, monkeypatch, command,
                                              line, message):

@@ -7,7 +7,11 @@ whole perceived stacks and on the channel responses of a slice range
 (projected from the spatial planes or straight from the half spectrum),
 whether one viewing condition is filtered or several share one forward
 transform.  The cached spectral plan's gain grid must equal transfer_gain
-bitwise.
+bitwise.  The channel responses, taken from the part of the stack even
+about the centre pixel, must ignore an odd part (and, on square stacks,
+a part antisymmetric under transposition) and match the projection of
+the perceived planes over generated shapes, depths, ssr sets and foveal
+modes.
 """
 
 import numpy as np
@@ -226,3 +230,79 @@ def test_trial_responses_match_full_complex_path():
                     got[row, col],
                     channelize_slices(want, bank, slice_range)) <= RTOL
 
+
+
+def _mirror(arr, axis):
+    """arr with pixel c + i and pixel c - i of the axis swapped, c = n//2
+    (indices mod n): the reflection about the centre pixel."""
+    n = arr.shape[axis]
+    return arr.take((2 * (n // 2) - np.arange(n)) % n, axis=axis)
+
+
+def _bank_and_planes(contrast, points, slices, foveal_mode, bank):
+    """The channel responses of filter_contrast with the bank, and the
+    channelize_slices of its planes without it, one pair per point."""
+    banked = filter_contrast(contrast, 40.0, points, slices=slices,
+                             foveal_mode=foveal_mode, bank=bank)
+    planes = filter_contrast(contrast, 40.0, points, slices=slices,
+                             foveal_mode=foveal_mode)
+    return [(responses, channelize_slices(plane, bank, range(len(slices))))
+            for responses, plane in zip(banked, planes)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(w_px=st.integers(1, 24), h_px=st.integers(1, 24),
+       n_sl=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+       foveal_mode=st.sampled_from(["none", "hard", "soft"]))
+@example(w_px=16, h_px=16, n_sl=4, seed=0, foveal_mode="none")
+@example(w_px=15, h_px=15, n_sl=3, seed=1, foveal_mode="soft")
+def test_responses_read_only_the_even_part(w_px, h_px, n_sl, seed,
+                                           foveal_mode):
+    # the radial templates, the foveal weight and the gain are even about
+    # the centre pixel in x and in y, and symmetric under transposition
+    # when W == H: a part of the stack odd in x, or antisymmetric under
+    # transposition, moves no response on either path.  Untapered, since
+    # the taper is symmetric about (W - 1)/2, not about the centre pixel
+    rng = np.random.default_rng(seed)
+    contrast = rng.normal(size=(w_px, h_px, n_sl))
+    points = [(3.0, 20.0), (1.0, 5.0)]
+    slices = tuple(range(n_sl))
+    bank = lg_channel_bank(w_px, h_px, n_channels=4, spread=3.0)
+    noise = rng.normal(size=contrast.shape)
+    changes = [noise - _mirror(noise, 0)]
+    if w_px == h_px:
+        changes.append(noise - noise.transpose(1, 0, 2))
+    base = _bank_and_planes(contrast, points, slices, foveal_mode, bank)
+    for change in changes:
+        moved = _bank_and_planes(contrast + change, points, slices,
+                                 foveal_mode, bank)
+        for pair, moved_pair in zip(base, moved):
+            for want, got in zip(pair, moved_pair):
+                bound = RTOL * np.abs(want).max()
+                assert np.abs(got - want).max() <= bound
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(w_px=st.integers(1, 40), h_px=st.integers(1, 40),
+       n_sl=st.integers(1, 24), seed=st.integers(0, 2 ** 32 - 1),
+       ssrs=st.lists(st.sampled_from([0.5, 2.0, 7.0, 14.0]), min_size=1,
+                     max_size=3, unique=True),
+       rates=st.lists(st.floats(0.5, 60.0), min_size=1, max_size=2),
+       foveal_mode=st.sampled_from(["none", "hard", "soft"]),
+       picks=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=5))
+@example(w_px=64, h_px=64, n_sl=32, seed=0, ssrs=[7.0, 3.5],
+         rates=[25.0, 45.0], foveal_mode="none", picks=[12, 15, 16, 17, 20])
+def test_bank_path_matches_the_planes_path(w_px, h_px, n_sl, seed, ssrs,
+                                           rates, foveal_mode, picks):
+    # square and not, odd and even sides and depths, one to three ssr
+    # values, each at one or two rates, and any slices in any order
+    slices = tuple(pick % n_sl for pick in picks)
+    rng = np.random.default_rng(seed)
+    contrast = rng.normal(size=(w_px, h_px, n_sl))
+    contrast -= contrast.mean()
+    points = [(ssr, rate) for ssr in ssrs for rate in rates]
+    bank = lg_channel_bank(w_px, h_px, n_channels=5, spread=4.0)
+    for got, want in _bank_and_planes(contrast, points, slices, foveal_mode,
+                                      bank):
+        assert got.shape == want.shape == (len(slices), 5)
+        assert np.abs(got - want).max() <= RTOL * np.abs(want).max()

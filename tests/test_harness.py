@@ -12,7 +12,7 @@ import pytest
 
 from cinecho import trial
 from cinecho.config import DEFAULTS, lesion_from
-from cinecho.errors import FormatError
+from cinecho.errors import FormatError, PlanError
 from cinecho.harness import (
     ResultRow,
     SweepSpec,
@@ -165,6 +165,15 @@ class TestOverlayRescale:
         with pytest.raises(ValueError, match="two shared axis points"):
             overlay_rescale([1.0, 2.0], [0.1, 0.2], [0.0, 0.0],
                             [2.0, 3.0], [0.5, 0.6])
+
+    def test_values_whose_squares_overflow(self):
+        # the anchor's spread is about 1.4e200, and its square would be
+        # 2e400; the two overlay points land on the two result values
+        values, tols = overlay_rescale(
+            [1.0, 5.0], [-1e200, 1e200], [1e199, 0.0], [1.0, 5.0],
+            [0.75, 0.85])
+        np.testing.assert_allclose(values, [0.75, 0.85], rtol=1e-12)
+        np.testing.assert_allclose(tols, [0.005, 0.0], rtol=1e-12)
 
     def test_negative_tolerance(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -393,6 +402,18 @@ class TestRunSweep:
                                                "l_max must be finite"):
             run_sweep(small_dataset, SweepSpec("l_max", (200.0, math.inf)),
                       config)
+
+    def test_too_few_to_train_the_channels_fails_before_perception(
+            self, small_dataset, monkeypatch):
+        def perceive(*args, **kwargs):
+            raise AssertionError("a stack was perceived")
+
+        monkeypatch.setattr(trial, "apply_stcsf", perceive)
+        # 24 pairs over three subsets leave 8 stacks per class in each
+        with pytest.raises(PlanError, match="8 stacks per class in a "
+                           "training subset cannot train 8 channels"):
+            run_sweep(small_dataset, SweepSpec("slice_rate", (5.0, 25.0)),
+                      _small_config(**{"observer.n_channels": 8}))
 
     @pytest.mark.parametrize("axis, values", [
         ("slice_rate", (5.0, 25.0)), ("ssr", (4.0, 8.0)),

@@ -55,6 +55,21 @@ class TestChannelBank:
         off = gram - np.diag(np.diag(gram))
         assert np.abs(off).max() <= 0.05
 
+    @pytest.mark.parametrize("w_px, h_px", [(16, 16), (15, 15), (16, 15),
+                                            (9, 12), (1, 4)])
+    def test_even_about_the_centre_pixel(self, w_px, h_px):
+        # channel responses are taken from the part of a stack even about
+        # the centre pixel in x and in y, and on a square grid from its
+        # part symmetric under transposition: the templates must be so,
+        # bit for bit
+        bank = lg_channel_bank(w_px, h_px, n_channels=4, spread=3.0)
+        templates = bank.matrix.reshape(w_px, h_px, -1)
+        for axis, n in enumerate((w_px, h_px)):
+            mirror = (2 * (n // 2) - np.arange(n)) % n
+            assert np.array_equal(templates.take(mirror, axis), templates)
+        if w_px == h_px:
+            assert np.array_equal(templates.transpose(1, 0, 2), templates)
+
     def test_deterministic(self):
         a = lg_channel_bank(48, 40, n_channels=7, spread=8.0)
         b = lg_channel_bank(48, 40, n_channels=7, spread=8.0)

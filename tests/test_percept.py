@@ -456,6 +456,7 @@ class TestPlanCache:
         warm = [self._perceive(*call) for call in calls]
         for call, outs in zip(calls, warm):
             percept._plan.cache_clear()
+            percept._even_axis.cache_clear()
             observer.lg_channel_bank.cache_clear()
             cold = self._perceive(*call)
             assert all(np.array_equal(a, b) for a, b in zip(outs, cold))
@@ -465,10 +466,13 @@ class TestPlanCache:
         plans = percept._plan((12, 12, 5), (2.0, 3.0), (1, 2), "hard", bank)
         assert percept._plan((12, 12, 5), (2.0, 3.0), (1, 2), "hard",
                              bank) is plans
-        # one phase array serves every ssr of the call
+        # one phase array and one slice DFT serve every ssr of the call
         assert plans[2.0].phase is plans[3.0].phase
-        plan = plans[2.0]
-        for array in (bank.matrix, plan.phase, plan.radii, plan.gather,
-                      plan.foveal, plan.channels):
+        assert plans[2.0].dft is plans[3.0].dft
+        arrays = [bank.matrix, *percept._even_axis(12)]
+        for plan in plans.values():
+            arrays += [plan.phase, plan.dft, plan.radii, plan.gather,
+                       plan.foveal, plan.weights, *plan.kept]
+        for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = 0

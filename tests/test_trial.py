@@ -493,6 +493,22 @@ class TestRunTrial:
         with pytest.raises(PlanError, match=message):
             run_trial(strong_dataset, plan, CONFIG)
 
+    def test_too_few_to_train_the_channels_fails_before_perception(
+            self, strong_dataset, strong_plan, no_perception):
+        # 24 pairs over three subsets leave 8 stacks per class in each;
+        # a covariance over 8 channels needs 9
+        with pytest.raises(PlanError, match="8 stacks per class in a "
+                           "training subset cannot train 8 channels; need "
+                           "at least 9"):
+            run_trial(strong_dataset, strong_plan,
+                      replace(CONFIG, n_channels=8))
+
+    def test_training_subsets_that_just_train_the_channels(
+            self, strong_dataset, strong_plan):
+        result = run_trial(strong_dataset, strong_plan,
+                           replace(CONFIG, n_channels=7))
+        assert result.scores.shape == (2, 16)
+
     @pytest.mark.parametrize("combiner", ["max", "mean"])
     def test_other_combiners_also_separate(self, strong_dataset, strong_plan,
                                            combiner):
