@@ -82,4 +82,7 @@ class DisplayModel:
             raise ValueError(
                 f"code values must lie in [0, {self.max_code}] "
                 f"for a {self.bit_depth}-bit display")
-        return self._table.take(code)
+        # index, not take, which reads the table twice as slowly; booleans
+        # as the codes 0 and 1, not as a mask
+        return self._table[code.view(np.uint8) if code.dtype.kind == "b"
+                           else code]

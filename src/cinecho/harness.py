@@ -148,7 +148,7 @@ def run_sweep(dataset, spec: SweepSpec, config: dict,
     fingerprint = config_hash(config)
     points = sweep_points(spec, base)
     stacks, slice_range = plan_stacks(dataset, plan, base)
-    _check_training(stacks, plan, base.n_channels)
+    _check_training(stacks, plan, base, slice_range)
     # name a point whose geometry would fail its pass (any luminance will do)
     for value, point in zip(spec.values, points):
         _named(spec, value, lambda: ViewingConditions(

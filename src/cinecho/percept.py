@@ -22,18 +22,19 @@
 # Three layers:
 #
 #   per plan   what no stack changes, one read-only plan per ssr, built
-#              together per stack shape, ssr set, slices, foveal mode and
+#              together per stack shape, points, slices, foveal mode and
 #              bank and cached (_plan): the real temporal DFT and its
-#              inverse phases (one array for all), the distinct effective
-#              radii and their gather onto the spectrum's positions, the
-#              foveal weights and, with a bank, the channel weights there
-#   per stack  mean, contrast, taper, the mean re-zeroed in place, one
-#              forward transform folded in k3; per ssr one derive_optics
-#              and one gain evaluation at the distinct |w| of all rates
-#   per point  gather the gain, weigh the spectrum, one real GEMM with the
-#              phases, then irfft2 to real planes or, with a channel bank,
-#              one GEMM straight onto the channels (Parseval): the planes
-#              are never formed
+#              inverse phases (one array for all), the distinct radii and
+#              |w| and the index laying every point's gain from their table
+#              onto the spectrum's positions, the foveal weights and, with
+#              a bank, the channel weights there
+#   per stack  mean, contrast (the one stack-sized array made), taper and
+#              re-zeroed mean in place, one forward transform folded in k3
+#   per ssr    one derive_optics and one gain table; per batch of at most
+#              BATCH_POINTS points one gather, two multiplies, one batched
+#              GEMM with the phases, then irfft2 per point to real planes
+#              or, with a channel bank, one GEMM straight onto the
+#              channels (Parseval): the planes are never formed
 #
 # Contrast, L and the forward transform do not depend on the browsing speed
 # or the sampling rate, so one forward transform serves every
@@ -95,19 +96,10 @@ class PerceivedStack:
     vc: ViewingConditions
 
 
-def taper_margins(contrast_stack):
-    """Taper in-plane margins of a contrast stack linearly to zero.
-
-    Each pixel is weighted by min(1, dist_to_nearest_image_edge / 5):
-    border pixels go to zero, pixels five or more pixels from every edge
-    are untouched.  The weight map is the same for every slice; there is
-    no tapering along the slice axis.  Requires W, H >= 11 so the two
-    taper bands do not swallow the whole image.
-    """
-    arr = np.asarray(contrast_stack, dtype=np.float64)
-    if arr.ndim != 3:
-        raise ValueError("expected a W x H x K stack")
-    w_px, h_px = arr.shape[0], arr.shape[1]
+@lru_cache(maxsize=8)
+def _taper_weight(w_px: int, h_px: int) -> np.ndarray:
+    """taper_margins' W x H weight map, read-only; raises ValueError when
+    W or H is below 11."""
     if w_px < 2 * TAPER_PX + 1 or h_px < 2 * TAPER_PX + 1:
         raise ValueError(
             f"stack of {w_px}x{h_px} pixels is too small for a "
@@ -115,7 +107,25 @@ def taper_margins(contrast_stack):
     dx = np.minimum(np.arange(w_px), np.arange(w_px)[::-1])
     dy = np.minimum(np.arange(h_px), np.arange(h_px)[::-1])
     weight = np.minimum(1.0, np.minimum(dx[:, None], dy[None, :]) / TAPER_PX)
-    return arr * weight[:, :, None]
+    weight.flags.writeable = False
+    return weight
+
+
+def taper_margins(contrast_stack, out=None):
+    """Taper in-plane margins of a contrast stack linearly to zero.
+
+    Each pixel is weighted by min(1, dist_to_nearest_image_edge / 5):
+    border pixels go to zero, pixels five or more pixels from every edge
+    are untouched.  The weight map is the same for every slice; there is
+    no tapering along the slice axis.  Requires W, H >= 11 so the two
+    taper bands do not swallow the whole image.  Given out (it may be
+    the stack itself), the tapered stack is written there.
+    """
+    arr = np.asarray(contrast_stack, dtype=np.float64)
+    if arr.ndim != 3:
+        raise ValueError("expected a W x H x K stack")
+    return np.multiply(arr, _taper_weight(*arr.shape[:2])[:, :, None],
+                       out=out)
 
 
 def frequency_of_index(k, n: int, fs: float):
@@ -175,15 +185,21 @@ def foveal_weight(alpha, mode: str):
     raise ValueError(f"foveal mode must be one of {FOVEAL_MODES}")
 
 
+# the most points one stack weighs at once: their (points, K, positions)
+# buffer is 1.4 MiB per thread at the defaults, however long the sweep
+BATCH_POINTS = 10
+
+
 @dataclass(frozen=True, eq=False)
 class _Plan:
-    """The stack-independent part of filtering W x H x K stacks at one
-    ssr: the inverse temporal phases of the output slices, the distinct
-    effective radii of the (|u1|, u2) quarter grid with the index that
-    gathers them onto the spectrum's positions, the foveal weight (ones
-    in mode none) and, given a channel bank (else None), the real DFT
-    over the slices, the kept quadrant positions and the channel weights
-    on them (see spectrum and _plan).
+    """The stack-independent part of filtering W x H x K stacks at the
+    points of one ssr, whose positions in the pass are members: the
+    inverse temporal phases of the output slices, the distinct effective
+    radii of the (|u1|, u2) quarter grid and distinct |w| of the rates,
+    the flat index into that (|w|, radius) table of each point's gain, the
+    foveal weight (ones in mode none) and, given a channel bank (else
+    None), the real DFT over the slices, the kept quadrant positions and
+    the channel weights on them (see _plan).
 
     A stack's spectrum is a (K, positions) array folded in k3 (see
     _fold), so the phase of slice s is real: cos(2 pi s j / K) / K on
@@ -191,9 +207,12 @@ class _Plan:
     """
 
     shape: tuple
+    ssr: float
+    members: tuple
     phase: np.ndarray
     radii: np.ndarray
-    gather: np.ndarray
+    freqs: np.ndarray
+    index: np.ndarray
     foveal: np.ndarray
     dft: np.ndarray | None
     kept: tuple | None
@@ -220,47 +239,43 @@ class _Plan:
             quad[diagonal, diagonal] *= 0.5
         return self.dft @ quad[self.kept].T
 
-    def half_gains(self, vc, rates):
-        """Transfer gain under vc at each slice rate of rates, folded in
-        k3, a (K//2 + 1, positions) array per rate, one at a time; see
-        weigh for the unfolding.
-
-        One derive_optics and one transfer_gain call serve every rate,
-        evaluated only at the distinct effective radii times the distinct
-        |w| of all the rates; each rate's rows are then gathered from
-        that, and onto the spectrum's positions, by take.
-        """
+    def weighed(self, spectrum, luminance: float):
+        """Yield (members, spectrum times their gains at L = luminance) in
+        batches of at most BATCH_POINTS points, each a (points, K,
+        positions) view of one buffer.  One derive_optics and transfer_gain
+        call on the (|w|, radius) table serve every point, and one gather
+        through the index takes a batch's gains, folded in k3: the gain is
+        even in w (exactly, see transfer_gain), so row k3 > K//2 takes the
+        gain of row K - k3."""
         n_sl = self.shape[2]
-        rates = np.array(rates, dtype=np.float64)
-        w = np.abs(frequency_of_index(np.arange(n_sl // 2 + 1), n_sl,
-                                      rates[:, None]))
-        distinct, rows = np.unique(w, return_inverse=True)
-        optics = derive_optics(vc)
+        n_w = n_sl // 2 + 1
+        vc = ViewingConditions(luminance, self.shape[0] / self.ssr)
         # the radii are clamped already, and hypot(u, 0) is u exactly
-        folded = transfer_gain(self.radii[None, :], 0.0,
-                               distinct[:, None], vc, optics=optics)
-        for row in rows.reshape(w.shape):
-            yield folded.take(row, axis=0).take(self.gather, axis=1)
+        table = transfer_gain(self.radii[None, :], 0.0, self.freqs[:, None],
+                              vc, optics=derive_optics(vc))
+        buffer = np.empty((min(len(self.members), BATCH_POINTS),)
+                          + spectrum.shape, spectrum.dtype)
+        for start in range(0, len(self.members), BATCH_POINTS):
+            gains = table.reshape(-1)[self.index[start:start + BATCH_POINTS]]
+            out = buffer[:len(gains)]
+            np.multiply(spectrum[:n_w], gains, out=out[:, :n_w])
+            np.multiply(spectrum[n_w:], gains[:, n_sl - n_w:0:-1],
+                        out=out[:, n_w:])
+            yield self.members[start:start + BATCH_POINTS], out
 
-    def weigh(self, spectrum, gain):
-        """A (K, positions) spectrum times one point's folded gain.  The
-        gain is even in w (exactly, see transfer_gain), so row k3 > K//2
-        takes the gain of row K - k3."""
-        n_w = gain.shape[0]
-        out = np.empty_like(spectrum)
-        np.multiply(spectrum[:n_w], gain, out=out[:n_w])
-        np.multiply(spectrum[n_w:], gain[self.shape[2] - n_w:0:-1],
-                    out=out[n_w:])
-        return out
-
-    def output(self, half):
-        """The real W x H x slices planes, foveally weighted, of one
-        point's half planes, given as the real view (slices,
-        2 * W * (H//2 + 1)) of the complex ones, through irfft2."""
+    def output(self, inverse):
+        """A batch's outputs from its (points, slices, positions) inverse:
+        with a bank, (slices, n_channels) responses, one GEMM for all;
+        else each point's real W x H x slices planes, foveally weighted,
+        through irfft2 of the complex half planes it is the real view of."""
+        if self.weights is not None:
+            return (inverse.reshape(-1, inverse.shape[2]) @ self.weights) \
+                .reshape(inverse.shape[:2] + (-1,))
         w_px, h_px, _ = self.shape
-        half = half.view(np.complex128).reshape(half.shape[0], w_px, -1)
-        out = sfft.irfft2(half, s=(w_px, h_px)).transpose(1, 2, 0)
-        return out * self.foveal[:, :, None]
+        half = inverse.view(np.complex128).reshape(
+            inverse.shape[:2] + (w_px, -1))
+        return [sfft.irfft2(planes, s=(w_px, h_px)).transpose(1, 2, 0)
+                * self.foveal[:, :, None] for planes in half]
 
 
 def _fold(spectrum):
@@ -276,19 +291,29 @@ def _fold(spectrum):
 
 
 @lru_cache(maxsize=8)
-def _even_axis(n: int) -> tuple:
-    """(plus, single, cosines) of an n-pixel axis about its centre pixel
-    c = n//2: quadrant index i = 0..n//2 folds pixels plus[i] =
-    (c + i) % n and c - i, once where they are one (single: i = 0 and,
-    for even n, n/2); cosines[a, i] = cos(2 pi a i / n), the index
-    product reduced mod n, is the real DFT of the folded axis."""
+def _even_axis(n: int) -> np.ndarray:
+    """cosines[a, i] = cos(2 pi a i / n) for a, i = 0..n//2, the index
+    product reduced mod n: the real DFT of an n-pixel axis folded about
+    its centre pixel (see _fold_even), read-only."""
     index = np.arange(n // 2 + 1)
-    plus = (n // 2 + index) % n
     cosines = np.cos(2 * np.pi * (np.outer(index, index) % n) / n)
-    arrays = (plus, plus == n // 2 - index, cosines)
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
+    cosines.flags.writeable = False
+    return cosines
+
+
+def _fold_even(arr, axis: int):
+    """arr folded about the centre pixel c = n//2 of one n-pixel axis
+    into a fresh array: index i = 0..c holds arr[c + i] + arr[c - i]
+    (mod n), once where the two are one pixel: i = 0, halved, and for
+    even n i = c, pixel 0 alone."""
+    n, centre = arr.shape[axis], arr.shape[axis] // 2
+    folded = np.empty(arr.shape[:axis] + (centre + 1,) + arr.shape[axis + 1:])
+    src, dst = arr.swapaxes(0, axis), folded.swapaxes(0, axis)
+    np.add(src[centre:], src[centre::-1][:n - centre], out=dst[:n - centre])
+    if n % 2 == 0:
+        dst[centre] = src[0]
+    dst[0] *= 0.5
+    return folded
 
 
 def _even_quadrant(arr):
@@ -296,33 +321,31 @@ def _even_quadrant(arr):
     of a W x H x m array even about the centre pixel: each axis folded,
     then one cosine GEMM per axis (see _even_axis).  The odd part's DFT
     is imaginary and sums to zero against even gains and templates."""
-    w_px, h_px = arr.shape[:2]
-    x_plus, x_single, x_cosines = _even_axis(w_px)
-    y_plus, y_single, y_cosines = _even_axis(h_px)
-    folded = arr[x_plus]
-    folded += arr[w_px // 2::-1]
-    folded[x_single] *= 0.5
-    quad = folded[:, y_plus]
-    quad += folded[:, h_px // 2::-1]
-    quad[:, y_single] *= 0.5
-    quad = np.matmul(y_cosines, quad)
-    return (x_cosines @ quad.reshape(len(quad), -1)).reshape(quad.shape)
+    quad = np.matmul(_even_axis(arr.shape[1]),
+                     _fold_even(_fold_even(arr, 0), 1))
+    return (_even_axis(arr.shape[0]) @ quad.reshape(len(quad), -1)).reshape(
+        quad.shape)
 
 
 @lru_cache(maxsize=8)
-def _plan(shape: tuple, ssrs: tuple, slices: tuple | None,
+def _plan(shape: tuple, points: tuple, slices: tuple | None,
           foveal_mode: str, bank) -> dict:
-    """{ssr: _Plan} for W x H x K stacks of this shape at the distinct
-    sampling rates ssrs, output at the given slices (None: all, in
-    order), under the foveal mode and channel bank (None, or an
-    observer.ChannelBank of the same W x H, keyed by identity, whose
-    templates are radial about the centre pixel).  The key is the whole
-    ssr set: one cache entry per pass, whatever its ssrs.
+    """{ssr: _Plan} for W x H x K stacks of this shape browsed at points,
+    a tuple of (ssr, slice_rate) pairs, output at the given slices (None:
+    all, in order), under the foveal mode and channel bank (None, or an
+    observer.ChannelBank of the same W x H, keyed by identity).  The key
+    is the whole pass: one cache entry per pass, whatever its points.
+
+    The responses read only the part of a stack even about the centre
+    pixel (W//2, H//2) and, when W == H, symmetric under transposition,
+    so a bank whose templates are not (on the pixels whose mirror lies in
+    the grid) raises ValueError.
 
     The plans share one phase array (and, given a bank, one dft).  Each
     holds, at x0 = W/ssr, the distinct effective radial frequencies of
-    the (|u1|, u2) quarter grid with one index that gathers them onto
-    the spectrum's positions and the foveal weight.  Without a bank the
+    the (|u1|, u2) quarter grid, the distinct |w| of its points' rates,
+    per point the flat index into their table at every k3 <= K//2 and
+    position of the spectrum, and the foveal weight.  Without a bank the
     positions are the (k1, k2) half plane, |u1| folded.  With one they
     are the kept positions of the quadrant (a <= b when W == H), and the
     channel weights are the foveally weighted templates through the same
@@ -350,21 +373,36 @@ def _plan(shape: tuple, ssrs: tuple, slices: tuple | None,
     phase = table[slices] / n_sl
     dft = kept = None
     if bank is not None:
+        templates = bank.matrix.reshape(w_px, h_px, -1)
+        # every pixel but 0 of an even side has its mirror in the grid
+        inner_x, inner_y = templates[1 - w_px % 2:], \
+            templates[:, 1 - h_px % 2:]
+        if not (np.array_equal(inner_x, inner_x[::-1])
+                and np.array_equal(inner_y, inner_y[:, ::-1])):
+            raise ValueError(f"channel bank is not even about the centre "
+                             f"pixel ({w_px // 2}, {h_px // 2})")
+        if w_px == h_px and not np.array_equal(templates,
+                                               templates.swapaxes(0, 1)):
+            raise ValueError("channel bank of a square grid is not "
+                             "symmetric under transposition")
         # a row that folds two frequencies (0 < j, j != K - j) holds both
         dft = table.T * np.where(2 * k3 % n_sl, 2.0, 1.0)[:, None]
         a, b = np.indices((w_px // 2 + 1, h_px // 2 + 1))
         kept = np.nonzero(a <= b if w_px == h_px else a >= 0)
-        mirror = [np.where(_even_axis(n)[1], 1.0, 2.0) for n in (w_px, h_px)]
+        mirror = [np.where(2 * np.arange(n // 2 + 1) % n, 2.0, 1.0)
+                  for n in (w_px, h_px)]
         scale = np.outer(*mirror)[kept] / (w_px * h_px)
-        templates = bank.matrix.reshape(w_px, h_px, -1)
     k1 = np.arange(w_px)
     fold1 = np.minimum(k1, w_px - k1)
     # pixel distance from the viewing axis through the centre pixel; over
     # ssr (pixel/deg) it is the flat-field small-angle eccentricity
     rows, cols = centre_offsets(w_px, h_px)
     distance = np.hypot(rows[:, None], cols[None, :])
+    groups = {}
+    for i, (ssr, _) in enumerate(points):
+        groups.setdefault(ssr, []).append(i)
     plans = {}
-    for ssr in ssrs:
+    for ssr, members in groups.items():
         x0 = w_px / ssr
         u1 = np.abs(frequency_of_index(np.arange(w_px // 2 + 1), w_px, ssr))
         u2 = np.abs(frequency_of_index(np.arange(h_px // 2 + 1), h_px, ssr))
@@ -379,13 +417,18 @@ def _plan(shape: tuple, ssrs: tuple, slices: tuple | None,
             gather = quarter[kept]
             weights = _even_quadrant(templates * foveal[:, :, None])[kept] \
                 * scale[:, None]
-        for array in (phase, dft, radii, gather, foveal, weights) + (
+        rates = np.array([points[i][1] for i in members], dtype=np.float64)
+        w = np.abs(frequency_of_index(np.arange(n_sl // 2 + 1), n_sl,
+                                      rates[:, None]))
+        freqs, row = np.unique(w, return_inverse=True)
+        index = row.reshape(w.shape)[:, :, None] * len(radii) + gather
+        for array in (phase, dft, radii, freqs, index, foveal, weights) + (
                 kept or ()):
             if array is not None:
                 array.flags.writeable = False
-        plans[ssr] = _Plan(shape=shape, phase=phase, radii=radii,
-                           gather=gather, foveal=foveal, dft=dft, kept=kept,
-                           weights=weights)
+        plans[ssr] = _Plan(shape=shape, ssr=ssr, members=tuple(members),
+                           phase=phase, radii=radii, freqs=freqs, index=index,
+                           foveal=foveal, dft=dft, kept=kept, weights=weights)
     return plans
 
 
@@ -400,41 +443,37 @@ def filter_contrast(contrast_stack, luminance: float, points, *,
     Every point is checked before anything is divided by it.  The stack
     is transformed once for all of points, folded in k3: as a half
     spectrum without a bank; with one, folded about the centre pixel onto
-    the quadrant first (see _Plan.spectrum).  Per point the gain is
-    applied there and the inverse temporal DFT, one real GEMM, is
-    evaluated at the requested slices only (all of them by default, in
-    order).  The output is then the real planes through irfft2, foveally
-    weighted, or, given a channel bank, the (slices, n_channels) channel
-    responses of those planes, one GEMM with the plan's channel weights.
-    The gain is real and even, so either output is real by construction.
-    What does not depend on the stack is planned, one plan per ssr, once
-    per shape, slices, ssr set, foveal mode and bank, and cached.  The
-    caller is responsible for contrast having (near-)zero mean.  Returns a
-    list, one output per point.
+    the quadrant first (see _Plan.spectrum).  Per ssr, one gain
+    evaluation serves all its points, weighed in batches (_Plan.weighed);
+    per batch the inverse temporal DFT, at the requested slices only (all
+    of them by default, in order), is one batched real GEMM.  The output
+    is each point's real planes through irfft2, foveally weighted, or,
+    given a channel bank, the (slices, n_channels) channel responses of
+    those planes, one GEMM per batch (_Plan.output).  The gain is real and
+    even, so either output is real by construction.  What does not depend
+    on the stack is planned once per shape, points, slices, foveal mode
+    and bank, and cached.  The caller is responsible for contrast having
+    (near-)zero mean.  Returns a list, one output per point.
     """
     arr = np.asarray(contrast_stack, dtype=np.float64)
     if arr.ndim != 3:
         raise ValueError("expected a W x H x K stack")
-    groups = {}
-    for i, (ssr, rate) in enumerate(points):
+    points = tuple((ssr, rate) for ssr, rate in points)
+    for ssr, rate in points:
         if not (0 < ssr < np.inf and 0 < rate < np.inf):
             raise ValueError(f"browsing point ({ssr!r}, {rate!r}): ssr and "
                              "slice_rate must be finite and positive")
-        groups.setdefault(ssr, []).append(i)
-    vcs = {ssr: ViewingConditions(luminance, arr.shape[0] / ssr)
-           for ssr in groups}
-    plans = _plan(arr.shape, tuple(groups),
+    plans = _plan(arr.shape, points,
                   None if slices is None else tuple(int(s) for s in slices),
                   foveal_mode, bank)
     # every plan of the call lays the spectrum out alike
     spectrum = plans[points[0][0]].spectrum(arr) if points else None
     outs = [None] * len(points)
-    for ssr, members in groups.items():
-        plan = plans[ssr]
-        gains = plan.half_gains(vcs[ssr], [points[i][1] for i in members])
-        for i, gain in zip(members, gains):
-            out = plan.phase @ plan.weigh(spectrum, gain).view(np.float64)
-            outs[i] = plan.output(out) if bank is None else out @ plan.weights
+    for plan in plans.values():
+        for members, weighed in plan.weighed(spectrum, luminance):
+            inverse = np.matmul(plan.phase, weighed.view(np.float64))
+            for i, out in zip(members, plan.output(inverse)):
+                outs[i] = out
     return outs
 
 
@@ -446,24 +485,26 @@ def apply_stcsf(lum_stack, points, *, foveal_mode: str = "none",
 
     The stack fixes the rest of the viewing conditions: L is its measured
     space-time mean and its apparent size x0 is width/ssr.  Steps:
-    measure L; subtract it to get contrast; taper the in-plane margins
-    (and re-zero the mean, which the taper perturbs); scale every 3D
-    frequency component by S(u_eff, w)/L; weight by foveal acuity last.
-    Contrast, taper and the forward transform do not depend on the
-    points and are computed once.  Each entry is a PerceivedStack whose
-    vc holds the point's effective viewing conditions.  slices, when
-    given, selects the output slices: data then holds only those, in that
-    order.  With a channel bank the perceived planes are never formed:
-    each entry is instead the (slices, n_channels) array of channel
-    responses of the foveally weighted planes.
+    measure L; subtract it to get contrast, the one stack-sized array
+    made; taper the in-plane margins (and re-zero the mean, which the
+    taper perturbs) in place; scale every 3D frequency component by
+    S(u_eff, w)/L; weight by foveal acuity last.  Contrast, taper and the
+    forward transform do not depend on the points and are computed once.
+    Each entry is a PerceivedStack whose vc holds the point's effective
+    viewing conditions.  slices, when given, selects the output slices:
+    data then holds only those, in that order.  With a channel bank the
+    perceived planes are never formed: each entry is instead the
+    (slices, n_channels) array of channel responses of the foveally
+    weighted planes.
     """
     arr = np.asarray(lum_stack, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("empty stack has no mean luminance")
     lum = float(arr.mean())
+    # a fresh array: the caller's stack is never written
     contrast = arr - lum
     if taper:
-        contrast = taper_margins(contrast)
+        taper_margins(contrast, out=contrast)
         # the taper window breaks the exact zero mean of the contrast;
         # restore it so the DC component carries nothing into the filter
         contrast -= contrast.mean()

@@ -27,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import math
 import numbers
 import os
 import warnings
@@ -347,13 +348,34 @@ def insert_lesion(healthy: ImageStack, spec: LesionSpec,
                    + f" lesion={spec.kind} amp={spec.amplitude!r}")
 
 
+def _cpu_max(cgroups="/proc/self/cgroup", root="/sys/fs/cgroup"):
+    """The text of this process's cgroup v2 cpu.max, found through the
+    0:: line of cgroups under root, or None where it cannot be read."""
+    try:
+        for line in Path(cgroups).read_text().splitlines():
+            if line.startswith("0::"):
+                return (Path(root) / line[3:].lstrip("/") / "cpu.max") \
+                    .read_text()
+    except OSError:
+        pass
+    return None
+
+
 def _available_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the platform
-    has one, else the machine's count."""
+    has one, else the machine's count, and no more than its cgroup v2
+    cpu.max quota allows, quota/period rounded up (at least 1).  A quota
+    of max, or a cpu.max that is missing, unreadable or malformed, sets
+    no limit."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    try:
+        quota, period = (_cpu_max() or "max").split()
+        return min(cpus, max(1, math.ceil(int(quota) / int(period))))
+    except (ValueError, ZeroDivisionError):
+        return cpus
 
 
 def generate_dataset(geometry: StackGeometry, n_pairs: int,

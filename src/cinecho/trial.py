@@ -140,13 +140,25 @@ def _check_covariance(per_class, n_channels) -> None:
             f"train {n_channels} channels; need at least {n_channels + 1}")
 
 
-def _check_training(stacks, plan: TrialPlan, n_channels: int) -> None:
+def _check_training(stacks, plan: TrialPlan, config: PipelineConfig,
+                    slice_range) -> None:
     """_check_covariance at the fewest stacks of one class in one training
-    subset of the plan over plan_stacks' stacks, before perception."""
+    subset of the plan over plan_stacks' stacks, before perception.  The
+    hotelling combiner over more than one slice trains a second
+    covariance, over the len(slice_range) slice scores, which needs
+    len(slice_range) + 1 stacks per class."""
     cells = [(plan.subset_assignment[s.stack_id], s.label) for s in stacks]
-    _check_covariance(min(cells.count((subset, label))
-                          for subset in range(plan.n_readers)
-                          for label in ("healthy", "lesion")), n_channels)
+    per_class = min(cells.count((subset, label))
+                    for subset in range(plan.n_readers)
+                    for label in ("healthy", "lesion"))
+    _check_covariance(per_class, config.n_channels)
+    n_slices = len(slice_range)
+    if config.combiner == "hotelling" and n_slices > 1 \
+            and per_class < n_slices + 1:
+        raise PlanError(
+            f"{per_class} stacks per class in a training subset cannot "
+            f"train the hotelling combiner over {n_slices} slices; need at "
+            f"least {n_slices + 1}")
 
 
 def split_dataset(pairing, n_readers: int, seed: int,
@@ -330,11 +342,12 @@ def perceive_responses(stacks, configs, slice_range) -> np.ndarray:
     axes); any other difference raises ValueError.  Each stack is mapped
     to luminance and passed to apply_stcsf once, with every config's
     browsing point, so it is tapered, folded onto its even quadrant and
-    forward-transformed once; each config costs only its share of the
-    gain, the inverse temporal DFT and the projection onto the channels,
-    on the kept quadrant positions.  Stacks are perceived one per task
-    on a pool of one thread per CPU the process may run on (as taskset
-    sets it) and gathered in stack order, so the array does not depend
+    forward-transformed once; per ssr one gain evaluation serves all its
+    configs, and the gain, the inverse temporal DFT and the projection
+    onto the channels, on the kept quadrant positions, run on batches of
+    configs.  Stacks are perceived one per task on a pool of one thread
+    per CPU the process may run on (as taskset and the cgroup's CPU
+    quota allow) and gathered in stack order, so the array does not depend
     on the CPU count.  They share one channel bank, built on the calling
     thread, and one cached spectral plan, and must share one shape (see
     plan_stacks).
@@ -367,7 +380,7 @@ def run_trial(dataset, plan: TrialPlan,
     point), and the readers train and score in channel-response space.
     """
     stacks, slice_range = plan_stacks(dataset, plan, config)
-    _check_training(stacks, plan, config.n_channels)
+    _check_training(stacks, plan, config, slice_range)
     responses = perceive_responses(stacks, [config], slice_range)[:, 0]
     return _score(stacks, plan, responses, config, slice_range)
 

@@ -11,8 +11,13 @@ bitwise.  The channel responses, taken from the part of the stack even
 about the centre pixel, must ignore an odd part (and, on square stacks,
 a part antisymmetric under transposition) and match the projection of
 the perceived planes over generated shapes, depths, ssr sets and foveal
-modes.
+modes.  A point's output must not depend on the other points of its
+pass, nor on the batch it is weighed in, and a long sweep must hold only
+one batch of weighed spectra at a time.  A channel bank that is not
+radial about the centre pixel must be refused.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +27,7 @@ from hypothesis import strategies as st
 from cinecho import percept
 from cinecho.csf import ViewingConditions
 from cinecho.display import DisplayModel
-from cinecho.observer import channelize_slices, lg_channel_bank
+from cinecho.observer import ChannelBank, channelize_slices, lg_channel_bank
 from cinecho.percept import (
     apply_stcsf,
     filter_contrast,
@@ -32,7 +37,7 @@ from cinecho.percept import (
     transfer_gain,
 )
 from cinecho.stacks import ImageStack, LesionSpec, StackGeometry, \
-    generate_dataset
+    centre_offsets, generate_dataset
 from cinecho.trial import (
     PipelineConfig,
     perceive_responses,
@@ -176,28 +181,37 @@ def test_foveal_weight_serves_every_condition_alike(foveal_mode):
        n_sl=st.integers(1, 24), ssr=st.floats(0.5, 30.0),
        rates=st.lists(st.floats(0.5, 60.0), min_size=1, max_size=3),
        lum=st.floats(0.1, 2000.0))
-# rates whose |w| grids share values, at an even and an odd K
+# rates whose |w| grids share values, at an even and an odd K, and more
+# rates than one batch holds
 @example(w_px=12, h_px=10, n_sl=8, ssr=7.0, rates=[5.0, 10.0, 20.0],
          lum=500.0)
 @example(w_px=9, h_px=14, n_sl=41, ssr=7.0, rates=[20.0, 5.0, 10.0, 5.0],
          lum=32.0)
+@example(w_px=11, h_px=6, n_sl=9, ssr=3.5,
+         rates=[float(r) for r in range(1, 2 * percept.BATCH_POINTS + 4)],
+         lum=80.0)
 def test_plan_gain_equals_transfer_gain_bitwise(w_px, h_px, n_sl, ssr, rates,
                                                 lum):
     # the full half grid: every k1, every k2 in [0, H//2], every k3, at
     # the folded frequencies (index k and n - k share |u1| and |w|)
     vc = ViewingConditions(luminance=lum, x0=w_px / ssr)
-    plan = percept._plan((w_px, h_px, n_sl), (ssr,), None, "none", None)[ssr]
+    points = tuple((ssr, rate) for rate in rates)
+    plan = percept._plan((w_px, h_px, n_sl), points, None, "none", None)[ssr]
     k1 = np.arange(w_px)
     k3 = np.arange(n_sl)
     u1 = np.abs(frequency_of_index(np.minimum(k1, w_px - k1), w_px, ssr))
     u2 = np.abs(frequency_of_index(np.arange(h_px // 2 + 1), h_px, ssr))
     # weighing a spectrum of ones lays the gain out on the half grid
     ones = np.ones((n_sl, u1.size * u2.size), dtype=np.complex128)
-    for rate, gain in zip(rates, plan.half_gains(vc, rates)):
+    batches = [(members, out.copy())
+               for members, out in plan.weighed(ones, lum)]
+    assert [i for members, _ in batches for i in members] \
+        == list(range(len(rates)))
+    gains = np.concatenate([out for _, out in batches])
+    for rate, got in zip(rates, gains):
         w = np.abs(frequency_of_index(np.minimum(k3, n_sl - k3), n_sl, rate))
         want = transfer_gain(u1[None, :, None], u2[None, None, :],
                              w[:, None, None], vc)
-        got = plan.weigh(ones, gain)
         assert np.array_equal(got.real.reshape(want.shape), want)
         assert not got.imag.any()
 
@@ -306,3 +320,123 @@ def test_bank_path_matches_the_planes_path(w_px, h_px, n_sl, seed, ssrs,
                                       bank):
         assert got.shape == want.shape == (len(slices), 5)
         assert np.abs(got - want).max() <= RTOL * np.abs(want).max()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(shape=st.sampled_from([(12, 12, 8), (13, 11, 7), (11, 16, 9)]),
+       points=st.lists(st.tuples(st.sampled_from([2.0, 7.0]),
+                                 st.sampled_from([1.0, 5.0, 12.5, 25.0,
+                                                  40.0, 45.0])),
+                       min_size=1, max_size=percept.BATCH_POINTS + 3),
+       foveal_mode=st.sampled_from(["none", "hard", "soft"]),
+       banked=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+# more points at one ssr than one batch holds, some of them repeated
+@example(shape=(12, 12, 8),
+         points=[(7.0, rate) for rate in (45.0, 1.0, 5.0, 12.5, 25.0, 40.0)]
+         * 2 + [(2.0, 5.0)], foveal_mode="soft", banked=True, seed=0)
+def test_points_are_independent(shape, points, foveal_mode, banked, seed):
+    # a point's output is bitwise the same whatever else shares its pass:
+    # which rates, in which order, at which ssr values, in which batch
+    lum = np.random.default_rng(seed).uniform(20.0, 80.0, size=shape)
+    slices = (shape[2] // 2 + 1, shape[2] // 2)
+    bank = lg_channel_bank(shape[0], shape[1], n_channels=4, spread=3.0) \
+        if banked else None
+
+    def perceive(points):
+        outs = apply_stcsf(lum, points, foveal_mode=foveal_mode,
+                           slices=slices, bank=bank)
+        return [out if banked else out.data for out in outs]
+
+    for point, together in zip(points, perceive(points)):
+        alone, = perceive([point])
+        assert np.array_equal(together, alone)
+
+
+def test_a_sweep_longer_than_a_batch_matches_shorter_ones():
+    # points past the first batch go through the later ones; each batch
+    # holds at most BATCH_POINTS points, so a long sweep does not hold
+    # all of its weighed spectra at once
+    lum = np.random.default_rng(21).uniform(20.0, 80.0, size=(16, 16, 12))
+    bank = lg_channel_bank(16, 16, n_channels=5, spread=4.0)
+    rates = np.linspace(1.0, 45.0, 3 * percept.BATCH_POINTS + 1).tolist()
+    points = [(7.0, rate) for rate in rates]
+    whole = apply_stcsf(lum, points, slices=(5, 6, 7), bank=bank)
+    for start in range(0, len(points), 4):
+        part = apply_stcsf(lum, points[start:start + 4], slices=(5, 6, 7),
+                           bank=bank)
+        for got, want in zip(whole[start:start + 4], part):
+            assert np.array_equal(got, want)
+    ones = np.ones((12, 45))
+    plan = percept._plan((16, 16, 12), tuple(points), (5, 6, 7), "none",
+                         bank)[7.0]
+    sizes = [len(out) for _, out in plan.weighed(ones, 40.0)]
+    assert sizes == [percept.BATCH_POINTS] * 3 + [1]
+
+
+def test_a_long_sweep_holds_one_batch_of_weighed_spectra():
+    # traced allocations of one stack's pass, its plan built beforehand:
+    # ten times the points may not take much more memory than one batch.
+    # The points repeat one rate, so the gain table does not grow with them
+    lum = np.random.default_rng(22).uniform(20.0, 80.0, size=(32, 32, 16))
+    bank = lg_channel_bank(32, 32, n_channels=5, spread=4.0)
+
+    def peak(n_points):
+        points = [(7.0, 25.0)] * n_points
+        apply_stcsf(lum, points, slices=(7, 8, 9), bank=bank)
+        tracemalloc.start()
+        try:
+            apply_stcsf(lum, points, slices=(7, 8, 9), bank=bank)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(10 * percept.BATCH_POINTS) < 1.5 * peak(percept.BATCH_POINTS)
+
+
+def _bank(templates):
+    """A channel bank of hand-made W x H x n templates."""
+    w_px, h_px, n = templates.shape
+    return ChannelBank(width=w_px, height=h_px, n_channels=n, spread=4.0,
+                       matrix=templates.reshape(w_px * h_px, n))
+
+
+@pytest.mark.parametrize("shape", [(15, 15), (16, 16)])
+def test_a_bank_that_is_not_radial_is_refused(shape):
+    # the responses read only the part of a stack even about the centre
+    # pixel and, on a square grid, symmetric under transposition: a
+    # template that is neither would be read wrong without a word
+    w_px, h_px = shape
+    lum = np.random.default_rng(23).uniform(20.0, 80.0, size=shape + (6,))
+    templates = lg_channel_bank(w_px, h_px, n_channels=3,
+                                spread=4.0).matrix.reshape(w_px, h_px, 3)
+    shifted = np.roll(templates, 1, axis=0)
+    rows, cols = centre_offsets(w_px, h_px)
+    stretched = np.exp(-np.pi * (rows[:, None] ** 2
+                                 + (cols[None, :] / 1.5) ** 2) / 16.0)
+    for bank, message in (
+            (_bank(shifted), r"channel bank is not even about the centre "
+                             rf"pixel \({w_px // 2}, {h_px // 2}\)"),
+            (_bank(stretched[:, :, None]),
+             "channel bank of a square grid is not symmetric under "
+             "transposition")):
+        with pytest.raises(ValueError, match=message):
+            apply_stcsf(lum, [(7.0, 25.0)], bank=bank)
+
+
+@pytest.mark.parametrize("shape", [(15, 15), (16, 16), (16, 13), (13, 16),
+                                   (1, 1), (2, 5)])
+def test_radial_banks_are_accepted(shape):
+    # odd, even and rectangular grids, down to the smallest
+    lum = np.random.default_rng(24).uniform(20.0, 80.0, size=shape + (4,))
+    bank = lg_channel_bank(*shape, n_channels=3, spread=4.0)
+    responses, = apply_stcsf(lum, [(7.0, 25.0)], taper=False, bank=bank)
+    assert responses.shape == (4, 3)
+    # stretched along y only, a template is still even about the centre
+    # pixel, which is all a rectangular grid needs
+    w_px, h_px = shape
+    if w_px != h_px:
+        rows, cols = centre_offsets(w_px, h_px)
+        stretched = np.exp(-np.pi * (rows[:, None] ** 2
+                                     + (cols[None, :] / 1.5) ** 2) / 16.0)
+        apply_stcsf(lum, [(7.0, 25.0)], taper=False,
+                    bank=_bank(stretched[:, :, None]))

@@ -231,7 +231,8 @@ class TestCentrePixel:
 
     def test_seven_degrees_in_the_plan(self):
         # 49 px from the centre at 7 px/deg is exactly the 7 deg cutoff
-        plans = percept._plan((100, 3, 2), (7.0,), None, "hard", None)
+        plans = percept._plan((100, 3, 2), ((7.0, 25.0),), None, "hard",
+                              None)
         foveal = plans[7.0].foveal
         assert foveal[50 + 49, 1] == 0.0
         assert foveal[50 + 48, 1] == 1.0
@@ -253,7 +254,8 @@ class TestCentrePixel:
                                     StackGeometry(w_px, h_px, 3, 10, 1.0))
         assert only_peak(inplane) == centre
         # at 0.1 px/deg only the centre pixel lies inside the 7 deg cutoff
-        plans = percept._plan((w_px, h_px, 2), (0.1,), None, "hard", None)
+        plans = percept._plan((w_px, h_px, 2), ((0.1, 25.0),), None,
+                              "hard", None)
         assert only_peak(plans[0.1].foveal) == centre
 
 
@@ -266,8 +268,8 @@ class TestPlanPhases:
         # bit for bit the one of its reduced index; at this K the
         # unreduced float product gives other last bits
         n_sl = 32
-        phase = percept._plan((16, 16, n_sl), (7.0,), None, "none",
-                              None)[7.0].phase
+        phase = percept._plan((16, 16, n_sl), ((7.0, 25.0),), None,
+                              "none", None)[7.0].phase
         index = np.arange(n_sl)
         product = np.outer(index, np.minimum(index, n_sl - index))
         cos = index <= n_sl // 2
@@ -457,22 +459,26 @@ class TestPlanCache:
         for call, outs in zip(calls, warm):
             percept._plan.cache_clear()
             percept._even_axis.cache_clear()
+            percept._taper_weight.cache_clear()
             observer.lg_channel_bank.cache_clear()
             cold = self._perceive(*call)
             assert all(np.array_equal(a, b) for a, b in zip(outs, cold))
 
     def test_cached_arrays_refuse_writes(self):
         bank = lg_channel_bank(12, 12, n_channels=3, spread=4.0)
-        plans = percept._plan((12, 12, 5), (2.0, 3.0), (1, 2), "hard", bank)
-        assert percept._plan((12, 12, 5), (2.0, 3.0), (1, 2), "hard",
+        points = ((2.0, 10.0), (3.0, 10.0), (2.0, 25.0))
+        plans = percept._plan((12, 12, 5), points, (1, 2), "hard", bank)
+        assert percept._plan((12, 12, 5), points, (1, 2), "hard",
                              bank) is plans
         # one phase array and one slice DFT serve every ssr of the call
         assert plans[2.0].phase is plans[3.0].phase
         assert plans[2.0].dft is plans[3.0].dft
-        arrays = [bank.matrix, *percept._even_axis(12)]
+        assert (plans[2.0].members, plans[3.0].members) == ((0, 2), (1,))
+        arrays = [bank.matrix, percept._even_axis(12),
+                  percept._taper_weight(12, 12)]
         for plan in plans.values():
-            arrays += [plan.phase, plan.dft, plan.radii, plan.gather,
-                       plan.foveal, plan.weights, *plan.kept]
+            arrays += [plan.phase, plan.dft, plan.radii, plan.freqs,
+                       plan.index, plan.foveal, plan.weights, *plan.kept]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = 0

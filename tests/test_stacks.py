@@ -843,3 +843,38 @@ class TestGenerationThreads:
                      "seed": 1, **kwargs}
         with pytest.raises(ValueError, match=message):
             generate_dataset(**arguments)
+
+
+class TestAvailableCpus:
+    """Both pools size themselves by _available_cpus: the affinity mask,
+    capped by the cgroup v2 cpu.max quota."""
+
+    @pytest.mark.parametrize(("text", "want"), [
+        ("150000 100000\n", 2),   # 1.5 CPUs round up
+        ("200000 100000\n", 2),
+        ("50000 100000\n", 1),
+        ("1 100000\n", 1),
+        ("0 100000\n", 1),        # never fewer than one thread
+        ("1600000 100000\n", 8),  # no more than the affinity mask
+        ("max 100000\n", 8),
+        (None, 8),                # missing or unreadable: no limit
+        ("", 8),                  # malformed: no limit
+        ("150000\n", 8)])
+    def test_the_quota_caps_the_affinity_mask(self, monkeypatch, text, want):
+        monkeypatch.setattr(stacks.os, "sched_getaffinity",
+                            lambda pid: set(range(8)))
+        monkeypatch.setattr(stacks, "_cpu_max", lambda: text)
+        assert stacks._available_cpus() == want
+
+    def test_cpu_max_is_found_through_the_unified_line(self, tmp_path):
+        cgroups = tmp_path / "cgroup"
+        cgroups.write_text("4:memory:/elsewhere\n0::/jobs/run7\n")
+        group = tmp_path / "fs" / "jobs" / "run7"
+        group.mkdir(parents=True)
+        assert stacks._cpu_max(cgroups, tmp_path / "fs") is None
+        (group / "cpu.max").write_text("250000 100000\n")
+        assert stacks._cpu_max(cgroups, tmp_path / "fs") == "250000 100000\n"
+        # a v1-only host has no 0:: line; a missing file reads as none
+        cgroups.write_text("1:cpu:/\n")
+        assert stacks._cpu_max(cgroups, tmp_path / "fs") is None
+        assert stacks._cpu_max(tmp_path / "absent", tmp_path) is None

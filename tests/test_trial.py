@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cinecho import trial
+from cinecho.config import DEFAULTS
 from cinecho.display import DisplayModel
 from cinecho.errors import PlanError
+from cinecho.harness import SweepSpec, run_sweep
 from cinecho.observer import lg_channel_bank
 from cinecho.percept import FOVEAL_MODES, apply_stcsf
 from cinecho.stacks import Dataset, ImageStack, LesionSpec, StackGeometry, \
@@ -508,6 +510,36 @@ class TestRunTrial:
         result = run_trial(strong_dataset, strong_plan,
                            replace(CONFIG, n_channels=7))
         assert result.scores.shape == (2, 16)
+
+    @pytest.fixture(scope="class")
+    def five_per_class(self):
+        # 15 pairs over three subsets leave 5 stacks per class in each:
+        # enough for 3 channels, too few for the hotelling combiner over
+        # the 5-slice range, whose covariance needs 6
+        dataset = generate_dataset(GEOM, 15, LESION, seed=404)
+        return dataset, split_dataset(dataset.pairing, n_readers=2, seed=9,
+                                      min_per_class=4)
+
+    def test_too_few_to_train_the_combiner_fails_before_perception(
+            self, five_per_class, no_perception):
+        dataset, plan = five_per_class
+        config = replace(CONFIG, n_channels=3)
+        message = ("5 stacks per class in a training subset cannot train "
+                   "the hotelling combiner over 5 slices; need at least 6")
+        with pytest.raises(PlanError, match=message):
+            run_trial(dataset, plan, config)
+        values = {"observer.n_channels": 3, "observer.spread": 4.0}
+        with pytest.raises(PlanError, match=message):
+            run_sweep(dataset, SweepSpec("slice_rate", (10.0, 25.0)),
+                      {**DEFAULTS, **values}, plan)
+
+    @pytest.mark.parametrize("combiner", ["max", "mean"])
+    def test_combiners_without_a_covariance_train_on_fewer(
+            self, five_per_class, combiner):
+        dataset, plan = five_per_class
+        result = run_trial(dataset, plan,
+                           replace(CONFIG, n_channels=3, combiner=combiner))
+        assert result.scores.shape == (2, 10)
 
     @pytest.mark.parametrize("combiner", ["max", "mean"])
     def test_other_combiners_also_separate(self, strong_dataset, strong_plan,
