@@ -12,29 +12,30 @@
 # amplitude measured in just-noticeable differences.  The filter is real and
 # even in every frequency axis, hence zero-phase: features do not move.
 #
-# Because of that evenness the transform needs only part of the spectrum.
-# For perceived planes it is the half spectrum of the real stack (a real
-# FFT over the plane, a complex one over the slices), folded in k3, with
-# only the slices asked for inverted.  For channel responses it is less:
-# the Laguerre-Gauss templates are radial about the centre pixel, so only
-# the part of the stack even about it is read, a (W//2+1) x (H//2+1)
-# quadrant (a <= b of it when W == H), transformed by real cosine GEMMs.
-# Three layers:
+# Two paths share the stack, contrast and taper but no plan.  Perceived
+# planes come from a plain filter: one real FFT (rfftn) of the contrast
+# for every point, then per point the gain on the rfftn grid, irfftn, the
+# slices asked for and the foveal weight.  Channel responses need less of
+# the spectrum: the gain is even in every axis and the Laguerre-Gauss
+# templates are radial about the centre pixel, so only the part of the
+# stack even about it is read, a (W//2+1) x (H//2+1) quadrant (a <= b of
+# it when W == H), transformed by real cosine GEMMs and a real DFT over
+# the slices.  The response path has three layers:
 #
 #   per plan   what no stack changes, one read-only plan per ssr, built
 #              together per stack shape, points, slices, foveal mode and
 #              bank and cached (_plan): the real temporal DFT and its
-#              inverse phases (one array for all), the distinct radii and
-#              |w| and the index laying every point's gain from their table
-#              onto the spectrum's positions, the foveal weights and, with
-#              a bank, the channel weights there
+#              inverse phases (one array for all), the kept quadrant
+#              positions, the foveally weighted channel weights there and
+#              the distinct radii, and per batch of at most BATCH_POINTS
+#              points their distinct |w| and the index laying each
+#              point's gain from their table onto the spectrum's positions
 #   per stack  mean, contrast (the one stack-sized array made), taper and
-#              re-zeroed mean in place, one forward transform folded in k3
-#   per ssr    one derive_optics and one gain table; per batch of at most
-#              BATCH_POINTS points one gather, two multiplies, one batched
-#              GEMM with the phases, then irfft2 per point to real planes
-#              or, with a channel bank, one GEMM straight onto the
-#              channels (Parseval): the planes are never formed
+#              re-zeroed mean in place, one forward transform
+#   per ssr    one derive_optics; per batch one gain table, one gather, two
+#              multiplies, one batched GEMM with the phases and one GEMM
+#              straight onto the channels (Parseval): the planes are never
+#              formed
 #
 # Contrast, L and the forward transform do not depend on the browsing speed
 # or the sampling rate, so one forward transform serves every
@@ -192,45 +193,37 @@ BATCH_POINTS = 10
 
 @dataclass(frozen=True, eq=False)
 class _Plan:
-    """The stack-independent part of filtering W x H x K stacks at the
-    points of one ssr, whose positions in the pass are members: the
-    inverse temporal phases of the output slices, the distinct effective
-    radii of the (|u1|, u2) quarter grid and distinct |w| of the rates,
-    the flat index into that (|w|, radius) table of each point's gain, the
-    foveal weight (ones in mode none) and, given a channel bank (else
-    None), the real DFT over the slices, the kept quadrant positions and
-    the channel weights on them (see _plan).
+    """The stack-independent part of taking the channel responses of
+    W x H x K stacks at the points of one ssr: the real DFT over the
+    slices, the inverse temporal phases of the output slices, the kept
+    quadrant positions, the channel weights on them, the distinct
+    effective radii of the quadrant and, per batch of at most
+    BATCH_POINTS points, their positions in the pass, the distinct |w| of
+    their rates and the flat index into that (|w|, radius) table of each
+    point's gain (see _plan).
 
-    A stack's spectrum is a (K, positions) array folded in k3 (see
-    _fold), so the phase of slice s is real: cos(2 pi s j / K) / K on
-    rows j <= K//2, sin(2 pi s (K - j) / K) / K on the others.
+    A stack's spectrum is a real (K, positions) array folded in k3: row
+    j <= K//2 holds the cosine sums of frequency j, row j > K//2 the sine
+    sums of frequency K - j.  So the phase of slice s is real too:
+    cos(2 pi s j / K) / K on rows j <= K//2, sin(2 pi s (K - j) / K) / K
+    on the others.
     """
 
     shape: tuple
     ssr: float
-    members: tuple
     phase: np.ndarray
+    dft: np.ndarray
+    kept: tuple
+    weights: np.ndarray
     radii: np.ndarray
-    freqs: np.ndarray
-    index: np.ndarray
-    foveal: np.ndarray
-    dft: np.ndarray | None
-    kept: tuple | None
-    weights: np.ndarray | None
+    batches: tuple
 
     def spectrum(self, arr):
-        """A W x H x K stack's spectrum in this plan's layout.  Without a
-        bank, the half spectrum on the flattened (k1, k2) half plane (a
-        real FFT over the plane, a complex one over the slices).  With
-        one, the real spectrum of the part even about the centre pixel
-        (_even_quadrant), all the radial channels read through the even
-        gain, at the kept quadrant positions: when W == H, (a, b) and
-        (b, a) share gain and weight, so (b, a) is folded onto a <= b."""
-        if self.dft is None:
-            spectrum = sfft.rfftn(arr.transpose(2, 0, 1)).reshape(
-                arr.shape[2], -1)
-            _fold(spectrum)
-            return spectrum
+        """A W x H x K stack's spectrum in this plan's layout: the real
+        spectrum of the part even about the centre pixel (_even_quadrant),
+        all the radial channels read through the even gain, at the kept
+        quadrant positions: when W == H, (a, b) and (b, a) share gain and
+        weight, so (b, a) is folded onto a <= b."""
         quad = _even_quadrant(arr)
         if self.shape[0] == self.shape[1]:
             quad = quad + quad.swapaxes(0, 1)
@@ -240,54 +233,38 @@ class _Plan:
         return self.dft @ quad[self.kept].T
 
     def weighed(self, spectrum, luminance: float):
-        """Yield (members, spectrum times their gains at L = luminance) in
-        batches of at most BATCH_POINTS points, each a (points, K,
-        positions) view of one buffer.  One derive_optics and transfer_gain
-        call on the (|w|, radius) table serve every point, and one gather
-        through the index takes a batch's gains, folded in k3: the gain is
-        even in w (exactly, see transfer_gain), so row k3 > K//2 takes the
-        gain of row K - k3."""
+        """Yield (members, spectrum times their gains at L = luminance) per
+        batch, each a (points, K, positions) view of one buffer.  One
+        derive_optics serves every batch; per batch one transfer_gain call
+        on its (|w|, radius) table and one gather through its index take
+        the batch's gains, folded in k3: the gain is even in w (exactly,
+        see transfer_gain), so row k3 > K//2 takes the gain of row
+        K - k3."""
         n_sl = self.shape[2]
         n_w = n_sl // 2 + 1
         vc = ViewingConditions(luminance, self.shape[0] / self.ssr)
-        # the radii are clamped already, and hypot(u, 0) is u exactly
-        table = transfer_gain(self.radii[None, :], 0.0, self.freqs[:, None],
-                              vc, optics=derive_optics(vc))
-        buffer = np.empty((min(len(self.members), BATCH_POINTS),)
-                          + spectrum.shape, spectrum.dtype)
-        for start in range(0, len(self.members), BATCH_POINTS):
-            gains = table.reshape(-1)[self.index[start:start + BATCH_POINTS]]
-            out = buffer[:len(gains)]
+        optics = derive_optics(vc)
+        for n, (members, freqs, index) in enumerate(self.batches):
+            # the radii are clamped already, and hypot(u, 0) is u exactly
+            table = transfer_gain(self.radii[None, :], 0.0, freqs[:, None],
+                                  vc, optics=optics)
+            gains = table.reshape(-1)[index]
+            if n == 0:  # after the table's temporaries; no batch is larger
+                buffer = np.empty(gains.shape[:1] + spectrum.shape)
+            out = buffer[:len(members)]
             np.multiply(spectrum[:n_w], gains, out=out[:, :n_w])
             np.multiply(spectrum[n_w:], gains[:, n_sl - n_w:0:-1],
                         out=out[:, n_w:])
-            yield self.members[start:start + BATCH_POINTS], out
-
-    def output(self, inverse):
-        """A batch's outputs from its (points, slices, positions) inverse:
-        with a bank, (slices, n_channels) responses, one GEMM for all;
-        else each point's real W x H x slices planes, foveally weighted,
-        through irfft2 of the complex half planes it is the real view of."""
-        if self.weights is not None:
-            return (inverse.reshape(-1, inverse.shape[2]) @ self.weights) \
-                .reshape(inverse.shape[:2] + (-1,))
-        w_px, h_px, _ = self.shape
-        half = inverse.view(np.complex128).reshape(
-            inverse.shape[:2] + (w_px, -1))
-        return [sfft.irfft2(planes, s=(w_px, h_px)).transpose(1, 2, 0)
-                * self.foveal[:, :, None] for planes in half]
+            del gains, table  # freed before the next batch's table
+            yield members, out
 
 
-def _fold(spectrum):
-    """Fold a (K, ...) half spectrum in k3, in place: for 0 < j < K - j,
-    row j becomes X_j + X_(K-j) and row K - j becomes i (X_j - X_(K-j)).
-    Both rows of a pair take one gain (it is even in k3), and
-    exp(ia) X_j + exp(-ia) X_(K-j) = cos(a) row j + sin(a) row K - j."""
-    n_sl = len(spectrum)
-    low, high = spectrum[1:(n_sl + 1) // 2], spectrum[:n_sl // 2:-1]
-    difference = low - high
-    low += high
-    np.multiply(difference, 1j, out=high)
+def _eccentricity(w_px: int, h_px: int, ssr: float):
+    """The W x H flat-field small-angle eccentricity (deg): each pixel's
+    distance from the viewing axis through the centre pixel, over ssr
+    (pixel/deg)."""
+    rows, cols = centre_offsets(w_px, h_px)
+    return np.hypot(rows[:, None], cols[None, :]) / ssr
 
 
 @lru_cache(maxsize=8)
@@ -328,40 +305,46 @@ def _even_quadrant(arr):
 
 
 @lru_cache(maxsize=8)
-def _plan(shape: tuple, points: tuple, slices: tuple | None,
-          foveal_mode: str, bank) -> dict:
-    """{ssr: _Plan} for W x H x K stacks of this shape browsed at points,
-    a tuple of (ssr, slice_rate) pairs, output at the given slices (None:
-    all, in order), under the foveal mode and channel bank (None, or an
-    observer.ChannelBank of the same W x H, keyed by identity).  The key
-    is the whole pass: one cache entry per pass, whatever its points.
+def _plan(shape: tuple, points: tuple, slices: tuple, foveal_mode: str,
+          bank) -> dict:
+    """{ssr: _Plan} for the channel responses of W x H x K stacks of this
+    shape browsed at points, a tuple of (ssr, slice_rate) pairs, at the
+    output slices (a tuple of indices, checked by filter_contrast), under
+    the foveal mode and the channel bank (an observer.ChannelBank of the
+    same W x H, keyed by identity).  The key is the whole pass: one cache
+    entry per pass, whatever its points.
 
     The responses read only the part of a stack even about the centre
     pixel (W//2, H//2) and, when W == H, symmetric under transposition,
     so a bank whose templates are not (on the pixels whose mirror lies in
     the grid) raises ValueError.
 
-    The plans share one phase array (and, given a bank, one dft).  Each
-    holds, at x0 = W/ssr, the distinct effective radial frequencies of
-    the (|u1|, u2) quarter grid, the distinct |w| of its points' rates,
-    per point the flat index into their table at every k3 <= K//2 and
-    position of the spectrum, and the foveal weight.  Without a bank the
-    positions are the (k1, k2) half plane, |u1| folded.  With one they
-    are the kept positions of the quadrant (a <= b when W == H), and the
-    channel weights are the foveally weighted templates through the same
+    The plans share one phase array, one dft and one set of kept quadrant
+    positions (a <= b when W == H).  Each holds, at x0 = W/ssr, the
+    channel weights: the foveally weighted templates through the same
     fold and cosine GEMMs as the stacks, times m(a) m(b) / (W H), m being
-    1 on indices that are their own mirror and 2 on the others: the
-    filter then returns channel responses instead of planes.
+    1 on indices that are their own mirror and 2 on the others, so the
+    filter returns channel responses instead of planes; the distinct
+    effective radial frequencies of the quadrant; and per batch of at most
+    BATCH_POINTS of its points, the distinct |w| of their rates and per
+    point the flat index into their table at every k3 <= K//2 and kept
+    position.  A batch's table thus grows with that batch alone.
     """
     w_px, h_px, n_sl = shape
-    slices = np.arange(n_sl) if slices is None else np.array(slices, dtype=int)
-    if np.any((slices < 0) | (slices >= n_sl)):
-        raise ValueError(f"slices must be indices into {n_sl} slices")
-    if foveal_mode not in FOVEAL_MODES:
-        raise ValueError(f"foveal mode must be one of {FOVEAL_MODES}")
-    if bank is not None and (bank.width, bank.height) != (w_px, h_px):
+    if (bank.width, bank.height) != (w_px, h_px):
         raise ValueError(f"channel bank is {bank.width}x{bank.height}, "
                          f"stacks are {w_px}x{h_px}")
+    templates = bank.matrix.reshape(w_px, h_px, -1)
+    # every pixel but 0 of an even side has its mirror in the grid
+    inner_x, inner_y = templates[1 - w_px % 2:], templates[:, 1 - h_px % 2:]
+    if not (np.array_equal(inner_x, inner_x[::-1])
+            and np.array_equal(inner_y, inner_y[:, ::-1])):
+        raise ValueError(f"channel bank is not even about the centre "
+                         f"pixel ({w_px // 2}, {h_px // 2})")
+    if w_px == h_px and not np.array_equal(templates,
+                                           templates.swapaxes(0, 1)):
+        raise ValueError("channel bank of a square grid is not "
+                         "symmetric under transposition")
     # the real temporal DFT of every slice, folded in k3: its transpose
     # is the forward transform and its rows at the output slices, over K,
     # the inverse; the phase index is reduced mod K in integers so it
@@ -370,65 +353,45 @@ def _plan(shape: tuple, points: tuple, slices: tuple | None,
     angle = 2 * np.pi * (np.outer(k3, np.minimum(k3, n_sl - k3))
                          % n_sl) / n_sl
     table = np.where(k3 <= n_sl // 2, np.cos(angle), np.sin(angle))
-    phase = table[slices] / n_sl
-    dft = kept = None
-    if bank is not None:
-        templates = bank.matrix.reshape(w_px, h_px, -1)
-        # every pixel but 0 of an even side has its mirror in the grid
-        inner_x, inner_y = templates[1 - w_px % 2:], \
-            templates[:, 1 - h_px % 2:]
-        if not (np.array_equal(inner_x, inner_x[::-1])
-                and np.array_equal(inner_y, inner_y[:, ::-1])):
-            raise ValueError(f"channel bank is not even about the centre "
-                             f"pixel ({w_px // 2}, {h_px // 2})")
-        if w_px == h_px and not np.array_equal(templates,
-                                               templates.swapaxes(0, 1)):
-            raise ValueError("channel bank of a square grid is not "
-                             "symmetric under transposition")
-        # a row that folds two frequencies (0 < j, j != K - j) holds both
-        dft = table.T * np.where(2 * k3 % n_sl, 2.0, 1.0)[:, None]
-        a, b = np.indices((w_px // 2 + 1, h_px // 2 + 1))
-        kept = np.nonzero(a <= b if w_px == h_px else a >= 0)
-        mirror = [np.where(2 * np.arange(n // 2 + 1) % n, 2.0, 1.0)
-                  for n in (w_px, h_px)]
-        scale = np.outer(*mirror)[kept] / (w_px * h_px)
-    k1 = np.arange(w_px)
-    fold1 = np.minimum(k1, w_px - k1)
-    # pixel distance from the viewing axis through the centre pixel; over
-    # ssr (pixel/deg) it is the flat-field small-angle eccentricity
-    rows, cols = centre_offsets(w_px, h_px)
-    distance = np.hypot(rows[:, None], cols[None, :])
+    phase = table[list(slices)] / n_sl
+    # a row that folds two frequencies (0 < j, j != K - j) holds both
+    dft = table.T * np.where(2 * k3 % n_sl, 2.0, 1.0)[:, None]
+    a, b = np.indices((w_px // 2 + 1, h_px // 2 + 1))
+    kept = np.nonzero(a <= b if w_px == h_px else a >= 0)
+    mirror = [np.where(2 * np.arange(n // 2 + 1) % n, 2.0, 1.0)
+              for n in (w_px, h_px)]
+    scale = np.outer(*mirror)[kept] / (w_px * h_px)
     groups = {}
     for i, (ssr, _) in enumerate(points):
         groups.setdefault(ssr, []).append(i)
     plans = {}
+    frozen = [phase, dft, *kept]
     for ssr, members in groups.items():
         x0 = w_px / ssr
         u1 = np.abs(frequency_of_index(np.arange(w_px // 2 + 1), w_px, ssr))
         u2 = np.abs(frequency_of_index(np.arange(h_px // 2 + 1), h_px, ssr))
         u_eff = _effective_frequency(u1[:, None], u2[None, :], x0)
         radii, inverse = np.unique(u_eff.ravel(), return_inverse=True)
-        quarter = inverse.reshape(u_eff.shape)
-        foveal = foveal_weight(distance / ssr, foveal_mode)
-        weights = None
-        if bank is None:
-            gather = quarter[fold1].ravel()
-        else:
-            gather = quarter[kept]
-            weights = _even_quadrant(templates * foveal[:, :, None])[kept] \
-                * scale[:, None]
-        rates = np.array([points[i][1] for i in members], dtype=np.float64)
-        w = np.abs(frequency_of_index(np.arange(n_sl // 2 + 1), n_sl,
-                                      rates[:, None]))
-        freqs, row = np.unique(w, return_inverse=True)
-        index = row.reshape(w.shape)[:, :, None] * len(radii) + gather
-        for array in (phase, dft, radii, freqs, index, foveal, weights) + (
-                kept or ()):
-            if array is not None:
-                array.flags.writeable = False
-        plans[ssr] = _Plan(shape=shape, ssr=ssr, members=tuple(members),
-                           phase=phase, radii=radii, freqs=freqs, index=index,
-                           foveal=foveal, dft=dft, kept=kept, weights=weights)
+        gather = inverse.reshape(u_eff.shape)[kept]
+        foveal = foveal_weight(_eccentricity(w_px, h_px, ssr), foveal_mode)
+        weights = _even_quadrant(templates * foveal[:, :, None])[kept] \
+            * scale[:, None]
+        batches = []
+        for start in range(0, len(members), BATCH_POINTS):
+            batch = tuple(members[start:start + BATCH_POINTS])
+            rates = np.array([points[i][1] for i in batch], dtype=np.float64)
+            w = np.abs(frequency_of_index(np.arange(n_sl // 2 + 1), n_sl,
+                                          rates[:, None]))
+            freqs, row = np.unique(w, return_inverse=True)
+            index = row.reshape(w.shape)[:, :, None] * len(radii) + gather
+            batches.append((batch, freqs, index))
+            frozen += [freqs, index]
+        frozen += [radii, weights]
+        plans[ssr] = _Plan(shape=shape, ssr=ssr, phase=phase, dft=dft,
+                           kept=kept, weights=weights, radii=radii,
+                           batches=tuple(batches))
+    for array in frozen:
+        array.flags.writeable = False
     return plans
 
 
@@ -440,20 +403,23 @@ def filter_contrast(contrast_stack, luminance: float, points, *,
     of points, under the adaptation luminance L = luminance and the
     apparent size x0 = W/ssr.
 
-    Every point is checked before anything is divided by it.  The stack
-    is transformed once for all of points, folded in k3: as a half
-    spectrum without a bank; with one, folded about the centre pixel onto
-    the quadrant first (see _Plan.spectrum).  Per ssr, one gain
-    evaluation serves all its points, weighed in batches (_Plan.weighed);
-    per batch the inverse temporal DFT, at the requested slices only (all
-    of them by default, in order), is one batched real GEMM.  The output
-    is each point's real planes through irfft2, foveally weighted, or,
-    given a channel bank, the (slices, n_channels) channel responses of
-    those planes, one GEMM per batch (_Plan.output).  The gain is real and
-    even, so either output is real by construction.  What does not depend
-    on the stack is planned once per shape, points, slices, foveal mode
-    and bank, and cached.  The caller is responsible for contrast having
-    (near-)zero mean.  Returns a list, one output per point.
+    Every point, the output slices (all of them by default, in order)
+    and the foveal mode are checked first, on either path.  Without a
+    bank the output is each point's real planes at those slices,
+    foveally weighted: one rfftn serves all points, and per point the
+    gain is laid on the rfftn grid (signed x and y frequencies, |w| over
+    the K//2 + 1 kept temporal indices) before irfftn.  With a channel
+    bank the output is instead the (slices, n_channels) channel responses
+    of those planes, which are never formed: the stack is folded about
+    the centre pixel onto the quadrant and transformed once
+    (_Plan.spectrum); per ssr and batch of points the gains are weighed
+    in (_Plan.weighed), and the inverse temporal DFT at the output slices
+    and the projection onto the foveally weighted channels are one GEMM
+    each.  What does not depend on the stack is planned once per shape,
+    points, slices, foveal mode and bank, and cached (_plan).  The gain
+    is real and even, so either output is real.  The caller is
+    responsible for contrast having (near-)zero mean.  Returns a list,
+    one output per point.
     """
     arr = np.asarray(contrast_stack, dtype=np.float64)
     if arr.ndim != 3:
@@ -463,16 +429,37 @@ def filter_contrast(contrast_stack, luminance: float, points, *,
         if not (0 < ssr < np.inf and 0 < rate < np.inf):
             raise ValueError(f"browsing point ({ssr!r}, {rate!r}): ssr and "
                              "slice_rate must be finite and positive")
-    plans = _plan(arr.shape, points,
-                  None if slices is None else tuple(int(s) for s in slices),
-                  foveal_mode, bank)
+    w_px, h_px, n_sl = arr.shape
+    slices = tuple(range(n_sl)) if slices is None \
+        else tuple(int(s) for s in slices)
+    if not all(0 <= s < n_sl for s in slices):
+        raise ValueError(f"slices must be indices into {n_sl} slices")
+    if foveal_mode not in FOVEAL_MODES:
+        raise ValueError(f"foveal mode must be one of {FOVEAL_MODES}")
+    if bank is None:
+        spectrum = sfft.rfftn(arr)
+        outs = []
+        for ssr, rate in points:
+            gain = transfer_gain(
+                frequency_of_index(np.arange(w_px), w_px, ssr)[:, None, None],
+                frequency_of_index(np.arange(h_px), h_px, ssr)[:, None],
+                np.abs(frequency_of_index(np.arange(spectrum.shape[2]),
+                                          n_sl, rate)),
+                ViewingConditions(luminance, w_px / ssr))
+            planes = sfft.irfftn(spectrum * gain, s=arr.shape)
+            outs.append(planes[:, :, list(slices)] * foveal_weight(
+                _eccentricity(w_px, h_px, ssr), foveal_mode)[:, :, None])
+        return outs
+    plans = _plan(arr.shape, points, slices, foveal_mode, bank)
     # every plan of the call lays the spectrum out alike
     spectrum = plans[points[0][0]].spectrum(arr) if points else None
     outs = [None] * len(points)
     for plan in plans.values():
         for members, weighed in plan.weighed(spectrum, luminance):
-            inverse = np.matmul(plan.phase, weighed.view(np.float64))
-            for i, out in zip(members, plan.output(inverse)):
+            inverse = np.matmul(plan.phase, weighed)
+            responses = inverse.reshape(-1, inverse.shape[2]) @ plan.weights
+            for i, out in zip(members, responses.reshape(
+                    inverse.shape[:2] + (-1,))):
                 outs[i] = out
     return outs
 
@@ -488,14 +475,14 @@ def apply_stcsf(lum_stack, points, *, foveal_mode: str = "none",
     measure L; subtract it to get contrast, the one stack-sized array
     made; taper the in-plane margins (and re-zero the mean, which the
     taper perturbs) in place; scale every 3D frequency component by
-    S(u_eff, w)/L; weight by foveal acuity last.  Contrast, taper and the
-    forward transform do not depend on the points and are computed once.
+    S(u_eff, w)/L; weight by foveal acuity last (see filter_contrast).
+    Contrast and taper do not depend on the points and are computed once.
     Each entry is a PerceivedStack whose vc holds the point's effective
     viewing conditions.  slices, when given, selects the output slices:
     data then holds only those, in that order.  With a channel bank the
     perceived planes are never formed: each entry is instead the
     (slices, n_channels) array of channel responses of the foveally
-    weighted planes.
+    weighted planes, from the cached response plan.
     """
     arr = np.asarray(lum_stack, dtype=np.float64)
     if arr.size == 0:

@@ -18,11 +18,13 @@ DEMOS = ["01_sensitivity_surface.py", "02_perceived_stack.py",
 
 def run_python(*args):
     """Run the interpreter on args from the repository root with src/ on
-    the path; assert it exits 0."""
+    the path, a RuntimeWarning raised as an error as under pytest; assert
+    it exits 0."""
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", *args], cwd=ROOT,
+        env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 

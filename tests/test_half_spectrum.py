@@ -1,20 +1,21 @@
-"""Oracle tests of the half-spectrum percept kernel.
+"""Oracle tests of the percept kernel's two paths.
 
-The reference below is the full complex path the kernel replaced: the
+The reference below is the full complex path both paths replace: the
 gain on the whole fftn index grid, a complex fftn/ifftn pair and the real
-part of the result.  The kernel must match it to 1e-12 relative, both on
-whole perceived stacks and on the channel responses of a slice range
-(projected from the spatial planes or straight from the half spectrum),
-whether one viewing condition is filtered or several share one forward
-transform.  The cached spectral plan's gain grid must equal transfer_gain
-bitwise.  The channel responses, taken from the part of the stack even
-about the centre pixel, must ignore an odd part (and, on square stacks,
-a part antisymmetric under transposition) and match the projection of
-the perceived planes over generated shapes, depths, ssr sets and foveal
-modes.  A point's output must not depend on the other points of its
-pass, nor on the batch it is weighed in, and a long sweep must hold only
-one batch of weighed spectra at a time.  A channel bank that is not
-radial about the centre pixel must be refused.
+part of the result.  The plain planes path (one rfftn, the gain on the
+rfftn grid, irfftn) must match it to 1e-12 relative on whole perceived
+stacks and on slice ranges, whether one viewing condition is filtered or
+several share one forward transform, and so must the channel responses
+of the cached spectral plan.  The plan's gain, batch by batch, must
+equal transfer_gain bitwise.  The channel responses, taken from the part
+of the stack even about the centre pixel, must ignore an odd part (and,
+on square stacks, a part antisymmetric under transposition) and match
+the projection of the perceived planes over generated shapes, depths,
+ssr sets and foveal modes.  A point's output must not depend on the
+other points of its pass, nor on the batch it is weighed in, and a long
+sweep must hold only one batch of weighed spectra and one batch's gain
+table at a time.  A channel bank that is not radial about the centre
+pixel must be refused.
 """
 
 import tracemalloc
@@ -192,17 +193,19 @@ def test_foveal_weight_serves_every_condition_alike(foveal_mode):
          lum=80.0)
 def test_plan_gain_equals_transfer_gain_bitwise(w_px, h_px, n_sl, ssr, rates,
                                                 lum):
-    # the full half grid: every k1, every k2 in [0, H//2], every k3, at
-    # the folded frequencies (index k and n - k share |u1| and |w|)
+    # every kept quadrant position (a, b) and every k3, at the folded
+    # frequencies (index k and n - k share |u1| and |w|)
     vc = ViewingConditions(luminance=lum, x0=w_px / ssr)
     points = tuple((ssr, rate) for rate in rates)
-    plan = percept._plan((w_px, h_px, n_sl), points, None, "none", None)[ssr]
-    k1 = np.arange(w_px)
+    bank = lg_channel_bank(w_px, h_px, n_channels=1, spread=4.0)
+    plan = percept._plan((w_px, h_px, n_sl), points, tuple(range(n_sl)),
+                         "none", bank)[ssr]
+    a, b = plan.kept
     k3 = np.arange(n_sl)
-    u1 = np.abs(frequency_of_index(np.minimum(k1, w_px - k1), w_px, ssr))
-    u2 = np.abs(frequency_of_index(np.arange(h_px // 2 + 1), h_px, ssr))
-    # weighing a spectrum of ones lays the gain out on the half grid
-    ones = np.ones((n_sl, u1.size * u2.size), dtype=np.complex128)
+    u1 = np.abs(frequency_of_index(a, w_px, ssr))
+    u2 = np.abs(frequency_of_index(b, h_px, ssr))
+    # weighing a spectrum of ones lays the gain out on the kept positions
+    ones = np.ones((n_sl, len(a)))
     batches = [(members, out.copy())
                for members, out in plan.weighed(ones, lum)]
     assert [i for members, _ in batches for i in members] \
@@ -210,10 +213,8 @@ def test_plan_gain_equals_transfer_gain_bitwise(w_px, h_px, n_sl, ssr, rates,
     gains = np.concatenate([out for _, out in batches])
     for rate, got in zip(rates, gains):
         w = np.abs(frequency_of_index(np.minimum(k3, n_sl - k3), n_sl, rate))
-        want = transfer_gain(u1[None, :, None], u2[None, None, :],
-                             w[:, None, None], vc)
-        assert np.array_equal(got.real.reshape(want.shape), want)
-        assert not got.imag.any()
+        want = transfer_gain(u1[None, :], u2[None, :], w[:, None], vc)
+        assert np.array_equal(got, want)
 
 
 def test_trial_responses_match_full_complex_path():
@@ -373,15 +374,19 @@ def test_a_sweep_longer_than_a_batch_matches_shorter_ones():
     assert sizes == [percept.BATCH_POINTS] * 3 + [1]
 
 
-def test_a_long_sweep_holds_one_batch_of_weighed_spectra():
+@pytest.mark.parametrize("distinct", [False, True],
+                         ids=["repeated", "distinct"])
+def test_a_long_sweep_holds_one_batch_of_weighed_spectra(distinct):
     # traced allocations of one stack's pass, its plan built beforehand:
-    # ten times the points may not take much more memory than one batch.
-    # The points repeat one rate, so the gain table does not grow with them
+    # ten times the points may not take much more memory than one batch,
+    # whether they repeat one rate or each bring their own |w|, which the
+    # gain table of their batch alone holds
     lum = np.random.default_rng(22).uniform(20.0, 80.0, size=(32, 32, 16))
     bank = lg_channel_bank(32, 32, n_channels=5, spread=4.0)
 
     def peak(n_points):
-        points = [(7.0, 25.0)] * n_points
+        points = [(7.0, 1.0 + 44.0 * i / n_points if distinct else 25.0)
+                  for i in range(n_points)]
         apply_stcsf(lum, points, slices=(7, 8, 9), bank=bank)
         tracemalloc.start()
         try:

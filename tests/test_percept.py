@@ -229,14 +229,22 @@ class TestCentrePixel:
         rows, cols = centre_offsets(7, 9)
         assert np.hypot(rows[3 + 3], cols[4 + 4]) == 5.0
 
+    @staticmethod
+    def _hard_planes(shape, ssr):
+        """The hard-mode planes of a flat contrast, and the planes with no
+        foveal weight: a flat stack filters to one value everywhere, so
+        the hard planes are that value where the weight is 1, else 0."""
+        flat = np.ones(shape)
+        return [filter_contrast(flat, 40.0, [(ssr, 25.0)], foveal_mode=mode)[0]
+                for mode in ("hard", "none")]
+
     def test_seven_degrees_in_the_plan(self):
         # 49 px from the centre at 7 px/deg is exactly the 7 deg cutoff
-        plans = percept._plan((100, 3, 2), ((7.0, 25.0),), None, "hard",
-                              None)
-        foveal = plans[7.0].foveal
-        assert foveal[50 + 49, 1] == 0.0
-        assert foveal[50 + 48, 1] == 1.0
-        assert foveal[50 - 49, 1] == 0.0
+        hard, none = self._hard_planes((100, 3, 2), 7.0)
+        assert np.all(none[[50 + 49, 50 + 48, 50 - 49], 1] != 0.0)
+        assert np.all(hard[50 + 49, 1] == 0.0)
+        assert np.array_equal(hard[50 + 48, 1], none[50 + 48, 1])
+        assert np.all(hard[50 - 49, 1] == 0.0)
 
     @pytest.mark.parametrize("w_px, h_px", [(16, 16), (17, 17), (16, 17),
                                             (17, 16)])
@@ -254,9 +262,9 @@ class TestCentrePixel:
                                     StackGeometry(w_px, h_px, 3, 10, 1.0))
         assert only_peak(inplane) == centre
         # at 0.1 px/deg only the centre pixel lies inside the 7 deg cutoff
-        plans = percept._plan((w_px, h_px, 2), ((0.1, 25.0),), None,
-                              "hard", None)
-        assert only_peak(plans[0.1].foveal) == centre
+        hard, none = self._hard_planes((w_px, h_px, 2), 0.1)
+        assert none[centre][0] > 0.0
+        assert only_peak(hard[:, :, 0]) == centre
 
 
 class TestPlanPhases:
@@ -268,8 +276,9 @@ class TestPlanPhases:
         # bit for bit the one of its reduced index; at this K the
         # unreduced float product gives other last bits
         n_sl = 32
-        phase = percept._plan((16, 16, n_sl), ((7.0, 25.0),), None,
-                              "none", None)[7.0].phase
+        bank = lg_channel_bank(16, 16, n_channels=1, spread=4.0)
+        phase = percept._plan((16, 16, n_sl), ((7.0, 25.0),),
+                              tuple(range(n_sl)), "none", bank)[7.0].phase
         index = np.arange(n_sl)
         product = np.outer(index, np.minimum(index, n_sl - index))
         cos = index <= n_sl // 2
@@ -470,15 +479,20 @@ class TestPlanCache:
         plans = percept._plan((12, 12, 5), points, (1, 2), "hard", bank)
         assert percept._plan((12, 12, 5), points, (1, 2), "hard",
                              bank) is plans
-        # one phase array and one slice DFT serve every ssr of the call
+        # one phase array, one slice DFT and one set of kept positions
+        # serve every ssr of the call
         assert plans[2.0].phase is plans[3.0].phase
         assert plans[2.0].dft is plans[3.0].dft
-        assert (plans[2.0].members, plans[3.0].members) == ((0, 2), (1,))
+        assert plans[2.0].kept is plans[3.0].kept
+        assert [[members for members, _, _ in plan.batches]
+                for plan in plans.values()] == [[(0, 2)], [(1,)]]
         arrays = [bank.matrix, percept._even_axis(12),
                   percept._taper_weight(12, 12)]
         for plan in plans.values():
-            arrays += [plan.phase, plan.dft, plan.radii, plan.freqs,
-                       plan.index, plan.foveal, plan.weights, *plan.kept]
+            arrays += [plan.phase, plan.dft, *plan.kept, plan.weights,
+                       plan.radii]
+            for _, freqs, index in plan.batches:
+                arrays += [freqs, index]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = 0
