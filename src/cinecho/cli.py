@@ -43,8 +43,9 @@ from .harness import (
     run_sweep,
     sweep_points,
 )
-from .stacks import generate_dataset, read_dataset, write_dataset
-from .trial import _check_covariance, _check_split
+from .stacks import _lesion_shape, generate_dataset, read_dataset, \
+    write_dataset
+from .trial import _check_per_class, _check_split
 
 __all__ = ["main"]
 
@@ -64,8 +65,8 @@ def _out_dir(args) -> Path:
 
 
 def _dataset(config: dict, split: bool = False):
-    """Read or generate the dataset; with split, the pair count to be
-    generated meets the trial split's checks first."""
+    """Read or generate the dataset; with split, the pairs to be generated
+    meet the trial split's and training checks first."""
     manifest = config["trial.dataset"]
     if manifest:
         return read_dataset(manifest)
@@ -74,10 +75,11 @@ def _dataset(config: dict, split: bool = False):
         _check_split(config["generator.n_pairs"], config["trial.n_readers"],
                      config["trial.seed"], config["trial.min_per_class"])
         # split_dataset deals n_pairs // (n_readers + 1) of each class to
-        # the fewest-served training subset
-        _check_covariance(
+        # the fewest-served training subset, and insert_lesion records the
+        # lesion's affected slices
+        _check_per_class(
             config["generator.n_pairs"] // (config["trial.n_readers"] + 1),
-            config["observer.n_channels"])
+            len(_lesion_shape(lesion, geometry)[3]), pipeline_from(config))
     return generate_dataset(geometry, config["generator.n_pairs"], lesion,
                             seed=config["generator.seed"],
                             texture=config["generator.texture"],

@@ -18,18 +18,19 @@
 # slices asked for and the foveal weight.  Channel responses need less of
 # the spectrum: the gain is even in every axis and the Laguerre-Gauss
 # templates are radial about the centre pixel, so only the part of the
-# stack even about it is read, a (W//2+1) x (H//2+1) quadrant (a <= b of
-# it when W == H), transformed by real cosine GEMMs and a real DFT over
-# the slices.  The response path has three layers:
+# stack even about it is read.  Its real DFT over the plane is the
+# (W//2+1) x (H//2+1) quadrant of cosine sums about the centre pixel, one
+# real cosine GEMM per axis (a <= b of it kept when W == H), followed by a
+# real DFT over the slices.  The response path has three layers:
 #
-#   per plan   what no stack changes, one read-only plan per ssr, built
-#              together per stack shape, points, slices, foveal mode and
-#              bank and cached (_plan): the real temporal DFT and its
-#              inverse phases (one array for all), the kept quadrant
-#              positions, the foveally weighted channel weights there and
-#              the distinct radii, and per batch of at most BATCH_POINTS
-#              points their distinct |w| and the index laying each
-#              point's gain from their table onto the spectrum's positions
+#   per pass   what no stack changes, one read-only plan built per stack
+#              shape, points, slices, foveal mode and bank and cached
+#              (_plan): the real temporal DFT and its inverse phases, the
+#              kept quadrant positions and, per ssr, the foveally weighted
+#              channel weights there, the distinct radii and, per batch of
+#              at most BATCH_POINTS points, their distinct |w| and the
+#              index laying each point's gain from their table onto the
+#              spectrum's positions
 #   per stack  mean, contrast (the one stack-sized array made), taper and
 #              re-zeroed mean in place, one forward transform
 #   per ssr    one derive_optics; per batch one gain table, one gather, two
@@ -194,13 +195,14 @@ BATCH_POINTS = 10
 @dataclass(frozen=True, eq=False)
 class _Plan:
     """The stack-independent part of taking the channel responses of
-    W x H x K stacks at the points of one ssr: the real DFT over the
+    W x H x K stacks at the points of one pass: the real DFT over the
     slices, the inverse temporal phases of the output slices, the kept
-    quadrant positions, the channel weights on them, the distinct
-    effective radii of the quadrant and, per batch of at most
-    BATCH_POINTS points, their positions in the pass, the distinct |w| of
-    their rates and the flat index into that (|w|, radius) table of each
-    point's gain (see _plan).
+    quadrant positions and one group (ssr, weights, radii, batches) per
+    ssr of the pass: the channel weights on the kept positions, the
+    distinct effective radii of the quadrant and, per batch of at most
+    BATCH_POINTS of its points, their positions in the pass, the distinct
+    |w| of their rates and the flat index into that (|w|, radius) table of
+    each point's gain (see _plan).
 
     A stack's spectrum is a real (K, positions) array folded in k3: row
     j <= K//2 holds the cosine sums of frequency j, row j > K//2 the sine
@@ -210,13 +212,10 @@ class _Plan:
     """
 
     shape: tuple
-    ssr: float
     phase: np.ndarray
     dft: np.ndarray
     kept: tuple
-    weights: np.ndarray
-    radii: np.ndarray
-    batches: tuple
+    groups: tuple
 
     def spectrum(self, arr):
         """A W x H x K stack's spectrum in this plan's layout: the real
@@ -233,8 +232,9 @@ class _Plan:
         return self.dft @ quad[self.kept].T
 
     def weighed(self, spectrum, luminance: float):
-        """Yield (members, spectrum times their gains at L = luminance) per
-        batch, each a (points, K, positions) view of one buffer.  One
+        """Yield (members, their group's channel weights, spectrum times
+        their gains at L = luminance) per batch of every group, the last a
+        (points, K, positions) view of one buffer.  Per group one
         derive_optics serves every batch; per batch one transfer_gain call
         on its (|w|, radius) table and one gather through its index take
         the batch's gains, folded in k3: the gain is even in w (exactly,
@@ -242,21 +242,23 @@ class _Plan:
         K - k3."""
         n_sl = self.shape[2]
         n_w = n_sl // 2 + 1
-        vc = ViewingConditions(luminance, self.shape[0] / self.ssr)
-        optics = derive_optics(vc)
-        for n, (members, freqs, index) in enumerate(self.batches):
-            # the radii are clamped already, and hypot(u, 0) is u exactly
-            table = transfer_gain(self.radii[None, :], 0.0, freqs[:, None],
-                                  vc, optics=optics)
-            gains = table.reshape(-1)[index]
-            if n == 0:  # after the table's temporaries; no batch is larger
-                buffer = np.empty(gains.shape[:1] + spectrum.shape)
-            out = buffer[:len(members)]
-            np.multiply(spectrum[:n_w], gains, out=out[:, :n_w])
-            np.multiply(spectrum[n_w:], gains[:, n_sl - n_w:0:-1],
-                        out=out[:, n_w:])
-            del gains, table  # freed before the next batch's table
-            yield members, out
+        buffer = np.empty((0,) + spectrum.shape)
+        for ssr, weights, radii, batches in self.groups:
+            vc = ViewingConditions(luminance, self.shape[0] / ssr)
+            optics = derive_optics(vc)
+            for members, freqs, index in batches:
+                # the radii are clamped already, and hypot(u, 0) is u exactly
+                table = transfer_gain(radii[None, :], 0.0, freqs[:, None],
+                                      vc, optics=optics)
+                gains = table.reshape(-1)[index]
+                if len(buffer) < len(members):  # after the table's temporaries
+                    buffer = np.empty(gains.shape[:1] + spectrum.shape)
+                out = buffer[:len(members)]
+                np.multiply(spectrum[:n_w], gains, out=out[:, :n_w])
+                np.multiply(spectrum[n_w:], gains[:, n_sl - n_w:0:-1],
+                            out=out[:, n_w:])
+                del gains, table  # freed before the next batch's table
+                yield members, weights, out
 
 
 def _eccentricity(w_px: int, h_px: int, ssr: float):
@@ -269,45 +271,29 @@ def _eccentricity(w_px: int, h_px: int, ssr: float):
 
 @lru_cache(maxsize=8)
 def _even_axis(n: int) -> np.ndarray:
-    """cosines[a, i] = cos(2 pi a i / n) for a, i = 0..n//2, the index
-    product reduced mod n: the real DFT of an n-pixel axis folded about
-    its centre pixel (see _fold_even), read-only."""
-    index = np.arange(n // 2 + 1)
-    cosines = np.cos(2 * np.pi * (np.outer(index, index) % n) / n)
+    """cosines[a, j] = cos(2 pi a (j - n//2) / n) for a = 0..n//2 and
+    j = 0..n-1, the index product reduced mod n in integers: the real
+    DFT of an n-pixel axis about its centre pixel n//2, read-only."""
+    cosines = np.cos(2 * np.pi * (np.outer(np.arange(n // 2 + 1),
+                                           np.arange(n) - n // 2) % n) / n)
     cosines.flags.writeable = False
     return cosines
 
 
-def _fold_even(arr, axis: int):
-    """arr folded about the centre pixel c = n//2 of one n-pixel axis
-    into a fresh array: index i = 0..c holds arr[c + i] + arr[c - i]
-    (mod n), once where the two are one pixel: i = 0, halved, and for
-    even n i = c, pixel 0 alone."""
-    n, centre = arr.shape[axis], arr.shape[axis] // 2
-    folded = np.empty(arr.shape[:axis] + (centre + 1,) + arr.shape[axis + 1:])
-    src, dst = arr.swapaxes(0, axis), folded.swapaxes(0, axis)
-    np.add(src[centre:], src[centre::-1][:n - centre], out=dst[:n - centre])
-    if n % 2 == 0:
-        dst[centre] = src[0]
-    dst[0] *= 0.5
-    return folded
-
-
 def _even_quadrant(arr):
     """The (W//2 + 1, H//2 + 1, m) real DFT over the plane of the part
-    of a W x H x m array even about the centre pixel: each axis folded,
-    then one cosine GEMM per axis (see _even_axis).  The odd part's DFT
-    is imaginary and sums to zero against even gains and templates."""
-    quad = np.matmul(_even_axis(arr.shape[1]),
-                     _fold_even(_fold_even(arr, 0), 1))
+    of a W x H x m array even about the centre pixel: one cosine GEMM per
+    axis (see _even_axis).  The odd part's DFT is imaginary, so the
+    cosine sums drop it, as do even gains and templates."""
+    quad = np.matmul(_even_axis(arr.shape[1]), arr)
     return (_even_axis(arr.shape[0]) @ quad.reshape(len(quad), -1)).reshape(
-        quad.shape)
+        (arr.shape[0] // 2 + 1,) + quad.shape[1:])
 
 
 @lru_cache(maxsize=8)
 def _plan(shape: tuple, points: tuple, slices: tuple, foveal_mode: str,
-          bank) -> dict:
-    """{ssr: _Plan} for the channel responses of W x H x K stacks of this
+          bank) -> _Plan:
+    """The _Plan for the channel responses of W x H x K stacks of this
     shape browsed at points, a tuple of (ssr, slice_rate) pairs, at the
     output slices (a tuple of indices, checked by filter_contrast), under
     the foveal mode and the channel bank (an observer.ChannelBank of the
@@ -319,16 +305,17 @@ def _plan(shape: tuple, points: tuple, slices: tuple, foveal_mode: str,
     so a bank whose templates are not (on the pixels whose mirror lies in
     the grid) raises ValueError.
 
-    The plans share one phase array, one dft and one set of kept quadrant
-    positions (a <= b when W == H).  Each holds, at x0 = W/ssr, the
-    channel weights: the foveally weighted templates through the same
-    fold and cosine GEMMs as the stacks, times m(a) m(b) / (W H), m being
-    1 on indices that are their own mirror and 2 on the others, so the
-    filter returns channel responses instead of planes; the distinct
-    effective radial frequencies of the quadrant; and per batch of at most
-    BATCH_POINTS of its points, the distinct |w| of their rates and per
-    point the flat index into their table at every k3 <= K//2 and kept
-    position.  A batch's table thus grows with that batch alone.
+    The pass has one phase array, one dft and one set of kept quadrant
+    positions (a <= b when W == H).  Each ssr's group holds, at
+    x0 = W/ssr, the channel weights: the foveally weighted templates
+    through the same cosine GEMMs as the stacks, times m(a) m(b) / (W H),
+    m being 1 on indices that are their own mirror and 2 on the others,
+    so the filter returns channel responses instead of planes; the
+    distinct effective radial frequencies of the quadrant; and per batch
+    of at most BATCH_POINTS of its points, the distinct |w| of their
+    rates and per point the flat index into their table at every
+    k3 <= K//2 and kept position.  A batch's table thus grows with that
+    batch alone.
     """
     w_px, h_px, n_sl = shape
     if (bank.width, bank.height) != (w_px, h_px):
@@ -361,12 +348,12 @@ def _plan(shape: tuple, points: tuple, slices: tuple, foveal_mode: str,
     mirror = [np.where(2 * np.arange(n // 2 + 1) % n, 2.0, 1.0)
               for n in (w_px, h_px)]
     scale = np.outer(*mirror)[kept] / (w_px * h_px)
-    groups = {}
+    members_of = {}
     for i, (ssr, _) in enumerate(points):
-        groups.setdefault(ssr, []).append(i)
-    plans = {}
+        members_of.setdefault(ssr, []).append(i)
+    groups = []
     frozen = [phase, dft, *kept]
-    for ssr, members in groups.items():
+    for ssr, members in members_of.items():
         x0 = w_px / ssr
         u1 = np.abs(frequency_of_index(np.arange(w_px // 2 + 1), w_px, ssr))
         u2 = np.abs(frequency_of_index(np.arange(h_px // 2 + 1), h_px, ssr))
@@ -387,12 +374,11 @@ def _plan(shape: tuple, points: tuple, slices: tuple, foveal_mode: str,
             batches.append((batch, freqs, index))
             frozen += [freqs, index]
         frozen += [radii, weights]
-        plans[ssr] = _Plan(shape=shape, ssr=ssr, phase=phase, dft=dft,
-                           kept=kept, weights=weights, radii=radii,
-                           batches=tuple(batches))
+        groups.append((ssr, weights, radii, tuple(batches)))
     for array in frozen:
         array.flags.writeable = False
-    return plans
+    return _Plan(shape=shape, phase=phase, dft=dft, kept=kept,
+                 groups=tuple(groups))
 
 
 def filter_contrast(contrast_stack, luminance: float, points, *,
@@ -410,8 +396,8 @@ def filter_contrast(contrast_stack, luminance: float, points, *,
     gain is laid on the rfftn grid (signed x and y frequencies, |w| over
     the K//2 + 1 kept temporal indices) before irfftn.  With a channel
     bank the output is instead the (slices, n_channels) channel responses
-    of those planes, which are never formed: the stack is folded about
-    the centre pixel onto the quadrant and transformed once
+    of those planes, which are never formed: the part of the stack even
+    about the centre pixel is transformed once onto the quadrant
     (_Plan.spectrum); per ssr and batch of points the gains are weighed
     in (_Plan.weighed), and the inverse temporal DFT at the output slices
     and the projection onto the foveally weighted channels are one GEMM
@@ -450,17 +436,15 @@ def filter_contrast(contrast_stack, luminance: float, points, *,
             outs.append(planes[:, :, list(slices)] * foveal_weight(
                 _eccentricity(w_px, h_px, ssr), foveal_mode)[:, :, None])
         return outs
-    plans = _plan(arr.shape, points, slices, foveal_mode, bank)
-    # every plan of the call lays the spectrum out alike
-    spectrum = plans[points[0][0]].spectrum(arr) if points else None
+    plan = _plan(arr.shape, points, slices, foveal_mode, bank)
+    spectrum = plan.spectrum(arr)
     outs = [None] * len(points)
-    for plan in plans.values():
-        for members, weighed in plan.weighed(spectrum, luminance):
-            inverse = np.matmul(plan.phase, weighed)
-            responses = inverse.reshape(-1, inverse.shape[2]) @ plan.weights
-            for i, out in zip(members, responses.reshape(
-                    inverse.shape[:2] + (-1,))):
-                outs[i] = out
+    for members, weights, weighed in plan.weighed(spectrum, luminance):
+        inverse = np.matmul(plan.phase, weighed)
+        responses = inverse.reshape(-1, inverse.shape[2]) @ weights
+        for i, out in zip(members, responses.reshape(
+                inverse.shape[:2] + (-1,))):
+            outs[i] = out
     return outs
 
 

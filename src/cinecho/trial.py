@@ -130,35 +130,34 @@ def _check_split(n_pairs, n_readers, seed, min_per_class) -> None:
             f"at least {min_per_class} members per class")
 
 
-def _check_covariance(per_class, n_channels) -> None:
+def _check_per_class(per_class, n_slices, config: PipelineConfig) -> None:
     """Raise PlanError unless per_class stacks of each class in every
-    training subset estimate the n_channels-dimensional channel
-    covariance: hotelling_template needs n_channels + 1."""
+    training subset train config's readers over n_slices slices:
+    hotelling_template needs n_channels + 1 for the channel covariance,
+    and the hotelling combiner over more than one slice n_slices + 1 for
+    the covariance of the slice scores."""
+    n_channels = config.n_channels
     if per_class < n_channels + 1:
         raise PlanError(
             f"{per_class} stacks per class in a training subset cannot "
             f"train {n_channels} channels; need at least {n_channels + 1}")
-
-
-def _check_training(stacks, plan: TrialPlan, config: PipelineConfig,
-                    slice_range) -> None:
-    """_check_covariance at the fewest stacks of one class in one training
-    subset of the plan over plan_stacks' stacks, before perception.  The
-    hotelling combiner over more than one slice trains a second
-    covariance, over the len(slice_range) slice scores, which needs
-    len(slice_range) + 1 stacks per class."""
-    cells = [(plan.subset_assignment[s.stack_id], s.label) for s in stacks]
-    per_class = min(cells.count((subset, label))
-                    for subset in range(plan.n_readers)
-                    for label in ("healthy", "lesion"))
-    _check_covariance(per_class, config.n_channels)
-    n_slices = len(slice_range)
     if config.combiner == "hotelling" and n_slices > 1 \
             and per_class < n_slices + 1:
         raise PlanError(
             f"{per_class} stacks per class in a training subset cannot "
             f"train the hotelling combiner over {n_slices} slices; need at "
             f"least {n_slices + 1}")
+
+
+def _check_training(stacks, plan: TrialPlan, config: PipelineConfig,
+                    slice_range) -> None:
+    """_check_per_class at the fewest stacks of one class in one training
+    subset of the plan over plan_stacks' stacks, before perception."""
+    cells = [(plan.subset_assignment[s.stack_id], s.label) for s in stacks]
+    per_class = min(cells.count((subset, label))
+                    for subset in range(plan.n_readers)
+                    for label in ("healthy", "lesion"))
+    _check_per_class(per_class, len(slice_range), config)
 
 
 def split_dataset(pairing, n_readers: int, seed: int,
@@ -341,16 +340,16 @@ def perceive_responses(stacks, configs, slice_range) -> np.ndarray:
     The configs may differ only in ssr and slice_rate (the browsing
     axes); any other difference raises ValueError.  Each stack is mapped
     to luminance and passed to apply_stcsf once, with every config's
-    browsing point, so it is tapered, folded onto its even quadrant and
-    forward-transformed once; per ssr one gain evaluation serves all its
-    configs, and the gain, the inverse temporal DFT and the projection
-    onto the channels, on the kept quadrant positions, run on batches of
-    configs.  Stacks are perceived one per task on a pool of one thread
-    per CPU the process may run on (as taskset and the cgroup's CPU
-    quota allow) and gathered in stack order, so the array does not depend
-    on the CPU count.  They share one channel bank, built on the calling
-    thread, and one cached spectral plan, and must share one shape (see
-    plan_stacks).
+    browsing point, so it is tapered and its part even about the centre
+    pixel forward-transformed onto the quadrant once; per ssr one gain
+    evaluation serves all its configs, and the gain, the inverse temporal
+    DFT and the projection onto the channels, on the kept quadrant
+    positions, run on batches of configs.  Stacks are perceived one per
+    task on a pool of one thread per CPU the process may run on (as
+    taskset and the cgroup's CPU quota allow) and gathered in stack
+    order, so the array does not depend on the CPU count.  They share one
+    channel bank, built on the calling thread, and one cached response
+    plan, and must share one shape (see plan_stacks).
     """
     config = configs[0]
     if any(replace(c, ssr=config.ssr, slice_rate=config.slice_rate) != config

@@ -372,7 +372,11 @@ class TestErrors:
          "trial seed must be a non-negative integer, got -3"),
         # 18 pairs over three subsets leave 6 stacks per class in each
         ("observer.n_channels = 6", "6 stacks per class in a training "
-         "subset cannot train 6 channels; need at least 7")])
+         "subset cannot train 6 channels; need at least 7"),
+        # a lesion over 9 slices: the combiner's floor, before generation
+        ("generator.lesion_sigma_z = 2", "6 stacks per class in a training "
+         "subset cannot train the hotelling combiner over 9 slices; need "
+         "at least 10")])
     def test_split_checked_before_generating(self, config_path, tmp_path,
                                              capsys, monkeypatch, command,
                                              line, message):

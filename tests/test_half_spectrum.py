@@ -199,7 +199,7 @@ def test_plan_gain_equals_transfer_gain_bitwise(w_px, h_px, n_sl, ssr, rates,
     points = tuple((ssr, rate) for rate in rates)
     bank = lg_channel_bank(w_px, h_px, n_channels=1, spread=4.0)
     plan = percept._plan((w_px, h_px, n_sl), points, tuple(range(n_sl)),
-                         "none", bank)[ssr]
+                         "none", bank)
     a, b = plan.kept
     k3 = np.arange(n_sl)
     u1 = np.abs(frequency_of_index(a, w_px, ssr))
@@ -207,7 +207,7 @@ def test_plan_gain_equals_transfer_gain_bitwise(w_px, h_px, n_sl, ssr, rates,
     # weighing a spectrum of ones lays the gain out on the kept positions
     ones = np.ones((n_sl, len(a)))
     batches = [(members, out.copy())
-               for members, out in plan.weighed(ones, lum)]
+               for members, _, out in plan.weighed(ones, lum)]
     assert [i for members, _ in batches for i in members] \
         == list(range(len(rates)))
     gains = np.concatenate([out for _, out in batches])
@@ -369,8 +369,8 @@ def test_a_sweep_longer_than_a_batch_matches_shorter_ones():
             assert np.array_equal(got, want)
     ones = np.ones((12, 45))
     plan = percept._plan((16, 16, 12), tuple(points), (5, 6, 7), "none",
-                         bank)[7.0]
-    sizes = [len(out) for _, out in plan.weighed(ones, 40.0)]
+                         bank)
+    sizes = [len(out) for _, _, out in plan.weighed(ones, 40.0)]
     assert sizes == [percept.BATCH_POINTS] * 3 + [1]
 
 

@@ -1,5 +1,6 @@
 """Tests for the perceived-stack pipeline."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -278,7 +279,7 @@ class TestPlanPhases:
         n_sl = 32
         bank = lg_channel_bank(16, 16, n_channels=1, spread=4.0)
         phase = percept._plan((16, 16, n_sl), ((7.0, 25.0),),
-                              tuple(range(n_sl)), "none", bank)[7.0].phase
+                              tuple(range(n_sl)), "none", bank).phase
         index = np.arange(n_sl)
         product = np.outer(index, np.minimum(index, n_sl - index))
         cos = index <= n_sl // 2
@@ -476,22 +477,23 @@ class TestPlanCache:
     def test_cached_arrays_refuse_writes(self):
         bank = lg_channel_bank(12, 12, n_channels=3, spread=4.0)
         points = ((2.0, 10.0), (3.0, 10.0), (2.0, 25.0))
-        plans = percept._plan((12, 12, 5), points, (1, 2), "hard", bank)
+        plan = percept._plan((12, 12, 5), points, (1, 2), "hard", bank)
         assert percept._plan((12, 12, 5), points, (1, 2), "hard",
-                             bank) is plans
+                             bank) is plan
         # one phase array, one slice DFT and one set of kept positions
-        # serve every ssr of the call
-        assert plans[2.0].phase is plans[3.0].phase
-        assert plans[2.0].dft is plans[3.0].dft
-        assert plans[2.0].kept is plans[3.0].kept
-        assert [[members for members, _, _ in plan.batches]
-                for plan in plans.values()] == [[(0, 2)], [(1,)]]
+        # serve every ssr of the pass: each ssr's group holds only its
+        # weights, radii and batches
+        assert [field.name for field in dataclasses.fields(plan)] \
+            == ["shape", "phase", "dft", "kept", "groups"]
+        assert [(ssr, [members for members, _, _ in batches])
+                for ssr, _, _, batches in plan.groups] \
+            == [(2.0, [(0, 2)]), (3.0, [(1,)])]
         arrays = [bank.matrix, percept._even_axis(12),
-                  percept._taper_weight(12, 12)]
-        for plan in plans.values():
-            arrays += [plan.phase, plan.dft, *plan.kept, plan.weights,
-                       plan.radii]
-            for _, freqs, index in plan.batches:
+                  percept._taper_weight(12, 12), plan.phase, plan.dft,
+                  *plan.kept]
+        for _, weights, radii, batches in plan.groups:
+            arrays += [weights, radii]
+            for _, freqs, index in batches:
                 arrays += [freqs, index]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
