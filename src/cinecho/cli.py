@@ -43,6 +43,7 @@ from .harness import (
     run_sweep,
     sweep_points,
 )
+from .observer import lg_channel_bank
 from .stacks import _lesion_shape, generate_dataset, read_dataset, \
     write_dataset
 from .trial import _check_per_class, _check_split
@@ -66,7 +67,8 @@ def _out_dir(args) -> Path:
 
 def _dataset(config: dict, split: bool = False):
     """Read or generate the dataset; with split, the pairs to be generated
-    meet the trial split's and training checks first."""
+    meet the trial split's and training checks, and the channel bank is
+    built, first."""
     manifest = config["trial.dataset"]
     if manifest:
         return read_dataset(manifest)
@@ -77,9 +79,13 @@ def _dataset(config: dict, split: bool = False):
         # split_dataset deals n_pairs // (n_readers + 1) of each class to
         # the fewest-served training subset, and insert_lesion records the
         # lesion's affected slices
+        pipeline = pipeline_from(config)
         _check_per_class(
             config["generator.n_pairs"] // (config["trial.n_readers"] + 1),
-            len(_lesion_shape(lesion, geometry)[3]), pipeline_from(config))
+            len(_lesion_shape(lesion, geometry)[3]), pipeline)
+        # the bank is cached, so the pass perceives with this one
+        lg_channel_bank(geometry.width, geometry.height, pipeline.n_channels,
+                        pipeline.spread)
     return generate_dataset(geometry, config["generator.n_pairs"], lesion,
                             seed=config["generator.seed"],
                             texture=config["generator.texture"],

@@ -82,7 +82,8 @@ class DisplayModel:
             raise ValueError(
                 f"code values must lie in [0, {self.max_code}] "
                 f"for a {self.bit_depth}-bit display")
-        # index, not take, which reads the table twice as slowly; booleans
-        # as the codes 0 and 1, not as a mask
-        return self._table[code.view(np.uint8) if code.dtype.kind == "b"
-                           else code]
+        # index, not take, and by intp: numpy casts an index of any other
+        # dtype one entry at a time, which reads the table about twice as
+        # slowly; booleans as the codes 0 and 1, not as a mask
+        return self._table[(code.view(np.uint8) if code.dtype.kind == "b"
+                            else code).astype(np.intp)]

@@ -134,11 +134,12 @@ def run_sweep(dataset, spec: SweepSpec, config: dict,
     The plan is checked once, then the channel responses are computed in
     one pass over the stacks per display (see perceive_responses): one for
     a slice_rate or ssr sweep, one per value for l_max and contrast_ratio.
-    Each point's readers train and score as in run_trial, to the same bits.
-    Each pass runs its stacks on one thread per CPU the process may run
-    on, with output identical at any CPU count; config['sweep.workers'] is
-    accepted and ignored.  Every pass shares one cached channel bank and
-    spectral plan.
+    Every pass runs before any point is scored, and each point is scored
+    from its own pass's array, which is not copied.  Each point's readers
+    train and score as in run_trial, to the same bits.  Each pass runs its
+    stacks on one thread per CPU the process may run on, with output
+    identical at any CPU count; config['sweep.workers'] is accepted and
+    ignored.  Every pass shares one cached channel bank and spectral plan.
     """
     if plan is None:
         plan = split_dataset(dataset.pairing, config["trial.n_readers"],
@@ -156,16 +157,19 @@ def run_sweep(dataset, spec: SweepSpec, config: dict,
     groups = {}
     for i, point in enumerate(points):
         groups.setdefault(point.display, []).append(i)
-    responses = np.empty((len(stacks), len(points), len(slice_range),
-                          base.n_channels))
+    # every pass runs before any point is scored, so a failing pass is
+    # named ahead of a failing point; each point reads its pass's column
+    columns = [None] * len(points)
     for members in groups.values():
-        responses[:, members] = _named(
+        responses = _named(
             spec, spec.values[members[0]], lambda: perceive_responses(
                 stacks, [points[i] for i in members], slice_range))
+        for column, i in enumerate(members):
+            columns[i] = responses[:, column]
     rows = []
-    for i, (value, point) in enumerate(zip(spec.values, points)):
+    for value, point, responses in zip(spec.values, points, columns):
         result = _named(spec, value, lambda: _score(
-            stacks, plan, responses[:, i], point, slice_range))
+            stacks, plan, responses, point, slice_range))
         rows.append(ResultRow(axis_value=value, mean_auc=result.mean_auc,
                               auc_stddev=math.sqrt(result.variance),
                               n_readers=plan.n_readers, seed=plan.seed,

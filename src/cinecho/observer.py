@@ -88,7 +88,8 @@ def lg_channel_bank(width: int, height: int, n_channels: int = 15,
     Channels are centered at the image center pixel (width//2, height//2).
     Equal calls return the same cached bank, its matrix read-only.  Raises
     ValueError unless width, height and n_channels are positive integers
-    and spread is finite and positive.
+    and spread is finite and positive, and when the bank is not finite
+    (a spread so small that a channel overflows on the grid).
     """
     for name, size in (("width", width), ("height", height)):
         if not (isinstance(size, numbers.Integral) and size >= 1):
@@ -101,11 +102,17 @@ def lg_channel_bank(width: int, height: int, n_channels: int = 15,
         raise ValueError(f"spread must be finite and positive, got {spread!r}")
     rows, cols = centre_offsets(width, height)
     r2 = rows[:, None] ** 2 + cols[None, :] ** 2
-    x = 2.0 * np.pi * r2 / (spread * spread)
-    envelope = np.exp(-0.5 * x)
     matrix = np.empty((width * height, n_channels), dtype=np.float64)
-    for j in range(n_channels):
-        matrix[:, j] = (envelope * eval_laguerre(j, x)).ravel()
+    # a spread too small for the grid overflows x or the polynomials; the
+    # check below names it, with no warning on the way
+    with np.errstate(all="ignore"):
+        x = 2.0 * np.pi * r2 / (spread * spread)
+        envelope = np.exp(-0.5 * x)
+        for j in range(n_channels):
+            matrix[:, j] = (envelope * eval_laguerre(j, x)).ravel()
+    if not np.isfinite(matrix).all():
+        raise ValueError(f"spread = {spread!r} gives a channel bank that is "
+                         f"not finite on the {width} x {height} grid")
     matrix.flags.writeable = False
     return ChannelBank(width=width, height=height, n_channels=n_channels,
                        spread=spread, matrix=matrix)

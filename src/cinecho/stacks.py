@@ -7,7 +7,9 @@
 # texture; beta = 0 is white noise), normalized to unit theoretical variance
 # and affine-mapped so +-4 sigma spans the central half of the code range.
 # The amplitude and its sigma are built once per (shape, beta) and applied
-# on the real half spectrum (rfftn / irfftn).
+# on the real half spectrum: rfftn, then irfftn's passes (the in-plane
+# inverse in place, then the real inverse over the slices), so a
+# background holds about twice its float64 size at its peak.
 # Lesions are additive smoothed discs (disc convolved with a Gaussian of
 # sigma = diameter/8, peak-normalized) with a Gaussian through-slice depth
 # profile, inserted at the spatio-temporal stack center; the shape is built
@@ -232,8 +234,11 @@ def generate_background(geometry: StackGeometry, seed,
     noise is shaped with the isotropic amplitude f^(-beta/2) (DC removed),
     scaled to unit theoretical standard deviation, and mapped to codes as
     center + field * quarter_range / 4, rounded and clipped: +-4 sigma of
-    the field spans the central half of the code range.  A beta that is
-    negative, not finite or overflows the spectrum raises ValueError.
+    the field spans the central half of the code range.  The noise is
+    dropped once transformed, and the spectrum and then the field are
+    shaped in place, in the order irfftn(rfftn(noise) * amplitude) / sigma
+    takes, to the same codes.  A beta that is negative, not finite or
+    overflows the spectrum raises ValueError.
     """
     if texture not in TEXTURES:
         raise ValueError(f"texture must be one of {TEXTURES}")
@@ -243,17 +248,20 @@ def generate_background(geometry: StackGeometry, seed,
         raise ValueError(f"beta must be nonnegative and finite, got {beta!r}")
     amplitude, sigma = _power_law_spectrum(geometry.shape, beta)
     rng = np.random.default_rng(seed)
-    white = rng.standard_normal(geometry.shape)
-
-    shaped = scipy.fft.irfftn(scipy.fft.rfftn(white) * amplitude,
-                              s=geometry.shape) / sigma
+    spectrum = scipy.fft.rfftn(rng.standard_normal(geometry.shape))
+    spectrum *= amplitude
+    # irfftn's own passes, the in-plane ones in place
+    spectrum = scipy.fft.ifftn(spectrum, axes=(0, 1), overwrite_x=True)
+    shaped = scipy.fft.irfft(spectrum, n=geometry.n_slices, axis=2)
+    del spectrum  # not held beside the codes
+    shaped /= sigma
 
     # +-4 sigma of the unit-variance field maps to +-(range/4) around the
     # midpoint, i.e. the central half of the code range
-    center = 1 << (geometry.bit_depth - 1)
-    scale = (1 << geometry.bit_depth) / 16.0
-    codes = np.rint(center + shaped * scale)
-    codes = np.clip(codes, 0, geometry.max_code).astype(np.uint16)
+    shaped *= (1 << geometry.bit_depth) / 16.0
+    shaped += 1 << (geometry.bit_depth - 1)
+    np.rint(shaped, out=shaped)
+    codes = np.clip(shaped, 0, geometry.max_code, out=shaped).astype(np.uint16)
     if isinstance(seed, np.random.SeedSequence):
         seed_text = f"entropy={seed.entropy}"
     else:

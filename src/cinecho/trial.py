@@ -336,18 +336,18 @@ def perceive_responses(stacks, configs, slice_range) -> np.ndarray:
     """Channel responses of every stack under every pipeline config, in
     one pass over the stacks.
 
-    Returns an (n_stacks, n_configs, len(slice_range), n_channels) array.
-    The configs may differ only in ssr and slice_rate (the browsing
-    axes); any other difference raises ValueError.  Each stack is mapped
-    to luminance and passed to apply_stcsf once, with every config's
-    browsing point, so it is tapered and its part even about the centre
-    pixel forward-transformed onto the quadrant once; per ssr one gain
-    evaluation serves all its configs, and the gain, the inverse temporal
-    DFT and the projection onto the channels, on the kept quadrant
-    positions, run on batches of configs.  Stacks are perceived one per
-    task on a pool of one thread per CPU the process may run on (as
-    taskset and the cgroup's CPU quota allow) and gathered in stack
-    order, so the array does not depend on the CPU count.  They share one
+    Returns an (n_stacks, n_configs, len(slice_range), n_channels) array,
+    allocated once.  The configs may differ only in ssr and slice_rate
+    (the browsing axes); any other difference raises ValueError.  Each
+    stack is mapped to luminance and passed to apply_stcsf once, with
+    every config's browsing point, so it is tapered and its part even
+    about the centre pixel forward-transformed onto the quadrant once;
+    per ssr one gain evaluation serves all its configs, and the gain, the
+    inverse temporal DFT and the projection onto the channels, on the kept
+    quadrant positions, run on batches of configs.  Stacks are perceived
+    one per task on a pool of one thread per CPU the process may run on
+    (as taskset and the cgroup's CPU quota allow), and task i writes row
+    i, so the array does not depend on the CPU count.  They share one
     channel bank, built on the calling thread, and one cached response
     plan, and must share one shape (see plan_stacks).
     """
@@ -358,14 +358,19 @@ def perceive_responses(stacks, configs, slice_range) -> np.ndarray:
     bank = lg_channel_bank(*stacks[0].data.shape[:2], config.n_channels,
                            config.spread)
     points = [(c.ssr, c.slice_rate) for c in configs]
+    responses = np.empty((len(stacks), len(configs), len(slice_range),
+                          config.n_channels))
 
-    def perceive(stack):
-        return apply_stcsf(config.display.code_to_luminance(stack.data),
-                           points, foveal_mode=config.foveal_mode,
-                           taper=config.taper, slices=slice_range, bank=bank)
+    def perceive(i):
+        responses[i] = apply_stcsf(
+            config.display.code_to_luminance(stacks[i].data), points,
+            foveal_mode=config.foveal_mode, taper=config.taper,
+            slices=slice_range, bank=bank)
 
     with ThreadPoolExecutor(min(_available_cpus(), len(stacks))) as pool:
-        return np.array(list(pool.map(perceive, stacks)))
+        # reading every result raises the first failure in stack order
+        list(pool.map(perceive, range(len(stacks))))
+    return responses
 
 
 def run_trial(dataset, plan: TrialPlan,

@@ -376,7 +376,10 @@ class TestErrors:
         # a lesion over 9 slices: the combiner's floor, before generation
         ("generator.lesion_sigma_z = 2", "6 stacks per class in a training "
          "subset cannot train the hotelling combiner over 9 slices; need "
-         "at least 10")])
+         "at least 10"),
+        # a channel bank that overflows on the grid
+        ("observer.spread = 1e-300", "spread = 1e-300 gives a channel bank "
+         "that is not finite on the 64 x 64 grid")])
     def test_split_checked_before_generating(self, config_path, tmp_path,
                                              capsys, monkeypatch, command,
                                              line, message):

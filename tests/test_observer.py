@@ -94,6 +94,13 @@ class TestChannelBank:
         for spread in (0.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="spread must be finite"):
                 lg_channel_bank(32, 32, spread=spread)
+        # a spread so small that the bank overflows on the grid: named,
+        # with no warning (pytest turns RuntimeWarnings into errors)
+        for spread in (1e-300, 1e-10):
+            with pytest.raises(ValueError, match=f"spread = {spread!r} "
+                               "gives a channel bank that is not finite on "
+                               "the 64 x 64 grid"):
+                lg_channel_bank(64, 64, 15, spread)
         for size in (16.0, 0, -4):
             with pytest.raises(ValueError, match="width must be a positive "
                                f"integer, got {size!r}"):

@@ -2,12 +2,14 @@ import math
 import sys
 import tempfile
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -159,6 +161,38 @@ class TestGenerateBackground:
             with pytest.raises(ValueError, match=f"beta .*{beta!r}"):
                 generate_background(GEOMETRY_PRESETS["dataset_b"], 1,
                                     beta=beta)
+
+    @pytest.mark.parametrize("geometry", [
+        GEOMETRY_PRESETS["dataset_a"], GEOMETRY_PRESETS["dataset_b"],
+        StackGeometry(33, 47, 9, 10, 1.0)], ids=["a", "b", "odd"])
+    @pytest.mark.parametrize("texture, beta", [
+        ("power_law", 3.0), ("power_law", 1.5), ("white", 0.0)])
+    def test_equals_the_whole_spectrum_formula(self, geometry, texture,
+                                               beta):
+        # one irfftn of the shaped half spectrum, then the codes
+        amplitude, sigma = stacks._power_law_spectrum(geometry.shape, beta)
+        for seed in range(8):
+            white = np.random.default_rng(seed).standard_normal(
+                geometry.shape)
+            field = scipy.fft.irfftn(scipy.fft.rfftn(white) * amplitude,
+                                     s=geometry.shape) / sigma
+            codes = np.clip(np.rint(512 + field * 64.0), 0, 1023)
+            got = generate_background(geometry, seed, texture, beta).data
+            assert got.tobytes() == codes.astype(np.uint16).tobytes()
+
+    def test_shapes_the_background_in_place(self):
+        # traced allocations of one background: its spectrum and the
+        # field, about twice the stack in float64, not the 4.3 times that
+        # a fresh array per step takes
+        geometry = GEOMETRY_PRESETS["dataset_b"]
+        generate_background(geometry, 1)
+        tracemalloc.start()
+        try:
+            generate_background(geometry, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * math.prod(geometry.shape)
 
     def test_metadata(self):
         stack = generate_background(SMALL, 9, stack_id="bg")
