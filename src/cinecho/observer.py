@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_laguerre
 
 from .errors import TrainingError
 from .stacks import centre_offsets
@@ -80,6 +79,21 @@ class MsChoModel:
     stage2_ridge: float | None
 
 
+def _laguerre(n: int, x):
+    """The Laguerre polynomial L_n at x by the recurrence scipy.special's
+    eval_laguerre runs, term for term, so to the same bits."""
+    if n == 0:
+        return np.ones_like(x)
+    if n == 1:
+        return -x + 1.0
+    d = -x / 1.0
+    p = d + 1.0
+    for k in range(1, n):
+        d = -x / (k + 1.0) * p + (k / (k + 1.0)) * d
+        p = d + p
+    return p
+
+
 @lru_cache(maxsize=8, typed=True)
 def lg_channel_bank(width: int, height: int, n_channels: int = 15,
                     spread: float = 10.0) -> ChannelBank:
@@ -109,7 +123,7 @@ def lg_channel_bank(width: int, height: int, n_channels: int = 15,
         x = 2.0 * np.pi * r2 / (spread * spread)
         envelope = np.exp(-0.5 * x)
         for j in range(n_channels):
-            matrix[:, j] = (envelope * eval_laguerre(j, x)).ravel()
+            matrix[:, j] = (envelope * _laguerre(j, x)).ravel()
     if not np.isfinite(matrix).all():
         raise ValueError(f"spread = {spread!r} gives a channel bank that is "
                          f"not finite on the {width} x {height} grid")

@@ -13,9 +13,10 @@
 # even in every frequency axis, hence zero-phase: features do not move.
 #
 # Two paths share the stack, contrast and taper but no plan.  Perceived
-# planes come from a plain filter: one real FFT (rfftn) of the contrast
-# for every point, then per point the gain on the rfftn grid, irfftn, the
-# slices asked for and the foveal weight.  Channel responses need less of
+# planes come from a plain filter: one real 3D FFT of the contrast for
+# every point (the generator's passes, rfft over the slices, then fft in
+# the plane), then per point the gain on that half grid, the inverse
+# passes, the slices asked for and the foveal weight.  Channel responses need less of
 # the spectrum: the gain is even in every axis and the Laguerre-Gauss
 # templates are radial about the centre pixel, so only the part of the
 # stack even about it is read.  Its real DFT over the plane is the
@@ -55,10 +56,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sfft
 
 from .csf import ViewingConditions, derive_optics, stcsf
-from .stacks import centre_offsets
+from .stacks import _irfft3, _rfft3, centre_offsets
 
 __all__ = [
     "FOVEAL_MODES",
@@ -423,7 +423,7 @@ def filter_contrast(contrast_stack, luminance: float, points, *,
     if foveal_mode not in FOVEAL_MODES:
         raise ValueError(f"foveal mode must be one of {FOVEAL_MODES}")
     if bank is None:
-        spectrum = sfft.rfftn(arr)
+        spectrum = _rfft3(arr)
         outs = []
         for ssr, rate in points:
             gain = transfer_gain(
@@ -432,7 +432,7 @@ def filter_contrast(contrast_stack, luminance: float, points, *,
                 np.abs(frequency_of_index(np.arange(spectrum.shape[2]),
                                           n_sl, rate)),
                 ViewingConditions(luminance, w_px / ssr))
-            planes = sfft.irfftn(spectrum * gain, s=arr.shape)
+            planes = _irfft3(spectrum * gain, n_sl)
             outs.append(planes[:, :, list(slices)] * foveal_weight(
                 _eccentricity(w_px, h_px, ssr), foveal_mode)[:, :, None])
         return outs

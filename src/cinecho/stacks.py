@@ -7,9 +7,10 @@
 # texture; beta = 0 is white noise), normalized to unit theoretical variance
 # and affine-mapped so +-4 sigma spans the central half of the code range.
 # The amplitude and its sigma are built once per (shape, beta) and applied
-# on the real half spectrum: rfftn, then irfftn's passes (the in-plane
-# inverse in place, then the real inverse over the slices), so a
-# background holds about twice its float64 size at its peak.
+# on the real half spectrum by numpy's 1-D passes: rfft over the slices,
+# then the in-plane fft and, after the weighing, its inverse in place, then
+# the real inverse over the slices; a background holds about twice its
+# float64 size at its peak.  Percept's planes use the same pair of passes.
 # Lesions are additive smoothed discs (disc convolved with a Gaussian of
 # sigma = diameter/8, peak-normalized) with a Gaussian through-slice depth
 # profile, inserted at the spatio-temporal stack center; the shape is built
@@ -39,8 +40,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-import scipy.fft
-from scipy.ndimage import gaussian_filter
 
 from .errors import FormatError, LesionClippingWarning
 
@@ -225,6 +224,23 @@ def _power_law_spectrum(shape: tuple, beta: float):
     return half, sigma
 
 
+def _rfft3(real):
+    """The half spectrum of a real W x H x K array over all three axes:
+    rfft over the slices, then fft over axis 1 and axis 0 in place."""
+    spectrum = np.fft.rfft(real, axis=2)
+    np.fft.fft(spectrum, axis=1, out=spectrum)
+    return np.fft.fft(spectrum, axis=0, out=spectrum)
+
+
+def _irfft3(spectrum, n_slices: int):
+    """The real W x H x n_slices array of a half spectrum, _rfft3's inverse:
+    ifft over axis 0 and axis 1 in place (spectrum is overwritten), then
+    irfft over the slices."""
+    np.fft.ifft(spectrum, axis=0, out=spectrum)
+    np.fft.ifft(spectrum, axis=1, out=spectrum)
+    return np.fft.irfft(spectrum, n=n_slices, axis=2)
+
+
 def generate_background(geometry: StackGeometry, seed,
                         texture: str = "power_law", beta: float = 3.0,
                         stack_id: str = "stack") -> ImageStack:
@@ -233,7 +249,7 @@ def generate_background(geometry: StackGeometry, seed,
     seed may be anything np.random.default_rng accepts.  White Gaussian
     noise is shaped with the isotropic amplitude f^(-beta/2) (DC removed),
     scaled to unit theoretical standard deviation, and mapped to codes as
-    center + field * quarter_range / 4, rounded and clipped: +-4 sigma of
+    center + field * quarter_range / 4, clipped and rounded: +-4 sigma of
     the field spans the central half of the code range.  The noise is
     dropped once transformed, and the spectrum and then the field are
     shaped in place, in the order irfftn(rfftn(noise) * amplitude) / sigma
@@ -248,20 +264,21 @@ def generate_background(geometry: StackGeometry, seed,
         raise ValueError(f"beta must be nonnegative and finite, got {beta!r}")
     amplitude, sigma = _power_law_spectrum(geometry.shape, beta)
     rng = np.random.default_rng(seed)
-    spectrum = scipy.fft.rfftn(rng.standard_normal(geometry.shape))
+    spectrum = _rfft3(rng.standard_normal(geometry.shape))
     spectrum *= amplitude
-    # irfftn's own passes, the in-plane ones in place
-    spectrum = scipy.fft.ifftn(spectrum, axes=(0, 1), overwrite_x=True)
-    shaped = scipy.fft.irfft(spectrum, n=geometry.n_slices, axis=2)
+    shaped = _irfft3(spectrum, geometry.n_slices)
     del spectrum  # not held beside the codes
-    shaped /= sigma
 
     # +-4 sigma of the unit-variance field maps to +-(range/4) around the
-    # midpoint, i.e. the central half of the code range
-    shaped *= (1 << geometry.bit_depth) / 16.0
+    # midpoint, i.e. the central half of the code range.  The scale is a
+    # power of two, so one division by sigma / scale is exact to dividing
+    # by sigma and multiplying by it; the bounds are integers, so clipping
+    # before rounding gives the same codes.
+    shaped /= sigma / 2.0 ** (geometry.bit_depth - 4)
     shaped += 1 << (geometry.bit_depth - 1)
-    np.rint(shaped, out=shaped)
-    codes = np.clip(shaped, 0, geometry.max_code, out=shaped).astype(np.uint16)
+    np.clip(shaped, 0, geometry.max_code, out=shaped)
+    codes = np.empty(geometry.shape, dtype=np.uint16)
+    np.rint(shaped, out=codes, casting="unsafe")
     if isinstance(seed, np.random.SeedSequence):
         seed_text = f"entropy={seed.entropy}"
     else:
@@ -279,6 +296,29 @@ def centre_offsets(width: int, height: int):
             np.arange(height, dtype=np.float64) - height // 2)
 
 
+def _smooth(image, sigma: float):
+    """image correlated along axis 0, then axis 1, with Gaussian weights of
+    sigma pixels out to 4 sigma, normalized to sum 1, and zero beyond the
+    edges.  Each output is the centre term, then the symmetric pairs from
+    the outermost inwards: the terms and order of ndimage's gaussian_filter
+    (mode "constant"), so the same bits."""
+    radius = int(4.0 * sigma + 0.5)
+    offsets = np.arange(-radius, radius + 1)
+    weights = np.exp(-0.5 / (sigma * sigma) * offsets ** 2)
+    weights = weights / weights.sum()
+    for axis in (0, 1):
+        lines = np.moveaxis(image, axis, 0)
+        n = len(lines)
+        padded = np.zeros((n + 2 * radius,) + lines.shape[1:])
+        padded[radius:radius + n] = lines
+        out = padded[radius:radius + n] * weights[radius]
+        for j in range(radius, 0, -1):
+            out += (padded[radius - j:radius - j + n]
+                    + padded[radius + j:radius + j + n]) * weights[radius + j]
+        image = np.moveaxis(out, 0, axis)
+    return image
+
+
 def lesion_profile(spec: LesionSpec, geometry: StackGeometry):
     """The separable lesion shape on the given grid.
 
@@ -292,8 +332,7 @@ def lesion_profile(spec: LesionSpec, geometry: StackGeometry):
     rows, cols = centre_offsets(geometry.width, geometry.height)
     r = np.hypot(rows[:, None], cols[None, :])
     disc = (r <= spec.diameter_px / 2.0).astype(np.float64)
-    inplane = gaussian_filter(disc, sigma=spec.diameter_px / 8.0,
-                              mode="constant", cval=0.0)
+    inplane = _smooth(disc, spec.diameter_px / 8.0)
     inplane /= inplane[geometry.width // 2, geometry.height // 2]
 
     s = np.arange(geometry.n_slices, dtype=np.float64) - geometry.n_slices // 2

@@ -25,6 +25,7 @@
 from __future__ import annotations
 
 import numbers
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -345,9 +346,11 @@ def perceive_responses(stacks, configs, slice_range) -> np.ndarray:
     per ssr one gain evaluation serves all its configs, and the gain, the
     inverse temporal DFT and the projection onto the channels, on the kept
     quadrant positions, run on batches of configs.  Stacks are perceived
-    one per task on a pool of one thread per CPU the process may run on
-    (as taskset and the cgroup's CPU quota allow), and task i writes row
-    i, so the array does not depend on the CPU count.  They share one
+    on a pool of one thread per CPU the process may run on (as taskset
+    and the cgroup's CPU quota allow); each thread takes the next stack
+    in order when it is free, so nothing waits in a queue, and stack i
+    writes row i, so the array does not depend on the CPU count.  The
+    first failure in stack order is raised.  They share one
     channel bank, built on the calling thread, and one cached response
     plan, and must share one shape (see plan_stacks).
     """
@@ -361,15 +364,35 @@ def perceive_responses(stacks, configs, slice_range) -> np.ndarray:
     responses = np.empty((len(stacks), len(configs), len(slice_range),
                           config.n_channels))
 
-    def perceive(i):
-        responses[i] = apply_stcsf(
-            config.display.code_to_luminance(stacks[i].data), points,
-            foveal_mode=config.foveal_mode, taper=config.taper,
-            slices=slice_range, bank=bank)
+    order = iter(range(len(stacks)))
+    lock = threading.Lock()
+    failures = []
 
-    with ThreadPoolExecutor(min(_available_cpus(), len(stacks))) as pool:
-        # reading every result raises the first failure in stack order
-        list(pool.map(perceive, range(len(stacks))))
+    def perceive():
+        # each thread takes the next stack in order until none is left or
+        # one has failed, so every stack before a failed one was taken
+        while True:
+            with lock:
+                i = None if failures else next(order, None)
+            if i is None:
+                return
+            try:
+                responses[i] = apply_stcsf(
+                    config.display.code_to_luminance(stacks[i].data), points,
+                    foveal_mode=config.foveal_mode, taper=config.taper,
+                    slices=slice_range, bank=bank)
+            except Exception as exc:
+                with lock:
+                    failures.append((i, exc))
+                return
+
+    threads = min(_available_cpus(), len(stacks))
+    with ThreadPoolExecutor(threads) as pool:
+        workers = [pool.submit(perceive) for _ in range(threads)]
+    for worker in workers:
+        worker.result()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
     return responses
 
 

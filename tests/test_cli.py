@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -515,3 +518,19 @@ def test_non_utf8_text_raises_format_error_naming_the_file(
         reader(argument(path))
     assert str(caught.value) == (f"{path}: not UTF-8 text: invalid "
                                  f"continuation byte at byte 11")
+
+
+def test_importing_the_cli_or_the_benchmark_modules_loads_no_scipy():
+    # fresh interpreters, since this process may hold scipy already: the
+    # CLI, and the five modules perfbench/run.py imports, run on numpy
+    root = REFERENCE.parents[1]
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    for modules in ("cinecho.cli", "cinecho, cinecho.config, "
+                    "cinecho.harness, cinecho.stacks, cinecho.trial"):
+        code = (f"import sys, {modules}; print(sorted(m for m in sys.modules"
+                f" if m == 'scipy' or m.startswith('scipy.')))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n", modules

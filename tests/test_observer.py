@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import eval_laguerre
 from scipy.stats import norm, rankdata
 
+from cinecho import observer
 from cinecho.errors import TrainingError
 from cinecho.observer import (
     COMBINERS,
@@ -69,6 +71,30 @@ class TestChannelBank:
             assert np.array_equal(templates.take(mirror, axis), templates)
         if w_px == h_px:
             assert np.array_equal(templates.transpose(1, 0, 2), templates)
+
+    def test_laguerre_equals_scipy_eval_laguerre(self):
+        # bit for bit, for every order a bank may ask for up to 30, on
+        # random points, 0 and the bank grids' x at three spreads
+        x = np.random.default_rng(0).uniform(0.0, 200.0, 20000)
+        for w_px, h_px, spread in ((64, 64, 10.0), (33, 47, 7.5),
+                                   (64, 64, 3.0)):
+            rows, cols = np.meshgrid(np.arange(w_px) - w_px // 2,
+                                     np.arange(h_px) - h_px // 2)
+            x = np.concatenate([x, [0.0], (2.0 * np.pi * (
+                rows * rows + cols * cols) / (spread * spread)).ravel()])
+        for j in range(31):
+            got = observer._laguerre(j, x)
+            assert got.tobytes() == eval_laguerre(j, x).tobytes(), j
+
+    def test_bank_columns_equal_the_scipy_formula(self):
+        # the default bank, channel by channel
+        bank = lg_channel_bank(64, 64, 15, 10.0)
+        rows, cols = np.meshgrid(np.arange(64) - 32, np.arange(64) - 32,
+                                 indexing="ij")
+        x = 2.0 * np.pi * (rows ** 2.0 + cols ** 2.0) / 100.0
+        for j in range(15):
+            want = np.exp(-0.5 * x) * eval_laguerre(j, x)
+            assert bank.matrix[:, j].tobytes() == want.ravel().tobytes(), j
 
     def test_deterministic(self):
         a = lg_channel_bank(48, 40, n_channels=7, spread=8.0)

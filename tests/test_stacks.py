@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.ndimage
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -171,7 +172,9 @@ class TestGenerateBackground:
                                                beta):
         # one irfftn of the shaped half spectrum, then the codes
         amplitude, sigma = stacks._power_law_spectrum(geometry.shape, beta)
-        for seed in range(8):
+        # eight plain seeds and the streams of pair 0 at three dataset seeds
+        for seed in [*range(8), *(np.random.SeedSequence([s, 0])
+                                  for s in (0, 7, 12345))]:
             white = np.random.default_rng(seed).standard_normal(
                 geometry.shape)
             field = scipy.fft.irfftn(scipy.fft.rfftn(white) * amplitude,
@@ -247,6 +250,26 @@ class TestLesionProfile:
         expected = spec.amplitude * math.fsum(inplane.ravel()) \
             * math.fsum(depth)
         assert float(profile.sum()) == pytest.approx(expected, rel=1e-12)
+
+    # diameters whose radius 4 sigma + 0.5 = d/2 + 0.5 lands just below or
+    # just above an integer, on it, and the two default lesion sizes, on
+    # square and odd grids
+    @pytest.mark.parametrize("shape, diameter", [
+        (shape, diameter) for shape in ((64, 64), (33, 47), (47, 33))
+        for diameter in (1.0, 2.98, 3.0, 3.02, 4.98, 5.02, 8.0, 16.9, 17.3,
+                         40.0) if diameter <= min(shape)])
+    def test_smoothing_equals_ndimage_gaussian_filter(self, shape, diameter):
+        # bit for bit, on the disc and on noise with no symmetry to hide
+        # a wrong order of terms
+        rows, cols = stacks.centre_offsets(*shape)
+        disc = (np.hypot(rows[:, None], cols[None, :]) <= diameter / 2.0)
+        noise = np.random.default_rng(int(100 * diameter)).standard_normal(
+            shape)
+        for image in (disc.astype(np.float64), noise):
+            got = stacks._smooth(image, diameter / 8.0)
+            want = scipy.ndimage.gaussian_filter(
+                image, sigma=diameter / 8.0, mode="constant", cval=0.0)
+            assert got.tobytes() == want.tobytes()
 
     def test_defaults_by_kind(self):
         mc = LesionSpec("microcalc", 1.0)
