@@ -12,13 +12,24 @@
 #   cinecho plot RESULTS.csv --out DIR [--overlay EXTERNAL.csv]
 #
 # --seed overrides both the generator seed and the trial plan seed.
+#
+# The CLI runs OpenBLAS at one thread unless OPENBLAS_NUM_THREADS says
+# otherwise: the perception and generation pools already run a thread per
+# CPU, and BLAS threads of their own inside each only contend with them.
+# The default is set when this module is imported, before numpy loads, and
+# only then: an interpreter that loaded numpy first (the tests, the demos,
+# perfbench) keeps its own setting.  Output bytes do not depend on it.
 # -----------------------------------------------------------------------------
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
+
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -102,8 +102,11 @@ def lg_channel_bank(width: int, height: int, n_channels: int = 15,
     Channels are centered at the image center pixel (width//2, height//2).
     Equal calls return the same cached bank, its matrix read-only.  Raises
     ValueError unless width, height and n_channels are positive integers
-    and spread is finite and positive, and when the bank is not finite
-    (a spread so small that a channel overflows on the grid).
+    and spread is finite and positive, when the bank is not finite (a
+    spread so small that a channel overflows on the grid) and when its
+    channels are not linearly independent (matrix rank below n_channels:
+    a spread too small or too large for the grid), since a rank-deficient
+    bank cannot train a Hotelling template.
     """
     for name, size in (("width", width), ("height", height)):
         if not (isinstance(size, numbers.Integral) and size >= 1):
@@ -127,6 +130,11 @@ def lg_channel_bank(width: int, height: int, n_channels: int = 15,
     if not np.isfinite(matrix).all():
         raise ValueError(f"spread = {spread!r} gives a channel bank that is "
                          f"not finite on the {width} x {height} grid")
+    rank = np.linalg.matrix_rank(matrix)
+    if rank < n_channels:
+        raise ValueError(f"spread = {spread!r} gives a channel bank of rank "
+                         f"{rank} on the {width} x {height} grid, not "
+                         f"{n_channels}: its channels are not independent")
     matrix.flags.writeable = False
     return ChannelBank(width=width, height=height, n_channels=n_channels,
                        spread=spread, matrix=matrix)

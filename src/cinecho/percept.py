@@ -32,12 +32,15 @@
 #              at most BATCH_POINTS points, their distinct |w| and the
 #              index laying each point's gain from their table onto the
 #              spectrum's positions
-#   per stack  mean, contrast (the one stack-sized array made), taper and
-#              re-zeroed mean in place, one forward transform
+#   per stack  mean, contrast (the one stack-sized array made; the
+#              luminance is let go once it exists), taper and re-zeroed
+#              mean in place, one forward transform, after which the
+#              contrast is let go too: a thread weighs a small spectrum
+#              and holds no W x H x K array
 #   per ssr    one derive_optics; per batch one gain table, one gather, two
 #              multiplies, one batched GEMM with the phases and one GEMM
-#              straight onto the channels (Parseval): the planes are never
-#              formed
+#              straight onto the channels (Parseval, _Plan.responses): the
+#              planes are never formed
 #
 # Contrast, L and the forward transform do not depend on the browsing speed
 # or the sampling rate, so one forward transform serves every
@@ -260,6 +263,20 @@ class _Plan:
                 del gains, table  # freed before the next batch's table
                 yield members, weights, out
 
+    def responses(self, spectrum, luminance: float) -> list:
+        """The (slices, n_channels) channel responses at every point of
+        the pass, in order, of the stack whose spectrum this is (see
+        spectrum), at L = luminance: per batch of weighed spectra (see
+        weighed), one GEMM with the phases for the inverse temporal DFT
+        at the output slices and one straight onto the channels."""
+        outs = {}
+        for members, weights, weighed in self.weighed(spectrum, luminance):
+            inverse = np.matmul(self.phase, weighed)
+            responses = inverse.reshape(-1, inverse.shape[2]) @ weights
+            outs.update(zip(members, responses.reshape(
+                inverse.shape[:2] + (-1,))))
+        return [outs[i] for i in range(len(outs))]
+
 
 def _eccentricity(w_px: int, h_px: int, ssr: float):
     """The W x H flat-field small-angle eccentricity (deg): each pixel's
@@ -381,6 +398,29 @@ def _plan(shape: tuple, points: tuple, slices: tuple, foveal_mode: str,
                  groups=tuple(groups))
 
 
+def _checked(shape, points, slices, foveal_mode: str):
+    """The points of a pass over W x H x K stacks, as a tuple of (ssr,
+    slice_rate) pairs, and its output slices, as a tuple of indices (all
+    of them by default, in order), after the checks filter_contrast and
+    apply_stcsf share: a 3D stack, every point finite and positive, the
+    slices indices into K and a known foveal mode; raises ValueError."""
+    if len(shape) != 3:
+        raise ValueError("expected a W x H x K stack")
+    points = tuple((ssr, rate) for ssr, rate in points)
+    for ssr, rate in points:
+        if not (0 < ssr < np.inf and 0 < rate < np.inf):
+            raise ValueError(f"browsing point ({ssr!r}, {rate!r}): ssr and "
+                             "slice_rate must be finite and positive")
+    n_sl = shape[2]
+    slices = tuple(range(n_sl)) if slices is None \
+        else tuple(int(s) for s in slices)
+    if not all(0 <= s < n_sl for s in slices):
+        raise ValueError(f"slices must be indices into {n_sl} slices")
+    if foveal_mode not in FOVEAL_MODES:
+        raise ValueError(f"foveal mode must be one of {FOVEAL_MODES}")
+    return points, slices
+
+
 def filter_contrast(contrast_stack, luminance: float, points, *,
                     slices=None, foveal_mode: str = "none", bank=None) -> list:
     """Linear core of the percept pipeline: scale every 3D frequency
@@ -390,38 +430,27 @@ def filter_contrast(contrast_stack, luminance: float, points, *,
     apparent size x0 = W/ssr.
 
     Every point, the output slices (all of them by default, in order)
-    and the foveal mode are checked first, on either path.  Without a
-    bank the output is each point's real planes at those slices,
-    foveally weighted: one rfftn serves all points, and per point the
-    gain is laid on the rfftn grid (signed x and y frequencies, |w| over
-    the K//2 + 1 kept temporal indices) before irfftn.  With a channel
-    bank the output is instead the (slices, n_channels) channel responses
-    of those planes, which are never formed: the part of the stack even
-    about the centre pixel is transformed once onto the quadrant
-    (_Plan.spectrum); per ssr and batch of points the gains are weighed
-    in (_Plan.weighed), and the inverse temporal DFT at the output slices
-    and the projection onto the foveally weighted channels are one GEMM
-    each.  What does not depend on the stack is planned once per shape,
-    points, slices, foveal mode and bank, and cached (_plan).  The gain
-    is real and even, so either output is real.  The caller is
+    and the foveal mode are checked first, on either path (_checked).
+    Without a bank the output is each point's real planes at those
+    slices, foveally weighted: one rfftn serves all points, and per point
+    the gain is laid on the rfftn grid (signed x and y frequencies, |w|
+    over the K//2 + 1 kept temporal indices) before irfftn.  With a
+    channel bank the output is instead the (slices, n_channels) channel
+    responses of those planes, which are never formed: the part of the
+    stack even about the centre pixel is transformed once onto the
+    quadrant (_Plan.spectrum); per ssr and batch of points the gains are
+    weighed in (_Plan.weighed), and the inverse temporal DFT at the
+    output slices and the projection onto the foveally weighted channels
+    are one GEMM each (_Plan.responses).  What does not depend on the
+    stack is planned once per shape, points, slices, foveal mode and
+    bank, and cached (_plan).  The gain is real and even, so either
+    output is real.  The caller is
     responsible for contrast having (near-)zero mean.  Returns a list,
     one output per point.
     """
     arr = np.asarray(contrast_stack, dtype=np.float64)
-    if arr.ndim != 3:
-        raise ValueError("expected a W x H x K stack")
-    points = tuple((ssr, rate) for ssr, rate in points)
-    for ssr, rate in points:
-        if not (0 < ssr < np.inf and 0 < rate < np.inf):
-            raise ValueError(f"browsing point ({ssr!r}, {rate!r}): ssr and "
-                             "slice_rate must be finite and positive")
+    points, slices = _checked(arr.shape, points, slices, foveal_mode)
     w_px, h_px, n_sl = arr.shape
-    slices = tuple(range(n_sl)) if slices is None \
-        else tuple(int(s) for s in slices)
-    if not all(0 <= s < n_sl for s in slices):
-        raise ValueError(f"slices must be indices into {n_sl} slices")
-    if foveal_mode not in FOVEAL_MODES:
-        raise ValueError(f"foveal mode must be one of {FOVEAL_MODES}")
     if bank is None:
         spectrum = _rfft3(arr)
         outs = []
@@ -437,15 +466,7 @@ def filter_contrast(contrast_stack, luminance: float, points, *,
                 _eccentricity(w_px, h_px, ssr), foveal_mode)[:, :, None])
         return outs
     plan = _plan(arr.shape, points, slices, foveal_mode, bank)
-    spectrum = plan.spectrum(arr)
-    outs = [None] * len(points)
-    for members, weights, weighed in plan.weighed(spectrum, luminance):
-        inverse = np.matmul(plan.phase, weighed)
-        responses = inverse.reshape(-1, inverse.shape[2]) @ weights
-        for i, out in zip(members, responses.reshape(
-                inverse.shape[:2] + (-1,))):
-            outs[i] = out
-    return outs
+    return plan.responses(plan.spectrum(arr), luminance)
 
 
 def apply_stcsf(lum_stack, points, *, foveal_mode: str = "none",
@@ -457,31 +478,44 @@ def apply_stcsf(lum_stack, points, *, foveal_mode: str = "none",
     The stack fixes the rest of the viewing conditions: L is its measured
     space-time mean and its apparent size x0 is width/ssr.  Steps:
     measure L; subtract it to get contrast, the one stack-sized array
-    made; taper the in-plane margins (and re-zero the mean, which the
-    taper perturbs) in place; scale every 3D frequency component by
-    S(u_eff, w)/L; weight by foveal acuity last (see filter_contrast).
-    Contrast and taper do not depend on the points and are computed once.
-    Each entry is a PerceivedStack whose vc holds the point's effective
+    made, and let go of the luminance; taper the in-plane margins (and
+    re-zero the mean, which the taper perturbs) in place; scale every 3D
+    frequency component by S(u_eff, w)/L; weight by foveal acuity last
+    (see filter_contrast, whose checks come first here too).  Contrast
+    and taper do not depend on the points and are computed once.  Each
+    entry is a PerceivedStack whose vc holds the point's effective
     viewing conditions.  slices, when given, selects the output slices:
     data then holds only those, in that order.  With a channel bank the
     perceived planes are never formed: each entry is instead the
     (slices, n_channels) array of channel responses of the foveally
-    weighted planes, from the cached response plan.
+    weighted planes, from the cached response plan, and the contrast is
+    let go once its spectrum is formed, before the gains are weighed in.
+    The caller's stack is never written; a temporary passed in (say
+    code_to_luminance's result) is freed with the luminance.
     """
     arr = np.asarray(lum_stack, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("empty stack has no mean luminance")
+    points, slices = _checked(arr.shape, points, slices, foveal_mode)
     lum = float(arr.mean())
     # a fresh array: the caller's stack is never written
     contrast = arr - lum
+    # the contrast is the one stack-sized array held from here on
+    del arr, lum_stack
     if taper:
         taper_margins(contrast, out=contrast)
         # the taper window breaks the exact zero mean of the contrast;
         # restore it so the DC component carries nothing into the filter
         contrast -= contrast.mean()
-    outs = filter_contrast(contrast, lum, points, slices=slices,
-                           foveal_mode=foveal_mode, bank=bank)
-    if bank is not None:
-        return outs
-    return [PerceivedStack(out, ViewingConditions(lum, arr.shape[0] / ssr))
-            for (ssr, _), out in zip(points, outs)]
+    if bank is None:
+        outs = filter_contrast(contrast, lum, points, slices=slices,
+                               foveal_mode=foveal_mode)
+        return [PerceivedStack(out, ViewingConditions(
+                    lum, contrast.shape[0] / ssr))
+                for (ssr, _), out in zip(points, outs)]
+    plan = _plan(contrast.shape, points, slices, foveal_mode, bank)
+    spectrum = plan.spectrum(contrast)
+    # the forward transform was the contrast's last reader: the weighing
+    # holds the spectrum alone
+    del contrast
+    return plan.responses(spectrum, lum)

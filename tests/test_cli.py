@@ -400,6 +400,26 @@ class TestErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run-trial", "sweep"])
+    @pytest.mark.parametrize("spread, rank", [(1e308, 1), (0.5, 5)])
+    def test_rank_deficient_bank_refused_before_generating(
+            self, tmp_path, capsys, monkeypatch, command, spread, rank):
+        # the default plan passes the split and training checks, so the
+        # bank's rank is what refuses it
+        def generate(*args, **kwargs):
+            raise AssertionError("the dataset was generated")
+
+        monkeypatch.setattr(cli, "generate_dataset", generate)
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"observer.spread = {spread!r}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: spread = {spread!r} gives a channel bank of rank {rank} "
+            "on the 64 x 64 grid, not 15: its channels are not "
+            "independent\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["gen-dataset", "run-trial", "sweep"])
     @pytest.mark.parametrize("argv, message", [
         (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
@@ -534,3 +554,24 @@ def test_importing_the_cli_or_the_benchmark_modules_loads_no_scipy():
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n", modules
+
+
+@pytest.mark.parametrize("code, value, want", [
+    ("import cinecho.cli", None, "1"),
+    ("import cinecho.cli", "3", "3"),
+    # numpy loaded first: its BLAS has read the environment already
+    ("import numpy, cinecho.cli", None, None)])
+def test_the_cli_runs_blas_at_one_thread_by_default(code, value, want):
+    root = REFERENCE.parents[1]
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {key: text for key, text in os.environ.items()
+           if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    if value is not None:
+        env["OPENBLAS_NUM_THREADS"] = value
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}; import os; "
+         "print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{want}\n"

@@ -247,6 +247,16 @@ def test_trial_responses_match_full_complex_path():
 
 
 
+def _radial_bank(w_px, h_px, most, spread):
+    """lg_channel_bank with at most `most` channels, as many as the grid
+    keeps independent: a radial bank's rank is at most the count of
+    distinct pixel radii about the centre pixel, and lg_channel_bank
+    refuses a rank-deficient bank."""
+    rows, cols = centre_offsets(w_px, h_px)
+    radii = np.unique(rows[:, None] ** 2 + cols[None, :] ** 2)
+    return lg_channel_bank(w_px, h_px, min(most, len(radii)), spread)
+
+
 def _mirror(arr, axis):
     """arr with pixel c + i and pixel c - i of the axis swapped, c = n//2
     (indices mod n): the reflection about the centre pixel."""
@@ -282,7 +292,7 @@ def test_responses_read_only_the_even_part(w_px, h_px, n_sl, seed,
     contrast = rng.normal(size=(w_px, h_px, n_sl))
     points = [(3.0, 20.0), (1.0, 5.0)]
     slices = tuple(range(n_sl))
-    bank = lg_channel_bank(w_px, h_px, n_channels=4, spread=3.0)
+    bank = _radial_bank(w_px, h_px, 4, 3.0)
     noise = rng.normal(size=contrast.shape)
     changes = [noise - _mirror(noise, 0)]
     if w_px == h_px:
@@ -316,10 +326,10 @@ def test_bank_path_matches_the_planes_path(w_px, h_px, n_sl, seed, ssrs,
     contrast = rng.normal(size=(w_px, h_px, n_sl))
     contrast -= contrast.mean()
     points = [(ssr, rate) for ssr in ssrs for rate in rates]
-    bank = lg_channel_bank(w_px, h_px, n_channels=5, spread=4.0)
+    bank = _radial_bank(w_px, h_px, 5, 4.0)
     for got, want in _bank_and_planes(contrast, points, slices, foveal_mode,
                                       bank):
-        assert got.shape == want.shape == (len(slices), 5)
+        assert got.shape == want.shape == (len(slices), bank.n_channels)
         assert np.abs(got - want).max() <= RTOL * np.abs(want).max()
 
 
@@ -431,11 +441,12 @@ def test_a_bank_that_is_not_radial_is_refused(shape):
 @pytest.mark.parametrize("shape", [(15, 15), (16, 16), (16, 13), (13, 16),
                                    (1, 1), (2, 5)])
 def test_radial_banks_are_accepted(shape):
-    # odd, even and rectangular grids, down to the smallest
+    # odd, even and rectangular grids, down to the smallest (whose one
+    # pixel keeps one channel independent)
     lum = np.random.default_rng(24).uniform(20.0, 80.0, size=shape + (4,))
-    bank = lg_channel_bank(*shape, n_channels=3, spread=4.0)
+    bank = _radial_bank(*shape, 3, 4.0)
     responses, = apply_stcsf(lum, [(7.0, 25.0)], taper=False, bank=bank)
-    assert responses.shape == (4, 3)
+    assert responses.shape == (4, bank.n_channels)
     # stretched along y only, a template is still even about the centre
     # pixel, which is all a rectangular grid needs
     w_px, h_px = shape

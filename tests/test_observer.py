@@ -1,5 +1,7 @@
 """Tests for the channelized observer."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,8 +65,10 @@ class TestChannelBank:
         # channel responses are taken from the part of a stack even about
         # the centre pixel in x and in y, and on a square grid from its
         # part symmetric under transposition: the templates must be so,
-        # bit for bit
-        bank = lg_channel_bank(w_px, h_px, n_channels=4, spread=3.0)
+        # bit for bit (a 1 x 4 grid has three distinct pixel radii, so
+        # three independent radial channels at most)
+        n_channels = 3 if w_px == 1 else 4
+        bank = lg_channel_bank(w_px, h_px, n_channels=n_channels, spread=3.0)
         templates = bank.matrix.reshape(w_px, h_px, -1)
         for axis, n in enumerate((w_px, h_px)):
             mirror = (2 * (n // 2) - np.arange(n)) % n
@@ -107,6 +111,16 @@ class TestChannelBank:
         with pytest.raises(ValueError, match="read-only"):
             bank.matrix[0, 0] = 1.0
 
+    # the default bank, spread 2 (the smallest full-rank spread at 64 x 64
+    # with 15 channels) and the banks the tests and demos build
+    @pytest.mark.parametrize("args", [
+        (64, 64), (64, 64, 15, 2.0), (16, 16, 5, 4.0), (12, 12, 3, 4.0),
+        (32, 32, 5, 4.0), (17, 17, 2, float(np.sqrt(2 * np.pi))),
+        (48, 40, 7, 8.0), (33, 47, 15, 7.5)])
+    def test_full_rank(self, args):
+        bank = lg_channel_bank(*args)
+        assert np.linalg.matrix_rank(bank.matrix) == bank.n_channels
+
     def test_validation(self):
         with pytest.raises(ValueError):
             lg_channel_bank(32, 32, n_channels=0)
@@ -127,6 +141,16 @@ class TestChannelBank:
                                "gives a channel bank that is not finite on "
                                "the 64 x 64 grid"):
                 lg_channel_bank(64, 64, 15, spread)
+        # channels that are not independent on the grid: named with the
+        # rank, whose floor is the channel count
+        for spread, rank in ((0.5, 5), (1.0, 10), (1e100, 1), (1e308, 1)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"spread = {spread!r} gives a channel bank of rank "
+                    f"{rank} on the 64 x 64 grid, not 15")):
+                lg_channel_bank(64, 64, 15, spread)
+        with pytest.raises(ValueError, match="of rank 3 on the 1 x 4 grid, "
+                           "not 4"):
+            lg_channel_bank(1, 4, 4, 3.0)
         for size in (16.0, 0, -4):
             with pytest.raises(ValueError, match="width must be a positive "
                                f"integer, got {size!r}"):

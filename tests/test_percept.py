@@ -440,7 +440,8 @@ class TestApplyStcsf:
 
     @pytest.mark.parametrize("taper", [True, False])
     def test_stack_that_is_not_w_h_k_is_refused(self, taper):
-        # by taper_margins, or without the taper by filter_contrast
+        # by the checks apply_stcsf shares with filter_contrast, ahead of
+        # the taper and the filter
         with pytest.raises(ValueError, match="expected a W x H x K stack"):
             apply_stcsf(np.full((16, 16), 20.0), [(2.0, 10.0)], taper=taper)
 
