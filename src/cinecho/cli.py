@@ -46,6 +46,7 @@ from .errors import FormatError
 from .harness import (
     SWEEP_AXES,
     SweepSpec,
+    _check_x0,
     emit_csv,
     emit_svg_plot,
     overlay_rescale,
@@ -76,15 +77,15 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _dataset(config: dict, split: bool = False):
-    """Read or generate the dataset; with split, the pairs to be generated
-    meet the trial split's and training checks, and the channel bank is
-    built, first."""
+def _dataset(config: dict, spec: SweepSpec | None = None):
+    """Read or generate the dataset; with a sweep's spec, the pairs to be
+    generated meet the trial split's and training checks, the channel bank
+    is built and every point's apparent size is checked, first."""
     manifest = config["trial.dataset"]
     if manifest:
         return read_dataset(manifest)
     geometry, lesion = geometry_from(config), lesion_from(config)
-    if split:
+    if spec is not None:
         _check_split(config["generator.n_pairs"], config["trial.n_readers"],
                      config["trial.seed"], config["trial.min_per_class"])
         # split_dataset deals n_pairs // (n_readers + 1) of each class to
@@ -97,6 +98,7 @@ def _dataset(config: dict, split: bool = False):
         # the bank is cached, so the pass perceives with this one
         lg_channel_bank(geometry.width, geometry.height, pipeline.n_channels,
                         pipeline.spread)
+        _check_x0(spec, sweep_points(spec, pipeline), geometry.width)
     return generate_dataset(geometry, config["generator.n_pairs"], lesion,
                             seed=config["generator.seed"],
                             texture=config["generator.texture"],
@@ -126,7 +128,7 @@ def _sweep_to_csv(config: dict, spec: SweepSpec, pipeline, args,
     # the model and the split are checked before seconds go into
     # generating the dataset
     sweep_points(spec, pipeline)
-    rows = run_sweep(_dataset(config, split=True), spec, config)
+    rows = run_sweep(_dataset(config, spec), spec, config)
     out = _out_dir(args)
     path = emit_csv(rows, out / name)
     _write_resolved(config, out)

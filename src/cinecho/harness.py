@@ -28,7 +28,6 @@ from .stacks import read_utf8
 from .trial import (
     PipelineConfig,
     TrialPlan,
-    _check_training,
     _score,
     perceive_responses,
     plan_stacks,
@@ -125,21 +124,29 @@ def sweep_points(spec: SweepSpec, base: PipelineConfig) -> list:
     return [_named(spec, v, lambda: point(v)) for v in spec.values]
 
 
+def _check_x0(spec: SweepSpec, points, width: int) -> None:
+    """Raise RuntimeError naming the first value of spec whose point's
+    apparent size x0 = width/ssr would fail (any luminance will do)."""
+    for value, point in zip(spec.values, points):
+        _named(spec, value, lambda: ViewingConditions(1.0, width / point.ssr))
+
+
 def run_sweep(dataset, spec: SweepSpec, config: dict,
               plan: TrialPlan | None = None):
     """Run the trial once per axis value and return the result rows.
 
     config is the full flat config dict (the plan seed, reader count, and
-    row fingerprint come from it); plan may be passed to reuse a split.
-    The plan is checked once, then the channel responses are computed in
-    one pass over the stacks per display (see perceive_responses): one for
-    a slice_rate or ssr sweep, one per value for l_max and contrast_ratio.
-    Every pass runs before any point is scored, and each point is scored
-    from its own pass's array, which is not copied.  Each point's readers
-    train and score as in run_trial, to the same bits.  Each pass runs its
-    stacks on one thread per CPU the process may run on, with output
-    identical at any CPU count; config['sweep.workers'] is accepted and
-    ignored.  Every pass shares one cached channel bank and spectral plan.
+    row fingerprint come from it); plan may be passed to reuse a split.  The
+    plan (plan_stacks) and every point's apparent size are checked once,
+    then the channel responses are computed in one pass over the stacks per
+    display (see perceive_responses): one for a slice_rate or ssr sweep, one
+    per value for l_max and contrast_ratio.  Every pass runs before any
+    point is scored, and each point is scored from its own pass's array,
+    which is not copied.  Each point's readers train and score as in
+    run_trial, to the same bits.  Each pass runs its stacks on one thread
+    per CPU the process may run on, with output identical at any CPU count;
+    config['sweep.workers'] is accepted and ignored.  Every pass shares one
+    cached channel bank and spectral plan.
     """
     if plan is None:
         plan = split_dataset(dataset.pairing, config["trial.n_readers"],
@@ -149,11 +156,7 @@ def run_sweep(dataset, spec: SweepSpec, config: dict,
     fingerprint = config_hash(config)
     points = sweep_points(spec, base)
     stacks, slice_range = plan_stacks(dataset, plan, base)
-    _check_training(stacks, plan, base, slice_range)
-    # name a point whose geometry would fail its pass (any luminance will do)
-    for value, point in zip(spec.values, points):
-        _named(spec, value, lambda: ViewingConditions(
-            1.0, stacks[0].data.shape[0] / point.ssr))
+    _check_x0(spec, points, stacks[0].data.shape[0])
     groups = {}
     for i, point in enumerate(points):
         groups.setdefault(point.display, []).append(i)

@@ -12,17 +12,18 @@
 # amplitude measured in just-noticeable differences.  The filter is real and
 # even in every frequency axis, hence zero-phase: features do not move.
 #
-# Two paths share the stack, contrast and taper but no plan.  Perceived
-# planes come from a plain filter: one real 3D FFT of the contrast for
-# every point (the generator's passes, rfft over the slices, then fft in
-# the plane), then per point the gain on that half grid, the inverse
-# passes, the slices asked for and the foveal weight.  Channel responses need less of
-# the spectrum: the gain is even in every axis and the Laguerre-Gauss
-# templates are radial about the centre pixel, so only the part of the
-# stack even about it is read.  Its real DFT over the plane is the
-# (W//2+1) x (H//2+1) quadrant of cosine sums about the centre pixel, one
-# real cosine GEMM per axis (a <= b of it kept when W == H), followed by a
-# real DFT over the slices.  The response path has three layers:
+# Two paths share the stack, contrast and taper (apply_stcsf, the one entry
+# that takes a channel bank) but no plan.  Perceived planes come from a plain
+# filter, filter_contrast: one real 3D FFT of the contrast for every point
+# (the generator's passes, rfft over the slices, then fft in the plane), then
+# per point the gain on that half grid, the inverse passes, the slices asked
+# for and the foveal weight.  Channel responses need less of the spectrum:
+# the gain is even in every axis and the Laguerre-Gauss templates are radial
+# about the centre pixel, so only the part of the stack even about it is
+# read.  Its real DFT over the plane is the (W//2+1) x (H//2+1) quadrant of
+# cosine sums about the centre pixel, one real cosine GEMM per axis (a <= b
+# of it kept when W == H), followed by a real DFT over the slices.  The
+# response path has three layers:
 #
 #   per pass   what no stack changes, one read-only plan built per stack
 #              shape, points, slices, foveal mode and bank and cached
@@ -312,7 +313,7 @@ def _plan(shape: tuple, points: tuple, slices: tuple, foveal_mode: str,
           bank) -> _Plan:
     """The _Plan for the channel responses of W x H x K stacks of this
     shape browsed at points, a tuple of (ssr, slice_rate) pairs, at the
-    output slices (a tuple of indices, checked by filter_contrast), under
+    output slices (a tuple of indices, checked by _checked), under
     the foveal mode and the channel bank (an observer.ChannelBank of the
     same W x H, keyed by identity).  The key is the whole pass: one cache
     entry per pass, whatever its points.
@@ -422,76 +423,63 @@ def _checked(shape, points, slices, foveal_mode: str):
 
 
 def filter_contrast(contrast_stack, luminance: float, points, *,
-                    slices=None, foveal_mode: str = "none", bank=None) -> list:
-    """Linear core of the percept pipeline: scale every 3D frequency
-    component of a contrast stack by the transfer gain at its frequency
-    triple and transform back, once per (ssr, slice_rate) browsing point
-    of points, under the adaptation luminance L = luminance and the
-    apparent size x0 = W/ssr.
+                    slices=None, foveal_mode: str = "none") -> list:
+    """The perceived planes of a contrast stack: scale every 3D frequency
+    component by the transfer gain at its frequency triple and transform
+    back, once per (ssr, slice_rate) browsing point of points, under the
+    adaptation luminance L = luminance and the apparent size x0 = W/ssr.
 
-    Every point, the output slices (all of them by default, in order)
-    and the foveal mode are checked first, on either path (_checked).
-    Without a bank the output is each point's real planes at those
-    slices, foveally weighted: one rfftn serves all points, and per point
-    the gain is laid on the rfftn grid (signed x and y frequencies, |w|
-    over the K//2 + 1 kept temporal indices) before irfftn.  With a
-    channel bank the output is instead the (slices, n_channels) channel
-    responses of those planes, which are never formed: the part of the
-    stack even about the centre pixel is transformed once onto the
-    quadrant (_Plan.spectrum); per ssr and batch of points the gains are
-    weighed in (_Plan.weighed), and the inverse temporal DFT at the
-    output slices and the projection onto the foveally weighted channels
-    are one GEMM each (_Plan.responses).  What does not depend on the
-    stack is planned once per shape, points, slices, foveal mode and
-    bank, and cached (_plan).  The gain is real and even, so either
-    output is real.  The caller is
-    responsible for contrast having (near-)zero mean.  Returns a list,
-    one output per point.
+    Every point, the output slices (all of them by default, in order) and
+    the foveal mode are checked first (_checked).  The output is each
+    point's real planes at those slices, foveally weighted: one rfftn serves
+    all points, and per point the gain is laid on the rfftn grid (signed x
+    and y frequencies, |w| over the K//2 + 1 kept temporal indices) before
+    irfftn.  The gain is real and even, so the planes are real.  The caller
+    is responsible for contrast having (near-)zero mean.  Channel responses
+    come from apply_stcsf with a bank.  Returns a list, one output per
+    point.
     """
     arr = np.asarray(contrast_stack, dtype=np.float64)
     points, slices = _checked(arr.shape, points, slices, foveal_mode)
     w_px, h_px, n_sl = arr.shape
-    if bank is None:
-        spectrum = _rfft3(arr)
-        outs = []
-        for ssr, rate in points:
-            gain = transfer_gain(
-                frequency_of_index(np.arange(w_px), w_px, ssr)[:, None, None],
-                frequency_of_index(np.arange(h_px), h_px, ssr)[:, None],
-                np.abs(frequency_of_index(np.arange(spectrum.shape[2]),
-                                          n_sl, rate)),
-                ViewingConditions(luminance, w_px / ssr))
-            planes = _irfft3(spectrum * gain, n_sl)
-            outs.append(planes[:, :, list(slices)] * foveal_weight(
-                _eccentricity(w_px, h_px, ssr), foveal_mode)[:, :, None])
-        return outs
-    plan = _plan(arr.shape, points, slices, foveal_mode, bank)
-    return plan.responses(plan.spectrum(arr), luminance)
+    spectrum = _rfft3(arr)
+    outs = []
+    for ssr, rate in points:
+        gain = transfer_gain(
+            frequency_of_index(np.arange(w_px), w_px, ssr)[:, None, None],
+            frequency_of_index(np.arange(h_px), h_px, ssr)[:, None],
+            np.abs(frequency_of_index(np.arange(spectrum.shape[2]),
+                                      n_sl, rate)),
+            ViewingConditions(luminance, w_px / ssr))
+        planes = _irfft3(spectrum * gain, n_sl)
+        outs.append(planes[:, :, list(slices)] * foveal_weight(
+            _eccentricity(w_px, h_px, ssr), foveal_mode)[:, :, None])
+    return outs
 
 
 def apply_stcsf(lum_stack, points, *, foveal_mode: str = "none",
                 taper: bool = True, slices=None, bank=None) -> list:
-    """The perceived stacks, in JND units, of a luminance stack browsed
-    at each of points, a sequence of (ssr, slice_rate) browsing points:
-    one entry per point, in order.
+    """The perceived stacks, in JND units, of a luminance stack browsed at each
+    of points, a sequence of (ssr, slice_rate) browsing points: one entry
+    per point, in order.
 
     The stack fixes the rest of the viewing conditions: L is its measured
-    space-time mean and its apparent size x0 is width/ssr.  Steps:
-    measure L; subtract it to get contrast, the one stack-sized array
-    made, and let go of the luminance; taper the in-plane margins (and
-    re-zero the mean, which the taper perturbs) in place; scale every 3D
-    frequency component by S(u_eff, w)/L; weight by foveal acuity last
-    (see filter_contrast, whose checks come first here too).  Contrast
-    and taper do not depend on the points and are computed once.  Each
-    entry is a PerceivedStack whose vc holds the point's effective
-    viewing conditions.  slices, when given, selects the output slices:
-    data then holds only those, in that order.  With a channel bank the
-    perceived planes are never formed: each entry is instead the
-    (slices, n_channels) array of channel responses of the foveally
-    weighted planes, from the cached response plan, and the contrast is
-    let go once its spectrum is formed, before the gains are weighed in.
-    The caller's stack is never written; a temporary passed in (say
-    code_to_luminance's result) is freed with the luminance.
+    space-time mean and its apparent size x0 is width/ssr.  Steps: measure
+    L; subtract it to get contrast, the one stack-sized array made, and let
+    go of the luminance; taper the in-plane margins (and re-zero the mean,
+    which the taper perturbs) in place; scale every 3D frequency component
+    by S(u_eff, w)/L; weight by foveal acuity last (see filter_contrast,
+    whose checks come first here too).  Contrast and taper do not depend on
+    the points and are computed once.  Each entry is a PerceivedStack whose
+    vc holds the point's effective viewing conditions.  slices, when given,
+    selects the output slices: data then holds only those, in that order.
+    With a channel bank, which no other entry takes, the perceived planes
+    are never formed: each entry is instead the (slices, n_channels) array
+    of channel responses of the foveally weighted planes, from the cached
+    response plan, and the contrast is let go once its spectrum is formed,
+    before the gains are weighed in.  The caller's stack is never written; a
+    temporary passed in (say code_to_luminance's result) is freed with the
+    luminance.
     """
     arr = np.asarray(lum_stack, dtype=np.float64)
     if arr.size == 0:

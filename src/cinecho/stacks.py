@@ -348,14 +348,24 @@ def _lesion_shape(spec: LesionSpec, geometry: StackGeometry):
     in-plane support, over which the inserted amplitude * outer(inplane,
     depth) is nonzero; profile is that product on the window, read-only;
     energy is its sum over the whole stack.  A slice is affected when its
-    depth weight is at least AFFECTED_THRESHOLD of the peak weight."""
+    depth weight is at least AFFECTED_THRESHOLD of the peak weight.
+    Raises ValueError, naming the amplitude, when the energy overflows or
+    insert_lesion's clipped energy could (it is at most its sum over codes
+    all at the top code, in the same order, which is taken here)."""
     inplane, depth = lesion_profile(spec, geometry)
     rows = np.flatnonzero(inplane.any(axis=1))
     cols = np.flatnonzero(inplane.any(axis=0))
     window = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
-    profile = spec.amplitude * inplane[:, :, None] * depth[None, None, :]
-    energy = float(profile.sum())
-    profile = profile[window].copy()
+    top = geometry.max_code
+    try:
+        with np.errstate(over="raise"):
+            profile = spec.amplitude * inplane[:, :, None] * depth
+            energy = float(profile.sum())
+            profile = profile[window].copy()
+            np.maximum(profile + top - top, 0.0).sum()
+    except FloatingPointError:
+        raise ValueError(f"lesion amplitude {spec.amplitude!r} overflows "
+                         f"its energy on {geometry.shape} stacks") from None
     profile.flags.writeable = False
     affected = np.flatnonzero(depth >= AFFECTED_THRESHOLD * depth.max())
     return window, profile, energy, tuple(int(i) for i in affected)
@@ -437,13 +447,15 @@ def generate_dataset(geometry: StackGeometry, n_pairs: int,
     order, so LesionClippingWarnings reach the caller in that order, and
     an exception raised for a pair (such as generate_background's or
     insert_lesion's ValueError) reaches it unchanged.  A pair count below
-    one and a seed that is not a non-negative integer raise ValueError
-    before a thread starts.
+    one, a seed that is not a non-negative integer and a lesion the
+    geometry cannot hold (_lesion_shape) raise ValueError before a thread
+    starts.
     """
     if not (isinstance(n_pairs, numbers.Integral) and n_pairs >= 1):
         raise ValueError(f"need at least one pair, got n_pairs = {n_pairs!r}")
     if not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    _lesion_shape(lesion, geometry)
     width = len(str(max(n_pairs - 1, 1)))
 
     def background(i):

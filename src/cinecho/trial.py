@@ -150,17 +150,6 @@ def _check_per_class(per_class, n_slices, config: PipelineConfig) -> None:
             f"least {n_slices + 1}")
 
 
-def _check_training(stacks, plan: TrialPlan, config: PipelineConfig,
-                    slice_range) -> None:
-    """_check_per_class at the fewest stacks of one class in one training
-    subset of the plan over plan_stacks' stacks, before perception."""
-    cells = [(plan.subset_assignment[s.stack_id], s.label) for s in stacks]
-    per_class = min(cells.count((subset, label))
-                    for subset in range(plan.n_readers)
-                    for label in ("healthy", "lesion"))
-    _check_per_class(per_class, len(slice_range), config)
-
-
 def split_dataset(pairing, n_readers: int, seed: int,
                   min_per_class: int = 16) -> TrialPlan:
     """Assign each stack of each (healthy, lesion) pair to one of
@@ -279,14 +268,16 @@ def plan_stacks(dataset, plan: TrialPlan,
                 config: PipelineConfig = PipelineConfig()) -> tuple:
     """The plan's stacks in id order and the slice range the observer
     reads (the lesion-affected slices the lesion stacks record), checked
-    before any stack is perceived.
+    against config before any stack is perceived.
 
     Raises PlanError when the plan assigns no stacks or names a stack the
     dataset lacks; when a stack's (W, H, K) or bit depth differs from the
     first's or the stacks' bit depth from the display's; when the lesion
     stacks disagree on the slice range, record none, or miss the central
-    slice; or when the plan has fewer than two readers, puts a stack in
-    a subset outside 0..n_readers or leaves a class out of a subset.
+    slice; when the plan has fewer than two readers, puts a stack in a
+    subset outside 0..n_readers or leaves a class out of a subset; or
+    when the fewest stacks of one class in a training subset cannot train
+    config's readers over the slice range (_check_per_class).
     """
     if not plan.subset_assignment:
         raise PlanError("the plan assigns no stacks")
@@ -324,12 +315,16 @@ def plan_stacks(dataset, plan: TrialPlan,
         if subset not in range(plan.n_readers + 1):
             raise PlanError(f"stack {sid!r} is in subset {subset!r}, not "
                             f"one of 0..{plan.n_readers}")
-    for subset in range(plan.n_readers + 1):
-        if len({s.label for s in stacks
-                if plan.subset_assignment[s.stack_id] == subset}) < 2:
+    fewest = [min(sum(plan.subset_assignment[s.stack_id] == subset
+                      for s in stacks if s.label == label)
+                  for label in ("healthy", "lesion"))
+              for subset in range(plan.n_readers + 1)]
+    for subset, per_class in enumerate(fewest):
+        if not per_class:
             raise PlanError("test subset lacks one of the classes"
                             if subset == plan.n_readers else
                             f"reader {subset} training subset lacks a class")
+    _check_per_class(min(fewest[:-1]), len(slice_range), config)
     return stacks, slice_range
 
 
@@ -402,12 +397,11 @@ def run_trial(dataset, plan: TrialPlan,
 
     dataset provides .stacks (ImageStack objects with integer codes);
     every stack id in the plan must be present.  The plan is checked
-    (plan_stacks, and that its training subsets can train), each
-    stack reduced to channel responses once (perceive_responses at one
-    point), and the readers train and score in channel-response space.
+    against config (plan_stacks), each stack reduced to channel responses
+    once (perceive_responses at one point), and the readers train and
+    score in channel-response space.
     """
     stacks, slice_range = plan_stacks(dataset, plan, config)
-    _check_training(stacks, plan, config, slice_range)
     responses = perceive_responses(stacks, [config], slice_range)[:, 0]
     return _score(stacks, plan, responses, config, slice_range)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cinecho import cli
+from cinecho import cli, stacks
 from cinecho.cli import main
 from cinecho.config import load_config
 from cinecho.csf import ViewingConditions, stcsf
@@ -418,6 +418,46 @@ class TestErrors:
             f"error: spread = {spread!r} gives a channel bank of rank {rank} "
             "on the 64 x 64 grid, not 15: its channels are not "
             "independent\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, first", [("run-trial", 25.0),
+                                                ("sweep", 1.0)])
+    @pytest.mark.parametrize("ssr", [1e-300, 1e300])
+    def test_extreme_ssr_refused_before_generating(
+            self, tmp_path, capsys, monkeypatch, command, first, ssr):
+        # the apparent size x0 = 64/ssr is out of double precision's
+        # reach: the first point is named before the dataset is generated
+        def generate(*args, **kwargs):
+            raise AssertionError("the dataset was generated")
+
+        monkeypatch.setattr(cli, "generate_dataset", generate)
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"percept.ssr = {ssr!r}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: sweep aborted at slice_rate = {first}: "
+            f"ViewingConditions.x0 = {64 / ssr!r} deg is too extreme for "
+            "double precision\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-dataset", "run-trial", "sweep"])
+    def test_overflowing_lesion_amplitude_refused_before_generating(
+            self, tmp_path, capsys, monkeypatch, command):
+        # every lesion would clip to the top code with no clipping warning
+        # and a numpy overflow warning per pair
+        def draw(*args, **kwargs):
+            raise AssertionError("a background was generated")
+
+        monkeypatch.setattr(stacks, "generate_background", draw)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("generator.lesion_amplitude = 1e308\n",
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: lesion amplitude 1e+308 overflows its energy on "
+            "(64, 64, 32) stacks\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["gen-dataset", "run-trial", "sweep"])

@@ -377,6 +377,46 @@ class TestInsertLesion:
         assert any(issubclass(w.category, LesionClippingWarning)
                    for w in caught) == warns
 
+    @pytest.mark.parametrize("preset", ["dataset_a", "dataset_b"])
+    @pytest.mark.parametrize("kind", ["microcalc", "mass"])
+    def test_an_amplitude_that_overflows_the_energy_is_refused(self, preset,
+                                                               kind):
+        # past some amplitude the inserted energy, or the energy clipped
+        # over codes all at the top code, sums to inf, where the check
+        # inf > 0.01 * inf would let every lesion clip without a word: the
+        # amplitude is refused, by name.  Up to it, a lesion over a
+        # saturated stack clips with a LesionClippingWarning and no numpy
+        # overflow warning
+        geometry = GEOMETRY_PRESETS[preset]
+
+        def refused(bits):
+            amplitude = float(np.int64(bits).view(np.float64))
+            try:
+                stacks._lesion_shape(LesionSpec(kind, amplitude), geometry)
+            except ValueError as exc:
+                assert str(exc) == (f"lesion amplitude {amplitude!r} "
+                                    f"overflows its energy on "
+                                    f"{geometry.shape} stacks")
+                return True
+            return False
+
+        # positive doubles are ordered as their bit patterns
+        low, high = (int(np.float64(a).view(np.int64))
+                     for a in (1e300, np.finfo(float).max))
+        assert not refused(low) and refused(high)
+        while high - low > 1:
+            middle = (low + high) // 2
+            low, high = (low, middle) if refused(middle) else (middle, high)
+        saturated = ImageStack(
+            geometry=geometry, stack_id="hi", label="healthy",
+            data=np.full(geometry.shape, geometry.max_code, dtype=np.uint16))
+        largest = float(np.int64(low).view(np.float64))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            lesion = insert_lesion(saturated, LesionSpec(kind, largest))
+        assert [w.category for w in caught] == [LesionClippingWarning]
+        assert np.array_equal(lesion.data, saturated.data)
+
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(["microcalc", "mass"]),
            amplitude=st.floats(0.0, 1e4), diameter=st.floats(0.5, 12.0),
@@ -886,7 +926,10 @@ class TestGenerationThreads:
         ({"seed": -1}, "seed must be a non-negative integer, got -1"),
         ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
         ({"seed": "3"}, "seed must be a non-negative integer, got '3'"),
-        ({"n_pairs": 0}, "need at least one pair, got n_pairs = 0")])
+        ({"n_pairs": 0}, "need at least one pair, got n_pairs = 0"),
+        ({"lesion": LesionSpec("microcalc", 1e308)},
+         r"lesion amplitude 1e\+308 overflows its energy on \(16, 16, 9\) "
+         "stacks")])
     def test_bad_arguments_are_refused_before_any_thread(
             self, monkeypatch, kwargs, message):
         self._cpus(monkeypatch, 4)

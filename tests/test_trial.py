@@ -26,6 +26,7 @@ from cinecho.trial import (
     auc_wilcoxon,
     one_shot_mrmc,
     perceive_responses,
+    plan_stacks,
     run_trial,
     split_dataset,
 )
@@ -490,6 +491,26 @@ class TestRunTrial:
                            "at least 9"):
             run_trial(strong_dataset, strong_plan,
                       replace(CONFIG, n_channels=8))
+
+    def test_plan_stacks_alone_checks_the_training_floor(
+            self, strong_dataset, strong_plan, no_perception):
+        # the one check run_trial and run_sweep make of a plan: an
+        # undertrained plan is refused by plan_stacks itself, with nothing
+        # perceived
+        undertrained = replace(CONFIG, n_channels=8)
+        with pytest.raises(PlanError, match="8 stacks per class in a "
+                           "training subset cannot train 8 channels; need "
+                           "at least 9"):
+            plan_stacks(strong_dataset, strong_plan, undertrained)
+        # a training subset that lacks a class (0 stacks of it, below any
+        # floor) is named as such first
+        labels = {s.stack_id: s.label for s in strong_dataset.stacks}
+        plan = replace(strong_plan, subset_assignment={
+            sid: 0 if subset == 1 and labels[sid] == "lesion" else subset
+            for sid, subset in strong_plan.subset_assignment.items()})
+        with pytest.raises(PlanError,
+                           match="reader 1 training subset lacks a class"):
+            plan_stacks(strong_dataset, plan, undertrained)
 
     def test_training_subsets_that_just_train_the_channels(
             self, strong_dataset, strong_plan):
