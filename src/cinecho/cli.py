@@ -46,7 +46,7 @@ from .errors import FormatError
 from .harness import (
     SWEEP_AXES,
     SweepSpec,
-    _check_x0,
+    _check_points,
     emit_csv,
     emit_svg_plot,
     overlay_rescale,
@@ -78,9 +78,13 @@ def _out_dir(args) -> Path:
 
 
 def _dataset(config: dict, spec: SweepSpec | None = None):
-    """Read or generate the dataset; with a sweep's spec, the pairs to be
-    generated meet the trial split's and training checks, the channel bank
-    is built and every point's apparent size is checked, first."""
+    """Read or generate the dataset; with a sweep's spec, every point's
+    pipeline is built first, and before generation the pairs meet the
+    trial split's and training checks, the channel bank is built and
+    every point's apparent size and slice rate are checked."""
+    if spec is not None:
+        pipeline = pipeline_from(config)
+        points = sweep_points(spec, pipeline)
     manifest = config["trial.dataset"]
     if manifest:
         return read_dataset(manifest)
@@ -91,14 +95,13 @@ def _dataset(config: dict, spec: SweepSpec | None = None):
         # split_dataset deals n_pairs // (n_readers + 1) of each class to
         # the fewest-served training subset, and insert_lesion records the
         # lesion's affected slices
-        pipeline = pipeline_from(config)
         _check_per_class(
             config["generator.n_pairs"] // (config["trial.n_readers"] + 1),
             len(_lesion_shape(lesion, geometry)[3]), pipeline)
         # the bank is cached, so the pass perceives with this one
         lg_channel_bank(geometry.width, geometry.height, pipeline.n_channels,
                         pipeline.spread)
-        _check_x0(spec, sweep_points(spec, pipeline), geometry.width)
+        _check_points(spec, points, geometry.width)
     return generate_dataset(geometry, config["generator.n_pairs"], lesion,
                             seed=config["generator.seed"],
                             texture=config["generator.texture"],
@@ -120,14 +123,10 @@ def _cmd_gen_dataset(args) -> int:
     return 0
 
 
-def _sweep_to_csv(config: dict, spec: SweepSpec, pipeline, args,
-                  name: str) -> tuple:
-    """Check every point of spec, then read or generate the dataset, run
-    the sweep, make --out and write the rows to name in it beside
-    config.txt; returns the rows and the CSV path."""
-    # the model and the split are checked before seconds go into
-    # generating the dataset
-    sweep_points(spec, pipeline)
+def _sweep_to_csv(config: dict, spec: SweepSpec, args, name: str) -> tuple:
+    """Read or generate the dataset (see _dataset), run the sweep, make
+    --out and write the rows to name in it beside config.txt; returns the
+    rows and the CSV path."""
     rows = run_sweep(_dataset(config, spec), spec, config)
     out = _out_dir(args)
     path = emit_csv(rows, out / name)
@@ -139,9 +138,9 @@ def _cmd_run_trial(args) -> int:
     config = _prepare_config(args)
     # a trial is the one-point slice_rate sweep at the configured rate; the
     # pipeline comes first, so a bad rate gets the pipeline's message
-    pipeline = pipeline_from(config)
+    pipeline_from(config)
     spec = SweepSpec("slice_rate", (config["percept.slice_rate"],))
-    (row,), path = _sweep_to_csv(config, spec, pipeline, args, "trial.csv")
+    (row,), path = _sweep_to_csv(config, spec, args, "trial.csv")
     print(f"mean AUC = {row.mean_auc:.4f} +- {row.auc_stddev:.4f} "
           f"({row.n_readers} readers); wrote {path}")
     return 0
@@ -153,8 +152,7 @@ def _cmd_sweep(args) -> int:
     values = config["sweep.values"] if args.values is None \
         else parse_numbers(args.values, "--values")
     spec = SweepSpec(axis=axis, values=values)
-    rows, csv_path = _sweep_to_csv(config, spec, pipeline_from(config), args,
-                                   "sweep.csv")
+    rows, csv_path = _sweep_to_csv(config, spec, args, "sweep.csv")
     emit_svg_plot(rows, [], csv_path.with_name("sweep.svg"),
                   axis_label=spec.axis)
     best = max(rows, key=lambda r: r.mean_auc)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import config_hash, pipeline_from
-from .csf import ViewingConditions
+from .csf import TAU10, ViewingConditions
 from .errors import FormatError
 from .stacks import read_utf8
 from .trial import (
@@ -124,11 +124,20 @@ def sweep_points(spec: SweepSpec, base: PipelineConfig) -> list:
     return [_named(spec, v, lambda: point(v)) for v in spec.values]
 
 
-def _check_x0(spec: SweepSpec, points, width: int) -> None:
-    """Raise RuntimeError naming the first value of spec whose point's
-    apparent size x0 = width/ssr would fail (any luminance will do)."""
+def _check_points(spec: SweepSpec, points, width: int) -> None:
+    """Raise RuntimeError naming the first value of spec whose point has
+    an apparent size x0 = width/ssr out of range (any luminance will do)
+    or a top temporal frequency w = slice_rate/2 at which the temporal
+    filters' (2 pi tau w)**2 overflows for tau = TAU10, the largest."""
+    def check(point):
+        ViewingConditions(1.0, width / point.ssr)
+        top = 2.0 * np.pi * TAU10 * (float(point.slice_rate) / 2)
+        if top * top == np.inf:
+            raise ValueError(f"slice_rate = {point.slice_rate!r} Hz "
+                             "overflows the temporal filters")
+
     for value, point in zip(spec.values, points):
-        _named(spec, value, lambda: ViewingConditions(1.0, width / point.ssr))
+        _named(spec, value, lambda: check(point))
 
 
 def run_sweep(dataset, spec: SweepSpec, config: dict,
@@ -156,7 +165,7 @@ def run_sweep(dataset, spec: SweepSpec, config: dict,
     fingerprint = config_hash(config)
     points = sweep_points(spec, base)
     stacks, slice_range = plan_stacks(dataset, plan, base)
-    _check_x0(spec, points, stacks[0].data.shape[0])
+    _check_points(spec, points, stacks[0].data.shape[0])
     groups = {}
     for i, point in enumerate(points):
         groups.setdefault(point.display, []).append(i)

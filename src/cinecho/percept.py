@@ -28,20 +28,20 @@
 #   per pass   what no stack changes, one read-only plan built per stack
 #              shape, points, slices, foveal mode and bank and cached
 #              (_plan): the real temporal DFT and its inverse phases, the
-#              kept quadrant positions and, per ssr, the foveally weighted
-#              channel weights there, the distinct radii and, per batch of
-#              at most BATCH_POINTS points, their distinct |w| and the
-#              index laying each point's gain from their table onto the
-#              spectrum's positions
+#              kept quadrant positions and the batches of at most
+#              BATCH_POINTS points of one ssr, each with that ssr's
+#              foveally weighted channel weights there and distinct radii,
+#              its distinct |w| and the index laying each point's gain
+#              from their table onto the spectrum's positions
 #   per stack  mean, contrast (the one stack-sized array made; the
 #              luminance is let go once it exists), taper and re-zeroed
 #              mean in place, one forward transform, after which the
 #              contrast is let go too: a thread weighs a small spectrum
 #              and holds no W x H x K array
-#   per ssr    one derive_optics; per batch one gain table, one gather, two
+#   per batch  one derive_optics, one gain table, one gather, two
 #              multiplies, one batched GEMM with the phases and one GEMM
-#              straight onto the channels (Parseval, _Plan.responses): the
-#              planes are never formed
+#              straight onto the batch's rows of the output (Parseval,
+#              _Plan.responses): the planes are never formed
 #
 # Contrast, L and the forward transform do not depend on the browsing speed
 # or the sampling rate, so one forward transform serves every
@@ -201,12 +201,8 @@ class _Plan:
     """The stack-independent part of taking the channel responses of
     W x H x K stacks at the points of one pass: the real DFT over the
     slices, the inverse temporal phases of the output slices, the kept
-    quadrant positions and one group (ssr, weights, radii, batches) per
-    ssr of the pass: the channel weights on the kept positions, the
-    distinct effective radii of the quadrant and, per batch of at most
-    BATCH_POINTS of its points, their positions in the pass, the distinct
-    |w| of their rates and the flat index into that (|w|, radius) table of
-    each point's gain (see _plan).
+    quadrant positions and the batches (members, ssr, weights, radii,
+    freqs, index) of at most BATCH_POINTS points of one ssr (see _plan).
 
     A stack's spectrum is a real (K, positions) array folded in k3: row
     j <= K//2 holds the cosine sums of frequency j, row j > K//2 the sine
@@ -219,7 +215,7 @@ class _Plan:
     phase: np.ndarray
     dft: np.ndarray
     kept: tuple
-    groups: tuple
+    batches: tuple
 
     def spectrum(self, arr):
         """A W x H x K stack's spectrum in this plan's layout: the real
@@ -235,48 +231,37 @@ class _Plan:
             quad[diagonal, diagonal] *= 0.5
         return self.dft @ quad[self.kept].T
 
-    def weighed(self, spectrum, luminance: float):
-        """Yield (members, their group's channel weights, spectrum times
-        their gains at L = luminance) per batch of every group, the last a
-        (points, K, positions) view of one buffer.  Per group one
-        derive_optics serves every batch; per batch one transfer_gain call
-        on its (|w|, radius) table and one gather through its index take
-        the batch's gains, folded in k3: the gain is even in w (exactly,
-        see transfer_gain), so row k3 > K//2 takes the gain of row
-        K - k3."""
+    def responses(self, spectrum, luminance: float, out):
+        """Write into out, a (points, slices, n_channels) array, and
+        return the channel responses at every point of the pass of the
+        stack whose spectrum this is (see spectrum), at L = luminance.
+        Per batch one derive_optics, one transfer_gain call on its
+        (|w|, radius) table and one gather through its index take the
+        gains, folded in k3 (the gain is even in w, exactly, so row
+        k3 > K//2 takes the gain of row K - k3); two multiplies weigh the
+        spectrum into one buffer, and one GEMM with the phases (the
+        inverse temporal DFT at the output slices) and one onto the
+        channels give the batch's rows."""
         n_sl = self.shape[2]
         n_w = n_sl // 2 + 1
         buffer = np.empty((0,) + spectrum.shape)
-        for ssr, weights, radii, batches in self.groups:
+        for members, ssr, weights, radii, freqs, index in self.batches:
             vc = ViewingConditions(luminance, self.shape[0] / ssr)
-            optics = derive_optics(vc)
-            for members, freqs, index in batches:
-                # the radii are clamped already, and hypot(u, 0) is u exactly
-                table = transfer_gain(radii[None, :], 0.0, freqs[:, None],
-                                      vc, optics=optics)
-                gains = table.reshape(-1)[index]
-                if len(buffer) < len(members):  # after the table's temporaries
-                    buffer = np.empty(gains.shape[:1] + spectrum.shape)
-                out = buffer[:len(members)]
-                np.multiply(spectrum[:n_w], gains, out=out[:, :n_w])
-                np.multiply(spectrum[n_w:], gains[:, n_sl - n_w:0:-1],
-                            out=out[:, n_w:])
-                del gains, table  # freed before the next batch's table
-                yield members, weights, out
-
-    def responses(self, spectrum, luminance: float) -> list:
-        """The (slices, n_channels) channel responses at every point of
-        the pass, in order, of the stack whose spectrum this is (see
-        spectrum), at L = luminance: per batch of weighed spectra (see
-        weighed), one GEMM with the phases for the inverse temporal DFT
-        at the output slices and one straight onto the channels."""
-        outs = {}
-        for members, weights, weighed in self.weighed(spectrum, luminance):
+            # the radii are clamped already, and hypot(u, 0) is u exactly
+            table = transfer_gain(radii[None, :], 0.0, freqs[:, None], vc,
+                                  optics=derive_optics(vc))
+            gains = table.reshape(-1)[index]
+            if len(buffer) < len(members):  # after the table's temporaries
+                buffer = np.empty(gains.shape[:1] + spectrum.shape)
+            weighed = buffer[:len(members)]
+            np.multiply(spectrum[:n_w], gains, out=weighed[:, :n_w])
+            np.multiply(spectrum[n_w:], gains[:, n_sl - n_w:0:-1],
+                        out=weighed[:, n_w:])
+            del gains, table  # freed before the next batch's table
             inverse = np.matmul(self.phase, weighed)
             responses = inverse.reshape(-1, inverse.shape[2]) @ weights
-            outs.update(zip(members, responses.reshape(
-                inverse.shape[:2] + (-1,))))
-        return [outs[i] for i in range(len(outs))]
+            out[list(members)] = responses.reshape(inverse.shape[:2] + (-1,))
+        return out
 
 
 def _eccentricity(w_px: int, h_px: int, ssr: float):
@@ -324,16 +309,16 @@ def _plan(shape: tuple, points: tuple, slices: tuple, foveal_mode: str,
     the grid) raises ValueError.
 
     The pass has one phase array, one dft and one set of kept quadrant
-    positions (a <= b when W == H).  Each ssr's group holds, at
-    x0 = W/ssr, the channel weights: the foveally weighted templates
+    positions (a <= b when W == H), and a flat tuple of batches of at
+    most BATCH_POINTS points of one ssr.  An ssr's batches share, at
+    x0 = W/ssr, its channel weights (the foveally weighted templates
     through the same cosine GEMMs as the stacks, times m(a) m(b) / (W H),
     m being 1 on indices that are their own mirror and 2 on the others,
-    so the filter returns channel responses instead of planes; the
-    distinct effective radial frequencies of the quadrant; and per batch
-    of at most BATCH_POINTS of its points, the distinct |w| of their
-    rates and per point the flat index into their table at every
-    k3 <= K//2 and kept position.  A batch's table thus grows with that
-    batch alone.
+    so the filter returns channel responses instead of planes) and the
+    distinct effective radial frequencies of the quadrant; a batch holds
+    the distinct |w| of its rates and per point the flat index into their
+    table at every k3 <= K//2 and kept position, so its table grows with
+    that batch alone.
     """
     w_px, h_px, n_sl = shape
     if (bank.width, bank.height) != (w_px, h_px):
@@ -369,8 +354,7 @@ def _plan(shape: tuple, points: tuple, slices: tuple, foveal_mode: str,
     members_of = {}
     for i, (ssr, _) in enumerate(points):
         members_of.setdefault(ssr, []).append(i)
-    groups = []
-    frozen = [phase, dft, *kept]
+    batches = []
     for ssr, members in members_of.items():
         x0 = w_px / ssr
         u1 = np.abs(frequency_of_index(np.arange(w_px // 2 + 1), w_px, ssr))
@@ -381,7 +365,6 @@ def _plan(shape: tuple, points: tuple, slices: tuple, foveal_mode: str,
         foveal = foveal_weight(_eccentricity(w_px, h_px, ssr), foveal_mode)
         weights = _even_quadrant(templates * foveal[:, :, None])[kept] \
             * scale[:, None]
-        batches = []
         for start in range(0, len(members), BATCH_POINTS):
             batch = tuple(members[start:start + BATCH_POINTS])
             rates = np.array([points[i][1] for i in batch], dtype=np.float64)
@@ -389,14 +372,12 @@ def _plan(shape: tuple, points: tuple, slices: tuple, foveal_mode: str,
                                           rates[:, None]))
             freqs, row = np.unique(w, return_inverse=True)
             index = row.reshape(w.shape)[:, :, None] * len(radii) + gather
-            batches.append((batch, freqs, index))
-            frozen += [freqs, index]
-        frozen += [radii, weights]
-        groups.append((ssr, weights, radii, tuple(batches)))
-    for array in frozen:
+            batches.append((batch, ssr, weights, radii, freqs, index))
+    for array in (phase, dft, *kept,
+                  *(array for batch in batches for array in batch[2:])):
         array.flags.writeable = False
     return _Plan(shape=shape, phase=phase, dft=dft, kept=kept,
-                 groups=tuple(groups))
+                 batches=tuple(batches))
 
 
 def _checked(shape, points, slices, foveal_mode: str):
@@ -458,7 +439,8 @@ def filter_contrast(contrast_stack, luminance: float, points, *,
 
 
 def apply_stcsf(lum_stack, points, *, foveal_mode: str = "none",
-                taper: bool = True, slices=None, bank=None) -> list:
+                taper: bool = True, slices=None,
+                bank=None) -> list | np.ndarray:
     """The perceived stacks, in JND units, of a luminance stack browsed at each
     of points, a sequence of (ssr, slice_rate) browsing points: one entry
     per point, in order.
@@ -474,12 +456,12 @@ def apply_stcsf(lum_stack, points, *, foveal_mode: str = "none",
     vc holds the point's effective viewing conditions.  slices, when given,
     selects the output slices: data then holds only those, in that order.
     With a channel bank, which no other entry takes, the perceived planes
-    are never formed: each entry is instead the (slices, n_channels) array
-    of channel responses of the foveally weighted planes, from the cached
-    response plan, and the contrast is let go once its spectrum is formed,
-    before the gains are weighed in.  The caller's stack is never written; a
-    temporary passed in (say code_to_luminance's result) is freed with the
-    luminance.
+    are never formed: the result is instead one float64 (points, slices,
+    n_channels) array, row i the channel responses of point i's foveally
+    weighted planes, from the cached response plan, and the contrast is
+    let go once its spectrum is formed, before the gains are weighed in.
+    The caller's stack is never written; a temporary passed in (say
+    code_to_luminance's result) is freed with the luminance.
     """
     arr = np.asarray(lum_stack, dtype=np.float64)
     if arr.size == 0:
@@ -506,4 +488,5 @@ def apply_stcsf(lum_stack, points, *, foveal_mode: str = "none",
     # the forward transform was the contrast's last reader: the weighing
     # holds the spectrum alone
     del contrast
-    return plan.responses(spectrum, lum)
+    return plan.responses(spectrum, lum, np.empty(
+        (len(points), len(slices), bank.matrix.shape[1])))

@@ -336,6 +336,9 @@ def lesion_profile(spec: LesionSpec, geometry: StackGeometry):
     inplane /= inplane[geometry.width // 2, geometry.height // 2]
 
     s = np.arange(geometry.n_slices, dtype=np.float64) - geometry.n_slices // 2
+    # exp(-x**2) is 0.0 from x**2 > 745.2 on, so clamping |s| to 28 sigma_z
+    # keeps every weight and (s/sigma_z)**2 finite at a tiny sigma_z
+    s = np.clip(s, -28 * spec.sigma_z, 28 * spec.sigma_z)
     depth = np.exp(-((s / spec.sigma_z) ** 2))
     return inplane, depth
 

@@ -441,6 +441,28 @@ class TestErrors:
             "double precision\n")
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command, line, values", [
+        ("run-trial", "percept.slice_rate = 1e308", []),
+        ("sweep", "", ["--values", "25,1e308"])])
+    def test_overflowing_slice_rate_refused_before_generating(
+            self, tmp_path, capsys, monkeypatch, command, line, values):
+        # the temporal filters' (2 pi tau w)**2 would overflow at the top
+        # frequency w = slice_rate/2: a numpy warning, then a junk AUC
+        def generate(*args, **kwargs):
+            raise AssertionError("the dataset was generated")
+
+        monkeypatch.setattr(cli, "generate_dataset", generate)
+        bad = tmp_path / "bad.txt"
+        bad.write_text(line + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(bad), "--out", str(out)]
+                    + values) == 2
+        assert capsys.readouterr().err == (
+            "error: sweep aborted at slice_rate = 1e+308: slice_rate = "
+            "1e+308 Hz overflows the temporal filters\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["gen-dataset", "run-trial", "sweep"])
     def test_overflowing_lesion_amplitude_refused_before_generating(
             self, tmp_path, capsys, monkeypatch, command):

@@ -6,18 +6,20 @@ part of the result.  The plain planes path (one rfftn, the gain on the
 rfftn grid, irfftn) must match it to 1e-12 relative on whole perceived
 stacks and on slice ranges, whether one viewing condition is filtered or
 several share one forward transform, and so must the channel responses
-of the cached spectral plan.  The plan's gain, batch by batch, must
-equal transfer_gain bitwise.  The channel responses, taken from the part
-of the stack even about the centre pixel, must ignore an odd part (and,
-on square stacks, a part antisymmetric under transposition) and match
-the projection of the perceived planes over generated shapes, depths,
-ssr sets and foveal modes.  A point's output must not depend on the
-other points of its pass, nor on the batch it is weighed in, and a long
-sweep must hold only one batch of weighed spectra and one batch's gain
-table at a time.  A channel bank that is not radial about the centre
-pixel must be refused.
+of the cached spectral plan, one array with a row per point.  The
+plan's gain, batch by batch, must equal transfer_gain bitwise.  The
+channel responses, taken from the part of the stack even about the
+centre pixel, must ignore an odd part (and, on square stacks, a part
+antisymmetric under transposition) and match the projection of the
+perceived planes over generated shapes, depths, ssr sets and foveal
+modes.  A point's output must not depend on the other points of its
+pass, nor on the batch it is weighed in, and a long sweep must hold
+only one batch of weighed spectra and one batch's gain table at a time.
+A channel bank that is not radial about the centre pixel must be
+refused.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -199,13 +201,16 @@ def test_plan_gain_equals_transfer_gain_bitwise(w_px, h_px, n_sl, ssr, rates,
     k3 = np.arange(n_sl)
     u1 = np.abs(frequency_of_index(a, w_px, ssr))
     u2 = np.abs(frequency_of_index(b, h_px, ssr))
-    # weighing a spectrum of ones lays the gain out on the kept positions
-    ones = np.ones((n_sl, len(a)))
-    batches = [(members, out.copy())
-               for members, _, out in plan.weighed(ones, lum)]
-    assert [i for members, _ in batches for i in members] \
+    assert [i for members, *_ in plan.batches for i in members] \
         == list(range(len(rates)))
-    gains = np.concatenate([out for _, out in batches])
+    # a spectrum of ones, identity phases and identity channel weights lay
+    # each point's gain out on the kept positions, every k3 a slice
+    eye = np.eye(len(a))
+    probe = dataclasses.replace(plan, phase=np.eye(n_sl), batches=tuple(
+        (members, ssr, eye, radii, freqs, index)
+        for members, ssr, _, radii, freqs, index in plan.batches))
+    gains = probe.responses(np.ones((n_sl, len(a))), lum,
+                            np.empty((len(rates), n_sl, len(a))))
     for rate, got in zip(rates, gains):
         w = np.abs(frequency_of_index(np.minimum(k3, n_sl - k3), n_sl, rate))
         want = transfer_gain(u1[None, :], u2[None, :], w[:, None], vc)
@@ -376,11 +381,28 @@ def test_a_sweep_longer_than_a_batch_matches_shorter_ones():
                            bank=bank)
         for got, want in zip(whole[start:start + 4], part):
             assert np.array_equal(got, want)
-    ones = np.ones((12, 45))
     plan = percept._plan((16, 16, 12), tuple(points), (5, 6, 7), "none",
                          bank)
-    sizes = [len(out) for _, _, out in plan.weighed(ones, 40.0)]
-    assert sizes == [percept.BATCH_POINTS] * 3 + [1]
+    assert [len(members) for members, *_ in plan.batches] \
+        == [percept.BATCH_POINTS] * 3 + [1]
+    # the batches of one ssr share its weights and radii
+    assert all(batch[2] is plan.batches[0][2]
+               and batch[3] is plan.batches[0][3] for batch in plan.batches)
+
+
+@pytest.mark.parametrize("points", [
+    [], [(7.0, 25.0)], [(7.0, 5.0), (3.5, 25.0), (7.0, 45.0)]],
+    ids=["none", "one", "two-ssr"])
+def test_bank_path_returns_one_array(points):
+    # one float64 (points, slices, n_channels) array, rows in point order
+    lum = np.random.default_rng(23).uniform(20.0, 80.0, size=(12, 14, 6))
+    bank = lg_channel_bank(12, 14, n_channels=4, spread=4.0)
+    got = apply_stcsf(lum, points, slices=(4, 1), bank=bank)
+    assert type(got) is np.ndarray and got.dtype == np.float64
+    assert got.shape == (len(points), 2, 4)
+    for point, row in zip(points, got):
+        alone, = apply_stcsf(lum, [point], slices=(4, 1), bank=bank)
+        assert np.array_equal(row, alone)
 
 
 @pytest.mark.parametrize("distinct", [False, True],

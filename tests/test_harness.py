@@ -1,8 +1,10 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
+import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
@@ -12,10 +14,12 @@ import pytest
 
 from cinecho import trial
 from cinecho.config import DEFAULTS, lesion_from
+from cinecho.csf import N1, TAU10, temporal_filter
 from cinecho.errors import FormatError, PlanError
 from cinecho.harness import (
     ResultRow,
     SweepSpec,
+    _check_points,
     emit_csv,
     emit_svg_plot,
     overlay_rescale,
@@ -132,6 +136,25 @@ class TestSweepPoints:
         assert swept.display.l_max == base.display.l_max
         assert swept.display.l_min == pytest.approx(
             base.display.l_max / 100.0)
+
+    def test_the_slice_rate_bound_is_the_temporal_filters_overflow(self):
+        # the last slice rate the pre-check accepts keeps the temporal
+        # filters' (2 pi TAU10 w)**2 finite at w = slice_rate/2, and the
+        # next double is refused, where that square overflows
+        last = 1.333699317548173e+155
+        refused = float(np.nextafter(last, np.inf))
+        _check_points(SweepSpec("ssr", (7.0,)),
+                      [PipelineConfig(slice_rate=last)], 64)
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"sweep aborted at ssr = 7.0: slice_rate = {refused!r} Hz "
+                "overflows the temporal filters")):
+            _check_points(SweepSpec("ssr", (7.0,)),
+                          [PipelineConfig(slice_rate=refused)], 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            temporal_filter(last / 2, TAU10, N1)
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                temporal_filter(refused / 2, TAU10, N1)
 
 
 class TestOverlayRescale:

@@ -482,20 +482,17 @@ class TestPlanCache:
         assert percept._plan((12, 12, 5), points, (1, 2), "hard",
                              bank) is plan
         # one phase array, one slice DFT and one set of kept positions
-        # serve every ssr of the pass: each ssr's group holds only its
-        # weights, radii and batches
+        # serve every ssr of the pass: each batch holds only its members,
+        # its ssr's weights and radii and its own |w| and index
         assert [field.name for field in dataclasses.fields(plan)] \
-            == ["shape", "phase", "dft", "kept", "groups"]
-        assert [(ssr, [members for members, _, _ in batches])
-                for ssr, _, _, batches in plan.groups] \
-            == [(2.0, [(0, 2)]), (3.0, [(1,)])]
+            == ["shape", "phase", "dft", "kept", "batches"]
+        assert [(members, ssr) for members, ssr, *_ in plan.batches] \
+            == [((0, 2), 2.0), ((1,), 3.0)]
         arrays = [bank.matrix, percept._even_axis(12),
                   percept._taper_weight(12, 12), plan.phase, plan.dft,
                   *plan.kept]
-        for _, weights, radii, batches in plan.groups:
-            arrays += [weights, radii]
-            for _, freqs, index in batches:
-                arrays += [freqs, index]
+        for _, _, *batch_arrays in plan.batches:
+            arrays += batch_arrays
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = 0

@@ -220,6 +220,19 @@ class TestLesionProfile:
         assert depth[SMALL.n_slices // 2] == 1.0
         assert np.all(depth > 0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sigma_z", [1e-300, 5e-324])
+    def test_a_tiny_sigma_z_is_a_one_slice_spike(self, sigma_z):
+        # (s/sigma_z)**2 would overflow (and s/sigma_z too, at a subnormal
+        # sigma_z) on every slice but the central one
+        spec = LesionSpec("mass", 1.0, diameter_px=8.0, sigma_z=sigma_z)
+        _, depth = lesion_profile(spec, SMALL)
+        spike = np.zeros(SMALL.n_slices)
+        spike[SMALL.n_slices // 2] = 1.0
+        assert np.array_equal(depth, spike)
+        assert stacks._lesion_shape(spec, SMALL)[3] \
+            == (SMALL.n_slices // 2,)
+
     def test_inplane_peak_and_positivity(self):
         geom = GEOMETRY_PRESETS["dataset_a"]
         inplane, _ = lesion_profile(LesionSpec("microcalc", 1.0), geom)

@@ -757,13 +757,13 @@ class TestPerceiveResponses:
         # the bank and the plan are cached by the first pass
         perceive_responses(stacks, [CONFIG], slices)
         held = []
-        weighed = percept._Plan.weighed
+        responses = percept._Plan.responses
 
-        def traced_weighed(plan, spectrum, luminance):
+        def traced_responses(plan, spectrum, luminance, out):
             held.append(tracemalloc.get_traced_memory()[0])
-            yield from weighed(plan, spectrum, luminance)
+            return responses(plan, spectrum, luminance, out)
 
-        monkeypatch.setattr(percept._Plan, "weighed", traced_weighed)
+        monkeypatch.setattr(percept._Plan, "responses", traced_responses)
         tracemalloc.start()
         try:
             perceive_responses(stacks, [CONFIG], slices)
